@@ -15,6 +15,23 @@ of the leading coefficient. That also makes multi-worker runs
 bit-identical to single-worker runs: workers own whole slices and the
 combination order never depends on scheduling.
 
+Slice z1 is z1*M[0] plus the block rest @ M[1:] over the rest box
+{-m..m}^(n-1); that block is built once per call (once per worker
+process with jobs > 1). The codebook is symmetric under x -> -x, and
+the fold uses it exactly: the rest box is symmetric and IEEE negation
+is exact, so every word of slice -z1 is the bitwise negation of a word
+of slice z1, and the two slices have the same count, fsum terms,
+energies and p_max bit for bit. math.fsum rounds once, whatever the
+order of its terms, so only slices z1 = 0..m are computed and their
+partials are passed on as [m, ..., 1, 0, 1, ..., m]. The kernel checks
+that the shared block is exactly odd before folding and computes every
+slice otherwise. A diversity failure is reported at the lex-first
+offending coefficient vector, as without the fold.
+
+The lowest-energy carve finds the target_size-th smallest energy with a
+partition and sorts only the words at or below it by (energy, lex),
+which selects the same words in the same order as sorting the box.
+
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
 squared norm over nonzero codewords; p_ave averages squared norms over
@@ -68,11 +85,19 @@ class TableRow:
     target_size: int | None = None
 
 
-def _rest_box(n: int, m: int) -> np.ndarray:
-    """Lexicographically ordered {-m..m}^(n-1) block shared by all slices."""
-    rng = np.arange(-m, m + 1)
-    grids = np.meshgrid(*([rng] * (n - 1)), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _box(k: int, m: int) -> np.ndarray:
+    """{-m..m}^k as rows in lexicographic order.
+
+    Row N-1-i is the negation of row i and the zero vector is the middle
+    row. The entries are small integers stored as float64, which is
+    exact and lets the box enter a matmul without a cast copy.
+    """
+    side = 2 * m + 1
+    out = np.empty((side,) * k + (k,))
+    rng = np.arange(-m, m + 1, dtype=float)
+    for j in range(k):
+        out[..., j] = rng.reshape((1,) * j + (side,) + (1,) * (k - j - 1))
+    return out.reshape(side ** k, k)
 
 
 def _check_box_args(m: int, p_lim: float, exponent: int) -> None:
@@ -100,67 +125,90 @@ def enumerate_codebook(
     Lexicographic coefficient order; the zero vector is included.
     """
     _check_box_args(m, p_lim, 1)
-    M = _as_matrix(gen)
-    n = M.shape[0]
-    rest = _rest_box(n, m) if n > 1 else None
+    slices = _Slices(_as_matrix(gen), m, p_lim, 1)
     for z1 in range(-m, m + 1):
-        if rest is None:
-            x = z1 * M[0]
-            if float(x @ x) <= p_lim:
-                yield (z1,), x
-            continue
-        block = z1 * M[0] + rest @ M[1:]
+        block = slices.block(z1)
         norms = np.einsum("ij,ij->i", block, block)
         for keep in np.flatnonzero(norms <= p_lim):
-            yield (z1, *map(int, rest[keep])), block[keep]
+            yield (z1, *map(int, slices.rest[keep])), block[keep]
 
 
-def _slice_stats(args):
-    """Sum/energy statistics of one leading-coefficient slice.
+class _Slices:
+    """The codebook split by its leading coefficient z1.
 
-    Returns (count, s_partial, p_max, energy_partial, bad) where bad
-    describes the first (lex order) diversity violation as a tuple
-    (coefficient vector, coordinate index, coordinate value), or is
-    None. All reductions are deterministic functions of the slice.
+    Slice z1 holds the words z1*M[0] + r @ M[1:] for every r in the rest
+    box {-m..m}^(n-1). The product rest @ M[1:] is the same for every
+    slice, so it is built once.
     """
-    M, m, z1, p_lim, exponent = args
-    n = M.shape[0]
-    if n == 1:
-        rest = None
-        block = (z1 * M[0])[None, :]
-        zmat = np.array([[z1]])
-    else:
-        rest = _rest_box(n, m)
-        block = z1 * M[0] + rest @ M[1:]
-        zmat = np.concatenate(
-            [np.full((rest.shape[0], 1), z1, dtype=rest.dtype), rest], axis=1)
-    norms = np.einsum("ij,ij->i", block, block)
-    keep = norms <= p_lim
-    zero_row = np.all(zmat == 0, axis=1)
-    nonzero = keep & ~zero_row
 
-    count = int(np.count_nonzero(keep))
-    energy = math.fsum(norms[keep])
-    if not np.any(nonzero):
-        return count, 0.0, 0.0, energy, None
+    def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
+        self.M, self.p_lim, self.exponent = M, p_lim, exponent
+        self.rest = _box(M.shape[0] - 1, m)
+        self.shared = self.rest @ M[1:]
 
-    absx = np.abs(block[nonzero])
-    row_min = absx.min(axis=1)
-    if float(row_min.min()) < DIVERSITY_EPS:
-        first = int(np.argmax(row_min < DIVERSITY_EPS))
-        coord = int(np.argmin(absx[first]))
-        bad = (tuple(int(c) for c in zmat[nonzero][first]), coord,
-               float(absx[first][coord]))
-        return count, 0.0, 0.0, energy, bad
+    def block(self, z1: int) -> np.ndarray:
+        return z1 * self.M[0] + self.shared
 
-    terms = np.prod(absx, axis=1) ** float(-exponent)
-    s_partial = math.fsum(terms)
-    p_max = float(norms[nonzero].max())
-    return count, s_partial, p_max, energy, None
+    def mirrored(self) -> bool:
+        """Whether slice -z1 holds exactly the negated words of slice z1.
+
+        Negation is exact in IEEE arithmetic, so this holds as soon as
+        row -r of the shared block is exactly minus row r, which any
+        matmul that treats every row alike guarantees.
+        """
+        return np.array_equal(self.shared[::-1], -self.shared)
+
+    def stats(self, z1: int):
+        """Sum/energy statistics of slice z1.
+
+        Returns (count, s_partial, p_max, energy_partial, bad) where bad
+        describes the first (lex order) diversity violation as a tuple
+        (coefficient vector, coordinate index, coordinate value), or is
+        None. All reductions are deterministic functions of the slice.
+        """
+        block = self.block(z1)
+        norms = np.einsum("ij,ij->i", block, block)
+        keep = norms <= self.p_lim
+        count = int(np.count_nonzero(keep))
+        # A memoryview feeds fsum plain floats one at a time: no numpy
+        # scalar per term and no list of all of them.
+        energy = math.fsum(memoryview(norms[keep]))
+        nonzero = keep
+        if z1 == 0:
+            nonzero = keep.copy()
+            nonzero[len(self.rest) // 2] = False
+        if not np.any(nonzero):
+            return count, 0.0, 0.0, energy, None
+
+        absx = np.abs(block[nonzero])
+        row_min = absx.min(axis=1)
+        if float(row_min.min()) < DIVERSITY_EPS:
+            first = int(np.argmax(row_min < DIVERSITY_EPS))
+            coord = int(np.argmin(absx[first]))
+            rest = self.rest[np.flatnonzero(nonzero)[first]]
+            bad = ((z1, *map(int, rest)), coord, float(absx[first][coord]))
+            return count, 0.0, 0.0, energy, bad
+
+        terms = np.prod(absx, axis=1) ** float(-self.exponent)
+        s_partial = math.fsum(memoryview(terms))
+        p_max = float(norms[nonzero].max())
+        return count, s_partial, p_max, energy, None
 
 
-def _combine(parts, lattice_name, n, m, p_lim, exponent, target_size=None,
-             size_override=None):
+# The slices of a multi-worker sum, built once in each worker process.
+_worker_slices: _Slices | None = None
+
+
+def _start_worker(M, m, p_lim, exponent):
+    global _worker_slices
+    _worker_slices = _Slices(M, m, p_lim, exponent)
+
+
+def _worker_stats(z1):
+    return _worker_slices.stats(z1)
+
+
+def _combine(parts, lattice_name, n, m, p_lim, exponent):
     """Fold per-slice statistics in ascending-z1 order."""
     for count, s, pmax, energy, bad in parts:
         if bad is not None:
@@ -172,9 +220,8 @@ def _combine(parts, lattice_name, n, m, p_lim, exponent, target_size=None,
     p_ave = energy / size if size else 0.0
     return SumReport(
         lattice_name=lattice_name, n=n, m=m, p_lim=p_lim,
-        size=size_override if size_override is not None else size,
-        p_max=p_max, p_ave=p_ave, s_value=s_value, exponent=exponent,
-        target_size=target_size)
+        size=size, p_max=p_max, p_ave=p_ave, s_value=s_value,
+        exponent=exponent)
 
 
 def inverse_norm_power_sum(
@@ -187,7 +234,8 @@ def inverse_norm_power_sum(
 ) -> SumReport:
     """S over the box-and-ball codebook, with energy statistics.
 
-    Work is partitioned by the leading coefficient z1; each slice is
+    Work is partitioned by the leading coefficient z1. Only the slices
+    z1 >= 0 are computed when slice -z1 mirrors slice z1; each slice is
     reduced with math.fsum and partials are combined in ascending z1
     order, so the result is bit-identical for any worker count.
     """
@@ -195,12 +243,22 @@ def inverse_norm_power_sum(
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
     M = _as_matrix(gen)
-    slices = [(M, m, z1, p_lim, exponent) for z1 in range(-m, m + 1)]
+    slices = _Slices(M, m, p_lim, exponent)
+    fold = slices.mirrored()
+    z1s = range(0 if fold else -m, m + 1)
     if jobs == 1:
-        parts = [_slice_stats(s) for s in slices]
+        parts = [slices.stats(z1) for z1 in z1s]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_slice_stats, slices))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                                 initargs=(M, m, p_lim, exponent)) as pool:
+            parts = list(pool.map(_worker_stats, z1s))
+    if fold:
+        parts = parts[:0:-1] + parts
+        # A mirrored slice -z1 reports slice z1's violation, whose mirror
+        # need not be the lex-first one there: rescan that slice.
+        first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), m)
+        if first_bad < m:
+            parts[first_bad] = slices.stats(first_bad - m)
     return _combine(parts, lattice_name, M.shape[0], m, p_lim, exponent)
 
 
@@ -226,14 +284,17 @@ def carve_lowest_energy(
         raise DomainError(
             "target_size %d exceeds box size %d" % (target_size, box_size))
 
-    rng = np.arange(-m, m + 1)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    z = np.stack([g.ravel() for g in grids], axis=1)
+    z = _box(n, m)
     x = z @ M
     norms = np.einsum("ij,ij->i", x, x)
+    # Only rows at or below the target_size-th smallest energy can be
+    # selected; sorting just those gives the same (energy, lex) prefix.
+    cut = np.partition(norms, target_size - 1)[target_size - 1]
+    rows = np.flatnonzero(norms <= cut)
     # Primary key: energy; then the coefficient columns, lexicographic.
-    order = np.lexsort(tuple(z[:, j] for j in reversed(range(n))) + (norms,))
-    sel = order[:target_size]
+    order = np.lexsort(tuple(z[rows, j] for j in reversed(range(n)))
+                       + (norms[rows],))
+    sel = rows[order[:target_size]]
 
     zs, xs, ns = z[sel], x[sel], norms[sel]
     zero_row = np.all(zs == 0, axis=1)
@@ -247,9 +308,10 @@ def carve_lowest_energy(
                                  float(absx[first][coord]))
 
     # Deterministic accumulation: selected rows in (energy, lex) order.
-    s_value = math.fsum(np.prod(absx, axis=1) ** float(-exponent)) if absx.size else 0.0
+    terms = np.prod(absx, axis=1) ** float(-exponent)
+    s_value = math.fsum(memoryview(terms))
     p_max = float(ns[~zero_row].max()) if absx.size else 0.0
-    p_ave = math.fsum(ns) / target_size
+    p_ave = math.fsum(memoryview(ns)) / target_size
     return SumReport(
         lattice_name=lattice_name, n=n, m=m, p_lim=math.inf,
         size=target_size, p_max=p_max, p_ave=p_ave, s_value=s_value,

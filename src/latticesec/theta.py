@@ -20,6 +20,14 @@ Evaluation uses the sum representations with an explicit geometric tail
 bound: summation stops once the bound on the dropped tail falls below
 the requested tolerance. Terms are accumulated with math.fsum, so the
 returned value carries the truncation error plus at most a few ulps.
+For y < 1 the series are summed at 1/y, where they converge fast and
+theta4 does not cancel, and mapped back through the modular relations
+
+    theta2(yi) = theta4(i/y)/sqrt(y),  theta3(yi) = theta3(i/y)/sqrt(y),
+    theta4(yi) = theta2(i/y)/sqrt(y),
+
+with the tolerance at 1/y scaled by sqrt(y), so that the absolute
+truncation bound tol still holds at y.
 
 The supported domain is y in [1e-3, 1e3]. Outside it the closed-form
 asymptotic limits are returned and the triple is flagged `asymptotic`
@@ -117,11 +125,19 @@ def theta_triple(y: float, tol: float = DEFAULT_TOL) -> ThetaTriple:
         root = 1.0 / math.sqrt(y)
         t4 = 2.0 * root * math.exp(-math.pi / (4.0 * y))
         return ThetaTriple(y, root, root, t4, tol, asymptotic=True)
+    if y < 1.0:
+        # The series converge slowly and theta4 cancels as the nome nears
+        # 1; sum at 1/y instead and map back through the modular relations.
+        root = math.sqrt(y)
+        t2, t3, t4 = _theta_sums(1.0 / y, tol * root)
+        return ThetaTriple(y, t4 / root, t3 / root, t2 / root, tol)
+    return ThetaTriple(y, *_theta_sums(y, tol), tol)
+
+
+def _theta_sums(y: float, tol: float) -> tuple[float, float, float]:
     g = math.exp(-math.pi * y)
-    t2 = _theta2_sum(g, tol)
-    t3 = _theta34_sum(g, tol, alternating=False)
-    t4 = _theta34_sum(g, tol, alternating=True)
-    return ThetaTriple(y, t2, t3, t4, tol)
+    return (_theta2_sum(g, tol), _theta34_sum(g, tol, alternating=False),
+            _theta34_sum(g, tol, alternating=True))
 
 
 def eval_theta(kind: int, y: float, tol: float = DEFAULT_TOL) -> float:

@@ -32,6 +32,12 @@ def test_theta_symmetry(capsys):
     assert abs(a - b) <= 1e-10
 
 
+def test_theta_small_y(capsys):
+    code, out, _ = run(capsys, "theta", "--y", "0.0105")
+    assert code == 0
+    assert "regime = series" in out
+
+
 def test_theta_usage_errors(capsys):
     assert run(capsys, "theta", "--y", "-1")[0] == 2
     assert run(capsys, "theta")[0] == 2

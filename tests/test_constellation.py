@@ -1,8 +1,10 @@
 """Codebook enumeration and the inverse norm power sum: brute-force
 oracles, frozen regressions, invariance properties, and determinism."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +146,59 @@ def test_carve_against_direct_selection(lambda3):
     assert rep.p_max == pytest.approx(
         max(float(x @ x) for z, x in chosen if any(z)), rel=1e-12)
 
+    # Exactly tied energies: [[1, 3], [3, -1]] maps z to the integer
+    # vector (z1 + 3 z2, 3 z1 - z2) of squared norm 10 (z1^2 + z2^2), so
+    # every cut below falls inside a shell and only the lex tie-break
+    # decides. Targets 14..20 cut the shell z1^2 + z2^2 = 5, whose words
+    # have |x1 x2| = 25 or 7, so S tells the chosen words apart.
+    gen = np.array([[1.0, 3.0], [3.0, -1.0]])
+    words = sorted(
+        (10 * (z1 * z1 + z2 * z2), (z1, z2), (z1 + 3 * z2, 3 * z1 - z2))
+        for z1, z2 in itertools.product(range(-2, 3), repeat=2))
+    for target in (3, 7, 11, 14, 16, 18, 20):
+        chosen = words[:target]
+        rep = carve_lowest_energy(gen, 2, target)
+        s = sum(Fraction(1, abs(x1 * x2) ** 3) for _, z, (x1, x2) in chosen
+                if any(z))
+        assert rep.size == target
+        assert rep.s_value == pytest.approx(float(s), rel=1e-12)
+        assert rep.p_max == chosen[-1][0]
+        assert rep.p_ave == pytest.approx(
+            sum(q for q, _, _ in chosen) / target, rel=1e-12)
+
+
+def _unfolded_sum(M, m, p_lim, exponent=3):
+    """(size, p_max, p_ave, S) from all 2m+1 slices, one matmul each."""
+    n = M.shape[0]
+    grids = np.meshgrid(*([np.arange(-m, m + 1)] * (n - 1)), indexing="ij")
+    rest = np.stack([g.ravel() for g in grids], axis=1)
+    size, p_max, s_parts, energy_parts = 0, 0.0, [], []
+    for z1 in range(-m, m + 1):
+        block = z1 * M[0] + rest @ M[1:]
+        norms = np.einsum("ij,ij->i", block, block)
+        keep = norms <= p_lim
+        nonzero = keep & (np.any(rest != 0, axis=1) | (z1 != 0))
+        size += int(np.count_nonzero(keep))
+        energy_parts.append(math.fsum(norms[keep]))
+        if np.any(nonzero):
+            terms = np.prod(np.abs(block[nonzero]), axis=1) ** float(-exponent)
+            s_parts.append(math.fsum(terms))
+            p_max = max(p_max, float(norms[nonzero].max()))
+    return size, p_max, math.fsum(energy_parts) / size, math.fsum(s_parts)
+
+
+def test_folded_kernel_matches_unfolded_bits(lambda1, lambda2, lambda3):
+    # Only slices z1 >= 0 are computed; the mirrored fold must reproduce
+    # the full computation bit for bit, capped or not.
+    for spec in (lambda1, lambda2, lambda3):
+        M = spec.generator.entries
+        for m, p_lim, exponent in ((1, math.inf, 3), (4, math.inf, 3),
+                                   (5, 16.0, 3), (7, 30.5, 2), (9, 64.0, 3)):
+            rep = inverse_norm_power_sum(spec.generator, m, p_lim=p_lim,
+                                         exponent=exponent)
+            assert (rep.size, rep.p_max, rep.p_ave, rep.s_value) == \
+                _unfolded_sum(M, m, p_lim, exponent)
+
 
 def test_carve_selects_by_energy(lambda3):
     full = inverse_norm_power_sum(lambda3.generator, 2)
@@ -195,11 +250,20 @@ def test_workers_are_bit_identical(lambda3):
 
 
 def test_diversity_failure_reported():
+    # The lex-first offending word is (-1, 0) -> (-1, 0), in slice z1 = -1,
+    # which the folded kernel only mirrors from slice z1 = 1.
+    for jobs in (1, 2):
+        with pytest.raises(DiversityError) as err:
+            inverse_norm_power_sum(np.eye(2), 1, jobs=jobs)
+        assert "coefficient vector" in str(err.value)
+        assert err.value.coeff_vector == (-1, 0)
+        assert err.value.coordinate_index == 1
+        assert err.value.value == 0.0
+    # The carve reports the first offender in (energy, lex) order.
     with pytest.raises(DiversityError) as err:
-        inverse_norm_power_sum(np.eye(2), 1)
-    assert "coefficient vector" in str(err.value)
-    with pytest.raises(DiversityError):
         carve_lowest_energy(np.eye(2), 1, 9)
+    assert err.value.coeff_vector == (-1, 0)
+    assert err.value.coordinate_index == 1
 
 
 def test_argument_validation(lambda3):

@@ -9,6 +9,7 @@ import pytest
 
 from latticesec.errors import DomainError, InternalConsistencyError
 from latticesec.theta import (
+    DEFAULT_TOL,
     DOMAIN_MAX,
     DOMAIN_MIN,
     ThetaTriple,
@@ -56,6 +57,22 @@ def test_frozen_values():
     assert trip.theta2 == pytest.approx(0.9135791381561168, rel=1e-15)
     assert trip.theta4 == pytest.approx(0.9135791381561168, rel=1e-15)
     assert eval_z(50.0) == pytest.approx(9.667235325318504e-68, rel=1e-12)
+
+
+@pytest.mark.parametrize("y", [0.0105, 0.05, 0.1])
+def test_small_y_against_mpmath(y):
+    # Near y = 0 the nome approaches 1 and theta4 ~ exp(-pi/(4y)) is left
+    # after cancelling terms of order 1; the reference carries enough
+    # digits to resolve it.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40 + int(math.pi / (4 * y * math.log(10)))):
+        q = mpmath.exp(-mpmath.pi * mpmath.mpf(y))
+        refs = [mpmath.jtheta(k, 0, q) for k in (2, 3, 4)]
+        z_ref = refs[0] ** 4 * refs[2] ** 4 / refs[1] ** 8
+        trip = theta_triple(y)
+        for got, ref in zip((trip.theta2, trip.theta3, trip.theta4), refs):
+            assert abs(got - ref) <= 1e-13 * ref
+        assert abs(eval_z(y) - z_ref) <= 100 * DEFAULT_TOL * z_ref
 
 
 def test_z_at_one_is_quarter():
