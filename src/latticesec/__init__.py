@@ -21,7 +21,6 @@ from .constellation import (
     SumReport,
     TableRow,
     carve_lowest_energy,
-    enumerate_codebook,
     inverse_norm_power_sum,
     reports_to_csv,
     table_sweep,
@@ -86,7 +85,6 @@ __all__ = [
     "carve_lowest_energy",
     "compare_report",
     "db_to_linear",
-    "enumerate_codebook",
     "eval_theta",
     "eval_z",
     "eve_correct_probability",

@@ -136,13 +136,10 @@ def _render_reports(reports: list[SumReport], fmt: str,
         for row in rows)
 
 
-def _single_report(args: argparse.Namespace) -> SumReport:
-    if args.lattice is None or args.m is None:
-        raise DomainError("sum needs --lattice and --m (or --reproduce)")
-    spec = load_lattice(args.lattice)
+def _lattice_report(spec, args: argparse.Namespace) -> SumReport:
+    """The carve (--target-size) or the sum (--p-lim, default uncapped)
+    over spec."""
     if args.target_size is not None:
-        if args.p_lim is not None:
-            raise DomainError("--p-lim and --target-size are exclusive")
         return carve_lowest_energy(
             spec.generator, args.m, args.target_size,
             exponent=args.exponent, lattice_name=spec.name)
@@ -150,6 +147,15 @@ def _single_report(args: argparse.Namespace) -> SumReport:
     return inverse_norm_power_sum(
         spec.generator, args.m, p_lim=p_lim, exponent=args.exponent,
         jobs=args.jobs, lattice_name=spec.name)
+
+
+def _single_report(args: argparse.Namespace) -> SumReport:
+    if args.lattice is None or args.m is None:
+        raise DomainError("sum needs --lattice and --m (or --reproduce)")
+    spec = load_lattice(args.lattice)
+    if args.target_size is not None and args.p_lim is not None:
+        raise DomainError("--p-lim and --target-size are exclusive")
+    return _lattice_report(spec, args)
 
 
 def _reproduce(which: str, exponent: int, jobs: int) -> list[SumReport]:
@@ -178,18 +184,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if (args.gamma is None) == (args.gamma_db is None):
         raise DomainError("compare needs exactly one of --gamma/--gamma-db")
     gamma = args.gamma if args.gamma is not None else db_to_linear(args.gamma_db)
-    reports = []
-    for name in args.lattice:
-        spec = load_lattice(name)
-        if args.target_size is not None:
-            reports.append(carve_lowest_energy(
-                spec.generator, args.m, args.target_size,
-                exponent=args.exponent, lattice_name=spec.name))
-        else:
-            p_lim = math.inf if args.p_lim is None else args.p_lim
-            reports.append(inverse_norm_power_sum(
-                spec.generator, args.m, p_lim=p_lim, exponent=args.exponent,
-                jobs=args.jobs, lattice_name=spec.name))
+    reports = [_lattice_report(load_lattice(name), args)
+               for name in args.lattice]
     params = ChannelParams(gamma_e=gamma, vol_b=args.vol_b, n=reports[0].n)
     doc = compare_report(reports, params)
     print(doc.to_json() if args.format == "json" else doc.render_text())

@@ -28,9 +28,34 @@ that the shared block is exactly odd before folding and computes every
 slice otherwise. A diversity failure is reported at the lex-first
 offending coefficient vector, as without the fold.
 
-The lowest-energy carve finds the target_size-th smallest energy with a
-partition and sorts only the words at or below it by (energy, lex),
-which selects the same words in the same order as sorting the box.
+With an energy cap, a ball walker (in the spirit of Fincke-Pohst)
+picks the rows of each slice that can lie in the ball. For every prefix
+(z1, ..., z_{n-1}), completing the square in z_n with G = M M^T gives
+the ball's words of that prefix as one run of z_n, which is one run of
+the lex-ordered rest box. Only those rows are gathered from the shared
+block, and the float test ||x||^2 <= p_lim still decides membership on
+the same words, so count, terms, energies and p_max are those of a full
+scan bit for bit. The bound never drops a word that the float test
+keeps. A word's float norm differs from its exact norm by at most a few
+n units of roundoff times p_lim + m^2 * sum_i (sum_j |M_ji|)^2, and the
+walker's per-prefix centre and Schur form are off by at most as much
+again (with the size of h h^T / g added to the scale). The walker raises
+the cap by 2^-30 of that scale, over a million times those errors, and
+moves each end of a run out by 2^-30 of 1 + |c| + its half-width before
+rounding it outward to an integer. Without a cap, or when the ball holds the box,
+it returns the whole slice and does no bound work.
+
+The lowest-energy carve takes its candidates from the same walker. It
+starts from the ball whose volume holds target_size lattice points and
+grows it until at least target_size candidates have a float norm at or
+below its radius; in the limit the candidates are the whole box. The
+walker keeps every word at or below the radius, so the target_size-th
+smallest energy of the box is among the candidates, and so is every
+word at or below it. A partition finds that energy, and only the words
+at or below it are sorted by (energy, lex), which selects the same
+words in the same order as sorting the box. The candidates' words
+z @ M are bit-equal to the box's rows as long as the matmul computes
+each row on its own, which the tests check against a full-box carve.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -41,6 +66,7 @@ orthogonal-box values n*m*(m+1)/3 exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -117,6 +143,96 @@ def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
     return entries
 
 
+# How far the walker widens its bound: see _BallWalker.
+_WIDEN = 2.0 ** -30
+
+
+class _BallWalker:
+    """Rest-box rows of each slice that can lie in the ball ||zM||^2 <= p.
+
+    Write z = (z1, y, t) with the prefix y = (z2..z_{n-1}) and t = z_n.
+    With G = M M^T, g = G[-1, -1] and h = G[:-1, -1], completing the
+    square in t gives
+
+        ||zM||^2 = g (t - c)^2 + q,   c = -(z1, y).h / g,
+
+    where q is the form of the Schur complement G[:-1, :-1] - h h^T / g
+    at (z1, y). So the words of one prefix that lie in the ball form one
+    contiguous run of t, which is a contiguous run of the lex-ordered
+    rest box. c and q are computed once per prefix and slice, never per
+    word.
+    """
+
+    def __init__(self, M: np.ndarray, m: int):
+        n = M.shape[0]
+        self.m = m
+        G = M @ M.T
+        # A positive semidefinite form is convex, so its maximum over the
+        # box lies at a corner.
+        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        self.box_top = m * m * float(
+            np.einsum("ij,jk,ik->i", signs, G, signs).max())
+        g = G[-1, -1]
+        self.prefix = n >= 2 and g > 0
+        if not self.prefix:
+            return
+        h = G[:-1, -1]
+        S = G[:-1, :-1] - np.outer(h, h) / g
+        pre = _box(n - 2, m)
+        self.g, self.h0 = g, h[0] / g
+        self.centre = -(pre @ h[1:]) / g
+        self.s00, self.lin = S[0, 0], 2 * (pre @ S[1:, 0])
+        self.quad = np.einsum("ij,jk,ik->i", pre, S[1:, 1:], pre)
+        self.run_start = np.arange(len(pre)) * (2 * m + 1) + m
+        # A few n units of roundoff of p_lim + scale bound the float errors
+        # of q, of c and of the words' own norms (see the module docstring).
+        self.scale = m * m * (float((np.abs(M).sum(axis=0) ** 2).sum())
+                              + float(np.abs(h).sum()) ** 2 / g)
+
+    def rows(self, z1: int, p_lim: float) -> np.ndarray | None:
+        """Ascending rest-box rows of slice z1 that may lie in the ball.
+
+        None stands for the whole slice, when the ball holds the box.
+        Every row whose float norm is <= p_lim is kept.
+        """
+        if not (self.prefix and p_lim < self.box_top):
+            return None
+        m = self.m
+        q = self.quad + z1 * (self.lin + z1 * self.s00)
+        room = p_lim + _WIDEN * (p_lim + self.scale) - q
+        live = np.flatnonzero(room >= 0)
+        half = np.sqrt(room[live] / self.g)
+        centre = self.centre[live] - z1 * self.h0
+        pad = _WIDEN * (1.0 + np.abs(centre) + half)
+        lo = np.maximum(np.ceil(centre - half - pad), -m).astype(np.intp)
+        hi = np.minimum(np.floor(centre + half + pad), m).astype(np.intp)
+        runs = np.maximum(hi - lo + 1, 0)
+        first = self.run_start[live] + lo
+        return (np.repeat(first - (np.cumsum(runs) - runs), runs)
+                + np.arange(runs.sum()))
+
+
+def _first_violation(absx: np.ndarray) -> tuple[int, int] | None:
+    """(row, coordinate) of the first row with a coordinate below
+    DIVERSITY_EPS, or None. The row minimum is taken column by column."""
+    row_min = absx[:, 0].copy()
+    for j in range(1, absx.shape[1]):
+        np.minimum(row_min, absx[:, j], out=row_min)
+    if not float(row_min.min()) < DIVERSITY_EPS:
+        return None
+    first = int(np.argmax(row_min < DIVERSITY_EPS))
+    return first, int(np.argmin(absx[first]))
+
+
+def _terms(absx: np.ndarray, exponent: int) -> np.ndarray:
+    """prod_i |x_i|^(-exponent) per row, multiplied column by column as
+    ((a0*a1)*a2)*..."""
+    terms = absx[:, 0].copy()
+    for j in range(1, absx.shape[1]):
+        terms *= absx[:, j]
+    return np.power(terms, float(-exponent), out=terms)
+
+
 def enumerate_codebook(
     gen: GeneratorMatrix | np.ndarray, m: int, p_lim: float = math.inf
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
@@ -127,27 +243,36 @@ def enumerate_codebook(
     _check_box_args(m, p_lim, 1)
     slices = _Slices(_as_matrix(gen), m, p_lim, 1)
     for z1 in range(-m, m + 1):
-        block = slices.block(z1)
+        rows, block = slices.words(z1)
         norms = np.einsum("ij,ij->i", block, block)
         for keep in np.flatnonzero(norms <= p_lim):
-            yield (z1, *map(int, slices.rest[keep])), block[keep]
+            rest = slices.rest[keep if rows is None else rows[keep]]
+            yield (z1, *map(int, rest)), block[keep]
 
 
 class _Slices:
     """The codebook split by its leading coefficient z1.
 
-    Slice z1 holds the words z1*M[0] + r @ M[1:] for every r in the rest
-    box {-m..m}^(n-1). The product rest @ M[1:] is the same for every
-    slice, so it is built once.
+    Slice z1 holds the words z1*M[0] + r @ M[1:] for the rows r of the
+    rest box {-m..m}^(n-1) that the ball walker visits. The product
+    rest @ M[1:] is the same for every slice, so it is built once.
     """
 
     def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
         self.M, self.p_lim, self.exponent = M, p_lim, exponent
         self.rest = _box(M.shape[0] - 1, m)
         self.shared = self.rest @ M[1:]
+        self.walker = _BallWalker(M, m)
 
-    def block(self, z1: int) -> np.ndarray:
-        return z1 * self.M[0] + self.shared
+    def words(self, z1: int) -> tuple[np.ndarray | None, np.ndarray]:
+        """(rows, words) of slice z1 that may lie in the ball, in lex
+        order; rows None stands for the whole rest box."""
+        rows = self.walker.rows(z1, self.p_lim)
+        if rows is None:
+            return None, z1 * self.M[0] + self.shared
+        block = self.shared[rows]
+        block += z1 * self.M[0]
+        return rows, block
 
     def mirrored(self) -> bool:
         """Whether slice -z1 holds exactly the negated words of slice z1.
@@ -166,7 +291,7 @@ class _Slices:
         (coefficient vector, coordinate index, coordinate value), or is
         None. All reductions are deterministic functions of the slice.
         """
-        block = self.block(z1)
+        rows, block = self.words(z1)
         norms = np.einsum("ij,ij->i", block, block)
         keep = norms <= self.p_lim
         count = int(np.count_nonzero(keep))
@@ -176,21 +301,21 @@ class _Slices:
         nonzero = keep
         if z1 == 0:
             nonzero = keep.copy()
-            nonzero[len(self.rest) // 2] = False
+            zero = len(self.rest) // 2
+            nonzero[zero if rows is None else np.searchsorted(rows, zero)] = False
         if not np.any(nonzero):
             return count, 0.0, 0.0, energy, None
 
         absx = np.abs(block[nonzero])
-        row_min = absx.min(axis=1)
-        if float(row_min.min()) < DIVERSITY_EPS:
-            first = int(np.argmax(row_min < DIVERSITY_EPS))
-            coord = int(np.argmin(absx[first]))
-            rest = self.rest[np.flatnonzero(nonzero)[first]]
+        bad = _first_violation(absx)
+        if bad is not None:
+            first, coord = bad
+            row = np.flatnonzero(nonzero)[first]
+            rest = self.rest[row if rows is None else rows[row]]
             bad = ((z1, *map(int, rest)), coord, float(absx[first][coord]))
             return count, 0.0, 0.0, energy, bad
 
-        terms = np.prod(absx, axis=1) ** float(-self.exponent)
-        s_partial = math.fsum(memoryview(terms))
+        s_partial = math.fsum(memoryview(_terms(absx, self.exponent)))
         p_max = float(norms[nonzero].max())
         return count, s_partial, p_max, energy, None
 
@@ -262,6 +387,41 @@ def inverse_norm_power_sum(
     return _combine(parts, lattice_name, M.shape[0], m, p_lim, exponent)
 
 
+def _ball_candidates(M: np.ndarray, m: int, target_size: int) -> np.ndarray:
+    """Coefficient vectors of the box's words in a ball that holds its
+    target_size lowest-energy words.
+
+    The first radius is the one whose ball volume fits target_size
+    lattice points; it grows until the float norms of at least
+    target_size candidates are at or below it. The walker keeps every
+    box word whose float norm is at or below the radius, so the
+    target_size-th smallest norm of the box is then among the
+    candidates, and so is every word at or below it. In the limit the
+    candidates are the whole box.
+    """
+    n = M.shape[0]
+    walker = _BallWalker(M, m)
+    rest = _box(n - 1, m)
+    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    p = (target_size * abs(float(np.linalg.det(M))) / ball) ** (2 / n)
+    while p < walker.box_top:
+        parts = []
+        for z1 in range(-m, m + 1):
+            rows = walker.rows(z1, p)
+            part = rest if rows is None else rest[rows]
+            parts.append(np.column_stack((np.full(len(part), float(z1)), part)))
+        z = np.concatenate(parts)
+        x = z @ M
+        inside = np.count_nonzero(np.einsum("ij,ij->i", x, x) <= p)
+        if inside >= target_size:
+            return z
+        # The box cuts the ball, so the count grows slower than the
+        # volume: aim past the target.
+        grow = 1.1 * max(1.1, (target_size / inside) ** (2 / n))
+        p = p * grow if p > 0 else walker.box_top
+    return _box(n, m)
+
+
 def carve_lowest_energy(
     gen: GeneratorMatrix | np.ndarray,
     m: int,
@@ -284,7 +444,7 @@ def carve_lowest_energy(
         raise DomainError(
             "target_size %d exceeds box size %d" % (target_size, box_size))
 
-    z = _box(n, m)
+    z = _ball_candidates(M, m, target_size)
     x = z @ M
     norms = np.einsum("ij,ij->i", x, x)
     # Only rows at or below the target_size-th smallest energy can be
@@ -300,16 +460,14 @@ def carve_lowest_energy(
     zero_row = np.all(zs == 0, axis=1)
     absx = np.abs(xs[~zero_row])
     if absx.size:
-        row_min = absx.min(axis=1)
-        if float(row_min.min()) < DIVERSITY_EPS:
-            first = int(np.argmax(row_min < DIVERSITY_EPS))
-            coord = int(np.argmin(absx[first]))
+        bad = _first_violation(absx)
+        if bad is not None:
+            first, coord = bad
             raise DiversityError(tuple(map(int, zs[~zero_row][first])), coord,
                                  float(absx[first][coord]))
 
     # Deterministic accumulation: selected rows in (energy, lex) order.
-    terms = np.prod(absx, axis=1) ** float(-exponent)
-    s_value = math.fsum(memoryview(terms))
+    s_value = math.fsum(memoryview(_terms(absx, exponent)))
     p_max = float(ns[~zero_row].max()) if absx.size else 0.0
     p_ave = math.fsum(memoryview(ns)) / target_size
     return SumReport(

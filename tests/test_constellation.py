@@ -14,6 +14,9 @@ from latticesec.constellation import (
     TABLE2_ROWS,
     SumReport,
     TableRow,
+    _BallWalker,
+    _box,
+    _terms,
     carve_lowest_energy,
     enumerate_codebook,
     inverse_norm_power_sum,
@@ -198,6 +201,95 @@ def test_folded_kernel_matches_unfolded_bits(lambda1, lambda2, lambda3):
                                          exponent=exponent)
             assert (rep.size, rep.p_max, rep.p_ave, rep.s_value) == \
                 _unfolded_sum(M, m, p_lim, exponent)
+
+
+def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
+    # The shipped lattices, a diagonal one and the exactly tied [[1, 3],
+    # [3, -1]], whose words all have integer energies 10 (z1^2 + z2^2).
+    # Both float norms the library tests against a cap count: the sum
+    # kernel's z1*M[0] + rest @ M[1:] and the carve's z @ M.
+    gens = [spec.generator.entries for spec in (lambda1, lambda2, lambda3)]
+    for M in gens + [np.eye(2), np.array([[1.0, 3.0], [3.0, -1.0]])]:
+        n = M.shape[0]
+        for m in range(1, 10):
+            side = 2 * m + 1
+            rest = _box(n - 1, m)
+            shared = rest @ M[1:]
+            sliced = np.stack([np.einsum("ij,ij->i", z1 * M[0] + shared,
+                                         z1 * M[0] + shared)
+                               for z1 in range(-m, m + 1)])
+            x = _box(n, m) @ M
+            whole = np.einsum("ij,ij->i", x, x).reshape(side, -1)
+            norms = np.minimum(sliced, whole)
+            # Integer caps put words of lambda1, lambda2 and the tied
+            # generator exactly on the sphere; the others sit one ulp either
+            # side of a float norm of the box.
+            caps = {1.0, 2.0, 10.0, float(m), float(m * m), float(3 * m * m)}
+            for v in np.quantile(norms[norms > 0], (0.01, 0.1, 0.4)):
+                caps |= {np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)}
+            walker = _BallWalker(M, m)
+            for p_lim in sorted(caps):
+                for z1 in range(-m, m + 1):
+                    need = np.flatnonzero(norms[z1 + m] <= p_lim)
+                    rows = walker.rows(z1, p_lim)
+                    if rows is None:
+                        continue
+                    assert np.all(np.diff(rows) > 0)
+                    assert np.isin(need, rows).all(), (M, m, p_lim, z1)
+                    # and it prunes: the visited words lie within a hair
+                    # of the ball
+                    assert np.all(norms[z1 + m][rows] <= p_lim + 1e-4), (M, m)
+
+
+def _direct_carve(M, m, target):
+    """(size, p_max, p_ave, S) of a full-box (energy, lex) sort."""
+    n = M.shape[0]
+    z = _box(n, m)
+    x = z @ M
+    norms = np.einsum("ij,ij->i", x, x)
+    sel = np.lexsort(tuple(z[:, j] for j in reversed(range(n))) + (norms,))
+    sel = sel[:target]
+    nonzero = np.any(z[sel] != 0, axis=1)
+    terms = np.prod(np.abs(x[sel][nonzero]), axis=1) ** -3.0
+    p_max = float(norms[sel][nonzero].max()) if nonzero.any() else 0.0
+    return target, p_max, math.fsum(norms[sel]) / target, math.fsum(terms)
+
+
+def test_carve_grows_its_ball_to_the_whole_box(lambda1, lambda2, lambda3):
+    # Targets of the whole box and one word less make the carve's ball
+    # grow until it holds the box; the middle ones cut a ball that the
+    # box truncates.
+    shipped = [spec.generator.entries for spec in (lambda1, lambda2, lambda3)]
+    # The tied generator has a word with a zero coordinate from m = 3 on.
+    tied = np.array([[1.0, 3.0], [3.0, -1.0]])
+    for M, ms in [(M, (1, 2, 6)) for M in shipped] + [(tied, (1, 2))]:
+        for m in ms:
+            box = (2 * m + 1) ** M.shape[0]
+            for target in (1, 7, box // 3, box - 1, box):
+                rep = carve_lowest_energy(M, m, target)
+                assert (rep.size, rep.p_max, rep.p_ave, rep.s_value) == \
+                    _direct_carve(M, m, target), (M, m, target)
+
+
+def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
+    # The kernel multiplies the coordinates column by column; on the
+    # shipped lattices that is bit for bit what np.prod(axis=1) gives.
+    for spec in (lambda1, lambda2, lambda3):
+        x = _box(4, 6) @ spec.generator.entries
+        absx = np.abs(np.delete(x, len(x) // 2, axis=0))
+        for exponent in (2, 3):
+            assert np.array_equal(_terms(absx, exponent),
+                                  np.prod(absx, axis=1) ** float(-exponent))
+
+
+def test_capped_diversity_failure_names_the_lex_first_word():
+    # With a cap the kernel visits only some rows of each slice; the
+    # offender must still map back to its own coefficient vector.
+    for jobs in (1, 2):
+        with pytest.raises(DiversityError) as err:
+            inverse_norm_power_sum(np.eye(2), 2, p_lim=2.5, jobs=jobs)
+        assert err.value.coeff_vector == (-1, 0)
+        assert err.value.coordinate_index == 1
 
 
 def test_carve_selects_by_energy(lambda3):
