@@ -44,7 +44,7 @@ from .numfields import (
     number_field,
     save_lattice,
 )
-from .theta import ThetaTriple, eval_theta, eval_z, theta_triple
+from .theta import ThetaTriple, eval_z, theta_triple
 from .theta_series import theta_series_oracle, theta_series_value
 from .wiretap import (
     ChannelParams,
@@ -85,7 +85,6 @@ __all__ = [
     "carve_lowest_energy",
     "compare_report",
     "db_to_linear",
-    "eval_theta",
     "eval_z",
     "eve_correct_probability",
     "inverse_norm_power_sum",

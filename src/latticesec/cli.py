@@ -20,8 +20,7 @@ from .constellation import (
     TABLE2_LATTICE,
     TABLE2_ROWS,
     SumReport,
-    carve_lowest_energy,
-    inverse_norm_power_sum,
+    TableRow,
     reports_to_csv,
     table_sweep,
 )
@@ -136,46 +135,28 @@ def _render_reports(reports: list[SumReport], fmt: str,
         for row in rows)
 
 
-def _lattice_report(spec, args: argparse.Namespace) -> SumReport:
-    """The carve (--target-size) or the sum (--p-lim, default uncapped)
-    over spec."""
-    if args.target_size is not None:
-        return carve_lowest_energy(
-            spec.generator, args.m, args.target_size,
-            exponent=args.exponent, lattice_name=spec.name)
-    p_lim = math.inf if args.p_lim is None else args.p_lim
-    return inverse_norm_power_sum(
-        spec.generator, args.m, p_lim=p_lim, exponent=args.exponent,
-        jobs=args.jobs, lattice_name=spec.name)
-
-
-def _single_report(args: argparse.Namespace) -> SumReport:
-    if args.lattice is None or args.m is None:
-        raise DomainError("sum needs --lattice and --m (or --reproduce)")
-    spec = load_lattice(args.lattice)
+def _table_row(args: argparse.Namespace) -> TableRow:
+    """The codebook that --m with --p-lim or --target-size names."""
     if args.target_size is not None and args.p_lim is not None:
         raise DomainError("--p-lim and --target-size are exclusive")
-    return _lattice_report(spec, args)
-
-
-def _reproduce(which: str, exponent: int, jobs: int) -> list[SumReport]:
-    if which == "table1":
-        out: list[SumReport] = []
-        for name in TABLE1_LATTICES:
-            out.extend(table_sweep(load_lattice(name), TABLE1_ROWS,
-                                   exponent=exponent, jobs=jobs))
-        return out
-    return table_sweep(load_lattice(TABLE2_LATTICE), TABLE2_ROWS,
-                       exponent=exponent, jobs=jobs)
+    p_lim = math.inf if args.p_lim is None else args.p_lim
+    return TableRow(args.m, p_lim, args.target_size)
 
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     if args.reproduce is not None:
         if args.lattice is not None or args.m is not None:
             raise DomainError("--reproduce replaces --lattice/--m")
-        reports = _reproduce(args.reproduce, args.exponent, args.jobs)
+        sweeps = ([(name, TABLE1_ROWS) for name in TABLE1_LATTICES]
+                  if args.reproduce == "table1"
+                  else [(TABLE2_LATTICE, TABLE2_ROWS)])
     else:
-        reports = [_single_report(args)]
+        if args.lattice is None or args.m is None:
+            raise DomainError("sum needs --lattice and --m (or --reproduce)")
+        sweeps = [(args.lattice, [_table_row(args)])]
+    reports = [report for name, rows in sweeps
+               for report in table_sweep(load_lattice(name), rows,
+                                         exponent=args.exponent, jobs=args.jobs)]
     print(_render_reports(reports, args.format, args.full_precision))
     return 0
 
@@ -184,7 +165,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if (args.gamma is None) == (args.gamma_db is None):
         raise DomainError("compare needs exactly one of --gamma/--gamma-db")
     gamma = args.gamma if args.gamma is not None else db_to_linear(args.gamma_db)
-    reports = [_lattice_report(load_lattice(name), args)
+    row = _table_row(args)
+    reports = [table_sweep(load_lattice(name), [row], exponent=args.exponent,
+                           jobs=args.jobs)[0]
                for name in args.lattice]
     params = ChannelParams(gamma_e=gamma, vol_b=args.vol_b, n=reports[0].n)
     doc = compare_report(reports, params)

@@ -18,15 +18,16 @@ combination order never depends on scheduling.
 Slice z1 is z1*M[0] plus the block rest @ M[1:] over the rest box
 {-m..m}^(n-1); that block is built once per call (once per worker
 process with jobs > 1). The codebook is symmetric under x -> -x, and
-the fold uses it exactly: the rest box is symmetric and IEEE negation
-is exact, so every word of slice -z1 is the bitwise negation of a word
-of slice z1, and the two slices have the same count, fsum terms,
-energies and p_max bit for bit. math.fsum rounds once, whatever the
-order of its terms, so only slices z1 = 0..m are computed and their
-partials are passed on as [m, ..., 1, 0, 1, ..., m]. The kernel checks
-that the shared block is exactly odd before folding and computes every
-slice otherwise. A diversity failure is reported at the lex-first
-offending coefficient vector, as without the fold.
+the fold uses it exactly. Row N-1-i of the lex-ordered rest box is
+minus row i, so only the block's upper half (from the zero row on) is
+multiplied and the lower half is its IEEE negation, which is exact:
+the block is odd bit for bit by construction. So every word of slice
+-z1 is the bitwise negation of a word of slice z1, and the two slices
+have the same count, fsum terms, energies and p_max bit for bit.
+math.fsum rounds once, whatever the order of its terms, so only slices
+z1 = 0..m are computed and their partials are passed on as
+[m, ..., 1, 0, 1, ..., m]. A diversity failure is reported at the
+lex-first offending coefficient vector, as without the fold.
 
 With an energy cap, a ball walker (in the spirit of Fincke-Pohst)
 picks the rows of each slice that can lie in the ball. For every prefix
@@ -70,12 +71,11 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import DiversityError, DomainError
-from .numfields import GeneratorMatrix, LatticeSpec
+from .numfields import GeneratorMatrix, LatticeSpec, _box
 
 DIVERSITY_EPS = 1e-12
 
@@ -110,20 +110,9 @@ class TableRow:
     p_lim: float = math.inf
     target_size: int | None = None
 
-
-def _box(k: int, m: int) -> np.ndarray:
-    """{-m..m}^k as rows in lexicographic order.
-
-    Row N-1-i is the negation of row i and the zero vector is the middle
-    row. The entries are small integers stored as float64, which is
-    exact and lets the box enter a matmul without a cast copy.
-    """
-    side = 2 * m + 1
-    out = np.empty((side,) * k + (k,))
-    rng = np.arange(-m, m + 1, dtype=float)
-    for j in range(k):
-        out[..., j] = rng.reshape((1,) * j + (side,) + (1,) * (k - j - 1))
-    return out.reshape(side ** k, k)
+    def __post_init__(self):
+        if self.target_size is not None and math.isfinite(self.p_lim):
+            raise DomainError("p_lim and target_size are exclusive")
 
 
 def _check_box_args(m: int, p_lim: float, exponent: int) -> None:
@@ -233,23 +222,6 @@ def _terms(absx: np.ndarray, exponent: int) -> np.ndarray:
     return np.power(terms, float(-exponent), out=terms)
 
 
-def enumerate_codebook(
-    gen: GeneratorMatrix | np.ndarray, m: int, p_lim: float = math.inf
-) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """Yield (z, zM) for every z in {-m..m}^n with ||zM||^2 <= p_lim.
-
-    Lexicographic coefficient order; the zero vector is included.
-    """
-    _check_box_args(m, p_lim, 1)
-    slices = _Slices(_as_matrix(gen), m, p_lim, 1)
-    for z1 in range(-m, m + 1):
-        rows, block = slices.words(z1)
-        norms = np.einsum("ij,ij->i", block, block)
-        for keep in np.flatnonzero(norms <= p_lim):
-            rest = slices.rest[keep if rows is None else rows[keep]]
-            yield (z1, *map(int, rest)), block[keep]
-
-
 class _Slices:
     """The codebook split by its leading coefficient z1.
 
@@ -261,7 +233,12 @@ class _Slices:
     def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
         self.M, self.p_lim, self.exponent = M, p_lim, exponent
         self.rest = _box(M.shape[0] - 1, m)
-        self.shared = self.rest @ M[1:]
+        # Row N-1-i of the box is minus row i: multiply the upper half and
+        # negate it into the lower half, so the block is odd bit for bit.
+        zero = len(self.rest) // 2
+        self.shared = np.empty((len(self.rest), M.shape[1]))
+        np.matmul(self.rest[zero:], M[1:], out=self.shared[zero:])
+        np.negative(self.shared[:zero:-1], out=self.shared[:zero])
         self.walker = _BallWalker(M, m)
 
     def words(self, z1: int) -> tuple[np.ndarray | None, np.ndarray]:
@@ -273,15 +250,6 @@ class _Slices:
         block = self.shared[rows]
         block += z1 * self.M[0]
         return rows, block
-
-    def mirrored(self) -> bool:
-        """Whether slice -z1 holds exactly the negated words of slice z1.
-
-        Negation is exact in IEEE arithmetic, so this holds as soon as
-        row -r of the shared block is exactly minus row r, which any
-        matmul that treats every row alike guarantees.
-        """
-        return np.array_equal(self.shared[::-1], -self.shared)
 
     def stats(self, z1: int):
         """Sum/energy statistics of slice z1.
@@ -360,8 +328,8 @@ def inverse_norm_power_sum(
     """S over the box-and-ball codebook, with energy statistics.
 
     Work is partitioned by the leading coefficient z1. Only the slices
-    z1 >= 0 are computed when slice -z1 mirrors slice z1; each slice is
-    reduced with math.fsum and partials are combined in ascending z1
+    z1 >= 0 are computed, since slice -z1 mirrors slice z1; each slice
+    is reduced with math.fsum and partials are combined in ascending z1
     order, so the result is bit-identical for any worker count.
     """
     _check_box_args(m, p_lim, exponent)
@@ -369,27 +337,26 @@ def inverse_norm_power_sum(
         raise DomainError("jobs must be >= 1")
     M = _as_matrix(gen)
     slices = _Slices(M, m, p_lim, exponent)
-    fold = slices.mirrored()
-    z1s = range(0 if fold else -m, m + 1)
     if jobs == 1:
-        parts = [slices.stats(z1) for z1 in z1s]
+        parts = [slices.stats(z1) for z1 in range(m + 1)]
     else:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
                                  initargs=(M, m, p_lim, exponent)) as pool:
-            parts = list(pool.map(_worker_stats, z1s))
-    if fold:
-        parts = parts[:0:-1] + parts
-        # A mirrored slice -z1 reports slice z1's violation, whose mirror
-        # need not be the lex-first one there: rescan that slice.
-        first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), m)
-        if first_bad < m:
-            parts[first_bad] = slices.stats(first_bad - m)
+            parts = list(pool.map(_worker_stats, range(m + 1)))
+    parts = parts[:0:-1] + parts
+    # A mirrored slice -z1 reports slice z1's violation, whose mirror
+    # need not be the lex-first one there: rescan that slice.
+    first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), m)
+    if first_bad < m:
+        parts[first_bad] = slices.stats(first_bad - m)
     return _combine(parts, lattice_name, M.shape[0], m, p_lim, exponent)
 
 
-def _ball_candidates(M: np.ndarray, m: int, target_size: int) -> np.ndarray:
-    """Coefficient vectors of the box's words in a ball that holds its
-    target_size lowest-energy words.
+def _ball_candidates(
+    M: np.ndarray, m: int, target_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficient vectors z, words z @ M and float squared norms of the
+    box's words in a ball that holds its target_size lowest-energy words.
 
     The first radius is the one whose ball volume fits target_size
     lattice points; it grows until the float norms of at least
@@ -404,22 +371,26 @@ def _ball_candidates(M: np.ndarray, m: int, target_size: int) -> np.ndarray:
     rest = _box(n - 1, m)
     ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
     p = (target_size * abs(float(np.linalg.det(M))) / ball) ** (2 / n)
-    while p < walker.box_top:
-        parts = []
-        for z1 in range(-m, m + 1):
-            rows = walker.rows(z1, p)
-            part = rest if rows is None else rest[rows]
-            parts.append(np.column_stack((np.full(len(part), float(z1)), part)))
-        z = np.concatenate(parts)
+    while True:
+        whole = not p < walker.box_top
+        if whole:
+            z = _box(n, m)
+        else:
+            parts = []
+            for z1 in range(-m, m + 1):
+                rows = walker.rows(z1, p)
+                part = rest if rows is None else rest[rows]
+                parts.append(np.column_stack((np.full(len(part), float(z1)), part)))
+            z = np.concatenate(parts)
         x = z @ M
-        inside = np.count_nonzero(np.einsum("ij,ij->i", x, x) <= p)
-        if inside >= target_size:
-            return z
+        norms = np.einsum("ij,ij->i", x, x)
+        inside = np.count_nonzero(norms <= p)
+        if whole or inside >= target_size:
+            return z, x, norms
         # The box cuts the ball, so the count grows slower than the
         # volume: aim past the target.
         grow = 1.1 * max(1.1, (target_size / inside) ** (2 / n))
         p = p * grow if p > 0 else walker.box_top
-    return _box(n, m)
 
 
 def carve_lowest_energy(
@@ -444,9 +415,7 @@ def carve_lowest_energy(
         raise DomainError(
             "target_size %d exceeds box size %d" % (target_size, box_size))
 
-    z = _ball_candidates(M, m, target_size)
-    x = z @ M
-    norms = np.einsum("ij,ij->i", x, x)
+    z, x, norms = _ball_candidates(M, m, target_size)
     # Only rows at or below the target_size-th smallest energy can be
     # selected; sorting just those gives the same (energy, lex) prefix.
     cut = np.partition(norms, target_size - 1)[target_size - 1]

@@ -253,11 +253,19 @@ def normalize_unit_volume(m: GeneratorMatrix) -> GeneratorMatrix:
     return out
 
 
-def _coefficient_box(n: int, bound: int) -> np.ndarray:
-    """All integer vectors in {-bound..bound}^n, lexicographic order."""
-    rng = np.arange(-bound, bound + 1)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _box(k: int, m: int) -> np.ndarray:
+    """{-m..m}^k as rows in lexicographic order.
+
+    Row N-1-i is the negation of row i and the zero vector is the middle
+    row. The entries are small integers stored as float64, which is
+    exact and lets the box enter a matmul without a cast copy.
+    """
+    side = 2 * m + 1
+    out = np.empty((side,) * k + (k,))
+    rng = np.arange(-m, m + 1, dtype=float)
+    for j in range(k):
+        out[..., j] = rng.reshape((1,) * j + (side,) + (1,) * (k - j - 1))
+    return out.reshape(side ** k, k)
 
 
 def min_product_distance(m: GeneratorMatrix, coeff_bound: int = DEFAULT_COEFF_BOUND) -> float:
@@ -270,7 +278,7 @@ def min_product_distance(m: GeneratorMatrix, coeff_bound: int = DEFAULT_COEFF_BO
     """
     if coeff_bound < 1:
         raise DomainError("coeff_bound must be >= 1")
-    z = _coefficient_box(m.n, coeff_bound)
+    z = _box(m.n, coeff_bound)
     z = z[np.any(z != 0, axis=1)]
     prods = np.abs(np.prod(z @ m.entries, axis=1))
     idx = int(np.argmin(prods))
@@ -278,18 +286,6 @@ def min_product_distance(m: GeneratorMatrix, coeff_bound: int = DEFAULT_COEFF_BO
         raise DiversityError(z[idx], int(np.argmin(np.abs(z[idx] @ m.entries))),
                              0.0)
     return float(prods[idx])
-
-
-def embedding_norm_product(field_spec: NumberFieldSpec, element) -> float:
-    """prod_j sigma_j(x) for a field element (floating point)."""
-    coeffs = [float(c) for c in element]
-    return float(np.prod([_horner(coeffs, r) for r in field_spec.roots]))
-
-
-def algebraic_norm(field_spec: NumberFieldSpec, element) -> Fraction:
-    """Exact field norm of an element with rational coefficients."""
-    f = ratpoly.make_poly(field_spec.min_poly)
-    return _nf_norm([Fraction(c) for c in element], f)
 
 
 # ---------------------------------------------------------------------------

@@ -140,14 +140,6 @@ def _theta_sums(y: float, tol: float) -> tuple[float, float, float]:
             _theta34_sum(g, tol, alternating=True))
 
 
-def eval_theta(kind: int, y: float, tol: float = DEFAULT_TOL) -> float:
-    """One theta value theta<kind>(y*i), kind in {2, 3, 4}."""
-    if kind not in (2, 3, 4):
-        raise DomainError("theta kind must be 2, 3 or 4, got %r" % (kind,))
-    trip = theta_triple(y, tol)
-    return {2: trip.theta2, 3: trip.theta3, 4: trip.theta4}[kind]
-
-
 def eval_z(y: float, tol: float = DEFAULT_TOL) -> float:
     """The z-variable theta2^4 theta4^4 / theta3^8 at tau = y*i.
 

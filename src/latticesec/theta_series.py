@@ -151,8 +151,3 @@ E8_GRAM: tuple[tuple[int, ...], ...] = tuple(
     )
     for i in range(8)
 )
-
-
-def identity_gram(n: int) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix of Z^n."""
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

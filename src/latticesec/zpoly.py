@@ -8,8 +8,9 @@ over y reduces to minimizing P(z) on z in [0, 1/4].
 
 This module holds the polynomial representations: conversion from the
 two structural forms (even unimodular with Eisenstein/discriminant
-coefficients b_j, general unimodular with coefficients a_r), the table
-of the ten catalogued extremal even unimodular dimensions 8..80, and
+coefficients b_j, general unimodular with coefficients a_r), the ten
+catalogued extremal even unimodular dimensions 8..80, stored only as
+their b_j and converted through the even unimodular form, and
 evaluation of secrecy functions and gains. All coefficients are exact
 rationals; floats appear only when a polynomial is evaluated at a
 numerically computed z(y).
@@ -136,47 +137,35 @@ def unimodular_to_zpoly(spec: UnimodularThetaSpec) -> ZPolynomial:
         tuple(Fraction(ar, 16 ** r) for r, ar in enumerate(spec.a)))
 
 
-# The ten catalogued extremal even unimodular secrecy polynomials,
-# stored exactly as printed (coefficient, power of (1-z), power of z).
-_TABLE_STRUCTURE: tuple[tuple[int, tuple[tuple[str, int, int], ...]], ...] = (
-    (8, (("1", 1, 0),)),
-    (16, (("1", 2, 0),)),
-    (24, (("1", 3, 0), ("-45/16", 0, 2))),
-    (32, (("1", 4, 0), ("-15/4", 1, 2))),
-    (40, (("1", 5, 0), ("-75/16", 2, 2))),
-    (48, (("1", 6, 0), ("-45/8", 3, 2), ("3915/2048", 0, 4))),
-    (56, (("1", 7, 0), ("-105/16", 4, 2), ("21735/4096", 1, 4))),
-    (64, (("1", 8, 0), ("-15/2", 5, 2), ("4905/512", 2, 4))),
-    (72, (("1", 9, 0), ("-135/16", 6, 2), ("60345/4096", 3, 4),
-          ("-53325/32768", 0, 6))),
-    (80, (("1", 10, 0), ("-75/8", 7, 2), ("42525/2048", 4, 4),
-          ("-202125/32768", 1, 6))),
-)
+# The ten catalogued extremal even unimodular theta series in the form
+# E4^(3m+k) + sum_j b_j E4^(3(m-j)+k) Delta^j with n = 24m + 8k
+# (Conway-Sloane, SPLAG ch. 7): the b_j of each dimension 8..80.
+_EXTREMAL_B: dict[int, tuple[int, ...]] = {
+    8: (),
+    16: (),
+    24: (-720,),
+    32: (-960,),
+    40: (-1200,),
+    48: (-1440, 125280),
+    56: (-1680, 347760),
+    64: (-1920, 627840),
+    72: (-2160, 965520, -27302400),
+    80: (-2400, 1360800, -103488000),
+}
 
 
 def known_extremal_table() -> list[tuple[int, ZPolynomial]]:
     """The ten catalogued (dimension, P(z)) pairs for dimensions 8..80."""
-    out = []
-    for dim, terms in _TABLE_STRUCTURE:
-        acc: ratpoly.Poly = ()
-        for coeff, e1, e2 in terms:
-            term = ratpoly.scale(
-                ratpoly.mul(_one_minus_z_power(e1),
-                            ratpoly.make_poly([0] * e2 + [1])),
-                Fraction(coeff),
-            )
-            acc = ratpoly.add(acc, term)
-        out.append((dim, ZPolynomial(acc)))
-    return out
+    return [(dim, table_polynomial(dim)) for dim in _EXTREMAL_B]
 
 
 def table_polynomial(dim: int) -> ZPolynomial:
     """The catalogued polynomial for one dimension; DomainError if absent."""
-    for d, poly in known_extremal_table():
-        if d == dim:
-            return poly
-    raise DomainError(
-        "no catalogued extremal polynomial for dimension %r" % (dim,))
+    if dim not in _EXTREMAL_B:
+        raise DomainError(
+            "no catalogued extremal polynomial for dimension %r" % (dim,))
+    return even_unimodular_to_zpoly(
+        ExtremalEvenSpec(dim, dim // 24, dim % 24 // 8, _EXTREMAL_B[dim]))
 
 
 def secrecy_function(poly: ZPolynomial, y: float, tol: float = DEFAULT_TOL) -> float:

@@ -2,6 +2,8 @@
 reproducibility."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +118,8 @@ def test_sum_usage_errors(capsys):
     assert run(capsys, "sum", "--lattice", "lambda9", "--m", "1")[0] == 2
     assert run(capsys, "sum", "--lattice", "lambda3", "--m", "1",
                "--p-lim", "4", "--target-size", "10")[0] == 2
+    assert run(capsys, "sum", "--lattice", "lambda3", "--m", "1",
+               "--p-lim", "inf", "--target-size", "10")[0] == 2
     assert run(capsys, "sum", "--reproduce", "table1",
                "--lattice", "lambda1")[0] == 2
 
@@ -172,10 +176,42 @@ def test_compare_text_and_json(capsys):
     assert json.loads(out)["entries"][0]["lattice"] == "lambda2"
 
 
+def _readme_cli_examples() -> list[tuple[list[str], str | None]]:
+    """(argv, expected stdout or None) of each `latticesec` line in the
+    README's CLI block; `# -> value` gives the expected output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("latticesec "):
+            command, _, comment = line.partition("#")
+            comment = comment.strip()
+            expect = comment[2:].strip() if comment.startswith("->") else None
+            examples.append((shlex.split(command)[1:], expect))
+    return examples
+
+
+def test_readme_cli_examples(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "my_poly.txt").write_text("1 -1\n")
+    examples = _readme_cli_examples()
+    assert any(expect is not None for _, expect in examples)
+    for argv, expect in examples:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if expect is not None:
+            assert out.strip() == expect, argv
+
+
 def test_compare_gamma_flags(capsys):
     assert run(capsys, "compare", "--lattice", "lambda2", "--m", "1")[0] == 2
     assert run(capsys, "compare", "--lattice", "lambda2", "--m", "1",
                "--gamma", "2", "--gamma-db", "3")[0] == 2
+    # --p-lim and --target-size are exclusive, as for sum
+    for p_lim in ("5", "inf"):
+        assert run(capsys, "compare", "--lattice", "lambda1",
+                   "--lattice", "lambda3", "--m", "3", "--p-lim", p_lim,
+                   "--target-size", "50", "--gamma-db", "10")[0] == 2
 
 
 def test_data_dir_override_and_corruption(capsys, tmp_path, monkeypatch, lambda2):

@@ -15,15 +15,14 @@ from latticesec.constellation import (
     SumReport,
     TableRow,
     _BallWalker,
-    _box,
     _terms,
     carve_lowest_energy,
-    enumerate_codebook,
     inverse_norm_power_sum,
     reports_to_csv,
     table_sweep,
 )
 from latticesec.errors import DiversityError, DomainError
+from latticesec.numfields import _box
 
 # Frozen full-precision regressions for the shipped lattices, computed by
 # this implementation and cross-checked against the published
@@ -52,22 +51,21 @@ L3_TABLE2 = {
 
 def test_codebook_counts():
     eye = np.eye(4)
-    assert sum(1 for _ in enumerate_codebook(eye, 1)) == 81
-    assert sum(1 for _ in enumerate_codebook(eye, 1, p_lim=0.5)) == 1
-    assert sum(1 for _ in enumerate_codebook(eye, 2)) == 625
+    assert len(_box(4, 1)) == 81
+    assert inverse_norm_power_sum(eye, 1, p_lim=0.5).size == 1
+    assert len(_box(4, 2)) == 625
 
 
 def test_codebook_lex_order_and_zero():
-    pts = list(enumerate_codebook(np.eye(2), 1))
-    zs = [z for z, _ in pts]
-    assert zs == sorted(zs)
-    assert zs[0] == (-1, -1)
-    assert (0, 0) in zs
-
-
-def test_spherical_cut(lambda3):
-    count = sum(1 for _ in enumerate_codebook(lambda3.generator, 8, p_lim=4.0))
-    assert count == 79
+    # The one coefficient box: lex order, zero in the middle row, and row
+    # N-1-i the negation of row i, which the sum kernel's fold relies on.
+    for k, m in ((1, 3), (2, 1), (3, 2), (4, 2)):
+        box = _box(k, m)
+        zs = [tuple(map(int, z)) for z in box]
+        assert zs == sorted(zs)
+        assert zs == list(itertools.product(range(-m, m + 1), repeat=k))
+        assert not box[len(box) // 2].any()
+        assert np.array_equal(box[::-1], -box)
 
 
 def test_brute_force_oracle_n2():
@@ -139,7 +137,9 @@ def test_frozen_table2_rows(lambda3):
 def test_carve_against_direct_selection(lambda3):
     # independent reimplementation of the lowest-energy carve at m=1
     rep = carve_lowest_energy(lambda3.generator, 1, 11)
-    pts = list(enumerate_codebook(lambda3.generator, 1))
+    box = _box(4, 1)
+    words = box @ lambda3.generator.entries
+    pts = list(zip(map(tuple, box.astype(int).tolist()), words))
     keyed = sorted(pts, key=lambda zx: (float(zx[1] @ zx[1]), zx[0]))
     chosen = keyed[:11]
     s = math.fsum(
@@ -374,6 +374,8 @@ def test_argument_validation(lambda3):
         carve_lowest_energy(gen, 1, 82)
     with pytest.raises(DomainError):
         inverse_norm_power_sum(np.zeros((2, 3)), 1)
+    with pytest.raises(DomainError):
+        table_sweep(lambda3, [TableRow(3, p_lim=4.0, target_size=10)])
 
 
 def test_sum_report_guards():

@@ -9,8 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from latticesec import ratpoly
 from latticesec.constellation import TABLE1_ROWS, TABLE2_ROWS, table_sweep
-from latticesec.numfields import algebraic_norm, number_field
+from latticesec.numfields import _nf_norm
 from norm_oracle import NORM_FORMS, det4, exact_codebook
 
 
@@ -38,11 +39,11 @@ def test_det4_is_exact():
     ("lambda3", (1, 4, -4, -1, 1), np.eye(4, dtype=int)),
 ])
 def test_norms_match_exact_field_norms(lattice, min_poly, basis):
-    field = number_field(min_poly)
+    f = ratpoly.make_poly(min_poly)
     rng = random.Random(11)
     zs = np.array([[rng.randint(-6, 6) for _ in range(4)] for _ in range(25)])
     got = NORM_FORMS[lattice].norms(zs)
-    want = [algebraic_norm(field, [int(c) for c in z @ np.asarray(basis)])
+    want = [_nf_norm([Fraction(int(c)) for c in z @ np.asarray(basis)], f)
             for z in zs]
     assert [Fraction(int(n)) for n in got] == want
 

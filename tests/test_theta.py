@@ -13,7 +13,6 @@ from latticesec.theta import (
     DOMAIN_MAX,
     DOMAIN_MIN,
     ThetaTriple,
-    eval_theta,
     eval_z,
     theta_triple,
 )
@@ -105,8 +104,6 @@ def test_domain_errors():
         theta_triple(1.0, tol=0.0)
     with pytest.raises(DomainError):
         theta_triple(1.0, tol=1.0)
-    with pytest.raises(DomainError):
-        eval_theta(5, 1.0)
 
 
 def test_asymptotic_above_domain():
@@ -135,13 +132,6 @@ def test_asymptotic_matches_series_at_boundary():
     inside_low = theta_triple(DOMAIN_MIN)
     assert not inside_low.asymptotic
     assert inside_low.theta3 == pytest.approx(1.0 / math.sqrt(DOMAIN_MIN), rel=1e-12)
-
-
-def test_eval_theta_kinds_match_triple():
-    trip = theta_triple(0.8)
-    assert eval_theta(2, 0.8) == trip.theta2
-    assert eval_theta(3, 0.8) == trip.theta3
-    assert eval_theta(4, 0.8) == trip.theta4
 
 
 def test_loose_tolerance_still_close():

@@ -11,10 +11,13 @@ from latticesec.errors import DomainError
 from latticesec.theta import theta_triple
 from latticesec.theta_series import (
     E8_GRAM,
-    identity_gram,
     theta_series_oracle,
     theta_series_value,
 )
+
+
+def _identity_gram(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _sigma3(k: int) -> int:
@@ -36,7 +39,7 @@ def test_e8_matches_divisor_sums():
 
 
 def test_z4_counts_against_brute_force():
-    got = dict(theta_series_oracle(identity_gram(4), 8))
+    got = dict(theta_series_oracle(_identity_gram(4), 8))
     box = np.arange(-3, 4)
     grids = np.meshgrid(*([box] * 4), indexing="ij")
     z = np.stack([g.ravel() for g in grids], axis=1)
@@ -49,7 +52,7 @@ def test_z4_counts_against_brute_force():
 
 
 def test_z1_value_matches_theta3():
-    counts = theta_series_oracle(identity_gram(1), 144)
+    counts = theta_series_oracle(_identity_gram(1), 144)
     for y in (0.5, 1.0, 2.0):
         val = theta_series_value(counts, y)
         assert val == pytest.approx(theta_triple(y).theta3, rel=1e-12)
@@ -78,7 +81,7 @@ def test_gram_validation():
     with pytest.raises(DomainError):
         theta_series_oracle([[1, 2], [2, 1]], 2)
     with pytest.raises(DomainError):
-        theta_series_oracle(identity_gram(2), 0)
+        theta_series_oracle(_identity_gram(2), 0)
 
 
 def test_value_at_zero_norm_only():

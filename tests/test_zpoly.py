@@ -2,6 +2,7 @@
 and exact gains."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -32,6 +33,38 @@ P_AT_QUARTER = {
     72: Fraction(685881, 134217728),
     80: Fraction(1414413, 536870912),
 }
+
+
+# The ten catalogued polynomials exactly as printed: each a sum of terms
+# coefficient * (1-z)^e1 * z^e2, listed as (coefficient, e1, e2).
+PRINTED = {
+    8: (("1", 1, 0),),
+    16: (("1", 2, 0),),
+    24: (("1", 3, 0), ("-45/16", 0, 2)),
+    32: (("1", 4, 0), ("-15/4", 1, 2)),
+    40: (("1", 5, 0), ("-75/16", 2, 2)),
+    48: (("1", 6, 0), ("-45/8", 3, 2), ("3915/2048", 0, 4)),
+    56: (("1", 7, 0), ("-105/16", 4, 2), ("21735/4096", 1, 4)),
+    64: (("1", 8, 0), ("-15/2", 5, 2), ("4905/512", 2, 4)),
+    72: (("1", 9, 0), ("-135/16", 6, 2), ("60345/4096", 3, 4),
+         ("-53325/32768", 0, 6)),
+    80: (("1", 10, 0), ("-75/8", 7, 2), ("42525/2048", 4, 4),
+         ("-202125/32768", 1, 6)),
+}
+
+
+def _printed_coeffs(terms) -> tuple[Fraction, ...]:
+    coeffs = [Fraction(0)] * (1 + max(e1 + e2 for _, e1, e2 in terms))
+    for c, e1, e2 in terms:
+        for i in range(e1 + 1):
+            coeffs[e2 + i] += Fraction(c) * comb(e1, i) * (-1) ** i
+    return ZPolynomial(coeffs).coeffs
+
+
+def test_table_matches_the_printed_polynomials():
+    for dim, terms in PRINTED.items():
+        assert table_polynomial(dim).coeffs == _printed_coeffs(terms), dim
+    assert [dim for dim, _ in known_extremal_table()] == list(PRINTED)
 
 
 def test_table_dimensions():
