@@ -7,7 +7,8 @@ nowhere else. This module decides that with pure rational arithmetic:
   * Q(z) = P(z) - P(1/4) vanishes at 1/4 by construction; the minimum
     is at 1/4 alone iff Q(0) > 0 and Q has no root in the open
     interval (0, 1/4). Root counting uses Sturm sequences, so the
-    answer is a certificate, not a sample-based guess.
+    answer is a certificate, not a sample-based guess. The count is
+    over the distinct roots of the unreduced Q, repeated ones included.
   * The roots of P' in (0, 1/4) are isolated and refined to rational
     intervals of width <= 1e-30; the sign of Q is certified on each,
     which documents the interior critical structure.
@@ -77,11 +78,14 @@ def _isolated_critical_intervals(deriv: ratpoly.Poly):
     """Roots of P' strictly inside (0, 1/4), refined below REFINE_WIDTH."""
     if ratpoly.degree(deriv) < 1:
         return []
-    core = _strip_root(_strip_root(ratpoly.squarefree_part(deriv), Fraction(0)),
-                       _QUARTER)
+    core = _strip_root(_strip_root(deriv, Fraction(0)), _QUARTER)
     if ratpoly.degree(core) < 1:
         return []
     intervals = ratpoly.isolate_roots_open(core, Fraction(0), _QUARTER)
+    # Bisection needs a sign change, which a root of even multiplicity lacks.
+    if any(ratpoly.evaluate(core, lo) * ratpoly.evaluate(core, hi) > 0
+           for lo, hi in intervals):
+        core = ratpoly.squarefree_part(core)
     return [
         ratpoly.refine_isolating_interval(core, lo, hi, REFINE_WIDTH)
         for lo, hi in intervals
@@ -102,10 +106,10 @@ def verify_conjecture(poly: ZPolynomial) -> ConjectureCertificate:
     q = ratpoly.sub(p, ratpoly.make_poly([p_quarter]))
     q_zero = ratpoly.evaluate(q, Fraction(0))
 
-    # Count distinct roots of Q strictly inside (0, 1/4). The root at
-    # 1/4 is removed from the squarefree part first; a root at 0 means
-    # Q(0) = 0, handled by the sign test below.
-    sq = _strip_root(_strip_root(ratpoly.squarefree_part(q), _QUARTER), Fraction(0))
+    # Count distinct roots of the unreduced Q strictly inside (0, 1/4).
+    # The root at 1/4 is divided out first; a root at 0 means Q(0) = 0,
+    # handled by the sign test below.
+    sq = _strip_root(_strip_root(q, _QUARTER), Fraction(0))
     if ratpoly.degree(sq) >= 1:
         interior = ratpoly.count_roots_open(sq, Fraction(0), _QUARTER)
     else:

@@ -295,7 +295,7 @@ _L1_MIN_POLY = (1, 1, -3, -1, 1)  # 1 + x - 3x^2 - x^3 + x^4
 _L1_DISC = 725
 
 
-def _lambda1_alpha(f: ratpoly.Poly) -> ratpoly.Poly:
+def _lambda1_alpha(f: ratpoly.Poly, roots: tuple[float, ...]) -> ratpoly.Poly:
     """First totally positive unit multiple of 1/f'(delta).
 
     1/f'(delta) generates the codifferent of Z[delta], so Tr(alpha*x*y)
@@ -305,7 +305,6 @@ def _lambda1_alpha(f: ratpoly.Poly) -> ratpoly.Poly:
     taken (the choice only permutes/reflects the resulting lattice).
     """
     gamma = _nf_inv(ratpoly.derivative(f), f)
-    roots = [float(r) for r in ratpoly.real_roots(f, ROOT_PRECISION)]
     for u in itertools.product(range(-2, 3), repeat=4):
         # Float norm prefilter, then exact unit confirmation.
         approx = np.prod([_horner([float(c) for c in u], r) for r in roots])
@@ -352,7 +351,7 @@ def build_lambda1() -> LatticeSpec:
     """
     f = ratpoly.make_poly(_L1_MIN_POLY)
     field_spec = number_field(_L1_MIN_POLY)
-    alpha = _lambda1_alpha(f)
+    alpha = _lambda1_alpha(f, field_spec.roots)
 
     power_basis = [ratpoly.make_poly([0] * i + [1]) for i in range(4)]
     gram = _trace_gram(power_basis, alpha, f)
@@ -386,7 +385,7 @@ def build_lambda1() -> LatticeSpec:
         rows.append([s * _horner(coeffs, r)
                      for s, r in zip(sqrt_alpha, field_spec.roots)])
     m = GeneratorMatrix(np.array(rows))
-    return _validated("lambda1", m, 1.0 / math.sqrt(_L1_DISC),
+    return _validated("lambda1", m,
                       "twisted canonical embedding of the ring of integers "
                       "of the totally real quartic field x^4-x^3-3x^2+x+1 "
                       "(discriminant 725), rotated onto an orthonormal basis",
@@ -454,7 +453,7 @@ def build_lambda2() -> LatticeSpec:
         expect_gram_scale=5,
     )
     m = GeneratorMatrix(np.kron(block_a.entries, block_b.entries))
-    return _validated("lambda2", m, 1.0 / 40.0,
+    return _validated("lambda2", m,
                       "Kronecker product of the twisted embeddings of "
                       "Z[sqrt(2)] (twist 1/(4+2*sqrt(2))) and of the golden "
                       "ring Z[(1+sqrt(5))/2] (twist 3-(1+sqrt(5))/2)",
@@ -478,7 +477,7 @@ def build_lambda3() -> LatticeSpec:
             "raw embedding determinant %.12g deviates from sqrt(%d)"
             % (raw.det, _L3_DISC))
     m = normalize_unit_volume(raw)
-    return _validated("lambda3", m, 1.0 / math.sqrt(_L3_DISC),
+    return _validated("lambda3", m,
                       "canonical embedding of the ring of integers of the "
                       "maximal real subfield of the 15th cyclotomic field "
                       "(x^4-x^3-4x^2+4x+1, discriminant 1125), volume "
@@ -486,8 +485,13 @@ def build_lambda3() -> LatticeSpec:
                       unitary=False)
 
 
-def _validated(name: str, m: GeneratorMatrix, dpmin_ref: float,
-               provenance: str, unitary: bool) -> LatticeSpec:
+# Closed-form d_p,min of each catalogued lattice, as its data file holds it.
+_DPMIN_REF = {"lambda1": 1.0 / math.sqrt(_L1_DISC), "lambda2": 1.0 / 40.0,
+              "lambda3": 1.0 / math.sqrt(_L3_DISC)}
+
+
+def _validated(name: str, m: GeneratorMatrix, provenance: str,
+               unitary: bool) -> LatticeSpec:
     if abs(abs(m.det) - 1.0) > DET_TOL:
         raise ConstructionError(
             "%s: |det| = %.17g is not 1 within 1e-12" % (name, abs(m.det)))
@@ -496,7 +500,7 @@ def _validated(name: str, m: GeneratorMatrix, dpmin_ref: float,
             "%s: unitarity defect %.3e exceeds 1e-9"
             % (name, m.unitarity_defect()))
     # LatticeSpec's constructor enforces the d_p,min invariant.
-    return LatticeSpec(name=name, generator=m, reference_dpmin=dpmin_ref,
+    return LatticeSpec(name=name, generator=m, reference_dpmin=_DPMIN_REF[name],
                        provenance=provenance)
 
 

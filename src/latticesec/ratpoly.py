@@ -5,7 +5,9 @@ trailing zero coefficients (the zero polynomial is the empty tuple).
 Everything here is exact; no floating point enters any computation.
 The module provides the Sturm-sequence machinery used both for
 certifying polynomial minima and for isolating the real roots of
-number-field minimal polynomials.
+number-field minimal polynomials. A Sturm count runs on p as given and
+counts its distinct roots even when p is not squarefree: the chain of p
+ends in gcd(p, p'), which divides every element of it.
 """
 
 from __future__ import annotations
@@ -126,23 +128,6 @@ def extended_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     return r0, u0, v0
 
 
-def gcd_poly(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm."""
-    while b:
-        a, b = b, divmod_poly(a, b)[1]
-    return monic(a)
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'): same roots, all simple."""
-    if degree(p) <= 0:
-        return p
-    g = gcd_poly(p, derivative(p))
-    if degree(g) <= 0:
-        return p
-    return divmod_poly(p, g)[0]
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
     """Standard Sturm sequence p, p', and negated remainders."""
     chain = [p, derivative(p)]
@@ -154,6 +139,17 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return [c for c in chain if c]
 
 
+def squarefree_part(p: Poly) -> Poly:
+    """p divided by gcd(p, p'), the last element of its Sturm chain up
+    to a constant: same roots, all simple."""
+    if degree(p) <= 0:
+        return p
+    g = sturm_chain(p)[-1]
+    if degree(g) <= 0:
+        return p
+    return divmod_poly(p, g)[0]
+
+
 def sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
     signs = []
     for p in chain:
@@ -163,7 +159,7 @@ def sign_variations(chain: Sequence[Poly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_open(p: Poly, a: Fraction, b: Fraction, chain=None) -> int:
+def count_roots_open(p: Poly, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (a, b).
 
     Requires p(a) != 0 and p(b) != 0 so that Sturm's theorem applies
@@ -174,8 +170,7 @@ def count_roots_open(p: Poly, a: Fraction, b: Fraction, chain=None) -> int:
         raise DomainError("empty interval for root counting")
     if evaluate(p, a) == 0 or evaluate(p, b) == 0:
         raise DomainError("root counting requires nonroot endpoints")
-    if chain is None:
-        chain = sturm_chain(p)
+    chain = sturm_chain(p)
     return sign_variations(chain, a) - sign_variations(chain, b)
 
 
@@ -204,10 +199,9 @@ def isolate_roots_open(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
     ascending order and their endpoints are never roots of p.
     """
     a, b = Fraction(a), Fraction(b)
-    sp = squarefree_part(p)
-    if evaluate(sp, a) == 0 or evaluate(sp, b) == 0:
+    if evaluate(p, a) == 0 or evaluate(p, b) == 0:
         raise DomainError("isolation interval endpoints must not be roots")
-    chain = sturm_chain(sp)
+    chain = sturm_chain(p)
     out: list[tuple[Fraction, Fraction]] = []
 
     def rec(lo: Fraction, hi: Fraction) -> None:
@@ -217,7 +211,7 @@ def isolate_roots_open(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
         if n == 1:
             out.append((lo, hi))
             return
-        m = _split_point(sp, lo, hi)
+        m = _split_point(p, lo, hi)
         rec(lo, m)
         rec(m, hi)
 
@@ -228,9 +222,9 @@ def isolate_roots_open(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
 def refine_isolating_interval(
     p: Poly, lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of a simple root below `width`.
+    """Shrink an isolating interval of a root below `width`.
 
-    p must have exactly one root in (lo, hi), which must be simple, and
+    p must have exactly one root in (lo, hi), of odd multiplicity, and
     the endpoints must not be roots; then p changes sign across the root
     and plain bisection applies. If a bisection point hits the root
     exactly, the degenerate interval (r, r) is returned.

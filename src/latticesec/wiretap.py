@@ -8,13 +8,11 @@ lattices so the confusion/performance tradeoff is visible in one table.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .constellation import SumReport
 from .errors import DomainError
-from .numfields import LATTICE_NAMES, build_lattice, load_lattice
+from .numfields import _DPMIN_REF
 
 __all__ = [
     "ChannelParams",
@@ -59,18 +57,6 @@ def eve_correct_probability(params: ChannelParams, s_value: float) -> float:
         raise DomainError("s_value must be nonnegative")
     prefactor = (1.0 / (4.0 * params.gamma_e**2)) ** (params.n / 2.0)
     return prefactor * params.vol_b * s_value
-
-
-@lru_cache(maxsize=None)
-def _catalogue_dpmin(name: str) -> float | None:
-    """Reference minimum product distance for shipped lattices, else None."""
-    if name not in LATTICE_NAMES:
-        return None
-    try:
-        return load_lattice(name).reference_dpmin
-    except (DomainError, OSError):
-        # No usable data file; the builder carries the same reference.
-        return build_lattice(name).reference_dpmin
 
 
 @dataclass(frozen=True)
@@ -152,6 +138,6 @@ def compare_report(reports: list[SumReport] | tuple[SumReport, ...],
         ComparisonEntry(
             rank=i + 1, lattice=r.lattice_name, m=r.m, size=r.size,
             s_value=r.s_value, probability=p,
-            dpmin=_catalogue_dpmin(r.lattice_name))
+            dpmin=_DPMIN_REF.get(r.lattice_name))
         for i, (p, r) in enumerate(scored))
     return ComparisonReport(params=params, entries=entries)

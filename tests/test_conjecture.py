@@ -74,6 +74,27 @@ def test_irrational_interior_minimum_yields_tight_interval():
     assert lo * lo <= target <= hi * hi
 
 
+def test_double_interior_q_root_is_counted():
+    # P = (8z - 1)^2 (1 - 4z): Q = P touches P(1/4) = 0 at z = 1/8, a
+    # double root of Q inside (0, 1/4), and stays positive elsewhere.
+    cert = verify_conjecture(ZPolynomial((1, -20, 128, -256)))
+    assert not cert.holds
+    assert cert.interior_q_roots == 1
+    assert cert.q_at_zero == 1
+    assert cert.min_location == Fraction(1, 8)
+
+
+def test_double_critical_point_is_refined():
+    # P = -(10z - 1)^3 decreases on [0, 1/4] and P' = -30 (10z - 1)^2
+    # has a double root at 1/10, where P' keeps its sign: bisection of P'
+    # itself would find no sign change to follow.
+    cert = verify_conjecture(ZPolynomial((1, -30, 300, -1000)))
+    assert cert.holds
+    (lo, hi), = cert.critical_points
+    assert lo <= Fraction(1, 10) <= hi
+    assert hi - lo <= Fraction(1, 10**30)
+
+
 def test_boundary_tie_fails_certification():
     # P(0) = P(1/4) = 1 with P > 1 in between: minimum is not unique to 1/4.
     cert = verify_conjecture(ZPolynomial((1, 1, -4)))
