@@ -8,8 +8,10 @@ Layers, from analytic to combinatorial:
   exact certificates that their secrecy functions peak at y = 1.
 - `theta_series`: exact lattice vector counts by squared norm, used as an
   independent cross-check oracle.
-- `numfields`: totally real quartic fields, canonical embeddings, and the
-  three rotated-lattice generator matrices shipped as versioned data.
+- `numfields`: totally real quartic fields, canonical embeddings, the
+  three rotated-lattice generator matrices shipped as versioned data, and
+  the lattice-point walker that the sums, the carve and the theta-series
+  oracle share.
 - `constellation`: deterministic enumeration of box/spherical codebooks
   and the inverse-norm power sum.
 - `wiretap`: the channel prefactor turning a sum into Eve's

@@ -139,17 +139,12 @@ def verify_conjecture(poly: ZPolynomial) -> ConjectureCertificate:
         min_location: Fraction | tuple[Fraction, Fraction] = _QUARTER
         trace.append("minimum certified at z = 1/4 exclusively")
     else:
+        # Q's least value on [0, 1/4] is at 0, at 1/4 (where Q = 0) or at
+        # a critical point; name the candidate where Q is least.
         candidates.append((q_zero, Fraction(0)))
-        candidates = [c for c in candidates if c[0] <= 0]
-        if candidates:
-            min_location = min(candidates, key=lambda c: c[0])[1]
-            if isinstance(min_location, tuple) and min_location[0] == min_location[1]:
-                min_location = min_location[0]
-        else:
-            # Q dips below zero away from any critical interval's
-            # endpoints (possible only with endpoint-degenerate cases);
-            # report the boundary as the competing location.
-            min_location = Fraction(0)
+        min_location = min(candidates, key=lambda c: c[0])[1]
+        if isinstance(min_location, tuple) and min_location[0] == min_location[1]:
+            min_location = min_location[0]
         trace.append("minimum not exclusive to z = 1/4; competitor at %s"
                      % (min_location,))
 

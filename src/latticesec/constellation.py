@@ -29,22 +29,15 @@ z1 = 0..m are computed and their partials are passed on as
 [m, ..., 1, 0, 1, ..., m]. A diversity failure is reported at the
 lex-first offending coefficient vector, as without the fold.
 
-With an energy cap, a ball walker (in the spirit of Fincke-Pohst)
-picks the rows of each slice that can lie in the ball. For every prefix
-(z1, ..., z_{n-1}), completing the square in z_n with G = M M^T gives
-the ball's words of that prefix as one run of z_n, which is one run of
-the lex-ordered rest box. Only those rows are gathered from the shared
-block, and the float test ||x||^2 <= p_lim still decides membership on
-the same words, so count, terms, energies and p_max are those of a full
-scan bit for bit. The bound never drops a word that the float test
-keeps. A word's float norm differs from its exact norm by at most a few
-n units of roundoff times p_lim + m^2 * sum_i (sum_j |M_ji|)^2, and the
-walker's per-prefix centre and Schur form are off by at most as much
-again (with the size of h h^T / g added to the scale). The walker raises
-the cap by 2^-30 of that scale, over a million times those errors, and
-moves each end of a run out by 2^-30 of 1 + |c| + its half-width before
-rounding it outward to an integer. Without a cap, or when the ball holds the box,
-it returns the whole slice and does no bound work.
+With an energy cap, the lattice-point walker numfields.EllipsoidWalker
+(Fincke-Pohst over the Gram matrix G = M M^T) gives each slice the
+ascending rows of the rest box whose words can lie in the ball. Only
+those rows are gathered from the shared block, and the float test
+||x||^2 <= p_lim still decides membership on the same words, so count,
+terms, energies and p_max are those of a full scan bit for bit. The
+walker's docstring gives the rule by which it never drops a word that
+the float test keeps. Without a cap, or when the ball holds the box,
+it returns the whole slice and does no walk.
 
 The lowest-energy carve takes its candidates from the same walker. It
 starts from the ball whose volume holds target_size lattice points and
@@ -67,15 +60,13 @@ orthogonal-box values n*m*(m+1)/3 exactly.
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DiversityError, DomainError
-from .numfields import GeneratorMatrix, LatticeSpec, _box
+from .numfields import EllipsoidWalker, GeneratorMatrix, LatticeSpec, _box
 
 DIVERSITY_EPS = 1e-12
 
@@ -132,75 +123,6 @@ def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
     return entries
 
 
-# How far the walker widens its bound: see _BallWalker.
-_WIDEN = 2.0 ** -30
-
-
-class _BallWalker:
-    """Rest-box rows of each slice that can lie in the ball ||zM||^2 <= p.
-
-    Write z = (z1, y, t) with the prefix y = (z2..z_{n-1}) and t = z_n.
-    With G = M M^T, g = G[-1, -1] and h = G[:-1, -1], completing the
-    square in t gives
-
-        ||zM||^2 = g (t - c)^2 + q,   c = -(z1, y).h / g,
-
-    where q is the form of the Schur complement G[:-1, :-1] - h h^T / g
-    at (z1, y). So the words of one prefix that lie in the ball form one
-    contiguous run of t, which is a contiguous run of the lex-ordered
-    rest box. c and q are computed once per prefix and slice, never per
-    word.
-    """
-
-    def __init__(self, M: np.ndarray, m: int):
-        n = M.shape[0]
-        self.m = m
-        G = M @ M.T
-        # A positive semidefinite form is convex, so its maximum over the
-        # box lies at a corner.
-        signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-        self.box_top = m * m * float(
-            np.einsum("ij,jk,ik->i", signs, G, signs).max())
-        g = G[-1, -1]
-        self.prefix = n >= 2 and g > 0
-        if not self.prefix:
-            return
-        h = G[:-1, -1]
-        S = G[:-1, :-1] - np.outer(h, h) / g
-        pre = _box(n - 2, m)
-        self.g, self.h0 = g, h[0] / g
-        self.centre = -(pre @ h[1:]) / g
-        self.s00, self.lin = S[0, 0], 2 * (pre @ S[1:, 0])
-        self.quad = np.einsum("ij,jk,ik->i", pre, S[1:, 1:], pre)
-        self.run_start = np.arange(len(pre)) * (2 * m + 1) + m
-        # A few n units of roundoff of p_lim + scale bound the float errors
-        # of q, of c and of the words' own norms (see the module docstring).
-        self.scale = m * m * (float((np.abs(M).sum(axis=0) ** 2).sum())
-                              + float(np.abs(h).sum()) ** 2 / g)
-
-    def rows(self, z1: int, p_lim: float) -> np.ndarray | None:
-        """Ascending rest-box rows of slice z1 that may lie in the ball.
-
-        None stands for the whole slice, when the ball holds the box.
-        Every row whose float norm is <= p_lim is kept.
-        """
-        if not (self.prefix and p_lim < self.box_top):
-            return None
-        m = self.m
-        q = self.quad + z1 * (self.lin + z1 * self.s00)
-        room = p_lim + _WIDEN * (p_lim + self.scale) - q
-        live = np.flatnonzero(room >= 0)
-        half = np.sqrt(room[live] / self.g)
-        centre = self.centre[live] - z1 * self.h0
-        pad = _WIDEN * (1.0 + np.abs(centre) + half)
-        lo = np.maximum(np.ceil(centre - half - pad), -m).astype(np.intp)
-        hi = np.minimum(np.floor(centre + half + pad), m).astype(np.intp)
-        runs = np.maximum(hi - lo + 1, 0)
-        first = self.run_start[live] + lo
-        return (np.repeat(first - (np.cumsum(runs) - runs), runs)
-                + np.arange(runs.sum()))
-
-
 def _first_violation(absx: np.ndarray) -> tuple[int, int] | None:
     """(row, coordinate) of the first row with a coordinate below
     DIVERSITY_EPS, or None. The row minimum is taken column by column."""
@@ -226,7 +148,7 @@ class _Slices:
     """The codebook split by its leading coefficient z1.
 
     Slice z1 holds the words z1*M[0] + r @ M[1:] for the rows r of the
-    rest box {-m..m}^(n-1) that the ball walker visits. The product
+    rest box {-m..m}^(n-1) that the walker visits. The product
     rest @ M[1:] is the same for every slice, so it is built once.
     """
 
@@ -239,7 +161,7 @@ class _Slices:
         self.shared = np.empty((len(self.rest), M.shape[1]))
         np.matmul(self.rest[zero:], M[1:], out=self.shared[zero:])
         np.negative(self.shared[:zero:-1], out=self.shared[:zero])
-        self.walker = _BallWalker(M, m)
+        self.walker = EllipsoidWalker(M @ M.T, m)
 
     def words(self, z1: int) -> tuple[np.ndarray | None, np.ndarray]:
         """(rows, words) of slice z1 that may lie in the ball, in lex
@@ -340,6 +262,8 @@ def inverse_norm_power_sum(
     if jobs == 1:
         parts = [slices.stats(z1) for z1 in range(m + 1)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
                                  initargs=(M, m, p_lim, exponent)) as pool:
             parts = list(pool.map(_worker_stats, range(m + 1)))
@@ -367,8 +291,7 @@ def _ball_candidates(
     candidates are the whole box.
     """
     n = M.shape[0]
-    walker = _BallWalker(M, m)
-    rest = _box(n - 1, m)
+    walker = EllipsoidWalker(M @ M.T, m)
     ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
     p = (target_size * abs(float(np.linalg.det(M))) / ball) ** (2 / n)
     while True:
@@ -376,12 +299,7 @@ def _ball_candidates(
         if whole:
             z = _box(n, m)
         else:
-            parts = []
-            for z1 in range(-m, m + 1):
-                rows = walker.rows(z1, p)
-                part = rest if rows is None else rest[rows]
-                parts.append(np.column_stack((np.full(len(part), float(z1)), part)))
-            z = np.concatenate(parts)
+            z = walker.vectors(None, p).astype(float)
         x = z @ M
         norms = np.einsum("ij,ij->i", x, x)
         inside = np.count_nonzero(norms <= p)

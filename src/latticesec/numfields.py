@@ -27,6 +27,14 @@ Exact rational arithmetic (via ratpoly) backs every structural step:
 trace forms, unit searches, norm-one vectors, integrality and
 unimodularity checks. Floats appear only in the final embedding values,
 with roots isolated to 1e-15 by Sturm bisection.
+
+The package's lattice-point enumeration lives here too, so that one
+module owns the lex layout of the coefficient box. _box is the box
+{-m..m}^k in lex order, and EllipsoidWalker enumerates the integer
+vectors of an ellipsoid z G z^T <= cap, within that box or not, one
+leading coefficient at a time. The walker serves the capped sums and
+the carve in constellation, theta_series_oracle, and the search for
+lambda1's norm-one vectors.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,25 +113,6 @@ def _frac_det(mat: list[list[Fraction]]) -> Fraction:
             if factor:
                 a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
     return det
-
-
-def _frac_inv(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact matrix inverse by Gauss-Jordan elimination."""
-    n = len(mat)
-    a = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise DomainError("singular matrix has no inverse")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +190,9 @@ class LatticeSpec:
     generator: GeneratorMatrix
     reference_dpmin: float
     provenance: str
-    coeff_bound: int = field(default=DEFAULT_COEFF_BOUND)
 
     def __post_init__(self):
-        dp = min_product_distance(self.generator, self.coeff_bound)
+        dp = min_product_distance(self.generator)
         ref = float(self.reference_dpmin)
         if abs(dp - ref) > DPMIN_RTOL * ref:
             raise ConstructionError(
@@ -268,17 +256,157 @@ def _box(k: int, m: int) -> np.ndarray:
     return out.reshape(side ** k, k)
 
 
-def min_product_distance(m: GeneratorMatrix, coeff_bound: int = DEFAULT_COEFF_BOUND) -> float:
-    """min over nonzero z in {-b..b}^n of prod_i |(zM)_i|.
+class EllipsoidWalker:
+    """Integer vectors z with z G z^T <= cap, one leading coefficient at a time.
+
+    This is Fincke-Pohst enumeration (Math. Comp. 44, 1985), vectorised
+    level by level. Completing the square in z_n, then in z_{n-1}, and
+    so on, writes the form as
+
+        z G z^T = sum_k D_k (z_k + sum_{j<k} U_jk z_j)^2,
+
+    so once z_1..z_{k-1} are fixed, the z_k that keep the partial sum at
+    or below the cap form one run around -sum_{j<k} U_jk z_j. D and U
+    are computed exactly in Fraction from the Gram entries and rounded
+    once to float. With a box bound m every run is clipped to -m..m.
+    Each level expands its runs in ascending order under ascending
+    prefixes, so the candidates come out in lex order. vectors gives
+    the candidates of one slice z1, or of every slice at once; rows
+    gives a slice's candidates as rows of the rest box _box(n - 1, m).
+
+    The candidates of slice z1 hold every z (in the box, if m is given)
+    with z G z^T <= cap, and, for G = M M^T, every word whose float norm
+    ||zM||^2 is <= cap. Such a z has |z_j| <= sqrt(cap (G^-1)_jj), and
+    |U_jk| <= sqrt(G_jj / D_k). So with kappa = sum_j sqrt(G_jj (G^-1)_jj),
+    which is at least n, the float walk's partial norms are off by a few
+    n units of roundoff of kappa^2 cap, and its centres and run ends by
+    a few n units of roundoff of kappa sqrt(cap / D_k). A float norm ||zM||^2, and the exact form of
+    a float product M M^T, are off from the exact ||zM||^2 by a few n
+    units of roundoff of (sum_j |z_j| sqrt(G_jj))^2 <= kappa^2 ||zM||^2.
+    The walker raises the cap by 2^-30 kappa^2 of itself. That adds as
+    much room to every partial norm and widens every run by at least
+    2^-32 kappa^2 sqrt(cap / D_k), over 10^5 times each of those errors.
+    Every candidate lies within the raised cap, and callers make the
+    final keep decision themselves. For a badly conditioned G, where
+    2^-30 kappa^2 is not small, the walk visits more vectors than it
+    needs, but it drops none.
+
+    Only the upper triangle of gram is read, since a float M @ M.T need
+    not be symmetric bit for bit.
+    """
+
+    def __init__(self, gram, m: int | None = None):
+        n = len(gram)
+        g = [[Fraction(gram[min(i, j)][max(i, j)]) for j in range(n)]
+             for i in range(n)]
+        s = [row[:] for row in g]
+        d = [Fraction(0)] * n
+        self.u = np.zeros((n, n))
+        for k in reversed(range(n)):
+            d[k] = s[k][k]
+            if d[k] <= 0:
+                raise DomainError("gram matrix is not positive definite")
+            for i in range(k):
+                self.u[i, k] = float(s[i][k] / d[k])
+                for j in range(k):
+                    s[i][j] -= s[i][k] * s[k][j] / d[k]
+        det = math.prod(d)
+        # (G^-1)_jj is the j-th principal minor over det G.
+        kappa = sum(math.sqrt(g[j][j] * _frac_det(
+            [row[:j] + row[j + 1:] for i, row in enumerate(g) if i != j]) / det)
+            for j in range(n))
+        self.widen = 1.0 + 2.0 ** -30 * kappa * kappa
+        self.d = [float(x) for x in d]
+        self.m = m
+        self.box_top = math.inf
+        if m is not None:
+            # A positive definite form is convex: its maximum over the box
+            # lies at a corner.
+            c = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+            gf = np.array([[float(x) for x in row] for row in g])
+            self.box_top = m * m * float(np.einsum("ij,jk,ik->i", c, gf, c).max())
+
+    def leading(self, cap: float) -> range:
+        """The leading coefficients z1 whose slices can hold candidates,
+        ignoring the box."""
+        b = math.floor(math.sqrt(cap * self.widen / self.d[0]))
+        return range(-b, b + 1)
+
+    def _walk(self, z1: int | None, cap: float):
+        """(cols, lo, runs) of slice z1, or of every slice if z1 is None.
+        The candidates are the prefixes (z_1, ..., z_{n-1}), which cols
+        holds column by column, each followed by each z_n of the prefix's
+        run lo..lo+runs-1."""
+        n, d, u, m = len(self.d), self.d, self.u, self.m
+        room = np.array([cap * self.widen])
+        # c[j] = -sum_{i<k} U_ij z_i over each prefix, the centre of z_j.
+        c = [np.zeros(1)] * n
+        cols, start = [], 0
+        if z1 is not None:  # level 0 is the run of z1 alone, or empty
+            start, lo = 1, np.array([z1])
+            runs = np.array([int(d[0] * z1 * z1 <= room[0]
+                                 and (m is None or abs(z1) <= m))])
+        for k in range(start, n):
+            if k:
+                parent, zk = _expand(lo, runs)
+                cols = [x[parent] for x in cols] + [zk]
+                y = zk - c[k - 1][parent]
+                room = room[parent] - d[k - 1] * y * y
+                c[k:] = [c[j][parent] - zk * u[k - 1, j] for j in range(k, n)]
+            half = np.sqrt(np.maximum(room, 0.0) / d[k])
+            lo, hi = np.ceil(c[k] - half), np.floor(c[k] + half)
+            if m is not None:
+                np.maximum(lo, -m, out=lo)
+                np.minimum(hi, m, out=hi)
+            runs = np.maximum(hi - lo + 1, 0).astype(np.intp)
+            lo = lo.astype(np.int64)
+        return cols, lo, runs
+
+    def vectors(self, z1: int | None, cap: float) -> np.ndarray:
+        """The candidates (z_1, ..., z_n) of slice z1, or of every slice if
+        z1 is None, as int64 rows in ascending lex order."""
+        cols, lo, runs = self._walk(z1, cap)
+        parent, last = _expand(lo, runs)
+        out = np.empty((len(last), len(cols) + 1), np.int64)
+        for j, col in enumerate(cols):
+            out[:, j] = col[parent]
+        out[:, -1] = last
+        return out
+
+    def rows(self, z1: int, cap: float) -> np.ndarray | None:
+        """Ascending rows of the rest box _box(n - 1, m) that hold the
+        candidates of slice z1. None stands for the whole rest box, when
+        the ball holds the box; the walk is then skipped."""
+        if not cap < self.box_top:
+            return None
+        cols, lo, runs = self._walk(z1, cap)
+        m, side = self.m, 2 * self.m + 1
+        # Rows of the whole box {-m..m}^n, less slice z1's first row.
+        row = np.zeros(len(runs), np.int64)
+        for col in cols:
+            row = row * side + (col + m)
+        first = (z1 + m) * side ** (len(self.d) - 1)
+        starts = np.cumsum(runs) - runs
+        return (np.repeat(row * side + m - first + lo - starts, runs)
+                + np.arange(runs.sum()))
+
+
+def _expand(lo: np.ndarray, runs: np.ndarray):
+    """(parent, value) of each element of the runs lo..lo+runs-1."""
+    starts = np.cumsum(runs) - runs
+    return (np.repeat(np.arange(len(runs)), runs),
+            np.repeat(lo - starts, runs) + np.arange(runs.sum()))
+
+
+def min_product_distance(m: GeneratorMatrix) -> float:
+    """min over nonzero z in {-5..5}^n of prod_i |(zM)_i|.
 
     This is a truncated search: for the catalogued lattices the minimum
     is attained by units / short algebraic integers well inside
-    coeff_bound = 5. An exact zero product on a nonzero vector means
-    the lattice is not fully diverse and raises DiversityError.
+    DEFAULT_COEFF_BOUND = 5. An exact zero product on a nonzero vector
+    means the lattice is not fully diverse and raises DiversityError.
     """
-    if coeff_bound < 1:
-        raise DomainError("coeff_bound must be >= 1")
-    z = _box(m.n, coeff_bound)
+    z = _box(m.n, DEFAULT_COEFF_BOUND)
     z = z[np.any(z != 0, axis=1)]
     prods = np.abs(np.prod(z @ m.entries, axis=1))
     idx = int(np.argmin(prods))
@@ -326,20 +454,6 @@ def _trace_gram(basis: list[ratpoly.Poly], alpha: ratpoly.Poly,
              for j in range(n)] for i in range(n)]
 
 
-def _norm_one_vectors(gram: list[list[Fraction]]) -> list[tuple[int, ...]]:
-    """All integer v with v G v^T = 1, G exact positive definite."""
-    n = len(gram)
-    ginv = _frac_inv(gram)
-    # |v_i| <= sqrt((G^-1)_ii) for v G v^T = 1 (dual-basis Cauchy-Schwarz)
-    bounds = [math.isqrt(math.floor(ginv[i][i])) for i in range(n)]
-    out = []
-    for v in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        q = sum(gram[i][j] * v[i] * v[j] for i in range(n) for j in range(n))
-        if q == 1:
-            out.append(v)
-    return out
-
-
 def build_lambda1() -> LatticeSpec:
     """Unitary rotation of Z^4 from the discriminant-725 quartic field.
 
@@ -362,7 +476,9 @@ def build_lambda1() -> LatticeSpec:
     if _frac_det(gram) != 1:
         raise ConstructionError("trace form is not unimodular")
 
-    ones = _norm_one_vectors(gram)
+    ones = [v for v in map(tuple, EllipsoidWalker(gram).vectors(None, 1).tolist())
+            if sum(gram[i][j] * v[i] * v[j]
+                   for i in range(4) for j in range(4)) == 1]
     # Keep one representative per +-pair (first nonzero coefficient
     # positive), lexicographically sorted: a deterministic basis.
     reps = sorted(v for v in ones
@@ -388,8 +504,7 @@ def build_lambda1() -> LatticeSpec:
     return _validated("lambda1", m,
                       "twisted canonical embedding of the ring of integers "
                       "of the totally real quartic field x^4-x^3-3x^2+x+1 "
-                      "(discriminant 725), rotated onto an orthonormal basis",
-                      unitary=True)
+                      "(discriminant 725), rotated onto an orthonormal basis")
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +571,7 @@ def build_lambda2() -> LatticeSpec:
     return _validated("lambda2", m,
                       "Kronecker product of the twisted embeddings of "
                       "Z[sqrt(2)] (twist 1/(4+2*sqrt(2))) and of the golden "
-                      "ring Z[(1+sqrt(5))/2] (twist 3-(1+sqrt(5))/2)",
-                      unitary=True)
+                      "ring Z[(1+sqrt(5))/2] (twist 3-(1+sqrt(5))/2)")
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +595,7 @@ def build_lambda3() -> LatticeSpec:
                       "canonical embedding of the ring of integers of the "
                       "maximal real subfield of the 15th cyclotomic field "
                       "(x^4-x^3-4x^2+4x+1, discriminant 1125), volume "
-                      "normalized; intentionally skewed",
-                      unitary=False)
+                      "normalized; intentionally skewed")
 
 
 # Closed-form d_p,min of each catalogued lattice, as its data file holds it.
@@ -490,15 +603,23 @@ _DPMIN_REF = {"lambda1": 1.0 / math.sqrt(_L1_DISC), "lambda2": 1.0 / 40.0,
               "lambda3": 1.0 / math.sqrt(_L3_DISC)}
 
 
-def _validated(name: str, m: GeneratorMatrix, provenance: str,
-               unitary: bool) -> LatticeSpec:
+# The generators that must be orthogonal.
+_UNITARY = ("lambda1", "lambda2")
+
+
+def _check_generator(name: str, m: GeneratorMatrix) -> None:
+    """Unit volume for every lattice, and unitarity for the _UNITARY ones."""
     if abs(abs(m.det) - 1.0) > DET_TOL:
         raise ConstructionError(
             "%s: |det| = %.17g is not 1 within 1e-12" % (name, abs(m.det)))
-    if unitary and m.unitarity_defect() > UNITARITY_TOL:
+    if name in _UNITARY and m.unitarity_defect() > UNITARITY_TOL:
         raise ConstructionError(
             "%s: unitarity defect %.3e exceeds 1e-9"
             % (name, m.unitarity_defect()))
+
+
+def _validated(name: str, m: GeneratorMatrix, provenance: str) -> LatticeSpec:
+    _check_generator(name, m)
     # LatticeSpec's constructor enforces the d_p,min invariant.
     return LatticeSpec(name=name, generator=m, reference_dpmin=_DPMIN_REF[name],
                        provenance=provenance)
@@ -571,7 +692,8 @@ def save_lattice(spec: LatticeSpec, data_dir=None) -> Path:
 def load_lattice(name: str, data_dir=None) -> LatticeSpec:
     """Load a shipped lattice; LATTICESEC_DATA overrides the data dir.
 
-    The LatticeSpec invariants (unit volume, d_p,min agreement) are
+    The builders' generator checks (unit volume, and unitarity of the
+    _UNITARY lattices) and the LatticeSpec d_p,min invariant are
     re-validated on load, so a corrupted data file cannot propagate.
     """
     if name not in LATTICE_NAMES:
@@ -589,8 +711,5 @@ def load_lattice(name: str, data_dir=None) -> LatticeSpec:
                        provenance=doc.get("provenance", "data file"))
     if spec.name != name:
         raise DomainError("data file name mismatch: %s holds %r" % (path, spec.name))
-    if name in ("lambda1", "lambda2") and m.unitarity_defect() > UNITARITY_TOL:
-        raise ConstructionError("%s data file lost unitarity" % name)
-    if abs(abs(m.det) - 1.0) > DET_TOL:
-        raise ConstructionError("%s data file lost unit volume" % name)
+    _check_generator(name, m)
     return spec

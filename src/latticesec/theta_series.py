@@ -2,9 +2,9 @@
 
 Counts lattice vectors by squared norm directly from a Gram matrix, so
 the polynomial representation of a theta series can be cross-checked
-against brute-force coefficients. Enumeration is Fincke-Pohst style:
-coordinate ranges come from a floating LDL^T decomposition padded
-against rounding, while membership of every candidate is decided in
+against brute-force coefficients. Candidates come from the Fincke-Pohst
+walker numfields.EllipsoidWalker, which keeps every vector of exact
+norm at or below the cap; each candidate's norm is then computed in
 exact integer arithmetic, so the returned counts are exact.
 
 Rational Gram matrices are scaled by their common denominator up front;
@@ -16,12 +16,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError
+import numpy as np
 
-# Absolute padding added to floating coordinate bounds. Bounds are only
-# a superset filter (candidates are checked exactly), so generous
-# padding costs a few extra leaf tests and can never lose a vector.
-_PAD = 1e-6
+from .errors import DomainError
+from .numfields import EllipsoidWalker
 
 
 def _as_fraction_matrix(gram) -> list[list[Fraction]]:
@@ -36,22 +34,6 @@ def _as_fraction_matrix(gram) -> list[list[Fraction]]:
     return g
 
 
-def _exact_ldl(g: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """G = L D L^T with unit lower-triangular L; raises unless G is PD."""
-    n = len(g)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for i in range(n):
-        L[i][i] = Fraction(1)
-        for j in range(i):
-            s = g[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
-            L[i][j] = s / D[j]
-        D[i] = g[i][i] - sum(L[i][k] ** 2 * D[k] for k in range(i))
-        if D[i] <= 0:
-            raise DomainError("gram matrix is not positive definite")
-    return L, D
-
-
 def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]:
     """Counts N(r) of lattice vectors with squared norm r <= max_norm.
 
@@ -63,69 +45,25 @@ def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]
     if not (isinstance(max_norm, int) and max_norm >= 1):
         raise DomainError("max_norm must be a positive integer")
     g = _as_fraction_matrix(gram)
-    n = len(g)
-    L, D = _exact_ldl(g)  # also validates positive definiteness
-
-    # Scale to an integer Gram so all norm arithmetic is exact ints.
-    den = 1
-    for row in g:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for row in g for x in row))
     gi = [[int(x * den) for x in row] for row in g]
     cap = max_norm * den
-
-    Lf = [[float(x) for x in row] for row in L]
-    Df = [float(x) for x in D]
+    walker = EllipsoidWalker(gi)  # also validates positive definiteness
 
     counts: dict[int, int] = {}
-
-    # Depth-first over coordinates x_{n-1} .. x_0. partial carries the
-    # float norm of the fixed tail, t[i] the float inner products
-    # sum_{j>i} L[j][i] x_j. The innermost coordinate is solved exactly
-    # as an integer quadratic: norm = a x0^2 + b x0 + c with a, b, c
-    # integers maintained from the integer Gram.
-    cap_f = float(max_norm) + _PAD
-
-    def leaf_range(xs_tail: list[int]) -> None:
-        # xs_tail holds x_1..x_{n-1}; solve a x^2 + b x + c <= cap in x.
-        a = gi[0][0]
-        b = 2 * sum(gi[0][j + 1] * xj for j, xj in enumerate(xs_tail))
-        c = 0
-        for i, xi in enumerate(xs_tail):
-            if xi:
-                c += gi[i + 1][i + 1] * xi * xi
-                for j in range(i + 1, len(xs_tail)):
-                    c += 2 * gi[i + 1][j + 1] * xi * xs_tail[j]
-        disc = b * b - 4 * a * (c - cap)
-        if disc < 0:
-            return
-        # Conservative integer bracket of the two quadratic roots; each
-        # candidate inside it is still checked exactly below.
-        root = math.isqrt(disc)
-        lo = (-b - root) // (2 * a) - 1
-        hi = (-b + root) // (2 * a) + 1
-        for x in range(lo, hi + 1):
-            q = a * x * x + b * x + c
-            if q <= cap:
-                counts[q] = counts.get(q, 0) + 1
-
-    def descend(i: int, partial: float, t: list[float], xs: list[int]) -> None:
-        if i == 0:
-            leaf_range(xs)
-            return
-        radius = math.sqrt(max(cap_f - partial, 0.0) / Df[i]) + _PAD
-        center = -t[i]
-        for x in range(math.ceil(center - radius), math.floor(center + radius) + 1):
-            u = x + t[i]
-            new_partial = partial + Df[i] * u * u
-            if new_partial > cap_f:
-                continue
-            t2 = list(t)
-            for j in range(i):
-                t2[j] += Lf[i][j] * x
-            descend(i - 1, new_partial, t2, [x] + xs)
-
-    descend(n - 1, 0.0, [0.0] * n, [])
+    for z1 in walker.leading(cap):
+        z = walker.vectors(z1, cap)
+        # int64 is exact while sum_ij |G_ij| b_i b_j, with b_j >= 1 bounding
+        # |z_j|, stays below 2^63; past that Python ints take over.
+        b = [max(1, int(v)) for v in np.abs(z).max(axis=0, initial=0)]
+        wide = sum(abs(gi[i][j]) * b[i] * b[j] for i in range(len(b))
+                   for j in range(len(b))) >= 2 ** 63
+        dtype = object if wide else np.int64
+        z = z.astype(dtype)
+        norms = ((z @ np.array(gi, dtype=dtype)) * z).sum(axis=1)
+        for q, c in zip(*np.unique(norms, return_counts=True)):
+            if int(q) <= cap:
+                counts[int(q)] = counts.get(int(q), 0) + int(c)
 
     out: list[tuple[int | Fraction, int]] = []
     for q in sorted(counts):

@@ -84,6 +84,20 @@ def test_double_interior_q_root_is_counted():
     assert cert.min_location == Fraction(1, 8)
 
 
+def test_touching_interior_q_root_names_its_critical_interval():
+    # P = (10z - 1)^2 (1 - 4z): Q = P touches zero at 1/10, where bisection
+    # does not land exactly, so Q is positive at both ends of the refined
+    # critical interval; that interval, not z = 0 (Q(0) = 1), is the
+    # competitor.
+    cert = verify_conjecture(ZPolynomial((1, -24, 180, -400)))
+    assert not cert.holds
+    assert cert.interior_q_roots == 1
+    assert cert.q_at_zero == 1
+    lo, hi = cert.min_location
+    assert lo <= Fraction(1, 10) <= hi
+    assert hi - lo <= Fraction(1, 10**30)
+
+
 def test_double_critical_point_is_refined():
     # P = -(10z - 1)^3 decreases on [0, 1/4] and P' = -30 (10z - 1)^2
     # has a double root at 1/10, where P' keeps its sign: bisection of P'

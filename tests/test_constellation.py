@@ -14,7 +14,6 @@ from latticesec.constellation import (
     TABLE2_ROWS,
     SumReport,
     TableRow,
-    _BallWalker,
     _terms,
     carve_lowest_energy,
     inverse_norm_power_sum,
@@ -22,7 +21,7 @@ from latticesec.constellation import (
     table_sweep,
 )
 from latticesec.errors import DiversityError, DomainError
-from latticesec.numfields import _box
+from latticesec.numfields import EllipsoidWalker, _box
 
 # Frozen full-precision regressions for the shipped lattices, computed by
 # this implementation and cross-checked against the published
@@ -227,7 +226,7 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
             caps = {1.0, 2.0, 10.0, float(m), float(m * m), float(3 * m * m)}
             for v in np.quantile(norms[norms > 0], (0.01, 0.1, 0.4)):
                 caps |= {np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)}
-            walker = _BallWalker(M, m)
+            walker = EllipsoidWalker(M @ M.T, m)
             for p_lim in sorted(caps):
                 for z1 in range(-m, m + 1):
                     need = np.flatnonzero(norms[z1 + m] <= p_lim)

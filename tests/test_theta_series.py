@@ -73,6 +73,16 @@ def test_rational_gram_scaled_norms():
     assert counts == [(0, 1), (half, 4), (1, 4), (2, 4)]
 
 
+def test_norms_past_int64_stay_exact():
+    # Norms and the products that make them exceed 2^63 here, so int64
+    # arithmetic would wrap; the counts must still be exact.
+    assert theta_series_oracle([[2**62]], 2**64) == [
+        (0, 1), (2**62, 2), (2**64, 2)]
+    hexagonal = [[2**62, 2**61], [2**61, 2**62]]
+    assert theta_series_oracle(hexagonal, 3 * 2**62) == [
+        (0, 1), (2**62, 6), (3 * 2**62, 6)]
+
+
 def test_gram_validation():
     with pytest.raises(DomainError):
         theta_series_oracle([[1, 0]], 2)

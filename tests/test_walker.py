@@ -1,0 +1,64 @@
+"""The lattice-point walker against a brute-force box scan.
+
+hypothesis draws small integer positive-definite Grams G = B B^T + I
+(n = 1..5), with and without a box bound, and caps on, just below and
+just above an integer norm. Every vector that the scan finds at or
+below the cap, with its exact integer norm, must be among the walker's
+candidates, and each slice's candidates must come out in ascending lex
+order inside the box.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from latticesec.numfields import EllipsoidWalker, _box
+
+# A fixed example sequence keeps the suite reproducible run to run.
+walker_settings = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(1, 5))
+    b = np.array(draw(st.lists(st.integers(-2, 2), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    gram = b @ b.T + np.eye(n, dtype=np.int64)
+    m = draw(st.sampled_from((None, 1, 2, 3)))
+    k = draw(st.integers(1, 9))
+    cap = draw(st.sampled_from((float(k), np.nextafter(k, 0.0),
+                                np.nextafter(k, np.inf))))
+    return gram, m, cap
+
+
+@walker_settings
+@given(cases())
+def test_walker_keeps_every_vector_of_a_box_scan(case):
+    gram, m, cap = case
+    n = len(gram)
+    # G >= I, so |z_j|^2 <= z G z^T <= cap bounds the scan.
+    bound = math.isqrt(int(cap)) if m is None else m
+    z = np.array(list(itertools.product(range(-bound, bound + 1), repeat=n)))
+    norms = np.einsum("ij,jk,ik->i", z, gram, z)
+    want = {tuple(v) for v in z[norms <= cap].tolist()}
+
+    walker = EllipsoidWalker(gram.tolist(), m)
+    slices = []
+    for z1 in walker.leading(cap):
+        z = walker.vectors(z1, cap)
+        assert z.shape[1] == n and np.all(z[:, 0] == z1)
+        assert [tuple(v) for v in z.tolist()] == sorted(map(tuple, z.tolist()))
+        if m is not None:
+            assert np.all(np.abs(z) <= m)
+            rows = walker.rows(z1, cap)
+            if rows is not None:
+                assert np.array_equal(_box(n - 1, m)[rows], z[:, 1:])
+        slices.append(z)
+    # Walking every slice at once gives the same candidates in the same order.
+    assert np.array_equal(walker.vectors(None, cap), np.concatenate(slices))
+    assert want <= {tuple(v) for v in np.concatenate(slices).tolist()}
