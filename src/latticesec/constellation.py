@@ -9,25 +9,30 @@ target size. The eavesdropper-confusion metric is
 
 (the inverse norm power sum; exponent 3 corresponds to the fast-fading
 correct-decision probability). The sums span many orders of magnitude,
-so terms are accumulated with error-free math.fsum per coefficient
-slice and the per-slice partials are combined in fixed ascending order
-of the leading coefficient. That also makes multi-worker runs
-bit-identical to single-worker runs: workers own whole slices and the
-combination order never depends on scheduling.
+so each coefficient slice's terms and energies are summed exactly and
+rounded once. _exact_sum does that with integer mantissa parts binned
+by exponent and returns the bits math.fsum would, without a Python
+float per term. The per-slice partials are combined with math.fsum in
+fixed ascending order of the leading coefficient. That also makes
+multi-worker runs bit-identical to single-worker runs: workers own
+whole slices and the combination order never depends on scheduling.
 
 Slice z1 is z1*M[0] plus the block rest @ M[1:] over the rest box
-{-m..m}^(n-1); that block is built once per call (once per worker
-process with jobs > 1). The codebook is symmetric under x -> -x, and
-the fold uses it exactly. Row N-1-i of the lex-ordered rest box is
-minus row i, so only the block's upper half (from the zero row on) is
-multiplied and the lower half is its IEEE negation, which is exact:
-the block is odd bit for bit by construction. So every word of slice
--z1 is the bitwise negation of a word of slice z1, and the two slices
-have the same count, fsum terms, energies and p_max bit for bit.
-math.fsum rounds once, whatever the order of its terms, so only slices
-z1 = 0..m are computed and their partials are passed on as
-[m, ..., 1, 0, 1, ..., m]. A diversity failure is reported at the
-lex-first offending coefficient vector, as without the fold.
+{-m..m}^(n-1); that block is built once per sum (once per sum in each
+worker process with jobs > 1). A slice that keeps every row is written
+into one buffer, reused from slice to slice, and reduced in place.
+
+The codebook is symmetric under x -> -x, and the fold uses it exactly.
+Row N-1-i of the lex-ordered rest box is minus row i, so only the
+block's upper half (from the zero row on) is multiplied and the lower
+half is its IEEE negation, which is exact: the block is odd bit for bit
+by construction. So every word of slice -z1 is the bitwise negation of
+a word of slice z1, and the two slices have the same count, terms,
+energies and p_max bit for bit. A slice sum rounds once, whatever the
+order of its terms, so only slices z1 = 0..m are computed and their
+partials are passed on as [m, ..., 1, 0, 1, ..., m]. A diversity
+failure is reported at the lex-first offending coefficient vector, as
+without the fold.
 
 With an energy cap, the lattice-point walker numfields.EllipsoidWalker
 (Fincke-Pohst over the Gram matrix G = M M^T) gives each slice the
@@ -60,8 +65,10 @@ orthogonal-box values n*m*(m+1)/3 exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -135,6 +142,47 @@ def _first_violation(absx: np.ndarray) -> tuple[int, int] | None:
     return first, int(np.argmin(absx[first]))
 
 
+# Terms per chunk of _exact_sum. Up to 2^26 terms of under 2^27 units each
+# keep a bin's sum below 2^53 units, so exact; a smaller chunk bounds the
+# temporaries.
+_CHUNK = 1 << 20
+_LOW = (1 << 26) - 1
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values), bit for bit, from per-exponent bins.
+
+    Each float64 is split into its value with the low 26 mantissa bits
+    cleared and the remainder, both exact. Binned by sign and biased
+    exponent e, the high parts are multiples of 2^(e-1049) below
+    2^(e-1022) and the low parts multiples of 2^(e-1075) below
+    2^(e-1049) (subnormals, in bin 0, scale as e = 1), so np.bincount
+    adds each bin exactly. The bins sum to the exact total, and
+    math.fsum of them rounds it once, as math.fsum of the values does.
+    Non-finite values, input of only zeros and totals that could
+    overflow go to math.fsum itself.
+    """
+    a = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits = a.view(np.int64)
+    parts = []
+    for i in range(0, len(a), _CHUNK):
+        chunk, b = a[i:i + _CHUNK], bits[i:i + _CHUNK]
+        bins = (b.view(np.uint64) >> 52).view(np.int64)
+        high = (b & ~_LOW).view(np.float64)
+        sums = np.bincount(bins, high)
+        used = np.flatnonzero(sums)
+        # len(a) terms below 2^(top-1022) stay below 2^1022, so neither
+        # the bins nor fsum's own partials can overflow.
+        if len(used) and int((used & 0x7FF).max()) + len(a).bit_length() > 2044:
+            return math.fsum(a.tolist())
+        parts += sums[used].tolist()
+        low = np.bincount(bins, chunk - high)
+        parts += low[low != 0].tolist()
+    if not parts:  # every value is +0.0 or -0.0
+        return math.fsum(a.tolist())
+    return math.fsum(parts)
+
+
 def _terms(absx: np.ndarray, exponent: int) -> np.ndarray:
     """prod_i |x_i|^(-exponent) per row, multiplied column by column as
     ((a0*a1)*a2)*..."""
@@ -149,26 +197,29 @@ class _Slices:
 
     Slice z1 holds the words z1*M[0] + r @ M[1:] for the rows r of the
     rest box {-m..m}^(n-1) that the walker visits. The product
-    rest @ M[1:] is the same for every slice, so it is built once.
+    rest @ M[1:] is the same for every slice, so it is built once, and
+    whole slices are written into one buffer, one after the other.
     """
 
     def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
-        self.M, self.p_lim, self.exponent = M, p_lim, exponent
+        self.M, self.m, self.p_lim, self.exponent = M, m, p_lim, exponent
         self.rest = _box(M.shape[0] - 1, m)
         # Row N-1-i of the box is minus row i: multiply the upper half and
         # negate it into the lower half, so the block is odd bit for bit.
-        zero = len(self.rest) // 2
+        self.zero = len(self.rest) // 2
         self.shared = np.empty((len(self.rest), M.shape[1]))
-        np.matmul(self.rest[zero:], M[1:], out=self.shared[zero:])
-        np.negative(self.shared[:zero:-1], out=self.shared[:zero])
+        np.matmul(self.rest[self.zero:], M[1:], out=self.shared[self.zero:])
+        np.negative(self.shared[:self.zero:-1], out=self.shared[:self.zero])
+        self.whole = np.empty_like(self.shared)
         self.walker = EllipsoidWalker(M @ M.T, m)
 
     def words(self, z1: int) -> tuple[np.ndarray | None, np.ndarray]:
         """(rows, words) of slice z1 that may lie in the ball, in lex
-        order; rows None stands for the whole rest box."""
+        order; rows None stands for the whole rest box, whose words
+        overwrite those of the previous whole slice."""
         rows = self.walker.rows(z1, self.p_lim)
         if rows is None:
-            return None, z1 * self.M[0] + self.shared
+            return None, np.add(self.shared, z1 * self.M[0], out=self.whole)
         block = self.shared[rows]
         block += z1 * self.M[0]
         return rows, block
@@ -185,42 +236,54 @@ class _Slices:
         norms = np.einsum("ij,ij->i", block, block)
         keep = norms <= self.p_lim
         count = int(np.count_nonzero(keep))
-        # A memoryview feeds fsum plain floats one at a time: no numpy
-        # scalar per term and no list of all of them.
-        energy = math.fsum(memoryview(norms[keep]))
-        nonzero = keep
         if z1 == 0:
-            nonzero = keep.copy()
-            zero = len(self.rest) // 2
-            nonzero[zero if rows is None else np.searchsorted(rows, zero)] = False
-        if not np.any(nonzero):
+            # The zero word counts, but has no term, and its energy is +0.0,
+            # which leaves the exact energy sum as it is.
+            keep[self.zero if rows is None else np.searchsorted(rows, self.zero)] = False
+        gathered = z1 == 0 or count < len(norms)
+        if gathered:
+            block, norms = block[keep], norms[keep]
+        energy = _exact_sum(norms)
+        if not len(norms):
             return count, 0.0, 0.0, energy, None
 
-        absx = np.abs(block[nonzero])
+        # block is this slice's own: a gather, or the whole-slice buffer.
+        absx = np.abs(block, out=block)
         bad = _first_violation(absx)
         if bad is not None:
             first, coord = bad
-            row = np.flatnonzero(nonzero)[first]
+            row = np.flatnonzero(keep)[first] if gathered else first
             rest = self.rest[row if rows is None else rows[row]]
             bad = ((z1, *map(int, rest)), coord, float(absx[first][coord]))
             return count, 0.0, 0.0, energy, bad
 
-        s_partial = math.fsum(memoryview(_terms(absx, self.exponent)))
-        p_max = float(norms[nonzero].max())
-        return count, s_partial, p_max, energy, None
+        s_partial = _exact_sum(_terms(absx, self.exponent))
+        return count, s_partial, float(norms.max()), energy, None
 
 
-# The slices of a multi-worker sum, built once in each worker process.
+# The slices of the sum a worker process serves, kept for its next slice.
 _worker_slices: _Slices | None = None
 
 
-def _start_worker(M, m, p_lim, exponent):
+def _worker_stats(args, z1):
+    """Slice z1's statistics in a worker process, rebuilding the slices
+    only when (M, m, p_lim, exponent) differ from the last ones."""
     global _worker_slices
-    _worker_slices = _Slices(M, m, p_lim, exponent)
-
-
-def _worker_stats(z1):
+    M, m, p_lim, exponent = args
+    last = _worker_slices
+    if last is None or (last.m, last.p_lim, last.exponent, last.M.tobytes()) != (
+            m, p_lim, exponent, M.tobytes()):
+        _worker_slices = _Slices(M, m, p_lim, exponent)
     return _worker_slices.stats(z1)
+
+
+def _pool(jobs: int):
+    """A process pool for jobs > 1 workers, or a context yielding None."""
+    if not jobs > 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def _combine(parts, lattice_name, n, m, p_lim, exponent):
@@ -246,33 +309,36 @@ def inverse_norm_power_sum(
     exponent: int = 3,
     jobs: int = 1,
     lattice_name: str = "",
+    *,
+    pool=None,
 ) -> SumReport:
     """S over the box-and-ball codebook, with energy statistics.
 
     Work is partitioned by the leading coefficient z1. Only the slices
     z1 >= 0 are computed, since slice -z1 mirrors slice z1; each slice
-    is reduced with math.fsum and partials are combined in ascending z1
-    order, so the result is bit-identical for any worker count.
+    is reduced exactly, as math.fsum would, and partials are combined
+    in ascending z1 order, so the result is bit-identical for any
+    worker count. The slices run on pool, a process pool that a caller
+    shares across sums, if given; else on a pool of jobs workers opened
+    for this call when jobs > 1.
     """
     _check_box_args(m, p_lim, exponent)
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
     M = _as_matrix(gen)
-    slices = _Slices(M, m, p_lim, exponent)
-    if jobs == 1:
-        parts = [slices.stats(z1) for z1 in range(m + 1)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
-                                 initargs=(M, m, p_lim, exponent)) as pool:
-            parts = list(pool.map(_worker_stats, range(m + 1)))
-    parts = parts[:0:-1] + parts
-    # A mirrored slice -z1 reports slice z1's violation, whose mirror
-    # need not be the lex-first one there: rescan that slice.
-    first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), m)
-    if first_bad < m:
-        parts[first_bad] = slices.stats(first_bad - m)
+    with _pool(jobs) if pool is None else contextlib.nullcontext(pool) as pool:
+        if pool is None:
+            stats, mapper = _Slices(M, m, p_lim, exponent).stats, map
+        else:
+            stats = partial(_worker_stats, (M, m, p_lim, exponent))
+            mapper = pool.map
+        parts = list(mapper(stats, range(m + 1)))
+        parts = parts[:0:-1] + parts
+        # A mirrored slice -z1 reports slice z1's violation, whose mirror
+        # need not be the lex-first one there: rescan that slice.
+        first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), m)
+        if first_bad < m:
+            parts[first_bad] = next(mapper(stats, [first_bad - m]))
     return _combine(parts, lattice_name, M.shape[0], m, p_lim, exponent)
 
 
@@ -353,10 +419,9 @@ def carve_lowest_energy(
             raise DiversityError(tuple(map(int, zs[~zero_row][first])), coord,
                                  float(absx[first][coord]))
 
-    # Deterministic accumulation: selected rows in (energy, lex) order.
-    s_value = math.fsum(memoryview(_terms(absx, exponent)))
+    s_value = _exact_sum(_terms(absx, exponent))
     p_max = float(ns[~zero_row].max()) if absx.size else 0.0
-    p_ave = math.fsum(memoryview(ns)) / target_size
+    p_ave = _exact_sum(ns) / target_size
     return SumReport(
         lattice_name=lattice_name, n=n, m=m, p_lim=math.inf,
         size=target_size, p_max=p_max, p_ave=p_ave, s_value=s_value,
@@ -369,17 +434,21 @@ def table_sweep(
     exponent: int = 3,
     jobs: int = 1,
 ) -> list[SumReport]:
-    """One SumReport per TableRow, computed independently, in row order."""
+    """One SumReport per TableRow, computed independently, in row order.
+
+    With jobs > 1 one process pool serves every sum row; carves run in
+    this process."""
     out = []
-    for row in rows:
-        if row.target_size is not None:
-            out.append(carve_lowest_energy(
-                lattice.generator, row.m, row.target_size,
-                exponent=exponent, lattice_name=lattice.name))
-        else:
-            out.append(inverse_norm_power_sum(
-                lattice.generator, row.m, row.p_lim,
-                exponent=exponent, jobs=jobs, lattice_name=lattice.name))
+    with _pool(jobs) as pool:
+        for row in rows:
+            if row.target_size is not None:
+                out.append(carve_lowest_energy(
+                    lattice.generator, row.m, row.target_size,
+                    exponent=exponent, lattice_name=lattice.name))
+            else:
+                out.append(inverse_norm_power_sum(
+                    lattice.generator, row.m, row.p_lim, exponent=exponent,
+                    jobs=jobs, lattice_name=lattice.name, pool=pool))
     return out
 
 

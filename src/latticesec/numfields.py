@@ -301,20 +301,24 @@ class EllipsoidWalker:
              for i in range(n)]
         s = [row[:] for row in g]
         d = [Fraction(0)] * n
-        self.u = np.zeros((n, n))
+        u = [[Fraction(0)] * n for _ in range(n)]
         for k in reversed(range(n)):
             d[k] = s[k][k]
             if d[k] <= 0:
                 raise DomainError("gram matrix is not positive definite")
             for i in range(k):
-                self.u[i, k] = float(s[i][k] / d[k])
+                u[i][k] = s[i][k] / d[k]
                 for j in range(k):
                     s[i][j] -= s[i][k] * s[k][j] / d[k]
-        det = math.prod(d)
-        # (G^-1)_jj is the j-th principal minor over det G.
-        kappa = sum(math.sqrt(g[j][j] * _frac_det(
-            [row[:j] + row[j + 1:] for i, row in enumerate(g) if i != j]) / det)
-            for j in range(n))
+        self.u = np.array([[float(x) for x in row] for row in u])
+        # G = V^T diag(d) V, where V is unit lower triangular with
+        # V_kj = U_jk, so (G^-1)_jj = sum_k (V^-1)_jk^2 / d_k.
+        w = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for c in range(n):
+            for k in range(c + 1, n):
+                w[k][c] = -sum(u[i][k] * w[i][c] for i in range(c, k))
+        kappa = sum(math.sqrt(g[j][j] * sum(w[j][k] ** 2 / d[k] for k in range(j + 1)))
+                    for j in range(n))
         self.widen = 1.0 + 2.0 ** -30 * kappa * kappa
         self.d = [float(x) for x in d]
         self.m = m

@@ -158,6 +158,17 @@ def test_reproduce_table2_worker_independence(capsys):
     assert len(out1.splitlines()) == 12
 
 
+@pytest.mark.parametrize("table", ["table1", "table2"])
+def test_reproduce_full_precision_bytes_are_frozen(capsys, table):
+    # The frozen files pin every bit of both tables, for one worker and
+    # for a pool that serves the whole sweep.
+    frozen = (Path(__file__).parent / "data" / f"{table}_full_precision.csv").read_text()
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "sum", "--reproduce", table,
+                             "--full-precision", "--jobs", jobs)
+        assert (code, out, err) == (0, frozen, "")
+
+
 def test_full_precision_flag(capsys):
     _, out, _ = run(capsys, "sum", "--lattice", "lambda2", "--m", "1",
                     "--full-precision")

@@ -10,6 +10,7 @@ order inside the box.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from latticesec.numfields import EllipsoidWalker, _box
+from latticesec.numfields import EllipsoidWalker, _box, _frac_det
 
 # A fixed example sequence keeps the suite reproducible run to run.
 walker_settings = settings(max_examples=80, deadline=None, derandomize=True)
@@ -62,3 +63,17 @@ def test_walker_keeps_every_vector_of_a_box_scan(case):
     # Walking every slice at once gives the same candidates in the same order.
     assert np.array_equal(walker.vectors(None, cap), np.concatenate(slices))
     assert want <= {tuple(v) for v in np.concatenate(slices).tolist()}
+
+
+@walker_settings
+@given(cases())
+def test_widening_follows_the_inverse_gram_diagonal(case):
+    # kappa = sum_j sqrt(G_jj (G^-1)_jj), with (G^-1)_jj taken here as the
+    # j-th principal minor over det G.
+    gram, m, _ = case
+    g = [[Fraction(int(x)) for x in row] for row in gram]
+    det = _frac_det(g)
+    kappa = sum(math.sqrt(g[j][j] * _frac_det(
+        [row[:j] + row[j + 1:] for i, row in enumerate(g) if i != j]) / det)
+        for j in range(len(g)))
+    assert EllipsoidWalker(gram.tolist(), m).widen == 1.0 + 2.0 ** -30 * kappa * kappa
