@@ -154,9 +154,8 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         if args.lattice is None or args.m is None:
             raise DomainError("sum needs --lattice and --m (or --reproduce)")
         sweeps = [(args.lattice, [_table_row(args)])]
-    reports = [report for name, rows in sweeps
-               for report in table_sweep(load_lattice(name), rows,
-                                         exponent=args.exponent, jobs=args.jobs)]
+    reports = table_sweep([(load_lattice(name), rows) for name, rows in sweeps],
+                          exponent=args.exponent, jobs=args.jobs)
     print(_render_reports(reports, args.format, args.full_precision))
     return 0
 
@@ -166,9 +165,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise DomainError("compare needs exactly one of --gamma/--gamma-db")
     gamma = args.gamma if args.gamma is not None else db_to_linear(args.gamma_db)
     row = _table_row(args)
-    reports = [table_sweep(load_lattice(name), [row], exponent=args.exponent,
-                           jobs=args.jobs)[0]
-               for name in args.lattice]
+    reports = table_sweep([(load_lattice(name), [row]) for name in args.lattice],
+                          exponent=args.exponent, jobs=args.jobs)
     params = ChannelParams(gamma_e=gamma, vol_b=args.vol_b, n=reports[0].n)
     doc = compare_report(reports, params)
     print(doc.to_json() if args.format == "json" else doc.render_text())

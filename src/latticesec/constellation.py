@@ -18,9 +18,12 @@ multi-worker runs bit-identical to single-worker runs: workers own
 whole slices and the combination order never depends on scheduling.
 
 Slice z1 is z1*M[0] plus the block rest @ M[1:] over the rest box
-{-m..m}^(n-1); that block is built once per sum (once per sum in each
-worker process with jobs > 1). A slice that keeps every row is written
-into one buffer, reused from slice to slice, and reduced in place.
+{-m..m}^(n-1); that block is built once per group of slices. A serial
+sum is one group. With jobs > 1 the slices are dealt into at most
+jobs interleaved groups, one pool task each, and one process pool, of at
+most one worker per core, serves every sum of a table_sweep. A slice
+that keeps every row is written into one buffer, reused from slice to
+slice, and reduced in place.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 Row N-1-i of the lex-ordered rest box is minus row i, so only the
@@ -67,13 +70,14 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import DiversityError, DomainError
-from .numfields import EllipsoidWalker, GeneratorMatrix, LatticeSpec, _box
+from .numfields import EllipsoidWalker, GeneratorMatrix, _box
 
 DIVERSITY_EPS = 1e-12
 
@@ -189,7 +193,9 @@ def _terms(absx: np.ndarray, exponent: int) -> np.ndarray:
     terms = absx[:, 0].copy()
     for j in range(1, absx.shape[1]):
         terms *= absx[:, j]
-    return np.power(terms, float(-exponent), out=terms)
+    # A large exponent overflows to inf, which the exact sum passes on.
+    with np.errstate(over="ignore"):
+        return np.power(terms, float(-exponent), out=terms)
 
 
 class _Slices:
@@ -261,29 +267,20 @@ class _Slices:
         return count, s_partial, float(norms.max()), energy, None
 
 
-# The slices of the sum a worker process serves, kept for its next slice.
-_worker_slices: _Slices | None = None
-
-
-def _worker_stats(args, z1):
-    """Slice z1's statistics in a worker process, rebuilding the slices
-    only when (M, m, p_lim, exponent) differ from the last ones."""
-    global _worker_slices
-    M, m, p_lim, exponent = args
-    last = _worker_slices
-    if last is None or (last.m, last.p_lim, last.exponent, last.M.tobytes()) != (
-            m, p_lim, exponent, M.tobytes()):
-        _worker_slices = _Slices(M, m, p_lim, exponent)
-    return _worker_slices.stats(z1)
+def _slice_stats(M, m, p_lim, exponent, z1s) -> list:
+    """Statistics of the slices z1s, in order, from one _Slices."""
+    slices = _Slices(M, m, p_lim, exponent)
+    return [slices.stats(z1) for z1 in z1s]
 
 
 def _pool(jobs: int):
-    """A process pool for jobs > 1 workers, or a context yielding None."""
+    """A process pool of min(jobs, cores) workers, or for jobs = 1 a
+    context yielding None."""
     if not jobs > 1:
         return contextlib.nullcontext()
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=jobs)
+    return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
 
 
 def _combine(parts, lattice_name, n, m, p_lim, exponent):
@@ -318,27 +315,29 @@ def inverse_norm_power_sum(
     z1 >= 0 are computed, since slice -z1 mirrors slice z1; each slice
     is reduced exactly, as math.fsum would, and partials are combined
     in ascending z1 order, so the result is bit-identical for any
-    worker count. The slices run on pool, a process pool that a caller
-    shares across sums, if given; else on a pool of jobs workers opened
-    for this call when jobs > 1.
+    worker count. With jobs > 1 the slices are dealt into
+    min(jobs, m + 1) interleaved groups, one task each, which run on
+    pool, a process pool that a caller shares across sums, if given;
+    else on a pool opened for this call.
     """
     _check_box_args(m, p_lim, exponent)
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
     M = _as_matrix(gen)
-    with _pool(jobs) if pool is None else contextlib.nullcontext(pool) as pool:
-        if pool is None:
-            stats, mapper = _Slices(M, m, p_lim, exponent).stats, map
-        else:
-            stats = partial(_worker_stats, (M, m, p_lim, exponent))
-            mapper = pool.map
-        parts = list(mapper(stats, range(m + 1)))
-        parts = parts[:0:-1] + parts
-        # A mirrored slice -z1 reports slice z1's violation, whose mirror
-        # need not be the lex-first one there: rescan that slice.
-        first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), m)
-        if first_bad < m:
-            parts[first_bad] = next(mapper(stats, [first_bad - m]))
+    stats = partial(_slice_stats, M, m, p_lim, exponent)
+    if jobs == 1:
+        parts = stats(range(m + 1))
+    else:
+        with _pool(jobs) if pool is None else contextlib.nullcontext(pool) as pool:
+            groups = list(pool.map(stats, [range(k, m + 1, jobs)
+                                           for k in range(min(jobs, m + 1))]))
+        parts = [groups[z1 % jobs][z1 // jobs] for z1 in range(m + 1)]
+    parts = parts[:0:-1] + parts
+    # A mirrored slice -z1 reports slice z1's violation, whose mirror
+    # need not be the lex-first one there: rescan that slice.
+    first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), m)
+    if first_bad < m:
+        parts[first_bad] = stats([first_bad - m])[0]
     return _combine(parts, lattice_name, M.shape[0], m, p_lim, exponent)
 
 
@@ -428,27 +427,24 @@ def carve_lowest_energy(
         exponent=exponent, target_size=target_size)
 
 
-def table_sweep(
-    lattice: LatticeSpec,
-    rows,
-    exponent: int = 3,
-    jobs: int = 1,
-) -> list[SumReport]:
-    """One SumReport per TableRow, computed independently, in row order.
+def table_sweep(sweeps, exponent: int = 3, jobs: int = 1) -> list[SumReport]:
+    """One SumReport per TableRow of each (LatticeSpec, rows) pair of
+    sweeps, computed independently, in order.
 
-    With jobs > 1 one process pool serves every sum row; carves run in
-    this process."""
+    With jobs > 1 one process pool serves every sum of every sweep;
+    carves run in this process."""
     out = []
     with _pool(jobs) as pool:
-        for row in rows:
-            if row.target_size is not None:
-                out.append(carve_lowest_energy(
-                    lattice.generator, row.m, row.target_size,
-                    exponent=exponent, lattice_name=lattice.name))
-            else:
-                out.append(inverse_norm_power_sum(
-                    lattice.generator, row.m, row.p_lim, exponent=exponent,
-                    jobs=jobs, lattice_name=lattice.name, pool=pool))
+        for lattice, rows in sweeps:
+            for row in rows:
+                if row.target_size is not None:
+                    out.append(carve_lowest_energy(
+                        lattice.generator, row.m, row.target_size,
+                        exponent=exponent, lattice_name=lattice.name))
+                else:
+                    out.append(inverse_norm_power_sum(
+                        lattice.generator, row.m, row.p_lim, exponent=exponent,
+                        jobs=jobs, lattice_name=lattice.name, pool=pool))
     return out
 
 

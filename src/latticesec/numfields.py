@@ -46,6 +46,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,9 +58,6 @@ UNITARITY_TOL = 1e-9
 DET_TOL = 1e-12
 DPMIN_RTOL = 1e-6
 DEFAULT_COEFF_BOUND = 5
-
-LATTICE_NAMES = ("lambda1", "lambda2", "lambda3")
-
 
 # ---------------------------------------------------------------------------
 # exact arithmetic in Q[x]/(f)
@@ -296,6 +294,7 @@ class EllipsoidWalker:
     """
 
     def __init__(self, gram, m: int | None = None):
+        gram = np.asarray(gram).tolist()  # a Fraction of an np.int64 wraps
         n = len(gram)
         g = [[Fraction(gram[min(i, j)][max(i, j)]) for j in range(n)]
              for i in range(n)]
@@ -423,10 +422,6 @@ def min_product_distance(m: GeneratorMatrix) -> float:
 # ---------------------------------------------------------------------------
 # lambda1: quartic field of discriminant 725, rotated onto Z^4
 
-_L1_MIN_POLY = (1, 1, -3, -1, 1)  # 1 + x - 3x^2 - x^3 + x^4
-_L1_DISC = 725
-
-
 def _lambda1_alpha(f: ratpoly.Poly, roots: tuple[float, ...]) -> ratpoly.Poly:
     """First totally positive unit multiple of 1/f'(delta).
 
@@ -467,8 +462,8 @@ def build_lambda1() -> LatticeSpec:
     contain an orthonormal basis, which re-expresses the twisted
     embedding as a unitary generator matrix.
     """
-    f = ratpoly.make_poly(_L1_MIN_POLY)
-    field_spec = number_field(_L1_MIN_POLY)
+    field_spec = number_field(CATALOGUE["lambda1"].min_poly)
+    f = ratpoly.make_poly(field_spec.min_poly)
     alpha = _lambda1_alpha(f, field_spec.roots)
 
     power_basis = [ratpoly.make_poly([0] * i + [1]) for i in range(4)]
@@ -581,19 +576,16 @@ def build_lambda2() -> LatticeSpec:
 # ---------------------------------------------------------------------------
 # lambda3: maximal real subfield of the 15th cyclotomic field
 
-_L3_MIN_POLY = (1, 4, -4, -1, 1)  # 1 + 4x - 4x^2 - x^3 + x^4
-_L3_DISC = 1125
-
-
 def build_lambda3() -> LatticeSpec:
     """Unit-volume canonical embedding of Z[2cos(2pi/15)] (skewed)."""
-    field_spec = number_field(_L3_MIN_POLY)
+    record = CATALOGUE["lambda3"]
+    field_spec = number_field(record.min_poly)
     power_basis = [[0] * i + [1] for i in range(4)]
     raw = canonical_embedding(field_spec, power_basis)
-    if abs(abs(raw.det) - math.sqrt(_L3_DISC)) > 1e-9 * math.sqrt(_L3_DISC):
+    if abs(abs(raw.det) - math.sqrt(record.disc)) > 1e-9 * math.sqrt(record.disc):
         raise ConstructionError(
             "raw embedding determinant %.12g deviates from sqrt(%d)"
-            % (raw.det, _L3_DISC))
+            % (raw.det, record.disc))
     m = normalize_unit_volume(raw)
     return _validated("lambda3", m,
                       "canonical embedding of the ring of integers of the "
@@ -602,21 +594,39 @@ def build_lambda3() -> LatticeSpec:
                       "normalized; intentionally skewed")
 
 
-# Closed-form d_p,min of each catalogued lattice, as its data file holds it.
-_DPMIN_REF = {"lambda1": 1.0 / math.sqrt(_L1_DISC), "lambda2": 1.0 / 40.0,
-              "lambda3": 1.0 / math.sqrt(_L3_DISC)}
+class CataloguedLattice(NamedTuple):
+    """One catalogued lattice: its builder, its field's minimal polynomial
+    and discriminant D (d_p,min = D^(-1/2)), and whether it is unitary."""
+
+    build: Callable[[], LatticeSpec]
+    min_poly: tuple[int, ...]
+    disc: int
+    unitary: bool
+
+    @property
+    def dpmin(self) -> float:
+        return 1.0 / math.sqrt(self.disc)
 
 
-# The generators that must be orthogonal.
-_UNITARY = ("lambda1", "lambda2")
+CATALOGUE = {
+    # 1 + x - 3x^2 - x^3 + x^4
+    "lambda1": CataloguedLattice(build_lambda1, (1, 1, -3, -1, 1), 725, True),
+    # minimal polynomial of sqrt(2) + (1+sqrt(5))/2, a primitive
+    # element of the compositum the Kronecker construction lives in
+    "lambda2": CataloguedLattice(build_lambda2, (-1, 6, -5, -2, 1), 40 ** 2, True),
+    # 1 + 4x - 4x^2 - x^3 + x^4
+    "lambda3": CataloguedLattice(build_lambda3, (1, 4, -4, -1, 1), 1125, False),
+}
+
+LATTICE_NAMES = tuple(CATALOGUE)
 
 
 def _check_generator(name: str, m: GeneratorMatrix) -> None:
-    """Unit volume for every lattice, and unitarity for the _UNITARY ones."""
+    """Unit volume for every lattice, and orthogonality for the unitary ones."""
     if abs(abs(m.det) - 1.0) > DET_TOL:
         raise ConstructionError(
             "%s: |det| = %.17g is not 1 within 1e-12" % (name, abs(m.det)))
-    if name in _UNITARY and m.unitarity_defect() > UNITARITY_TOL:
+    if CATALOGUE[name].unitary and m.unitarity_defect() > UNITARITY_TOL:
         raise ConstructionError(
             "%s: unitarity defect %.3e exceeds 1e-9"
             % (name, m.unitarity_defect()))
@@ -625,35 +635,20 @@ def _check_generator(name: str, m: GeneratorMatrix) -> None:
 def _validated(name: str, m: GeneratorMatrix, provenance: str) -> LatticeSpec:
     _check_generator(name, m)
     # LatticeSpec's constructor enforces the d_p,min invariant.
-    return LatticeSpec(name=name, generator=m, reference_dpmin=_DPMIN_REF[name],
+    return LatticeSpec(name=name, generator=m,
+                       reference_dpmin=CATALOGUE[name].dpmin,
                        provenance=provenance)
 
 
-_BUILDERS = {
-    "lambda1": build_lambda1,
-    "lambda2": build_lambda2,
-    "lambda3": build_lambda3,
-}
-
-
 def build_lattice(name: str) -> LatticeSpec:
-    if name not in _BUILDERS:
+    if name not in CATALOGUE:
         raise DomainError("unknown lattice %r; choose from %s"
                           % (name, "/".join(LATTICE_NAMES)))
-    return _BUILDERS[name]()
+    return CATALOGUE[name].build()
 
 
 # ---------------------------------------------------------------------------
 # versioned data files
-
-_FIELD_POLYS = {
-    "lambda1": _L1_MIN_POLY,
-    # minimal polynomial of sqrt(2) + (1+sqrt(5))/2, a primitive
-    # element of the compositum the Kronecker construction lives in
-    "lambda2": (-1, 6, -5, -2, 1),
-    "lambda3": _L3_MIN_POLY,
-}
-
 
 def default_data_dir() -> Path:
     env = os.environ.get("LATTICESEC_DATA")
@@ -682,7 +677,7 @@ def save_lattice(spec: LatticeSpec, data_dir=None) -> Path:
         ' "generator": [',
         rows,
         " ],",
-        ' "min_poly": %s,' % json.dumps(list(_FIELD_POLYS[spec.name])),
+        ' "min_poly": %s,' % json.dumps(list(CATALOGUE[spec.name].min_poly)),
         ' "n": %d,' % spec.generator.n,
         ' "name": %s,' % json.dumps(spec.name),
         ' "provenance": %s' % json.dumps(spec.provenance),
@@ -696,8 +691,9 @@ def save_lattice(spec: LatticeSpec, data_dir=None) -> Path:
 def load_lattice(name: str, data_dir=None) -> LatticeSpec:
     """Load a shipped lattice; LATTICESEC_DATA overrides the data dir.
 
-    The builders' generator checks (unit volume, and unitarity of the
-    _UNITARY lattices) and the LatticeSpec d_p,min invariant are
+    The file's dpmin_ref and min_poly must be the catalogue's, and the
+    builders' generator checks (unit volume, and orthogonality of the
+    unitary lattices) and the LatticeSpec d_p,min invariant are
     re-validated on load, so a corrupted data file cannot propagate.
     """
     if name not in LATTICE_NAMES:
@@ -709,9 +705,12 @@ def load_lattice(name: str, data_dir=None) -> LatticeSpec:
         raise DomainError("lattice data file missing: %s" % path)
     with open(path) as fh:
         doc = json.load(fh)
+    record = CATALOGUE[name]
+    if (float(doc["dpmin_ref"]), doc.get("min_poly")) != (record.dpmin, list(record.min_poly)):
+        raise ConstructionError("%s: dpmin_ref or min_poly is not the catalogued one" % path)
     m = GeneratorMatrix(np.array(doc["generator"], dtype=float))
     spec = LatticeSpec(name=doc["name"], generator=m,
-                       reference_dpmin=float(doc["dpmin_ref"]),
+                       reference_dpmin=record.dpmin,
                        provenance=doc.get("provenance", "data file"))
     if spec.name != name:
         raise DomainError("data file name mismatch: %s holds %r" % (path, spec.name))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .constellation import SumReport
 from .errors import DomainError
-from .numfields import _DPMIN_REF
+from .numfields import CATALOGUE
 
 __all__ = [
     "ChannelParams",
@@ -138,6 +138,6 @@ def compare_report(reports: list[SumReport] | tuple[SumReport, ...],
         ComparisonEntry(
             rank=i + 1, lattice=r.lattice_name, m=r.m, size=r.size,
             s_value=r.s_value, probability=p,
-            dpmin=_DPMIN_REF.get(r.lattice_name))
+            dpmin=getattr(CATALOGUE.get(r.lattice_name), "dpmin", None))
         for i, (p, r) in enumerate(scored))
     return ComparisonReport(params=params, entries=entries)

@@ -249,8 +249,8 @@ def test_criterion_6_table1(verdict, lambda1, lambda2):
          "lambda2": lambda2.generator.entries})
 
     t0 = time.monotonic()
-    rep1 = table_sweep(lambda1, TABLE1_ROWS)
-    rep2 = table_sweep(lambda2, TABLE1_ROWS)
+    rep1 = table_sweep([(lambda1, TABLE1_ROWS)])
+    rep2 = table_sweep([(lambda2, TABLE1_ROWS)])
     elapsed = time.monotonic() - t0
 
     closed_bad = []
@@ -292,7 +292,7 @@ def test_criterion_7_table2(verdict, lambda3):
         ("TABLE2",), {"lambda3": lambda3.generator.entries})
 
     t0 = time.monotonic()
-    reports = table_sweep(lambda3, TABLE2_ROWS)
+    reports = table_sweep([(lambda3, TABLE2_ROWS)])
     elapsed = time.monotonic() - t0
     by_m = {r.m: r for r in reports}
 

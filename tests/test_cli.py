@@ -187,6 +187,32 @@ def test_compare_text_and_json(capsys):
     assert json.loads(out)["entries"][0]["lattice"] == "lambda2"
 
 
+def test_one_pool_per_run(capsys, opened_pools):
+    frozen = (Path(__file__).parent / "data" / "table1_full_precision.csv").read_text()
+    assert run(capsys, "sum", "--reproduce", "table1", "--full-precision",
+               "--jobs", "2") == (0, frozen, "")
+    assert run(capsys, "compare", "--lattice", "lambda1", "--lattice", "lambda2",
+               "--lattice", "lambda3", "--m", "3", "--gamma-db", "10",
+               "--jobs", "2")[0] == 0
+    assert opened_pools == [2, 2]
+
+
+@pytest.mark.parametrize("codebook", [[], ["--p-lim", "20"], ["--target-size", "300"]])
+def test_compare_worker_independence(capsys, codebook):
+    argv = ["compare", "--lattice", "lambda1", "--lattice", "lambda2",
+            "--lattice", "lambda3", "--m", "4", "--gamma-db", "10",
+            "--format", "json", *codebook]
+    one = run(capsys, *argv, "--jobs", "1")
+    assert one[0] == 0 and one == run(capsys, *argv, "--jobs", "2")
+
+
+def test_sum_large_exponent_overflows_quietly(capsys):
+    code, out, err = run(capsys, "sum", "--lattice", "lambda1", "--m", "3",
+                         "--exponent", "250")
+    assert (code, out.splitlines()[1], err) == (
+        0, "lambda1,3,inf,2401,36.00,16.00,inf", "")
+
+
 def _readme_cli_examples() -> list[tuple[list[str], str | None]]:
     """(argv, expected stdout or None) of each `latticesec` line in the
     README's CLI block; `# -> value` gives the expected output."""

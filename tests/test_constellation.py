@@ -1,8 +1,10 @@
 """Codebook enumeration and the inverse norm power sum: brute-force
 oracles, frozen regressions, invariance properties, and determinism."""
 
+import concurrent.futures
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from latticesec.constellation import (
     TABLE2_ROWS,
     SumReport,
     TableRow,
+    _pool,
     _terms,
     carve_lowest_energy,
     inverse_norm_power_sum,
@@ -340,6 +343,28 @@ def test_workers_are_bit_identical(lambda3):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_one_task_per_worker(lambda3, in_process_pool):
+    args = (lambda3.generator, 9)
+    rep = inverse_norm_power_sum(*args, p_lim=64.0, jobs=4,
+                                 pool=in_process_pool)
+    assert len(in_process_pool.tasks) == 4
+    assert sorted(z1 for task in in_process_pool.tasks for z1 in task) == list(range(10))
+    assert rep == inverse_norm_power_sum(*args, p_lim=64.0)
+
+
+def test_pool_never_outnumbers_the_cores(monkeypatch):
+    # Recorded, never started: a fork pool starts all its workers at once.
+    made = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: made.append(max_workers))
+    for cores, jobs in ((2, 64), (None, 8), (8, 3)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        _pool(jobs)
+    assert made == [2, 1, 3]
+    with _pool(1) as pool:
+        assert pool is None
+
+
 def test_diversity_failure_reported():
     # The lex-first offending word is (-1, 0) -> (-1, 0), in slice z1 = -1,
     # which the folded kernel only mirrors from slice z1 = 1.
@@ -374,7 +399,7 @@ def test_argument_validation(lambda3):
     with pytest.raises(DomainError):
         inverse_norm_power_sum(np.zeros((2, 3)), 1)
     with pytest.raises(DomainError):
-        table_sweep(lambda3, [TableRow(3, p_lim=4.0, target_size=10)])
+        table_sweep([(lambda3, [TableRow(3, p_lim=4.0, target_size=10)])])
 
 
 def test_sum_report_guards():
@@ -409,7 +434,7 @@ def test_table_row_defaults():
 
 
 def test_table_sweep_row_order(lambda3):
-    reports = table_sweep(lambda3, [TableRow(1), TableRow(2, p_lim=4.0)])
+    reports = table_sweep([(lambda3, [TableRow(1), TableRow(2, p_lim=4.0)])])
     assert [r.m for r in reports] == [1, 2]
     assert reports[0].lattice_name == "lambda3"
     assert math.isinf(reports[0].p_lim) and reports[1].p_lim == 4.0

@@ -62,7 +62,7 @@ def test_oracle_matches_program_on_small_rows(lambda1, lambda2, lambda3):
     cases = [(lambda1, TABLE1_ROWS[:3]), (lambda2, TABLE1_ROWS[:3]),
              (lambda3, [r for r in TABLE2_ROWS if r.m <= 8])]
     for spec, rows in cases:
-        for row, rep in zip(rows, table_sweep(spec, rows)):
+        for row, rep in zip(rows, table_sweep([(spec, rows)])):
             exact = exact_codebook(spec.name, row.m, row.p_lim, row.target_size)
             assert exact.size == rep.size
             for field in ("s_value", "p_max", "p_ave"):

@@ -1,6 +1,7 @@
 """Number fields, canonical embeddings, and the three shipped rotation
 matrices with their product-distance invariants."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -148,6 +149,19 @@ def test_corrupted_data_file_is_rejected(tmp_path, monkeypatch, lambda1):
     monkeypatch.setenv("LATTICESEC_DATA", str(tmp_path))
     with pytest.raises((ConstructionError, DomainError)):
         load_lattice("lambda1")
+
+
+@pytest.mark.parametrize("field", ["dpmin_ref", "min_poly"])
+def test_data_file_must_match_the_catalogue(tmp_path, monkeypatch, lambda3, field):
+    # A dpmin_ref one ulp off, or another field, is not the catalogued lattice.
+    path = save_lattice(lambda3, tmp_path)
+    doc = json.loads(path.read_text())
+    doc[field] = (math.nextafter(doc["dpmin_ref"], 1.0) if field == "dpmin_ref"
+                  else [1, 4, -4, 1, 1])
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("LATTICESEC_DATA", str(tmp_path))
+    with pytest.raises(ConstructionError):
+        load_lattice("lambda3")
 
 
 def test_missing_data_file(tmp_path, monkeypatch):

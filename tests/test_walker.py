@@ -65,6 +65,18 @@ def test_walker_keeps_every_vector_of_a_box_scan(case):
     assert want <= {tuple(v) for v in np.concatenate(slices).tolist()}
 
 
+
+@pytest.mark.parametrize("scale", [10**8, 10**9, 10**12])
+def test_numpy_integer_grams_walk_as_python_ints(scale):
+    # Products of the scaled entries overflow int64 in the exact
+    # decomposition unless they are taken as Python ints.
+    gram = np.array([[7, 3, 1], [3, 9, 2], [1, 2, 11]]) * scale
+    a, b = EllipsoidWalker(gram, 3), EllipsoidWalker(gram.tolist(), 3)
+    assert a.d == b.d and np.array_equal(a.u, b.u) and a.widen == b.widen
+    cap = 12 * scale
+    assert len(b.vectors(None, cap)) > 1
+    assert np.array_equal(a.vectors(None, cap), b.vectors(None, cap))
+
 @walker_settings
 @given(cases())
 def test_widening_follows_the_inverse_gram_diagonal(case):
