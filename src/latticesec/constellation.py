@@ -19,11 +19,11 @@ whole slices and the combination order never depends on scheduling.
 
 Slice z1 is z1*M[0] plus the block rest @ M[1:] over the rest box
 {-m..m}^(n-1); that block is built once per group of slices. A serial
-sum is one group. With jobs > 1 the slices are dealt into at most
-jobs interleaved groups, one pool task each, and one process pool, of at
-most one worker per core, serves every sum of a table_sweep. A slice
-that keeps every row is written into one buffer, reused from slice to
-slice, and reduced in place.
+sum is one group. With jobs > 1 the slices are dealt into
+min(jobs, cores, m + 1) interleaved groups, one pool task each, and one
+process pool, of at most one worker per core, serves every sum of a
+table_sweep. A slice that keeps every row is written into one buffer,
+reused from slice to slice, and reduced in place.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 Row N-1-i of the lex-ordered rest box is minus row i, so only the
@@ -134,8 +134,8 @@ def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
     return entries
 
 
-def _first_violation(absx: np.ndarray) -> tuple[int, int] | None:
-    """(row, coordinate) of the first row with a coordinate below
+def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
+    """(row, coordinate, value) of the first row with a coordinate below
     DIVERSITY_EPS, or None. The row minimum is taken column by column."""
     row_min = absx[:, 0].copy()
     for j in range(1, absx.shape[1]):
@@ -143,7 +143,8 @@ def _first_violation(absx: np.ndarray) -> tuple[int, int] | None:
     if not float(row_min.min()) < DIVERSITY_EPS:
         return None
     first = int(np.argmax(row_min < DIVERSITY_EPS))
-    return first, int(np.argmin(absx[first]))
+    coord = int(np.argmin(absx[first]))
+    return first, coord, float(absx[first, coord])
 
 
 # Terms per chunk of _exact_sum. Up to 2^26 terms of under 2^27 units each
@@ -188,14 +189,38 @@ def _exact_sum(values: np.ndarray) -> float:
 
 
 def _terms(absx: np.ndarray, exponent: int) -> np.ndarray:
-    """prod_i |x_i|^(-exponent) per row, multiplied column by column as
-    ((a0*a1)*a2)*..."""
-    terms = absx[:, 0].copy()
+    """prod_i |x_i|^(-exponent) per row: the product ((a0*a1)*a2)*...,
+    its reciprocal r, then r^exponent by left-to-right square and
+    multiply. Every step is one correctly rounded IEEE operation, so
+    the bits do not depend on the CPU's SIMD dispatch, as np.power's do."""
+    r = absx[:, 0].copy()
     for j in range(1, absx.shape[1]):
-        terms *= absx[:, j]
+        r *= absx[:, j]
+    np.divide(1.0, r, out=r)
+    out = r.copy()
     # A large exponent overflows to inf, which the exact sum passes on.
     with np.errstate(over="ignore"):
-        return np.power(terms, float(-exponent), out=terms)
+        for bit in bin(exponent)[3:]:
+            out *= out
+            if bit == "1":
+                out *= r
+    return out
+
+
+def _reduce(words: np.ndarray, norms: np.ndarray, exponent: int):
+    """(s, p_max, energy, bad) of selected nonzero words and their float
+    squared norms: the exact sums of the terms and of the norms, and the
+    largest norm. bad is (row, coordinate, |value|) of the first word
+    with a coordinate below DIVERSITY_EPS, or None; s and p_max are then
+    0.0. words is overwritten by its absolute values."""
+    energy = _exact_sum(norms)
+    if not len(norms):
+        return 0.0, 0.0, energy, None
+    absx = np.abs(words, out=words)
+    bad = _first_violation(absx)
+    if bad is not None:
+        return 0.0, 0.0, energy, bad
+    return _exact_sum(_terms(absx, exponent)), float(norms.max()), energy, None
 
 
 class _Slices:
@@ -249,22 +274,14 @@ class _Slices:
         gathered = z1 == 0 or count < len(norms)
         if gathered:
             block, norms = block[keep], norms[keep]
-        energy = _exact_sum(norms)
-        if not len(norms):
-            return count, 0.0, 0.0, energy, None
-
         # block is this slice's own: a gather, or the whole-slice buffer.
-        absx = np.abs(block, out=block)
-        bad = _first_violation(absx)
+        s_partial, p_max, energy, bad = _reduce(block, norms, self.exponent)
         if bad is not None:
-            first, coord = bad
+            first, coord, value = bad
             row = np.flatnonzero(keep)[first] if gathered else first
             rest = self.rest[row if rows is None else rows[row]]
-            bad = ((z1, *map(int, rest)), coord, float(absx[first][coord]))
-            return count, 0.0, 0.0, energy, bad
-
-        s_partial = _exact_sum(_terms(absx, self.exponent))
-        return count, s_partial, float(norms.max()), energy, None
+            bad = ((z1, *map(int, rest)), coord, value)
+        return count, s_partial, p_max, energy, bad
 
 
 def _slice_stats(M, m, p_lim, exponent, z1s) -> list:
@@ -316,22 +333,23 @@ def inverse_norm_power_sum(
     is reduced exactly, as math.fsum would, and partials are combined
     in ascending z1 order, so the result is bit-identical for any
     worker count. With jobs > 1 the slices are dealt into
-    min(jobs, m + 1) interleaved groups, one task each, which run on
-    pool, a process pool that a caller shares across sums, if given;
-    else on a pool opened for this call.
+    min(jobs, cores, m + 1) interleaved groups, one task each, which run
+    on pool, a process pool that a caller shares across sums, if given;
+    else on a pool opened for this call. One group runs in this process.
     """
     _check_box_args(m, p_lim, exponent)
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
     M = _as_matrix(gen)
     stats = partial(_slice_stats, M, m, p_lim, exponent)
-    if jobs == 1:
+    groups = min(jobs, os.cpu_count() or 1, m + 1)
+    if groups == 1:
         parts = stats(range(m + 1))
     else:
         with _pool(jobs) if pool is None else contextlib.nullcontext(pool) as pool:
-            groups = list(pool.map(stats, [range(k, m + 1, jobs)
-                                           for k in range(min(jobs, m + 1))]))
-        parts = [groups[z1 % jobs][z1 // jobs] for z1 in range(m + 1)]
+            dealt = list(pool.map(stats, [range(k, m + 1, groups)
+                                          for k in range(groups)]))
+        parts = [dealt[z1 % groups][z1 // groups] for z1 in range(m + 1)]
     parts = parts[:0:-1] + parts
     # A mirrored slice -z1 reports slice z1's violation, whose mirror
     # need not be the lex-first one there: rescan that slice.
@@ -409,18 +427,12 @@ def carve_lowest_energy(
     sel = rows[order[:target_size]]
 
     zs, xs, ns = z[sel], x[sel], norms[sel]
-    zero_row = np.all(zs == 0, axis=1)
-    absx = np.abs(xs[~zero_row])
-    if absx.size:
-        bad = _first_violation(absx)
-        if bad is not None:
-            first, coord = bad
-            raise DiversityError(tuple(map(int, zs[~zero_row][first])), coord,
-                                 float(absx[first][coord]))
-
-    s_value = _exact_sum(_terms(absx, exponent))
-    p_max = float(ns[~zero_row].max()) if absx.size else 0.0
-    p_ave = _exact_sum(ns) / target_size
+    nonzero = np.any(zs != 0, axis=1)
+    s_value, p_max, energy, bad = _reduce(xs[nonzero], ns[nonzero], exponent)
+    if bad is not None:
+        first, coord, value = bad
+        raise DiversityError(tuple(map(int, zs[nonzero][first])), coord, value)
+    p_ave = energy / target_size
     return SumReport(
         lattice_name=lattice_name, n=n, m=m, p_lim=math.inf,
         size=target_size, p_max=p_max, p_ave=p_ave, s_value=s_value,

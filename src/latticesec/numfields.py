@@ -3,38 +3,38 @@
 A totally real degree-n field K with ring of integers O embeds into R^n
 by listing all real embeddings: x -> (sigma_1(x), ..., sigma_n(x)).
 Scaling the trace form by a totally positive alpha twists the embedding
-to x -> (sqrt(sigma_j(alpha)) * sigma_j(x))_j, which can turn O (or an
-ideal) into a rotation of Z^n. Such rotations keep the minimum product
-distance d_p,min = min_x prod_i |x_i| strictly positive (full
-diversity), the property that drives fading performance.
+to x -> (sqrt(sigma_j(alpha)) * sigma_j(x))_j, whose Gram matrix on a
+basis b_i is the twisted trace form Tr(alpha b_i b_j). Such embeddings
+keep the minimum product distance d_p,min = min_x prod_i |x_i| strictly
+positive (full diversity), the property that drives fading performance.
 
-Three catalogued rank-4 unit-volume lattices are constructed here:
+Three catalogued rank-4 unit-volume lattices are constructed here, each
+by canonical_embedding of a stated basis of Z[delta] with a stated twist:
 
-  lambda1  twisted embedding of the ring of integers of the totally
-           real quartic field of discriminant 725 (x^4-x^3-3x^2+x+1),
-           rotated onto an orthonormal basis; unitary generator,
-           d_p,min = 1/sqrt(725).
+  lambda1  the ring of integers of the totally real quartic field of
+           discriminant 725 (x^4-x^3-3x^2+x+1), twisted by a totally
+           positive generator of its codifferent; trace form I, so a
+           rotation of Z^4, d_p,min = 1/sqrt(725).
   lambda2  Kronecker product of two quadratic rotations: Z[sqrt(2)]
-           twisted by 1/(4+2*sqrt(2)) and Z[(1+sqrt(5))/2] twisted by
-           3-(1+sqrt(5))/2 (trace form 5*I, rescaled); unitary,
-           d_p,min = 1/40.
+           twisted by 1/(4+2*sqrt(2)) (trace form I) and
+           Z[(1+sqrt(5))/2] twisted by 3-(1+sqrt(5))/2 (trace form 5*I,
+           rescaled); a rotation of Z^4, d_p,min = 1/40.
   lambda3  plain canonical embedding of the ring of integers of the
            maximal real subfield of the 15th cyclotomic field
            (x^4-x^3-4x^2+4x+1), volume-normalized; a skewed basis,
            d_p,min = 1/sqrt(1125).
 
-Exact rational arithmetic (via ratpoly) backs every structural step:
-trace forms, unit searches, norm-one vectors, integrality and
-unimodularity checks. Floats appear only in the final embedding values,
-with roots isolated to 1e-15 by Sturm bisection.
+CATALOGUE records each lattice's exact integer Gram under the twisted
+trace form, which canonical_embedding proves in rational arithmetic
+before it embeds and load_lattice checks data files against. Floats
+appear only in the embedding values, at roots isolated to 1e-15.
 
 The package's lattice-point enumeration lives here too, so that one
 module owns the lex layout of the coefficient box. _box is the box
 {-m..m}^k in lex order, and EllipsoidWalker enumerates the integer
 vectors of an ellipsoid z G z^T <= cap, within that box or not, one
 leading coefficient at a time. The walker serves the capped sums and
-the carve in constellation, theta_series_oracle, and the search for
-lambda1's norm-one vectors.
+the carve in constellation, and theta_series_oracle.
 """
 
 from __future__ import annotations
@@ -62,18 +62,9 @@ DEFAULT_COEFF_BOUND = 5
 # ---------------------------------------------------------------------------
 # exact arithmetic in Q[x]/(f)
 
-def _nf_reduce(a, f: ratpoly.Poly) -> ratpoly.Poly:
-    return ratpoly.divmod_poly(ratpoly.make_poly(a), f)[1]
-
 def _nf_mul(a, b, f: ratpoly.Poly) -> ratpoly.Poly:
     return ratpoly.divmod_poly(ratpoly.mul(ratpoly.make_poly(a),
                                            ratpoly.make_poly(b)), f)[1]
-
-def _nf_inv(a, f: ratpoly.Poly) -> ratpoly.Poly:
-    g, u, _ = ratpoly.extended_gcd(ratpoly.make_poly(a), f)
-    if ratpoly.degree(g) != 0:
-        raise DomainError("element is not invertible modulo the minimal polynomial")
-    return _nf_reduce(ratpoly.scale(u, 1 / g[0]), f)
 
 def _mult_matrix(a, f: ratpoly.Poly) -> list[list[Fraction]]:
     """Matrix of multiplication by a on the power basis of Q[x]/(f)."""
@@ -87,9 +78,6 @@ def _mult_matrix(a, f: ratpoly.Poly) -> list[list[Fraction]]:
 def _nf_trace(a, f: ratpoly.Poly) -> Fraction:
     m = _mult_matrix(a, f)
     return sum(m[i][i] for i in range(len(m)))
-
-def _nf_norm(a, f: ratpoly.Poly) -> Fraction:
-    return _frac_det(_mult_matrix(a, f))
 
 
 def _frac_det(mat: list[list[Fraction]]) -> Fraction:
@@ -162,6 +150,8 @@ class GeneratorMatrix:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError("generator matrix must be square")
+        if not np.isfinite(m).all():
+            raise DomainError("generator matrix entries must be finite")
         if abs(np.linalg.det(m)) == 0.0:
             raise DomainError("generator matrix must have nonzero determinant")
         m.setflags(write=False)
@@ -201,31 +191,43 @@ class LatticeSpec:
 # ---------------------------------------------------------------------------
 # operations
 
-def canonical_embedding(field_spec: NumberFieldSpec, basis) -> GeneratorMatrix:
-    """Rows (sigma_1(b_i), ..., sigma_n(b_i)) for basis elements b_i.
+def canonical_embedding(field_spec: NumberFieldSpec, basis, alpha=(1,),
+                        gram=None) -> GeneratorMatrix:
+    """Rows (sqrt(sigma_j(alpha)) * sigma_j(b_i))_j for basis elements b_i.
 
-    Basis elements are polynomial coefficient sequences in the field
-    generator (low degree first); sigma_j evaluates at the j-th real
-    root in ascending order.
+    Basis elements and the twist alpha are polynomial coefficient
+    sequences in the field generator delta (low degree first); sigma_j
+    evaluates at the j-th real root in ascending order, and alpha must
+    be totally positive. The rows' Gram matrix is the twisted trace form
+    Tr(alpha b_i b_j). Given gram, the construction is proved exactly
+    first: the b_i must be a Z-basis of Z[delta] (integer coefficients,
+    determinant +-1) and Tr(alpha b_i b_j) must equal gram, or
+    ConstructionError is raised.
     """
-    rows = []
-    for b in basis:
-        coeffs = [float(c) for c in b]
-        rows.append([_horner(coeffs, r) for r in field_spec.roots])
-    m = np.array(rows, dtype=float)
-    if m.shape[0] != field_spec.degree:
-        raise DomainError("need exactly n basis elements")
-    if abs(np.linalg.det(m)) < 1e-12:
+    n = field_spec.degree
+    coeffs = [[Fraction(c) for c in b] + [Fraction(0)] * (n - len(b)) for b in basis]
+    if len(coeffs) != n or any(len(b) != n for b in coeffs):
+        raise DomainError("need exactly n basis elements of degree below n")
+    det = _frac_det(coeffs)
+    if det == 0:
         raise DomainError(
             "basis elements are linearly dependent over the rationals")
-    return GeneratorMatrix(m)
-
-
-def _horner(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    roots = np.array(field_spec.roots)
+    twist = np.polyval([float(c) for c in reversed(alpha)], roots)
+    if not twist.min() > 0:
+        raise DomainError("twist element is not totally positive")
+    if gram is not None:
+        if abs(det) != 1 or any(c.denominator != 1 for b in coeffs for c in b):
+            raise ConstructionError("basis does not span Z[delta]")
+        f = ratpoly.make_poly(field_spec.min_poly)
+        twisted = [_nf_mul(alpha, b, f) for b in coeffs]
+        trace = [[_nf_trace(_nf_mul(a, b, f), f) for b in coeffs] for a in twisted]
+        if trace != [[Fraction(x) for x in row] for row in gram]:
+            raise ConstructionError(
+                "trace form is %s, not the stated %s"
+                % ([[str(x) for x in row] for row in trace], gram))
+    return GeneratorMatrix(np.sqrt(twist) * np.array(
+        [np.polyval([float(c) for c in reversed(b)], roots) for b in coeffs]))
 
 
 def normalize_unit_volume(m: GeneratorMatrix) -> GeneratorMatrix:
@@ -420,172 +422,60 @@ def min_product_distance(m: GeneratorMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# lambda1: quartic field of discriminant 725, rotated onto Z^4
-
-def _lambda1_alpha(f: ratpoly.Poly, roots: tuple[float, ...]) -> ratpoly.Poly:
-    """First totally positive unit multiple of 1/f'(delta).
-
-    1/f'(delta) generates the codifferent of Z[delta], so Tr(alpha*x*y)
-    is an integral unimodular form for alpha = u/f'(delta) with u a
-    unit. Units are scanned over coefficient vectors in {-2..2}^4 in
-    lexicographic order; the first u making alpha totally positive is
-    taken (the choice only permutes/reflects the resulting lattice).
-    """
-    gamma = _nf_inv(ratpoly.derivative(f), f)
-    for u in itertools.product(range(-2, 3), repeat=4):
-        # Float norm prefilter, then exact unit confirmation.
-        approx = np.prod([_horner([float(c) for c in u], r) for r in roots])
-        if abs(abs(approx) - 1.0) > 1e-6:
-            continue
-        if abs(_nf_norm([Fraction(c) for c in u], f)) != 1:
-            continue
-        alpha = _nf_mul([Fraction(c) for c in u], gamma, f)
-        embeds = [_horner([float(c) for c in alpha], r) for r in roots]
-        if all(e > 1e-9 for e in embeds):
-            return alpha
-    raise ConstructionError("no totally positive codifferent generator found")
-
-
-def _trace_gram(basis: list[ratpoly.Poly], alpha: ratpoly.Poly,
-                f: ratpoly.Poly) -> list[list[Fraction]]:
-    n = len(basis)
-    return [[_nf_trace(_nf_mul(_nf_mul(basis[i], basis[j], f), alpha, f), f)
-             for j in range(n)] for i in range(n)]
-
+# the three catalogued lattices
 
 def build_lambda1() -> LatticeSpec:
-    """Unitary rotation of Z^4 from the discriminant-725 quartic field.
+    """Rotation of Z^4 from the discriminant-725 quartic field.
 
-    Pipeline (exact until the final embedding): take the codifferent
-    twist alpha, whose trace form on Z[delta] is integral of
-    determinant 1; enumerate the norm-one vectors of that form; they
-    contain an orthonormal basis, which re-expresses the twisted
-    embedding as a unitary generator matrix.
+    The twist alpha = (47 + 34 delta + 2 delta^2 - 13 delta^3)/145 is
+    u/f'(delta) for the unit u = delta^3 - delta^2 - 2 delta, so it
+    generates the codifferent of Z[delta], and it is totally positive.
+    On the stated basis of Z[delta] its trace form is exactly I, which
+    canonical_embedding proves, so the twisted embedding is a rotation.
     """
-    field_spec = number_field(CATALOGUE["lambda1"].min_poly)
-    f = ratpoly.make_poly(field_spec.min_poly)
-    alpha = _lambda1_alpha(f, field_spec.roots)
-
-    power_basis = [ratpoly.make_poly([0] * i + [1]) for i in range(4)]
-    gram = _trace_gram(power_basis, alpha, f)
-    for row in gram:
-        for x in row:
-            if x.denominator != 1:
-                raise ConstructionError("trace form is not integral")
-    if _frac_det(gram) != 1:
-        raise ConstructionError("trace form is not unimodular")
-
-    ones = [v for v in map(tuple, EllipsoidWalker(gram).vectors(None, 1).tolist())
-            if sum(gram[i][j] * v[i] * v[j]
-                   for i in range(4) for j in range(4)) == 1]
-    # Keep one representative per +-pair (first nonzero coefficient
-    # positive), lexicographically sorted: a deterministic basis.
-    reps = sorted(v for v in ones
-                  if next(c for c in v if c != 0) > 0)
-    if len(reps) != 4:
-        raise ConstructionError(
-            "expected 4 norm-one vector pairs, found %d" % len(reps))
-    for i in range(4):
-        for j in range(i):
-            inner = sum(gram[a][b] * reps[i][a] * reps[j][b]
-                        for a in range(4) for b in range(4))
-            if inner != 0:
-                raise ConstructionError("norm-one vectors are not orthogonal")
-
-    sqrt_alpha = [math.sqrt(_horner([float(c) for c in alpha], r))
-                  for r in field_spec.roots]
-    rows = []
-    for v in reps:
-        coeffs = [float(c) for c in v]
-        rows.append([s * _horner(coeffs, r)
-                     for s, r in zip(sqrt_alpha, field_spec.roots)])
-    m = GeneratorMatrix(np.array(rows))
+    record = CATALOGUE["lambda1"]
+    m = canonical_embedding(
+        number_field(record.min_poly),
+        ((0, 1, 0, 0), (1, -2, -1, 1), (1, 0, -1, 0), (1, 0, 0, 0)),
+        alpha=(Fraction(47, 145), Fraction(34, 145), Fraction(2, 145),
+               Fraction(-13, 145)),
+        gram=record.gram)
     return _validated("lambda1", m,
                       "twisted canonical embedding of the ring of integers "
                       "of the totally real quartic field x^4-x^3-3x^2+x+1 "
                       "(discriminant 725), rotated onto an orthonormal basis")
 
 
-# ---------------------------------------------------------------------------
-# lambda2: Kronecker product of two quadratic rotations
-
-def _rotated_z2(min_poly, basis, alpha, expect_gram_scale: int) -> GeneratorMatrix:
-    """Twisted embedding of a quadratic ring, checked exactly.
-
-    The trace form Tr(alpha * b_i * b_j) must equal expect_gram_scale
-    times the identity; the embedding is then rescaled to a unitary
-    2x2 generator.
-    """
-    f = ratpoly.make_poly(min_poly)
-    field_spec = number_field(min_poly)
-    basis = [ratpoly.make_poly([Fraction(c) for c in b]) for b in basis]
-    alpha = ratpoly.make_poly([Fraction(c) for c in alpha])
-
-    gram = _trace_gram(basis, alpha, f)
-    expected = [[Fraction(expect_gram_scale * int(i == j)) for j in range(2)]
-                for i in range(2)]
-    if gram != expected:
-        raise ConstructionError(
-            "quadratic block trace form is %s, expected %s * I"
-            % (gram, expect_gram_scale))
-
-    embeds = [_horner([float(c) for c in alpha], r) for r in field_spec.roots]
-    if min(embeds) <= 0:
-        raise ConstructionError("twist element is not totally positive")
-    rows = []
-    for b in basis:
-        coeffs = [float(c) for c in b]
-        rows.append([
-            math.sqrt(e) * _horner(coeffs, r)
-            for e, r in zip(embeds, field_spec.roots)
-        ])
-    return GeneratorMatrix(np.array(rows) / math.sqrt(expect_gram_scale))
-
-
 def build_lambda2() -> LatticeSpec:
     """Kronecker product of the two catalogued quadratic rotations.
 
     Block A: Z[sqrt(2)] with basis {1, 1+sqrt(2)} twisted by
-    alpha1 = 1/(4+2*sqrt(2)) (trace form exactly I). Block B: the
-    golden ring Z[theta], theta = (1+sqrt(5))/2, basis {1, theta},
-    twisted by alpha2 = 3-theta (trace form exactly 5*I, rescaled by
-    1/sqrt(5)). Both blocks are unitary, so their Kronecker product is
-    a unitary rank-4 generator.
+    alpha1 = 1/(4+2*sqrt(2)) = 1/2 - sqrt(2)/4 (trace form exactly I).
+    Block B: the golden ring Z[theta], theta = (1+sqrt(5))/2, basis
+    {1, theta}, twisted by alpha2 = 3-theta (trace form exactly 5*I,
+    rescaled by 1/sqrt(5)). Both blocks are rotations of Z^2, so their
+    Kronecker product is a rotation of Z^4.
     """
-    # alpha1 = 1/(4+2*sqrt(2)) = 1/2 - sqrt(2)/4 as an element of Q(sqrt(2))
-    block_a = _rotated_z2(
-        min_poly=(-2, 0, 1),
-        basis=((1,), (1, 1)),
-        alpha=(Fraction(1, 2), Fraction(-1, 4)),
-        expect_gram_scale=1,
-    )
-    # theta has minimal polynomial x^2 - x - 1; alpha2 = 3 - theta
-    block_b = _rotated_z2(
-        min_poly=(-1, -1, 1),
-        basis=((1,), (0, 1)),
-        alpha=(3, -1),
-        expect_gram_scale=5,
-    )
-    m = GeneratorMatrix(np.kron(block_a.entries, block_b.entries))
+    block_a = canonical_embedding(
+        number_field((-2, 0, 1)), ((1,), (1, 1)),
+        alpha=(Fraction(1, 2), Fraction(-1, 4)), gram=((1, 0), (0, 1)))
+    block_b = canonical_embedding(
+        number_field((-1, -1, 1)), ((1,), (0, 1)),
+        alpha=(3, -1), gram=((5, 0), (0, 5)))
+    m = GeneratorMatrix(np.kron(block_a.entries,
+                                block_b.entries / math.sqrt(5)))
     return _validated("lambda2", m,
                       "Kronecker product of the twisted embeddings of "
                       "Z[sqrt(2)] (twist 1/(4+2*sqrt(2))) and of the golden "
                       "ring Z[(1+sqrt(5))/2] (twist 3-(1+sqrt(5))/2)")
 
 
-# ---------------------------------------------------------------------------
-# lambda3: maximal real subfield of the 15th cyclotomic field
-
 def build_lambda3() -> LatticeSpec:
     """Unit-volume canonical embedding of Z[2cos(2pi/15)] (skewed)."""
     record = CATALOGUE["lambda3"]
-    field_spec = number_field(record.min_poly)
-    power_basis = [[0] * i + [1] for i in range(4)]
-    raw = canonical_embedding(field_spec, power_basis)
-    if abs(abs(raw.det) - math.sqrt(record.disc)) > 1e-9 * math.sqrt(record.disc):
-        raise ConstructionError(
-            "raw embedding determinant %.12g deviates from sqrt(%d)"
-            % (raw.det, record.disc))
+    raw = canonical_embedding(number_field(record.min_poly),
+                              [[0] * i + [1] for i in range(4)],
+                              gram=record.gram)
     m = normalize_unit_volume(raw)
     return _validated("lambda3", m,
                       "canonical embedding of the ring of integers of the "
@@ -596,55 +486,71 @@ def build_lambda3() -> LatticeSpec:
 
 class CataloguedLattice(NamedTuple):
     """One catalogued lattice: its builder, its field's minimal polynomial
-    and discriminant D (d_p,min = D^(-1/2)), and whether it is unitary."""
+    and discriminant D (d_p,min = D^(-1/2)), and the exact integer Gram
+    of its basis under the twisted trace form. The lattice's own Gram,
+    at unit volume, is that matrix scaled to determinant 1."""
 
     build: Callable[[], LatticeSpec]
     min_poly: tuple[int, ...]
     disc: int
-    unitary: bool
+    gram: tuple[tuple[int, ...], ...]
 
     @property
     def dpmin(self) -> float:
         return 1.0 / math.sqrt(self.disc)
 
+    def unit_gram(self) -> np.ndarray:
+        det = _frac_det([[Fraction(x) for x in row] for row in self.gram])
+        return np.array(self.gram, dtype=float) / float(det) ** (1.0 / len(self.gram))
+
+
+_I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 CATALOGUE = {
     # 1 + x - 3x^2 - x^3 + x^4
-    "lambda1": CataloguedLattice(build_lambda1, (1, 1, -3, -1, 1), 725, True),
+    "lambda1": CataloguedLattice(build_lambda1, (1, 1, -3, -1, 1), 725, _I4),
     # minimal polynomial of sqrt(2) + (1+sqrt(5))/2, a primitive
     # element of the compositum the Kronecker construction lives in
-    "lambda2": CataloguedLattice(build_lambda2, (-1, 6, -5, -2, 1), 40 ** 2, True),
-    # 1 + 4x - 4x^2 - x^3 + x^4
-    "lambda3": CataloguedLattice(build_lambda3, (1, 4, -4, -1, 1), 1125, False),
+    "lambda2": CataloguedLattice(build_lambda2, (-1, 6, -5, -2, 1), 40 ** 2, _I4),
+    # 1 + 4x - 4x^2 - x^3 + x^4; the trace form on the power basis
+    "lambda3": CataloguedLattice(build_lambda3, (1, 4, -4, -1, 1), 1125,
+                                 ((4, 1, 9, 1), (1, 9, 1, 29), (9, 1, 29, -4),
+                                  (1, 29, -4, 99))),
 }
 
 LATTICE_NAMES = tuple(CATALOGUE)
 
 
-def _check_generator(name: str, m: GeneratorMatrix) -> None:
-    """Unit volume for every lattice, and orthogonality for the unitary ones."""
-    if abs(abs(m.det) - 1.0) > DET_TOL:
+def _validated(name: str, m: GeneratorMatrix, provenance: str) -> LatticeSpec:
+    """The catalogued lattice name with generator m, after checking unit
+    volume and that M M^T is the catalogued Gram scaled to determinant 1
+    within UNITARITY_TOL (for lambda1 and lambda2, orthogonality).
+    LatticeSpec's constructor enforces the d_p,min invariant."""
+    want = CATALOGUE[name].unit_gram()
+    if m.n != len(want):
+        raise ConstructionError("%s: generator is %dx%d, not %dx%d"
+                                % (name, m.n, m.n, len(want), len(want)))
+    if not abs(abs(m.det) - 1.0) <= DET_TOL:
         raise ConstructionError(
             "%s: |det| = %.17g is not 1 within 1e-12" % (name, abs(m.det)))
-    if CATALOGUE[name].unitary and m.unitarity_defect() > UNITARITY_TOL:
+    defect = float(np.max(np.abs(m.entries @ m.entries.T - want)))
+    if not defect <= UNITARITY_TOL:
         raise ConstructionError(
-            "%s: unitarity defect %.3e exceeds 1e-9"
-            % (name, m.unitarity_defect()))
-
-
-def _validated(name: str, m: GeneratorMatrix, provenance: str) -> LatticeSpec:
-    _check_generator(name, m)
-    # LatticeSpec's constructor enforces the d_p,min invariant.
+            "%s: Gram defect %.3e exceeds 1e-9" % (name, defect))
     return LatticeSpec(name=name, generator=m,
                        reference_dpmin=CATALOGUE[name].dpmin,
                        provenance=provenance)
 
 
-def build_lattice(name: str) -> LatticeSpec:
+def _record(name: str) -> CataloguedLattice:
     if name not in CATALOGUE:
         raise DomainError("unknown lattice %r; choose from %s"
                           % (name, "/".join(LATTICE_NAMES)))
-    return CATALOGUE[name].build()
+    return CATALOGUE[name]
+
+
+def build_lattice(name: str) -> LatticeSpec:
+    return _record(name).build()
 
 
 # ---------------------------------------------------------------------------
@@ -692,27 +598,27 @@ def load_lattice(name: str, data_dir=None) -> LatticeSpec:
     """Load a shipped lattice; LATTICESEC_DATA overrides the data dir.
 
     The file's dpmin_ref and min_poly must be the catalogue's, and the
-    builders' generator checks (unit volume, and orthogonality of the
-    unitary lattices) and the LatticeSpec d_p,min invariant are
-    re-validated on load, so a corrupted data file cannot propagate.
+    builders' generator checks (unit volume, and the catalogued Gram)
+    and the LatticeSpec d_p,min invariant are re-validated on load, so
+    a corrupted data file cannot propagate. A missing file raises
+    DomainError; a file that is not such a record, ConstructionError.
     """
-    if name not in LATTICE_NAMES:
-        raise DomainError("unknown lattice %r; choose from %s"
-                          % (name, "/".join(LATTICE_NAMES)))
+    record = _record(name)
     base = Path(data_dir) if data_dir is not None else default_data_dir()
     path = base / ("%s.json" % name)
     if not path.exists():
         raise DomainError("lattice data file missing: %s" % path)
-    with open(path) as fh:
-        doc = json.load(fh)
-    record = CATALOGUE[name]
-    if (float(doc["dpmin_ref"]), doc.get("min_poly")) != (record.dpmin, list(record.min_poly)):
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        m = GeneratorMatrix(np.array(doc["generator"], dtype=float))
+        stated = (float(doc["dpmin_ref"]), doc.get("min_poly"))
+        held = doc["name"]
+    except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
+        raise ConstructionError("%s: malformed lattice data file (%s: %s)"
+                                % (path, type(exc).__name__, exc)) from None
+    if stated != (record.dpmin, list(record.min_poly)):
         raise ConstructionError("%s: dpmin_ref or min_poly is not the catalogued one" % path)
-    m = GeneratorMatrix(np.array(doc["generator"], dtype=float))
-    spec = LatticeSpec(name=doc["name"], generator=m,
-                       reference_dpmin=record.dpmin,
-                       provenance=doc.get("provenance", "data file"))
-    if spec.name != name:
-        raise DomainError("data file name mismatch: %s holds %r" % (path, spec.name))
-    _check_generator(name, m)
-    return spec
+    if held != name:
+        raise DomainError("data file name mismatch: %s holds %r" % (path, held))
+    return _validated(name, m, doc.get("provenance", "data file"))

@@ -106,28 +106,6 @@ def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return make_poly(q), make_poly(r)
 
 
-def monic(p: Poly) -> Poly:
-    if not p:
-        return p
-    return scale(p, 1 / p[-1])
-
-
-def extended_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g = monic gcd(a, b)."""
-    r0, r1 = a, b
-    u0, u1 = make_poly([1]), ()
-    v0, v1 = (), make_poly([1])
-    while r1:
-        q, r = divmod_poly(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub(u0, mul(q, u1))
-        v0, v1 = v1, sub(v0, mul(q, v1))
-    if r0:
-        lead = r0[-1]
-        r0, u0, v0 = monic(r0), scale(u0, 1 / lead), scale(v0, 1 / lead)
-    return r0, u0, v0
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
     """Standard Sturm sequence p, p', and negated remainders."""
     chain = [p, derivative(p)]

@@ -22,7 +22,9 @@ grouped by |N|, and ball membership and carve order are decided on
 integers. The only float steps are the final scalings by D^(3/2) and by
 1125^(-1/4). Nothing here reads the program's generator matrices
 except anchor_defect, which checks that both describe the same lattice
-in the same coefficient coordinates.
+in the same coefficient coordinates. nf_norm, the Fraction field norm
+that the det4 norms are checked against, reuses the program's exact
+multiplication matrices and determinant.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+
+from latticesec import ratpoly
+from latticesec.numfields import _frac_det, _mult_matrix
 
 # Largest |entry| for which a 4x4 integer determinant (24 products of
 # four entries) cannot overflow int64.
@@ -74,6 +79,12 @@ def det4(a: np.ndarray) -> np.ndarray:
             k, l = (c for c in range(4) if c not in (i, j))
             total += (-1) ** (1 + i + j) * minor(0, i, j) * minor(2, k, l)
     return total
+
+
+def nf_norm(a, f: ratpoly.Poly) -> Fraction:
+    """Exact norm of a = sum a_i delta^i in Q[x]/(f): the determinant of
+    multiplication by a."""
+    return _frac_det(_mult_matrix(a, f))
 
 
 def _power_basis_norms(min_poly, basis):

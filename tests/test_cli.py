@@ -268,3 +268,42 @@ def test_data_dir_override_and_corruption(capsys, tmp_path, monkeypatch, lambda2
     # missing files are a usage-level problem
     code, _, _ = run(capsys, "sum", "--lattice", "lambda1", "--m", "1")
     assert code == 2
+
+
+def _truncated(text):
+    return text[:len(text) // 2]
+
+
+def _without_generator(text):
+    doc = json.loads(text)
+    del doc["generator"]
+    return json.dumps(doc)
+
+
+def _non_numeric_entry(text):
+    doc = json.loads(text)
+    doc["generator"][1][2] = "x"
+    return json.dumps(doc)
+
+
+def _nan_entry(text):
+    doc = json.loads(text)
+    doc["generator"][0][0] = float("nan")
+    return json.dumps(doc)
+
+
+def _non_square(text):
+    doc = json.loads(text)
+    doc["generator"] = [row[:3] for row in doc["generator"]]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("damage", [_truncated, _without_generator,
+                                    _non_numeric_entry, _nan_entry, _non_square])
+def test_malformed_data_file_exits_3(capsys, tmp_path, monkeypatch, lambda2, damage):
+    path = save_lattice(lambda2, tmp_path)
+    path.write_text(damage(path.read_text()))
+    monkeypatch.setenv("LATTICESEC_DATA", str(tmp_path))
+    code, out, err = run(capsys, "sum", "--lattice", "lambda2", "--m", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: %s: malformed lattice data file" % path)

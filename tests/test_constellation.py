@@ -172,6 +172,18 @@ def test_carve_against_direct_selection(lambda3):
             sum(q for q, _, _ in chosen) / target, rel=1e-12)
 
 
+def _inverse_power(prods, exponent):
+    """The kernel's term formula on row products: the reciprocal r, then
+    r^exponent by left-to-right square and multiply."""
+    r = 1.0 / prods
+    out = r
+    for bit in bin(exponent)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * r
+    return out
+
+
 def _unfolded_sum(M, m, p_lim, exponent=3):
     """(size, p_max, p_ave, S) from all 2m+1 slices, one matmul each."""
     n = M.shape[0]
@@ -186,7 +198,7 @@ def _unfolded_sum(M, m, p_lim, exponent=3):
         size += int(np.count_nonzero(keep))
         energy_parts.append(math.fsum(norms[keep]))
         if np.any(nonzero):
-            terms = np.prod(np.abs(block[nonzero]), axis=1) ** float(-exponent)
+            terms = _inverse_power(np.prod(np.abs(block[nonzero]), axis=1), exponent)
             s_parts.append(math.fsum(terms))
             p_max = max(p_max, float(norms[nonzero].max()))
     return size, p_max, math.fsum(energy_parts) / size, math.fsum(s_parts)
@@ -252,7 +264,7 @@ def _direct_carve(M, m, target):
     sel = np.lexsort(tuple(z[:, j] for j in reversed(range(n))) + (norms,))
     sel = sel[:target]
     nonzero = np.any(z[sel] != 0, axis=1)
-    terms = np.prod(np.abs(x[sel][nonzero]), axis=1) ** -3.0
+    terms = _inverse_power(np.prod(np.abs(x[sel][nonzero]), axis=1), 3)
     p_max = float(norms[sel][nonzero].max()) if nonzero.any() else 0.0
     return target, p_max, math.fsum(norms[sel]) / target, math.fsum(terms)
 
@@ -281,7 +293,7 @@ def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
         absx = np.abs(np.delete(x, len(x) // 2, axis=0))
         for exponent in (2, 3):
             assert np.array_equal(_terms(absx, exponent),
-                                  np.prod(absx, axis=1) ** float(-exponent))
+                                  _inverse_power(np.prod(absx, axis=1), exponent))
 
 
 def test_capped_diversity_failure_names_the_lex_first_word():
@@ -343,13 +355,18 @@ def test_workers_are_bit_identical(lambda3):
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_one_task_per_worker(lambda3, in_process_pool):
+def test_one_task_per_worker(lambda3, in_process_pool, monkeypatch):
+    # One task per group, and no more groups than cores: each slice's
+    # statistics do not depend on its group, so the report stays.
     args = (lambda3.generator, 9)
-    rep = inverse_norm_power_sum(*args, p_lim=64.0, jobs=4,
-                                 pool=in_process_pool)
-    assert len(in_process_pool.tasks) == 4
-    assert sorted(z1 for task in in_process_pool.tasks for z1 in task) == list(range(10))
-    assert rep == inverse_norm_power_sum(*args, p_lim=64.0)
+    for cores, jobs, groups in ((8, 4, 4), (2, 8, 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        in_process_pool.tasks.clear()
+        rep = inverse_norm_power_sum(*args, p_lim=64.0, jobs=jobs,
+                                     pool=in_process_pool)
+        assert len(in_process_pool.tasks) == groups
+        assert sorted(z1 for task in in_process_pool.tasks for z1 in task) == list(range(10))
+        assert rep == inverse_norm_power_sum(*args, p_lim=64.0)
 
 
 def test_pool_never_outnumbers_the_cores(monkeypatch):

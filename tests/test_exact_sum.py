@@ -1,9 +1,13 @@
-"""The exact slice sum against math.fsum, bit for bit.
+"""The per-word terms and the exact slice sum, bit for bit.
 
 constellation._exact_sum bins integer mantissa parts by exponent and
 rounds once; math.fsum is the independent oracle. Values are drawn
 over the whole double range, with zeros, subnormals, both signs,
 infinities and NaNs, and totals past the largest double.
+
+constellation._terms must give, bit for bit, what the same IEEE
+operations give row by row in Python floats, so that no SIMD kernel's
+rounding can reach the sums.
 """
 
 import math
@@ -86,3 +90,30 @@ def test_chunked_sums_match_fsum(values):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(constellation, "_CHUNK", 7)
         _assert_matches_fsum(values)
+
+
+def _term(row, exponent):
+    """prod |a_i|^-exponent of one row in Python floats: the product left
+    to right, its reciprocal, then square and multiply from the top bit."""
+    p = row[0]
+    for a in row[1:]:
+        p *= a
+    r = 1.0 / p
+    out = r
+    for bit in bin(exponent)[3:]:
+        out *= out
+        if bit == "1":
+            out *= r
+    return out
+
+
+coordinates = st.floats(min_value=1e-12, max_value=1e12)
+
+
+@oracle_settings
+@given(st.integers(1, 5).flatmap(lambda k: st.lists(
+           st.lists(coordinates, min_size=k, max_size=k), min_size=1, max_size=40)),
+       st.integers(1, 12) | st.just(250))
+def test_terms_match_a_per_row_python_reference(rows, exponent):
+    got = constellation._terms(np.array(rows), exponent)
+    assert got.tobytes() == np.array([_term(row, exponent) for row in rows]).tobytes()

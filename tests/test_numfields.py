@@ -15,7 +15,6 @@ from latticesec.numfields import (
     GeneratorMatrix,
     LatticeSpec,
     LATTICE_NAMES,
-    _nf_norm,
     build_lattice,
     canonical_embedding,
     default_data_dir,
@@ -25,6 +24,7 @@ from latticesec.numfields import (
     number_field,
     save_lattice,
 )
+from norm_oracle import nf_norm
 
 L1_POLY = (1, 1, -3, -1, 1)
 
@@ -55,6 +55,22 @@ def test_canonical_embedding_rows():
         canonical_embedding(field, [(1, 0), (2, 0)])
 
 
+def test_twisted_embedding_proves_its_gram():
+    # Z[sqrt(2)] twisted by 1/(4+2*sqrt(2)) on {1, 1+sqrt(2)} has trace form I.
+    field = number_field((-2, 0, 1))
+    basis, alpha = ((1,), (1, 1)), (Fraction(1, 2), Fraction(-1, 4))
+    gen = canonical_embedding(field, basis, alpha=alpha, gram=((1, 0), (0, 1)))
+    assert gen.unitarity_defect() <= 1e-15
+    with pytest.raises(ConstructionError, match="trace form"):  # a wrong Gram
+        canonical_embedding(field, basis, alpha=alpha, gram=((2, 0), (0, 1)))
+    with pytest.raises(ConstructionError, match="span"):  # 2 Z[sqrt(2)], same form
+        canonical_embedding(field, ((2,), (2, 2)),
+                            alpha=(Fraction(1, 8), Fraction(-1, 16)),
+                            gram=((1, 0), (0, 1)))
+    with pytest.raises(DomainError, match="totally positive"):  # 1 - 2 sqrt(2) < 0
+        canonical_embedding(field, basis, alpha=(1, 2), gram=((2, 10), (10, 22)))
+
+
 def test_norm_identity_on_random_elements():
     field = number_field(L1_POLY)
     f = ratpoly.make_poly(L1_POLY)
@@ -62,7 +78,7 @@ def test_norm_identity_on_random_elements():
     for _ in range(20):
         elem = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                      for _ in range(4))
-        exact = _nf_norm(list(elem), f)
+        exact = nf_norm(list(elem), f)
         product = math.prod(sum(float(c) * r ** i for i, c in enumerate(elem))
                             for r in field.roots)
         assert product == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
@@ -151,13 +167,18 @@ def test_corrupted_data_file_is_rejected(tmp_path, monkeypatch, lambda1):
         load_lattice("lambda1")
 
 
-@pytest.mark.parametrize("field", ["dpmin_ref", "min_poly"])
+@pytest.mark.parametrize("field", ["dpmin_ref", "min_poly", "generator"])
 def test_data_file_must_match_the_catalogue(tmp_path, monkeypatch, lambda3, field):
-    # A dpmin_ref one ulp off, or another field, is not the catalogued lattice.
+    # A dpmin_ref one ulp off, another field, or the basis rebased by
+    # row 0 += row 1 (the same lattice, volume and d_p,min, but another
+    # coefficient box, which only the Gram tells apart) is not the
+    # catalogued lattice.
     path = save_lattice(lambda3, tmp_path)
     doc = json.loads(path.read_text())
-    doc[field] = (math.nextafter(doc["dpmin_ref"], 1.0) if field == "dpmin_ref"
-                  else [1, 4, -4, 1, 1])
+    gen = doc["generator"]
+    doc[field] = {"dpmin_ref": math.nextafter(doc["dpmin_ref"], 1.0),
+                  "min_poly": [1, 4, -4, 1, 1],
+                  "generator": [[a + b for a, b in zip(*gen[:2])]] + gen[1:]}[field]
     path.write_text(json.dumps(doc))
     monkeypatch.setenv("LATTICESEC_DATA", str(tmp_path))
     with pytest.raises(ConstructionError):
