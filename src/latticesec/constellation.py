@@ -14,16 +14,15 @@ rounded once. _exact_sum does that with integer mantissa parts binned
 by exponent and returns the bits math.fsum would, without a Python
 float per term. The per-slice partials are combined with math.fsum in
 fixed ascending order of the leading coefficient. That also makes
-multi-worker runs bit-identical to single-worker runs: workers own
-whole slices and the combination order never depends on scheduling.
+runs bit-identical for any thread count: threads compute whole slices
+and the combination order never depends on scheduling.
 
 Slice z1 is z1*M[0] plus the block rest @ M[1:] over the rest box
-{-m..m}^(n-1); that block is built once per group of slices. A serial
-sum is one group. With jobs > 1 the slices are dealt into
-min(jobs, cores, m + 1) interleaved groups, one pool task each, and one
-process pool, of at most one worker per core, serves every sum of a
-table_sweep. A slice that keeps every row is written into one buffer,
-reused from slice to slice, and reduced in place.
+{-m..m}^(n-1); that block is built once per sum. With jobs > 1 the
+slices are mapped, in order, over min(jobs, cores, m + 1) threads that
+share it; numpy releases the GIL in the whole-slice work. A slice that
+keeps every row is written into its thread's buffer, reused from slice
+to slice, and reduced in place.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 Row N-1-i of the lex-ordered rest box is minus row i, so only the
@@ -68,11 +67,10 @@ orthogonal-box values n*m*(m+1)/3 exactly.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
+import threading
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -229,7 +227,9 @@ class _Slices:
     Slice z1 holds the words z1*M[0] + r @ M[1:] for the rows r of the
     rest box {-m..m}^(n-1) that the walker visits. The product
     rest @ M[1:] is the same for every slice, so it is built once, and
-    whole slices are written into one buffer, one after the other.
+    whole slices are written into one buffer per thread, one after the
+    other. Everything else is only read after __init__, so threads may
+    share one _Slices.
     """
 
     def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
@@ -241,16 +241,18 @@ class _Slices:
         self.shared = np.empty((len(self.rest), M.shape[1]))
         np.matmul(self.rest[self.zero:], M[1:], out=self.shared[self.zero:])
         np.negative(self.shared[:self.zero:-1], out=self.shared[:self.zero])
-        self.whole = np.empty_like(self.shared)
+        self.local = threading.local()
         self.walker = EllipsoidWalker(M @ M.T, m)
 
     def words(self, z1: int) -> tuple[np.ndarray | None, np.ndarray]:
         """(rows, words) of slice z1 that may lie in the ball, in lex
         order; rows None stands for the whole rest box, whose words
-        overwrite those of the previous whole slice."""
+        overwrite those of this thread's previous whole slice."""
         rows = self.walker.rows(z1, self.p_lim)
         if rows is None:
-            return None, np.add(self.shared, z1 * self.M[0], out=self.whole)
+            if not hasattr(self.local, "whole"):
+                self.local.whole = np.empty_like(self.shared)
+            return None, np.add(self.shared, z1 * self.M[0], out=self.local.whole)
         block = self.shared[rows]
         block += z1 * self.M[0]
         return rows, block
@@ -284,20 +286,9 @@ class _Slices:
         return count, s_partial, p_max, energy, bad
 
 
-def _slice_stats(M, m, p_lim, exponent, z1s) -> list:
-    """Statistics of the slices z1s, in order, from one _Slices."""
-    slices = _Slices(M, m, p_lim, exponent)
-    return [slices.stats(z1) for z1 in z1s]
-
-
-def _pool(jobs: int):
-    """A process pool of min(jobs, cores) workers, or for jobs = 1 a
-    context yielding None."""
-    if not jobs > 1:
-        return contextlib.nullcontext()
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+def _check_jobs(jobs) -> None:
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise DomainError("jobs must be a positive integer")
 
 
 def _combine(parts, lattice_name, n, m, p_lim, exponent):
@@ -323,8 +314,6 @@ def inverse_norm_power_sum(
     exponent: int = 3,
     jobs: int = 1,
     lattice_name: str = "",
-    *,
-    pool=None,
 ) -> SumReport:
     """S over the box-and-ball codebook, with energy statistics.
 
@@ -332,30 +321,28 @@ def inverse_norm_power_sum(
     z1 >= 0 are computed, since slice -z1 mirrors slice z1; each slice
     is reduced exactly, as math.fsum would, and partials are combined
     in ascending z1 order, so the result is bit-identical for any
-    worker count. With jobs > 1 the slices are dealt into
-    min(jobs, cores, m + 1) interleaved groups, one task each, which run
-    on pool, a process pool that a caller shares across sums, if given;
-    else on a pool opened for this call. One group runs in this process.
+    thread count. With jobs > 1 the slices are mapped over
+    min(jobs, cores, m + 1) threads sharing one _Slices.
     """
     _check_box_args(m, p_lim, exponent)
-    if jobs < 1:
-        raise DomainError("jobs must be >= 1")
+    _check_jobs(jobs)
     M = _as_matrix(gen)
-    stats = partial(_slice_stats, M, m, p_lim, exponent)
-    groups = min(jobs, os.cpu_count() or 1, m + 1)
-    if groups == 1:
-        parts = stats(range(m + 1))
+    slices = _Slices(M, m, p_lim, exponent)
+    workers = min(jobs, os.cpu_count() or 1, m + 1)
+    if workers == 1:
+        parts = [slices.stats(z1) for z1 in range(m + 1)]
     else:
-        with _pool(jobs) if pool is None else contextlib.nullcontext(pool) as pool:
-            dealt = list(pool.map(stats, [range(k, m + 1, groups)
-                                          for k in range(groups)]))
-        parts = [dealt[z1 % groups][z1 // groups] for z1 in range(m + 1)]
+        # Imported here, so that serial runs do not pay for the import.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            parts = list(ex.map(slices.stats, range(m + 1)))
     parts = parts[:0:-1] + parts
     # A mirrored slice -z1 reports slice z1's violation, whose mirror
     # need not be the lex-first one there: rescan that slice.
     first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), m)
     if first_bad < m:
-        parts[first_bad] = stats([first_bad - m])[0]
+        parts[first_bad] = slices.stats(first_bad - m)
     return _combine(parts, lattice_name, M.shape[0], m, p_lim, exponent)
 
 
@@ -443,20 +430,20 @@ def table_sweep(sweeps, exponent: int = 3, jobs: int = 1) -> list[SumReport]:
     """One SumReport per TableRow of each (LatticeSpec, rows) pair of
     sweeps, computed independently, in order.
 
-    With jobs > 1 one process pool serves every sum of every sweep;
-    carves run in this process."""
+    Each sum maps its slices over up to jobs threads; carves run in
+    this thread."""
+    _check_jobs(jobs)
     out = []
-    with _pool(jobs) as pool:
-        for lattice, rows in sweeps:
-            for row in rows:
-                if row.target_size is not None:
-                    out.append(carve_lowest_energy(
-                        lattice.generator, row.m, row.target_size,
-                        exponent=exponent, lattice_name=lattice.name))
-                else:
-                    out.append(inverse_norm_power_sum(
-                        lattice.generator, row.m, row.p_lim, exponent=exponent,
-                        jobs=jobs, lattice_name=lattice.name, pool=pool))
+    for lattice, rows in sweeps:
+        for row in rows:
+            if row.target_size is not None:
+                out.append(carve_lowest_energy(
+                    lattice.generator, row.m, row.target_size,
+                    exponent=exponent, lattice_name=lattice.name))
+            else:
+                out.append(inverse_norm_power_sum(
+                    lattice.generator, row.m, row.p_lim, exponent=exponent,
+                    jobs=jobs, lattice_name=lattice.name))
     return out
 
 

@@ -597,10 +597,10 @@ def save_lattice(spec: LatticeSpec, data_dir=None) -> Path:
 def load_lattice(name: str, data_dir=None) -> LatticeSpec:
     """Load a shipped lattice; LATTICESEC_DATA overrides the data dir.
 
-    The file's dpmin_ref and min_poly must be the catalogue's, and the
-    builders' generator checks (unit volume, and the catalogued Gram)
-    and the LatticeSpec d_p,min invariant are re-validated on load, so
-    a corrupted data file cannot propagate. A missing file raises
+    The file's name, dpmin_ref and min_poly must be the catalogue's,
+    and the builders' generator checks (unit volume, and the catalogued
+    Gram) and the LatticeSpec d_p,min invariant are re-validated on
+    load, so a corrupted data file cannot propagate. A missing file raises
     DomainError; a file that is not such a record, ConstructionError.
     """
     record = _record(name)
@@ -612,13 +612,11 @@ def load_lattice(name: str, data_dir=None) -> LatticeSpec:
         with open(path) as fh:
             doc = json.load(fh)
         m = GeneratorMatrix(np.array(doc["generator"], dtype=float))
-        stated = (float(doc["dpmin_ref"]), doc.get("min_poly"))
-        held = doc["name"]
+        stated = (doc["name"], float(doc["dpmin_ref"]), doc.get("min_poly"))
     except (KeyError, TypeError, ValueError) as exc:  # DomainError is a ValueError
         raise ConstructionError("%s: malformed lattice data file (%s: %s)"
                                 % (path, type(exc).__name__, exc)) from None
-    if stated != (record.dpmin, list(record.min_poly)):
-        raise ConstructionError("%s: dpmin_ref or min_poly is not the catalogued one" % path)
-    if held != name:
-        raise DomainError("data file name mismatch: %s holds %r" % (path, held))
+    if stated != (name, record.dpmin, list(record.min_poly)):
+        raise ConstructionError(
+            "%s: name, dpmin_ref or min_poly is not the catalogued one" % path)
     return _validated(name, m, doc.get("provenance", "data file"))

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: output shapes, exit codes, and
 reproducibility."""
 
+import concurrent.futures
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -160,8 +162,8 @@ def test_reproduce_table2_worker_independence(capsys):
 
 @pytest.mark.parametrize("table", ["table1", "table2"])
 def test_reproduce_full_precision_bytes_are_frozen(capsys, table):
-    # The frozen files pin every bit of both tables, for one worker and
-    # for a pool that serves the whole sweep.
+    # The frozen files pin every bit of both tables, for one thread and
+    # for two.
     frozen = (Path(__file__).parent / "data" / f"{table}_full_precision.csv").read_text()
     for jobs in ("1", "2"):
         code, out, err = run(capsys, "sum", "--reproduce", table,
@@ -187,14 +189,24 @@ def test_compare_text_and_json(capsys):
     assert json.loads(out)["entries"][0]["lattice"] == "lambda2"
 
 
-def test_one_pool_per_run(capsys, opened_pools):
+def test_jobs_run_threads_not_processes(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sum must not start a process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     frozen = (Path(__file__).parent / "data" / "table1_full_precision.csv").read_text()
     assert run(capsys, "sum", "--reproduce", "table1", "--full-precision",
                "--jobs", "2") == (0, frozen, "")
-    assert run(capsys, "compare", "--lattice", "lambda1", "--lattice", "lambda2",
-               "--lattice", "lambda3", "--m", "3", "--gamma-db", "10",
-               "--jobs", "2")[0] == 0
-    assert opened_pools == [2, 2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_must_be_positive_for_carves_too(capsys, jobs):
+    carve = ["--lattice", "lambda3", "--m", "2", "--target-size", "10", "--jobs", jobs]
+    for argv in (["sum", *carve], ["compare", *carve, "--gamma-db", "10"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: jobs"), argv
 
 
 @pytest.mark.parametrize("codebook", [[], ["--p-lim", "20"], ["--target-size", "300"]])

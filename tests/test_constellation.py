@@ -11,12 +11,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from latticesec import constellation
 from latticesec.constellation import (
     TABLE1_ROWS,
     TABLE2_ROWS,
     SumReport,
     TableRow,
-    _pool,
     _terms,
     carve_lowest_energy,
     inverse_norm_power_sum,
@@ -355,31 +355,50 @@ def test_workers_are_bit_identical(lambda3):
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_one_task_per_worker(lambda3, in_process_pool, monkeypatch):
-    # One task per group, and no more groups than cores: each slice's
-    # statistics do not depend on its group, so the report stays.
-    args = (lambda3.generator, 9)
-    for cores, jobs, groups in ((8, 4, 4), (2, 8, 2)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        in_process_pool.tasks.clear()
-        rep = inverse_norm_power_sum(*args, p_lim=64.0, jobs=jobs,
-                                     pool=in_process_pool)
-        assert len(in_process_pool.tasks) == groups
-        assert sorted(z1 for task in in_process_pool.tasks for z1 in task) == list(range(10))
-        assert rep == inverse_norm_power_sum(*args, p_lim=64.0)
+def test_one_slice_block_per_sum(lambda3, monkeypatch):
+    # Every thread shares one _Slices, and so does the rescan of a
+    # mirrored diversity failure.
+    built = []
+
+    class Counted(constellation._Slices):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(constellation, "_Slices", Counted)
+    for jobs in (1, 2, 8):
+        built.clear()
+        inverse_norm_power_sum(lambda3.generator, 9, p_lim=64.0, jobs=jobs)
+        with pytest.raises(DiversityError):
+            inverse_norm_power_sum(np.eye(2), 1, jobs=jobs)
+        assert len(built) == 2
 
 
-def test_pool_never_outnumbers_the_cores(monkeypatch):
-    # Recorded, never started: a fork pool starts all its workers at once.
+def test_threads_never_outnumber_the_cores_or_slices(lambda3, monkeypatch):
+    # Recorded, never started: the stand-in maps every slice in this thread.
     made = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: made.append(max_workers))
-    for cores, jobs in ((2, 64), (None, 8), (8, 3)):
+
+    class Recorder:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
+    args = (lambda3.generator, 9)
+    serial = inverse_norm_power_sum(*args, p_lim=64.0)
+    for cores, jobs in ((2, 64), (None, 8), (8, 3), (16, 64)):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        _pool(jobs)
-    assert made == [2, 1, 3]
-    with _pool(1) as pool:
-        assert pool is None
+        assert inverse_norm_power_sum(*args, p_lim=64.0, jobs=jobs) == serial
+    # min(jobs, cores, m + 1); one core runs the slices without an executor.
+    assert made == [2, 3, 10]
 
 
 def test_diversity_failure_reported():
@@ -409,6 +428,10 @@ def test_argument_validation(lambda3):
         inverse_norm_power_sum(gen, 1, exponent=0)
     with pytest.raises(DomainError):
         inverse_norm_power_sum(gen, 1, jobs=0)
+    with pytest.raises(DomainError):
+        inverse_norm_power_sum(gen, 1, jobs=1.5)
+    with pytest.raises(DomainError):
+        table_sweep([(lambda3, [TableRow(2, target_size=10)])], jobs=0)
     with pytest.raises(DomainError):
         carve_lowest_energy(gen, 1, 0)
     with pytest.raises(DomainError):
