@@ -18,11 +18,18 @@ runs bit-identical for any thread count: threads compute whole slices
 and the combination order never depends on scheduling.
 
 Slice z1 is z1*M[0] plus the block rest @ M[1:] over the rest box
-{-m..m}^(n-1); that block is built once per sum. With jobs > 1 the
-slices are mapped, in order, over min(jobs, cores, m + 1) threads that
-share it; numpy releases the GIL in the whole-slice work. A slice that
-keeps every row is written into its thread's buffer, reused from slice
-to slice, and reduced in place.
+{-m..m}^(n-1); that block is built once per sum. It and the carve's
+words are made by _product in row blocks of at most 2^17 multiply-adds
+each, which OpenBLAS computes in the calling thread. One call over a
+whole m=40 half box would wake its thread pool, whose worker then
+spins for about 0.13 s of CPU (on a 2-core machine) after a product of
+a few milliseconds has returned. The blocks split rows only, never
+the inner dimension, so each row has the bits of the one-call product.
+With jobs > 1 the slices are mapped, in order, over
+min(jobs, cores, m + 1) threads that share the block; numpy releases
+the GIL in the whole-slice work. A slice that keeps every row is
+written into its thread's buffer, reused from slice to slice, and
+reduced in place.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 Row N-1-i of the lex-ordered rest box is minus row i, so only the
@@ -56,7 +63,8 @@ word at or below it. A partition finds that energy, and only the words
 at or below it are sorted by (energy, lex), which selects the same
 words in the same order as sorting the box. The candidates' words
 z @ M are bit-equal to the box's rows as long as the matmul computes
-each row on its own, which the tests check against a full-box carve.
+each row on its own, which the tests check against a full-box carve
+and against one-call products.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -74,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiversityError, DomainError
+from .errors import DiversityError, DomainError, positive_int
 from .numfields import EllipsoidWalker, GeneratorMatrix, _box
 
 DIVERSITY_EPS = 1e-12
@@ -115,13 +123,12 @@ class TableRow:
             raise DomainError("p_lim and target_size are exclusive")
 
 
-def _check_box_args(m: int, p_lim: float, exponent: int) -> None:
-    if not (isinstance(m, int) and m >= 1):
-        raise DomainError("box bound m must be a positive integer")
+def _check_box_args(m: int, p_lim: float, exponent: int) -> tuple[int, int]:
+    """(m, exponent) as Python ints, once both and p_lim are checked."""
+    m = positive_int(m, "box bound m")
     if not (p_lim > 0):
         raise DomainError("p_lim must be positive")
-    if not (isinstance(exponent, int) and exponent >= 1):
-        raise DomainError("exponent must be a positive integer")
+    return m, positive_int(exponent, "exponent")
 
 
 def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
@@ -130,6 +137,26 @@ def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DomainError("generator must be a square matrix")
     return entries
+
+
+# Multiply-adds per np.matmul call of _product: half of the 65536 * 4 up
+# to which OpenBLAS's gemm runs in the calling thread.
+_PRODUCT_MADDS = 1 << 17
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """a @ b, one np.matmul per block of rows, written into out.
+
+    Each call stays within _PRODUCT_MADDS, so OpenBLAS never wakes its
+    thread pool, whose workers would spin on after the product returns.
+    Only rows are split, so each row has the bits of one np.matmul call.
+    """
+    if out is None:
+        out = np.empty((len(a), b.shape[1]))
+    step = max(1, _PRODUCT_MADDS // (a.shape[1] * b.shape[1]))
+    for i in range(0, len(a), step):
+        np.matmul(a[i:i + step], b, out=out[i:i + step])
+    return out
 
 
 def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
@@ -226,10 +253,11 @@ class _Slices:
 
     Slice z1 holds the words z1*M[0] + r @ M[1:] for the rows r of the
     rest box {-m..m}^(n-1) that the walker visits. The product
-    rest @ M[1:] is the same for every slice, so it is built once, and
-    whole slices are written into one buffer per thread, one after the
-    other. Everything else is only read after __init__, so threads may
-    share one _Slices.
+    rest @ M[1:] is the same for every slice, so it is built once, by
+    _product in row blocks that keep OpenBLAS in this thread, and whole
+    slices are written into one buffer per thread, one after the other.
+    Everything else is only read after __init__, so threads may share
+    one _Slices.
     """
 
     def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
@@ -239,7 +267,7 @@ class _Slices:
         # negate it into the lower half, so the block is odd bit for bit.
         self.zero = len(self.rest) // 2
         self.shared = np.empty((len(self.rest), M.shape[1]))
-        np.matmul(self.rest[self.zero:], M[1:], out=self.shared[self.zero:])
+        _product(self.rest[self.zero:], M[1:], out=self.shared[self.zero:])
         np.negative(self.shared[:self.zero:-1], out=self.shared[:self.zero])
         self.local = threading.local()
         self.walker = EllipsoidWalker(M @ M.T, m)
@@ -286,11 +314,6 @@ class _Slices:
         return count, s_partial, p_max, energy, bad
 
 
-def _check_jobs(jobs) -> None:
-    if not (isinstance(jobs, int) and jobs >= 1):
-        raise DomainError("jobs must be a positive integer")
-
-
 def _combine(parts, lattice_name, n, m, p_lim, exponent):
     """Fold per-slice statistics in ascending-z1 order."""
     for count, s, pmax, energy, bad in parts:
@@ -324,8 +347,8 @@ def inverse_norm_power_sum(
     thread count. With jobs > 1 the slices are mapped over
     min(jobs, cores, m + 1) threads sharing one _Slices.
     """
-    _check_box_args(m, p_lim, exponent)
-    _check_jobs(jobs)
+    m, exponent = _check_box_args(m, p_lim, exponent)
+    jobs = positive_int(jobs, "jobs")
     M = _as_matrix(gen)
     slices = _Slices(M, m, p_lim, exponent)
     workers = min(jobs, os.cpu_count() or 1, m + 1)
@@ -370,7 +393,7 @@ def _ball_candidates(
             z = _box(n, m)
         else:
             z = walker.vectors(None, p).astype(float)
-        x = z @ M
+        x = _product(z, M)
         norms = np.einsum("ij,ij->i", x, x)
         inside = np.count_nonzero(norms <= p)
         if whole or inside >= target_size:
@@ -393,12 +416,11 @@ def carve_lowest_energy(
     Ties at the energy boundary are broken by lexicographic coefficient
     order. The zero word has energy 0 and is always selected.
     """
-    _check_box_args(m, math.inf, exponent)
+    m, exponent = _check_box_args(m, math.inf, exponent)
     M = _as_matrix(gen)
     n = M.shape[0]
     box_size = (2 * m + 1) ** n
-    if not (isinstance(target_size, int) and 1 <= target_size):
-        raise DomainError("target_size must be a positive integer")
+    target_size = positive_int(target_size, "target_size")
     if target_size > box_size:
         raise DomainError(
             "target_size %d exceeds box size %d" % (target_size, box_size))
@@ -432,7 +454,7 @@ def table_sweep(sweeps, exponent: int = 3, jobs: int = 1) -> list[SumReport]:
 
     Each sum maps its slices over up to jobs threads; carves run in
     this thread."""
-    _check_jobs(jobs)
+    positive_int(jobs, "jobs")
     out = []
     for lattice, rows in sweeps:
         for row in rows:

@@ -3,8 +3,11 @@
 Every error that callers are expected to catch derives from LatticeSecError.
 DomainError marks bad arguments (the CLI maps it to a usage failure),
 the remaining classes mark violated invariants discovered at run time
-(the CLI maps those to exit code 3).
+(the CLI maps those to exit code 3). positive_int is the one check of
+integer arguments.
 """
+
+import operator
 
 
 class LatticeSecError(Exception):
@@ -13,6 +16,19 @@ class LatticeSecError(Exception):
 
 class DomainError(LatticeSecError, ValueError):
     """An argument lies outside the documented domain of an operation."""
+
+
+def positive_int(value, name: str) -> int:
+    """value as a Python int if it is an integer of any type (anything
+    with __index__, numpy's included) and at least 1; a bool, a float or
+    a smaller integer raises DomainError."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = 0
+    if isinstance(value, bool) or index < 1:
+        raise DomainError("%s must be a positive integer" % name)
+    return index
 
 
 class InternalConsistencyError(LatticeSecError):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, positive_int
 from .numfields import EllipsoidWalker
 
 
@@ -42,8 +42,7 @@ def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]
     count) pairs sorted by norm, restricted to norms that occur; the
     zero vector always contributes (0, 1).
     """
-    if not (isinstance(max_norm, int) and max_norm >= 1):
-        raise DomainError("max_norm must be a positive integer")
+    max_norm = positive_int(max_norm, "max_norm")
     g = _as_fraction_matrix(gram)
     den = math.lcm(*(x.denominator for row in g for x in row))
     gi = [[int(x * den) for x in row] for row in g]

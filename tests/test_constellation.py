@@ -17,6 +17,8 @@ from latticesec.constellation import (
     TABLE2_ROWS,
     SumReport,
     TableRow,
+    _ball_candidates,
+    _product,
     _terms,
     carve_lowest_energy,
     inverse_norm_power_sum,
@@ -294,6 +296,82 @@ def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
         for exponent in (2, 3):
             assert np.array_equal(_terms(absx, exponent),
                                   _inverse_power(np.prod(absx, axis=1), exponent))
+
+
+def test_blocked_product_matches_one_matmul(lambda1, lambda2, lambda3):
+    # _product splits rows only, so each row must have the bits of one
+    # np.matmul over the whole product, whichever threads computed that.
+    for spec in (lambda1, lambda2, lambda3):
+        M = spec.generator.entries
+        for m in (30, 40):
+            rest = _box(3, m)
+            half = rest[len(rest) // 2:]
+            out = np.empty((len(half), 4))
+            assert _product(half, M[1:], out=out) is out
+            assert np.array_equal(out.view(np.int64),
+                                  np.matmul(half, M[1:]).view(np.int64))
+    M = lambda3.generator.entries
+    z, x, _ = _ball_candidates(M, 25, 100000)
+    assert np.array_equal(x.view(np.int64), np.matmul(z, M).view(np.int64))
+
+
+def test_products_stay_in_the_calling_thread(lambda3, monkeypatch):
+    # OpenBLAS runs a gemm of up to 65536 * 4 multiply-adds in the calling
+    # thread and hands a larger one to its pool, whose workers then spin.
+    # Every matmul of a capped m=40 sum and of the m=25 carve stays within
+    # half that, and the calls of each product tile its rows in order.
+    calls, products = [], []
+    matmul, product = np.matmul, constellation._product
+
+    def recording_matmul(a, b, out=None):
+        calls.append((a, b, out))
+        return matmul(a, b, out=out)
+
+    def recording_product(a, b, out=None):
+        start = len(calls)
+        out = product(a, b, out=out)
+        products.append((a, b, out, calls[start:]))
+        return out
+
+    def offset(view, base):
+        return (view.__array_interface__["data"][0]
+                - base.__array_interface__["data"][0])
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    monkeypatch.setattr(constellation, "_product", recording_product)
+    inverse_norm_power_sum(lambda3.generator, 40, p_lim=1600.0)
+    assert [len(p[0]) for p in products] == [(81 ** 3 + 1) // 2]
+    carve_lowest_energy(lambda3.generator, 25, 100000)
+    assert len(products) >= 2
+    assert sum(len(p[3]) for p in products) == len(calls)
+    for a, b, out, own in products:
+        row = 0
+        for ai, bi, oi in own:
+            assert bi is b and len(ai) == len(oi)
+            assert len(ai) * a.shape[1] * b.shape[1] <= 1 << 17
+            assert offset(ai, a) == row * a.strides[0]
+            assert offset(oi, out) == row * out.strides[0]
+            row += len(ai)
+        assert row == len(a)
+
+
+def test_integer_arguments_of_any_integer_type_but_bool(lambda3):
+    # numpy integers are integers; a bool is not a box bound or a count.
+    gen = lambda3.generator
+    rep = inverse_norm_power_sum(gen, np.int64(3), exponent=np.int32(3),
+                                 jobs=np.int64(2))
+    assert rep == inverse_norm_power_sum(gen, 3) and type(rep.m) is int
+    rep = carve_lowest_energy(gen, np.int64(3), np.int64(10))
+    assert rep == carve_lowest_energy(gen, 3, 10)
+    assert type(rep.m) is int and type(rep.target_size) is int
+    for kwargs in ({"m": True}, {"m": 2, "exponent": True},
+                   {"m": 2, "jobs": True}, {"m": 2.0}, {"m": np.int64(0)}):
+        with pytest.raises(DomainError):
+            inverse_norm_power_sum(gen, **kwargs)
+    with pytest.raises(DomainError):
+        carve_lowest_energy(gen, 1, True)
+    with pytest.raises(DomainError):
+        table_sweep([(lambda3, [TableRow(2, 16.0)])], jobs=True)
 
 
 def test_capped_diversity_failure_names_the_lex_first_word():

@@ -92,6 +92,10 @@ def test_gram_validation():
         theta_series_oracle([[1, 2], [2, 1]], 2)
     with pytest.raises(DomainError):
         theta_series_oracle(_identity_gram(2), 0)
+    with pytest.raises(DomainError):
+        theta_series_oracle(_identity_gram(2), True)
+    assert theta_series_oracle(_identity_gram(2), np.int64(2)) == \
+        theta_series_oracle(_identity_gram(2), 2)
 
 
 def test_value_at_zero_norm_only():
