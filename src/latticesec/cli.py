@@ -21,6 +21,7 @@ from .constellation import (
     TABLE2_ROWS,
     SumReport,
     TableRow,
+    aligned,
     reports_to_csv,
     table_sweep,
 )
@@ -127,12 +128,8 @@ def _render_reports(reports: list[SumReport], fmt: str,
         return json.dumps([_report_dict(r, full_precision) for r in reports],
                           indent=2, sort_keys=True)
     # text: the CSV cells, aligned
-    rows = [line.split(",")
-            for line in reports_to_csv(reports, full_precision).splitlines()]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows)
+    return aligned([line.split(",") for line in
+                    reports_to_csv(reports, full_precision).splitlines()])
 
 
 def _table_row(args: argparse.Namespace) -> TableRow:

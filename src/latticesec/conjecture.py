@@ -76,20 +76,8 @@ def _strip_root(p: ratpoly.Poly, at: Fraction) -> ratpoly.Poly:
 
 def _isolated_critical_intervals(deriv: ratpoly.Poly):
     """Roots of P' strictly inside (0, 1/4), refined below REFINE_WIDTH."""
-    if ratpoly.degree(deriv) < 1:
-        return []
     core = _strip_root(_strip_root(deriv, Fraction(0)), _QUARTER)
-    if ratpoly.degree(core) < 1:
-        return []
-    intervals = ratpoly.isolate_roots_open(core, Fraction(0), _QUARTER)
-    # Bisection needs a sign change, which a root of even multiplicity lacks.
-    if any(ratpoly.evaluate(core, lo) * ratpoly.evaluate(core, hi) > 0
-           for lo, hi in intervals):
-        core = ratpoly.squarefree_part(core)
-    return [
-        ratpoly.refine_isolating_interval(core, lo, hi, REFINE_WIDTH)
-        for lo, hi in intervals
-    ]
+    return ratpoly.roots_in(core, Fraction(0), _QUARTER, REFINE_WIDTH)
 
 
 def verify_conjecture(poly: ZPolynomial) -> ConjectureCertificate:
@@ -110,10 +98,7 @@ def verify_conjecture(poly: ZPolynomial) -> ConjectureCertificate:
     # The root at 1/4 is divided out first; a root at 0 means Q(0) = 0,
     # handled by the sign test below.
     sq = _strip_root(_strip_root(q, _QUARTER), Fraction(0))
-    if ratpoly.degree(sq) >= 1:
-        interior = ratpoly.count_roots_open(sq, Fraction(0), _QUARTER)
-    else:
-        interior = 0
+    interior = ratpoly.count_roots_open(sq, Fraction(0), _QUARTER)
 
     holds = q_zero > 0 and interior == 0
     criticals = _isolated_critical_intervals(ratpoly.derivative(p))

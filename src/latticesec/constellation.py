@@ -3,7 +3,8 @@
 Codewords are lattice points x = z M with integer coefficient vectors z
 ranging over the box {-m..m}^n, optionally intersected with the energy
 ball ||x||^2 <= p_lim or carved down to the lowest-energy subset of a
-target size. The eavesdropper-confusion metric is
+target size. M passes the GeneratorMatrix checks, as a plain array
+too. The eavesdropper-confusion metric is
 
     S = sum over included nonzero x of prod_i |x_i|^(-exponent)
 
@@ -132,11 +133,11 @@ def _check_box_args(m: int, p_lim: float, exponent: int) -> tuple[int, int]:
 
 
 def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
-    """Accept a GeneratorMatrix or any square array-like."""
-    entries = np.asarray(getattr(gen, "entries", gen), dtype=float)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise DomainError("generator must be a square matrix")
-    return entries
+    """The entries of gen; anything but a GeneratorMatrix is made one,
+    so every generator is square, finite and of nonzero determinant."""
+    if not isinstance(gen, GeneratorMatrix):
+        gen = GeneratorMatrix(gen)
+    return gen.entries
 
 
 # Multiply-adds per np.matmul call of _product: half of the 65536 * 4 up
@@ -161,13 +162,10 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
 
 def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
     """(row, coordinate, value) of the first row with a coordinate below
-    DIVERSITY_EPS, or None. The row minimum is taken column by column."""
-    row_min = absx[:, 0].copy()
-    for j in range(1, absx.shape[1]):
-        np.minimum(row_min, absx[:, j], out=row_min)
-    if not float(row_min.min()) < DIVERSITY_EPS:
+    DIVERSITY_EPS, or None. absx must not be empty."""
+    if not float(absx.min()) < DIVERSITY_EPS:
         return None
-    first = int(np.argmax(row_min < DIVERSITY_EPS))
+    first = int(np.argmax((absx < DIVERSITY_EPS).any(axis=1)))
     coord = int(np.argmin(absx[first]))
     return first, coord, float(absx[first, coord])
 
@@ -331,7 +329,7 @@ def _combine(parts, lattice_name, n, m, p_lim, exponent):
 
 
 def inverse_norm_power_sum(
-    gen: GeneratorMatrix,
+    gen: GeneratorMatrix | np.ndarray,
     m: int,
     p_lim: float = math.inf,
     exponent: int = 3,
@@ -513,3 +511,12 @@ def reports_to_csv(reports, full_precision: bool = False) -> str:
             r.lattice_name, str(r.m), _fmt_plim(r.p_lim, r.target_size),
             str(r.size), pmax, pave, s]))
     return "\n".join(lines) + "\n"
+
+
+def aligned(rows) -> str:
+    """Rows of cells as text, each column right-aligned, two spaces apart
+    (the table of `sum --format text` and of `compare`)."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip()
+        for row in rows)

@@ -232,10 +232,7 @@ def canonical_embedding(field_spec: NumberFieldSpec, basis, alpha=(1,),
 
 def normalize_unit_volume(m: GeneratorMatrix) -> GeneratorMatrix:
     """Scale so |det| = 1 (within 1e-12)."""
-    d = abs(m.det)
-    if d == 0.0:
-        raise DomainError("cannot normalize a singular matrix")
-    out = GeneratorMatrix(m.entries / d ** (1.0 / m.n))
+    out = GeneratorMatrix(m.entries / abs(m.det) ** (1.0 / m.n))
     if abs(abs(out.det) - 1.0) > DET_TOL:
         raise ConstructionError("normalization failed to reach unit volume")
     return out

@@ -3,11 +3,11 @@
 Polynomials are tuples of fractions.Fraction, index = power, with no
 trailing zero coefficients (the zero polynomial is the empty tuple).
 Everything here is exact; no floating point enters any computation.
-The module provides the Sturm-sequence machinery used both for
-certifying polynomial minima and for isolating the real roots of
-number-field minimal polynomials. A Sturm count runs on p as given and
-counts its distinct roots even when p is not squarefree: the chain of p
-ends in gcd(p, p'), which divides every element of it.
+The module provides the Sturm-sequence machinery, and roots_in, the
+one root isolator, for certifying polynomial minima and for the real
+roots of number-field minimal polynomials. A Sturm count runs on p as
+given and counts its distinct roots even when p is not squarefree: the
+chain of p ends in gcd(p, p'), which divides every element of it.
 """
 
 from __future__ import annotations
@@ -86,24 +86,18 @@ def derivative(p: Poly) -> Poly:
 
 
 def divmod_poly(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division a = q*b + r with deg r < deg b."""
+    """Euclidean division a = q*b + r with deg r < deg b (schoolbook)."""
     if not b:
         raise DomainError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     r = list(a)
-    db, lead = degree(b), b[-1]
-    while len(r) >= len(b) and any(c != 0 for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        s = r[-1] / lead
-        e = len(r) - len(b)
-        q[e] += s
-        for i, c in enumerate(b):
-            r[e + i] -= s * c
-        r.pop()
-    return make_poly(q), make_poly(r)
+    for e in range(len(a) - len(b), -1, -1):
+        s = r[e + len(b) - 1] / b[-1]
+        if s:
+            q[e] = s
+            for i, c in enumerate(b):
+                r[e + i] -= s * c
+    return make_poly(q), make_poly(r[:len(b) - 1])
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -232,18 +226,25 @@ def cauchy_root_bound(p: Poly) -> Fraction:
     return 1 + max(abs(c) for c in p[:-1]) / lead
 
 
+def roots_in(p: Poly, a, b, width) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the distinct roots of p in (a, b), whose
+    endpoints are not roots, refined below `width`; ascending. Only if
+    some interval lacks a sign change (a root of even multiplicity) is p
+    replaced by its squarefree part, so that bisection applies."""
+    intervals = isolate_roots_open(p, a, b)
+    if any(evaluate(p, lo) * evaluate(p, hi) > 0 for lo, hi in intervals):
+        p = squarefree_part(p)
+    return [refine_isolating_interval(p, lo, hi, width) for lo, hi in intervals]
+
+
 def real_roots(p: Poly, precision: Fraction = Fraction(1, 10**15)) -> list[Fraction]:
     """All distinct real roots of p as rational approximations.
 
-    Each returned value lies within `precision` of the true root;
-    exact rational roots are returned exactly. Ascending order.
+    Each returned value lies within `precision` of the true root; a
+    root that bisection meets exactly is returned exactly. Ascending
+    order.
     """
     if degree(p) < 1:
         return []
-    sp = squarefree_part(p)
-    bound = cauchy_root_bound(sp)
-    roots = []
-    for lo, hi in isolate_roots_open(sp, -bound, bound):
-        rlo, rhi = refine_isolating_interval(sp, lo, hi, precision)
-        roots.append((rlo + rhi) / 2)
-    return roots
+    bound = cauchy_root_bound(p)
+    return [(lo + hi) / 2 for lo, hi in roots_in(p, -bound, bound, precision)]

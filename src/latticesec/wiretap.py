@@ -8,10 +8,11 @@ lattices so the confusion/performance tradeoff is visible in one table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
-from .constellation import SumReport
-from .errors import DomainError
+from .constellation import SumReport, aligned
+from .errors import DomainError, positive_int
 from .numfields import CATALOGUE
 
 __all__ = [
@@ -39,12 +40,13 @@ class ChannelParams:
     n: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.gamma_e, (int, float)) and self.gamma_e > 0):
-            raise DomainError("gamma_e must be a positive real (linear SNR)")
-        if not (isinstance(self.vol_b, (int, float)) and self.vol_b > 0):
-            raise DomainError("vol_b must be positive")
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise DomainError("dimension n must be a positive integer")
+        for name, rule in (("gamma_e", "a positive real (linear SNR)"),
+                           ("vol_b", "positive")):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not x > 0:
+                raise DomainError("%s must be %s" % (name, rule))
+            object.__setattr__(self, name, float(x))
+        object.__setattr__(self, "n", positive_int(self.n, "dimension n"))
 
 
 def eve_correct_probability(params: ChannelParams, s_value: float) -> float:
@@ -69,17 +71,6 @@ class ComparisonEntry:
     probability: float
     dpmin: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "lattice": self.lattice,
-            "m": self.m,
-            "size": self.size,
-            "s_value": self.s_value,
-            "probability": self.probability,
-            "dpmin": self.dpmin,
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -92,30 +83,19 @@ class ComparisonReport:
     params: ChannelParams
     entries: tuple[ComparisonEntry, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "gamma_e": self.params.gamma_e,
-            "vol_b": self.params.vol_b,
-            "n": self.params.n,
-            "entries": [e.to_json_dict() for e in self.entries],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        doc = asdict(self.params)
+        doc["entries"] = [asdict(e) for e in self.entries]
+        return json.dumps(doc, indent=2, sort_keys=True)
 
     def render_text(self) -> str:
-        header = ("rank", "lattice", "m", "size", "s_value",
-                  "p_correct", "dpmin")
-        rows = [header]
+        rows = [("rank", "lattice", "m", "size", "s_value", "p_correct", "dpmin")]
         for e in self.entries:
             rows.append((
                 str(e.rank), e.lattice or "-", str(e.m), str(e.size),
                 "%.6e" % e.s_value, "%.6e" % e.probability,
                 "-" if e.dpmin is None else "%.8f" % e.dpmin))
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip()
-                 for r in rows]
-        return "\n".join(lines)
+        return aligned(rows)
 
 
 def compare_report(reports: list[SumReport] | tuple[SumReport, ...],

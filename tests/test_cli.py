@@ -189,6 +189,22 @@ def test_compare_text_and_json(capsys):
     assert json.loads(out)["entries"][0]["lattice"] == "lambda2"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("suffix, codebook", [
+    pytest.param("", [], id="uncapped"),
+    pytest.param("_p_lim30", ["--p-lim", "30"], id="p_lim30"),
+    pytest.param("_target300", ["--target-size", "300"], id="target300")])
+def test_compare_bytes_are_frozen(capsys, suffix, codebook, fmt):
+    # The frozen files pin a three-lattice ranking at m = 4 for each kind
+    # of codebook, as text and as JSON.
+    ext = "txt" if fmt == "text" else "json"
+    frozen = (Path(__file__).parent / "data" / f"compare_m4{suffix}.{ext}").read_text()
+    argv = ["compare", "--lattice", "lambda1", "--lattice", "lambda2",
+            "--lattice", "lambda3", "--m", "4", "--gamma-db", "10",
+            "--format", fmt, *codebook]
+    assert run(capsys, *argv) == (0, frozen, "")
+
+
 def test_jobs_run_threads_not_processes(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a sum must not start a process")

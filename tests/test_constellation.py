@@ -18,6 +18,7 @@ from latticesec.constellation import (
     SumReport,
     TableRow,
     _ball_candidates,
+    _first_violation,
     _product,
     _terms,
     carve_lowest_energy,
@@ -494,6 +495,39 @@ def test_diversity_failure_reported():
         carve_lowest_energy(np.eye(2), 1, 9)
     assert err.value.coeff_vector == (-1, 0)
     assert err.value.coordinate_index == 1
+
+
+def test_diversity_scan_finds_the_first_offending_row():
+    def old_first_violation(absx):
+        # Reference: the row minimum, taken column by column.
+        row_min = absx[:, 0].copy()
+        for j in range(1, absx.shape[1]):
+            np.minimum(row_min, absx[:, j], out=row_min)
+        if not float(row_min.min()) < constellation.DIVERSITY_EPS:
+            return None
+        first = int(np.argmax(row_min < constellation.DIVERSITY_EPS))
+        coord = int(np.argmin(absx[first]))
+        return first, coord, float(absx[first, coord])
+
+    absx = np.full((7, 4), 0.5)
+    assert _first_violation(absx) is None is old_first_violation(absx)
+    absx[5, 1] = 1e-13
+    absx[2, 3] = 4e-13
+    absx[2, 0] = 3e-13
+    assert _first_violation(absx) == (2, 0, 3e-13) == old_first_violation(absx)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, 1.0])
+def test_plain_generators_pass_the_generator_checks(entry):
+    # A plain array is checked as a GeneratorMatrix: square, finite and
+    # of nonzero determinant ([[1, 1], [1, 1]] for entry 1.0).
+    gen = np.array([[1.0, 1.0], [entry, 1.0]])
+    with pytest.raises(DomainError):
+        inverse_norm_power_sum(gen, 2)
+    with pytest.raises(DomainError):
+        inverse_norm_power_sum(gen, 2, p_lim=5.0)
+    with pytest.raises(DomainError):
+        carve_lowest_energy(gen, 2, 5)
 
 
 def test_argument_validation(lambda3):

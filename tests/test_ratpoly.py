@@ -1,4 +1,5 @@
-"""Sturm root counting, isolation and squarefree parts against sympy.
+"""Sturm root counting, isolation and squarefree parts against sympy,
+and Euclidean division against its defining identity.
 
 Polynomials are drawn as products of rational linear factors and
 quadratic factors irreducible over Q, each raised to a power of up to
@@ -14,7 +15,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from latticesec import ratpoly
 
@@ -113,3 +114,42 @@ def test_real_roots_approximates_each_distinct_real_root(p):
     assert len(approx) == len(expected)
     for r, exact in zip(approx, expected):
         assert abs(_rational(r) - exact) <= _rational(precision)
+
+
+def _poly(*coeffs):
+    return ratpoly.make_poly(coeffs)
+
+
+# About half the coefficients zero, so that sparse polynomials are common.
+sparse_polys = st.lists(st.just(Fraction(0)) | rationals, max_size=9).map(
+    ratpoly.make_poly)
+
+
+@oracle_settings
+@given(sparse_polys, sparse_polys.filter(bool))
+@example((), _poly(1, 2))
+@example(_poly(3, 1), _poly(0, 0, 0, 5))
+@example(_poly(1, 0, 0, 0, 0, 0, 0, 0, 2), _poly(0, 0, 0, 1))
+@example(_poly(-1, 0, 0, 0, 0, 0, 1), _poly(7))
+def test_divmod_poly_is_euclidean_division(a, b):
+    q, r = ratpoly.divmod_poly(a, b)
+    assert ratpoly.add(ratpoly.mul(q, b), r) == a
+    assert ratpoly.degree(r) < ratpoly.degree(b)
+    assert q == ratpoly.make_poly(q) and r == ratpoly.make_poly(r)
+
+
+@oracle_settings
+@given(polynomial_and_interval())
+# Only a double root in (0, 1): no interval changes sign.
+@example((ratpoly.mul(ratpoly.power(_poly(Fraction(-1, 3), 1), 2), _poly(1, 0, 1)),
+          Fraction(0), Fraction(1)))
+def test_roots_in_refines_each_distinct_root(case):
+    p, a, b = case
+    width = Fraction(1, 10**12)
+    expected = sorted({r for r in sympy.real_roots(_sympy_poly(p))
+                       if _rational(a) < r < _rational(b)}, key=float)
+    intervals = ratpoly.roots_in(p, a, b, width)
+    assert len(intervals) == len(expected)
+    for (lo, hi), root in zip(intervals, expected):
+        assert hi - lo <= width
+        assert _rational(lo) <= root <= _rational(hi)

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from latticesec.constellation import SumReport
@@ -54,6 +55,19 @@ def test_params_validation():
         ChannelParams(1.0, 1.0, 0)
     with pytest.raises(DomainError):
         eve_correct_probability(ChannelParams(1.0, 1.0, 4), -1.0)
+
+
+def test_params_take_numpy_reals_and_refuse_bools():
+    params = ChannelParams(np.float32(10.0), np.int64(2), np.int64(4))
+    assert (params.gamma_e, params.vol_b, params.n) == (10.0, 2.0, 4)
+    assert [type(params.gamma_e), type(params.vol_b), type(params.n)] == [
+        float, float, int]
+    doc = compare_report([_report("lambda2", 3, 1.16395e7)], params)
+    assert json.loads(doc.to_json())["n"] == 4
+    for bad in ({"n": True}, {"gamma_e": True}, {"vol_b": True},
+                {"gamma_e": "10"}, {"n": 4.0}, {"vol_b": math.nan}):
+        with pytest.raises(DomainError):
+            ChannelParams(**{"gamma_e": 10.0, "vol_b": 1.0, "n": 4, **bad})
 
 
 def test_db_conversion():
