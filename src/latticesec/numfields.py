@@ -9,25 +9,27 @@ keep the minimum product distance d_p,min = min_x prod_i |x_i| strictly
 positive (full diversity), the property that drives fading performance.
 
 Three catalogued rank-4 unit-volume lattices are constructed here, each
-by canonical_embedding of a stated basis of Z[delta] with a stated twist:
+by build_lattice from its CATALOGUE record: a stated basis of the ring
+of integers with a stated twist, embedded by canonical_embedding.
 
   lambda1  the ring of integers of the totally real quartic field of
            discriminant 725 (x^4-x^3-3x^2+x+1), twisted by a totally
            positive generator of its codifferent; trace form I, so a
            rotation of Z^4, d_p,min = 1/sqrt(725).
-  lambda2  Kronecker product of two quadratic rotations: Z[sqrt(2)]
-           twisted by 1/(4+2*sqrt(2)) (trace form I) and
-           Z[(1+sqrt(5))/2] twisted by 3-(1+sqrt(5))/2 (trace form 5*I,
-           rescaled); a rotation of Z^4, d_p,min = 1/40.
+  lambda2  the ring of integers of Q(sqrt(2), sqrt(5)) on the product of
+           the bases {1, 1+sqrt(2)} and {1, (1+sqrt(5))/2}, twisted by the
+           product of their rotations' twists: a rotation of Z^4, their
+           Kronecker product, d_p,min = 1/40. The shipped data file was
+           built as that product; it agrees to 1e-15, not bit for bit.
   lambda3  plain canonical embedding of the ring of integers of the
            maximal real subfield of the 15th cyclotomic field
            (x^4-x^3-4x^2+4x+1), volume-normalized; a skewed basis,
            d_p,min = 1/sqrt(1125).
 
-CATALOGUE records each lattice's exact integer Gram under the twisted
-trace form, which canonical_embedding proves in rational arithmetic
-before it embeds and load_lattice checks data files against. Floats
-appear only in the embedding values, at roots isolated to 1e-15.
+CATALOGUE records each basis's discriminant and exact integer Gram,
+which canonical_embedding proves in rational arithmetic before it embeds
+and load_lattice checks data files against. Floats appear only in the
+embedding values, at roots isolated to 1e-15.
 
 The package's lattice-point enumeration lives here too, so that one
 module owns the lex layout of the coefficient box. _box is the box
@@ -46,7 +48,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,10 +81,27 @@ def _nf_trace(a, f: ratpoly.Poly) -> Fraction:
     m = _mult_matrix(a, f)
     return sum(m[i][i] for i in range(len(m)))
 
+def _trace_form(elems, f: ratpoly.Poly, alpha=(1,)) -> list[list[Fraction]]:
+    """The twisted trace form Tr(alpha a b) over a, b in elems."""
+    return [[_nf_trace(_nf_mul(_nf_mul(alpha, a, f), b, f), f) for b in elems]
+            for a in elems]
+
+def _is_algebraic_integer(a, f: ratpoly.Poly) -> bool:
+    """Whether a's characteristic polynomial on Q[x]/(f) has integer
+    coefficients, +-e_k by Newton's identities from the power traces:
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) Tr(a^i)."""
+    e, traces, ak = [Fraction(1)], [None], (1,)
+    for k in range(1, ratpoly.degree(f) + 1):
+        ak = _nf_mul(ak, a, f)
+        traces.append(_nf_trace(ak, f))
+        e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i]
+                     for i in range(1, k + 1)) / k)
+    return all(x.denominator == 1 for x in e)
+
 
 def _frac_det(mat: list[list[Fraction]]) -> Fraction:
     """Exact determinant by fraction-free-ish Gaussian elimination."""
-    a = [row[:] for row in mat]
+    a = [[Fraction(x) for x in row] for row in mat]
     n = len(a)
     det = Fraction(1)
     for col in range(n):
@@ -192,24 +211,23 @@ class LatticeSpec:
 # operations
 
 def canonical_embedding(field_spec: NumberFieldSpec, basis, alpha=(1,),
-                        gram=None) -> GeneratorMatrix:
+                        gram=None, disc=None) -> GeneratorMatrix:
     """Rows (sqrt(sigma_j(alpha)) * sigma_j(b_i))_j for basis elements b_i.
 
     Basis elements and the twist alpha are polynomial coefficient
     sequences in the field generator delta (low degree first); sigma_j
     evaluates at the j-th real root in ascending order, and alpha must
     be totally positive. The rows' Gram matrix is the twisted trace form
-    Tr(alpha b_i b_j). Given gram, the construction is proved exactly
-    first: the b_i must be a Z-basis of Z[delta] (integer coefficients,
-    determinant +-1) and Tr(alpha b_i b_j) must equal gram, or
-    ConstructionError is raised.
+    Tr(alpha b_i b_j). Given gram, it is proved exactly first, else
+    ConstructionError: each b_i has an integer characteristic polynomial,
+    det Tr(b_i b_j) equals disc (default: that of Z[delta]; the field's
+    proves the b_i span its integers), and Tr(alpha b_i b_j) equals gram.
     """
     n = field_spec.degree
     coeffs = [[Fraction(c) for c in b] + [Fraction(0)] * (n - len(b)) for b in basis]
     if len(coeffs) != n or any(len(b) != n for b in coeffs):
         raise DomainError("need exactly n basis elements of degree below n")
-    det = _frac_det(coeffs)
-    if det == 0:
+    if _frac_det(coeffs) == 0:
         raise DomainError(
             "basis elements are linearly dependent over the rationals")
     roots = np.array(field_spec.roots)
@@ -217,11 +235,15 @@ def canonical_embedding(field_spec: NumberFieldSpec, basis, alpha=(1,),
     if not twist.min() > 0:
         raise DomainError("twist element is not totally positive")
     if gram is not None:
-        if abs(det) != 1 or any(c.denominator != 1 for b in coeffs for c in b):
-            raise ConstructionError("basis does not span Z[delta]")
         f = ratpoly.make_poly(field_spec.min_poly)
-        twisted = [_nf_mul(alpha, b, f) for b in coeffs]
-        trace = [[_nf_trace(_nf_mul(a, b, f), f) for b in coeffs] for a in twisted]
+        if not all(_is_algebraic_integer(b, f) for b in coeffs):
+            raise ConstructionError("basis elements are not all algebraic integers")
+        if disc is None:
+            disc = _frac_det(_trace_form([[0] * i + [1] for i in range(n)], f))
+        if _frac_det(_trace_form(coeffs, f)) != disc:
+            raise ConstructionError(
+                "basis does not span a lattice of discriminant %s" % disc)
+        trace = _trace_form(coeffs, f, alpha)
         if trace != [[Fraction(x) for x in row] for row in gram]:
             raise ConstructionError(
                 "trace form is %s, not the stated %s"
@@ -421,98 +443,61 @@ def min_product_distance(m: GeneratorMatrix) -> float:
 # ---------------------------------------------------------------------------
 # the three catalogued lattices
 
-def build_lambda1() -> LatticeSpec:
-    """Rotation of Z^4 from the discriminant-725 quartic field.
-
-    The twist alpha = (47 + 34 delta + 2 delta^2 - 13 delta^3)/145 is
-    u/f'(delta) for the unit u = delta^3 - delta^2 - 2 delta, so it
-    generates the codifferent of Z[delta], and it is totally positive.
-    On the stated basis of Z[delta] its trace form is exactly I, which
-    canonical_embedding proves, so the twisted embedding is a rotation.
-    """
-    record = CATALOGUE["lambda1"]
-    m = canonical_embedding(
-        number_field(record.min_poly),
-        ((0, 1, 0, 0), (1, -2, -1, 1), (1, 0, -1, 0), (1, 0, 0, 0)),
-        alpha=(Fraction(47, 145), Fraction(34, 145), Fraction(2, 145),
-               Fraction(-13, 145)),
-        gram=record.gram)
-    return _validated("lambda1", m,
-                      "twisted canonical embedding of the ring of integers "
-                      "of the totally real quartic field x^4-x^3-3x^2+x+1 "
-                      "(discriminant 725), rotated onto an orthonormal basis")
-
-
-def build_lambda2() -> LatticeSpec:
-    """Kronecker product of the two catalogued quadratic rotations.
-
-    Block A: Z[sqrt(2)] with basis {1, 1+sqrt(2)} twisted by
-    alpha1 = 1/(4+2*sqrt(2)) = 1/2 - sqrt(2)/4 (trace form exactly I).
-    Block B: the golden ring Z[theta], theta = (1+sqrt(5))/2, basis
-    {1, theta}, twisted by alpha2 = 3-theta (trace form exactly 5*I,
-    rescaled by 1/sqrt(5)). Both blocks are rotations of Z^2, so their
-    Kronecker product is a rotation of Z^4.
-    """
-    block_a = canonical_embedding(
-        number_field((-2, 0, 1)), ((1,), (1, 1)),
-        alpha=(Fraction(1, 2), Fraction(-1, 4)), gram=((1, 0), (0, 1)))
-    block_b = canonical_embedding(
-        number_field((-1, -1, 1)), ((1,), (0, 1)),
-        alpha=(3, -1), gram=((5, 0), (0, 5)))
-    m = GeneratorMatrix(np.kron(block_a.entries,
-                                block_b.entries / math.sqrt(5)))
-    return _validated("lambda2", m,
-                      "Kronecker product of the twisted embeddings of "
-                      "Z[sqrt(2)] (twist 1/(4+2*sqrt(2))) and of the golden "
-                      "ring Z[(1+sqrt(5))/2] (twist 3-(1+sqrt(5))/2)")
-
-
-def build_lambda3() -> LatticeSpec:
-    """Unit-volume canonical embedding of Z[2cos(2pi/15)] (skewed)."""
-    record = CATALOGUE["lambda3"]
-    raw = canonical_embedding(number_field(record.min_poly),
-                              [[0] * i + [1] for i in range(4)],
-                              gram=record.gram)
-    m = normalize_unit_volume(raw)
-    return _validated("lambda3", m,
-                      "canonical embedding of the ring of integers of the "
-                      "maximal real subfield of the 15th cyclotomic field "
-                      "(x^4-x^3-4x^2+4x+1, discriminant 1125), volume "
-                      "normalized; intentionally skewed")
-
-
 class CataloguedLattice(NamedTuple):
-    """One catalogued lattice: its builder, its field's minimal polynomial
-    and discriminant D (d_p,min = D^(-1/2)), and the exact integer Gram
-    of its basis under the twisted trace form. The lattice's own Gram,
-    at unit volume, is that matrix scaled to determinant 1."""
+    """A twisted embedding: delta's minimal polynomial, the discriminant D
+    of the basis (d_p,min = D^(-1/2)), basis and twist as coefficients in
+    delta, their exact integer Gram Tr(alpha b_i b_j), and a provenance.
+    The lattice's own Gram, at unit volume, is that Gram scaled to det 1."""
 
-    build: Callable[[], LatticeSpec]
     min_poly: tuple[int, ...]
     disc: int
+    basis: tuple[tuple, ...]
+    alpha: tuple
     gram: tuple[tuple[int, ...], ...]
+    provenance: str
 
     @property
     def dpmin(self) -> float:
         return 1.0 / math.sqrt(self.disc)
 
     def unit_gram(self) -> np.ndarray:
-        det = _frac_det([[Fraction(x) for x in row] for row in self.gram])
+        det = _frac_det(self.gram)
         return np.array(self.gram, dtype=float) / float(det) ** (1.0 / len(self.gram))
 
 
 _I4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 CATALOGUE = {
-    # 1 + x - 3x^2 - x^3 + x^4
-    "lambda1": CataloguedLattice(build_lambda1, (1, 1, -3, -1, 1), 725, _I4),
-    # minimal polynomial of sqrt(2) + (1+sqrt(5))/2, a primitive
-    # element of the compositum the Kronecker construction lives in
-    "lambda2": CataloguedLattice(build_lambda2, (-1, 6, -5, -2, 1), 40 ** 2, _I4),
-    # 1 + 4x - 4x^2 - x^3 + x^4; the trace form on the power basis
-    "lambda3": CataloguedLattice(build_lambda3, (1, 4, -4, -1, 1), 1125,
-                                 ((4, 1, 9, 1), (1, 9, 1, 29), (9, 1, 29, -4),
-                                  (1, 29, -4, 99))),
+    # The twist u/f'(delta), for the unit u = delta^3 - delta^2 - 2 delta,
+    # generates the codifferent of Z[delta]; on this basis its form is I.
+    "lambda1": CataloguedLattice(
+        (1, 1, -3, -1, 1), 725,
+        ((0, 1, 0, 0), (1, -2, -1, 1), (1, 0, -1, 0), (1, 0, 0, 0)),
+        (Fraction(47, 145), Fraction(34, 145), Fraction(2, 145),
+         Fraction(-13, 145)),
+        _I4,
+        "twisted canonical embedding of the ring of integers of the "
+        "totally real quartic field x^4-x^3-3x^2+x+1 (discriminant 725), "
+        "rotated onto an orthonormal basis"),
+    # delta = sqrt(2) + (1+sqrt(5))/2; Z[delta] has index 3 in this ring.
+    "lambda2": CataloguedLattice(
+        (-1, 6, -5, -2, 1), 40 ** 2,
+        ((1, 0, 0, 0),
+         (Fraction(7, 3), Fraction(-10, 3), -1, Fraction(2, 3)),
+         (Fraction(-4, 3), Fraction(13, 3), 1, Fraction(-2, 3)),
+         (Fraction(-1, 3), Fraction(-5, 3), 0, Fraction(1, 3))),
+        (Fraction(17, 60), Fraction(-7, 30), 0, Fraction(1, 60)),
+        _I4,
+        "twisted canonical embedding of the ring of integers of "
+        "Q(sqrt(2), sqrt(5)) on the basis {1, 1+sqrt(2)} x {1, (1+sqrt(5))/2} "
+        "(twist (1/2-sqrt(2)/4)(3-(1+sqrt(5))/2)/5), the Kronecker product "
+        "of the twisted embeddings of Z[sqrt(2)] and of the golden ring"),
+    "lambda3": CataloguedLattice(
+        (1, 4, -4, -1, 1), 1125, ((1,), (0, 1), (0, 0, 1), (0, 0, 0, 1)), (1,),
+        ((4, 1, 9, 1), (1, 9, 1, 29), (9, 1, 29, -4), (1, 29, -4, 99)),
+        "canonical embedding of the ring of integers of the maximal real "
+        "subfield of the 15th cyclotomic field (x^4-x^3-4x^2+4x+1, "
+        "discriminant 1125), volume normalized; intentionally skewed"),
 }
 
 LATTICE_NAMES = tuple(CATALOGUE)
@@ -547,7 +532,15 @@ def _record(name: str) -> CataloguedLattice:
 
 
 def build_lattice(name: str) -> LatticeSpec:
-    return _record(name).build()
+    """The catalogued lattice `name`: its CATALOGUE record embedded and
+    proved by canonical_embedding, then scaled to unit volume only if the
+    record's Gram determinant is not 1 (lambda3)."""
+    r = _record(name)
+    m = canonical_embedding(number_field(r.min_poly), r.basis, r.alpha,
+                            gram=r.gram, disc=r.disc)
+    if _frac_det(r.gram) != 1:
+        m = normalize_unit_volume(m)
+    return _validated(name, m, r.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +588,7 @@ def load_lattice(name: str, data_dir=None) -> LatticeSpec:
     """Load a shipped lattice; LATTICESEC_DATA overrides the data dir.
 
     The file's name, dpmin_ref and min_poly must be the catalogue's,
-    and the builders' generator checks (unit volume, and the catalogued
+    and build_lattice's generator checks (unit volume, and the catalogued
     Gram) and the LatticeSpec d_p,min invariant are re-validated on
     load, so a corrupted data file cannot propagate. A missing file raises
     DomainError; a file that is not such a record, ConstructionError.

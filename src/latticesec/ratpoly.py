@@ -163,17 +163,17 @@ def _split_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:
     raise DomainError("could not find a nonroot split point")
 
 
-def isolate_roots_open(p: Poly, a, b) -> list[tuple[Fraction, Fraction]]:
+def isolate_roots_open(chain: Sequence[Poly], a, b) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals, each containing exactly one
-    distinct real root of p in (a, b).
+    distinct real root in (a, b) of p = chain[0], given its Sturm chain.
 
     Endpoints a, b must not be roots. Intervals are returned in
     ascending order and their endpoints are never roots of p.
     """
+    p = chain[0]
     a, b = Fraction(a), Fraction(b)
     if evaluate(p, a) == 0 or evaluate(p, b) == 0:
         raise DomainError("isolation interval endpoints must not be roots")
-    chain = sturm_chain(p)
     out: list[tuple[Fraction, Fraction]] = []
 
     def rec(lo: Fraction, hi: Fraction) -> None:
@@ -228,13 +228,15 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 
 def roots_in(p: Poly, a, b, width) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals of the distinct roots of p in (a, b), whose
-    endpoints are not roots, refined below `width`; ascending. Only if
-    some interval lacks a sign change (a root of even multiplicity) is p
-    replaced by its squarefree part, so that bisection applies."""
-    intervals = isolate_roots_open(p, a, b)
-    if any(evaluate(p, lo) * evaluate(p, hi) > 0 for lo, hi in intervals):
+    endpoints are not roots, refined below `width`; ascending. If p has a
+    repeated root (its Sturm chain ends in a nonconstant gcd(p, p')), it
+    is first replaced by its squarefree part, so that bisection applies."""
+    chain = sturm_chain(p)
+    if degree(chain[-1]) > 0:
         p = squarefree_part(p)
-    return [refine_isolating_interval(p, lo, hi, width) for lo, hi in intervals]
+        chain = sturm_chain(p)
+    return [refine_isolating_interval(p, lo, hi, width)
+            for lo, hi in isolate_roots_open(chain, a, b)]
 
 
 def real_roots(p: Poly, precision: Fraction = Fraction(1, 10**15)) -> list[Fraction]:

@@ -8,6 +8,7 @@ lattices so the confusion/performance tradeoff is visible in one table.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -26,8 +27,11 @@ __all__ = [
 
 
 def db_to_linear(db: float) -> float:
-    """Convert an SNR quoted in dB to linear scale."""
-    return 10.0 ** (db / 10.0)
+    """Convert an SNR quoted in dB to linear scale (DomainError on overflow)."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise DomainError("%s dB overflows a linear SNR" % db) from None
 
 
 @dataclass(frozen=True)
@@ -40,10 +44,10 @@ class ChannelParams:
     n: int
 
     def __post_init__(self) -> None:
-        for name, rule in (("gamma_e", "a positive real (linear SNR)"),
-                           ("vol_b", "positive")):
+        for name, rule in (("gamma_e", "a positive finite real (linear SNR)"),
+                           ("vol_b", "positive and finite")):
             x = getattr(self, name)
-            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not x > 0:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real) or not 0 < x < math.inf:
                 raise DomainError("%s must be %s" % (name, rule))
             object.__setattr__(self, name, float(x))
         object.__setattr__(self, "n", positive_int(self.n, "dimension n"))

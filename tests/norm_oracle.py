@@ -134,7 +134,7 @@ NORM_FORMS = {
     "lambda1": NormForm(
         norms=_power_basis_norms(
             (1, 1, -3, -1, 1),
-            # the lex-sorted norm-one representatives build_lambda1 picks
+            # the basis of lambda1's record in numfields.CATALOGUE
             ((0, 1, 0, 0), (1, -2, -1, 1), (1, 0, -1, 0), (1, 0, 0, 0))),
         gram=np.eye(4, dtype=np.int64),
         norm_disc=725, energy_disc=1),

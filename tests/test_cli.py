@@ -277,6 +277,13 @@ def test_compare_gamma_flags(capsys):
         assert run(capsys, "compare", "--lattice", "lambda1",
                    "--lattice", "lambda3", "--m", "3", "--p-lim", p_lim,
                    "--target-size", "50", "--gamma-db", "10")[0] == 2
+    # an SNR that overflows a float, or an infinite SNR or cell volume,
+    # is refused with an error line, not a traceback or invalid JSON
+    for flags in (("--gamma-db", "1e5"), ("--gamma", "inf"),
+                  ("--gamma", "10", "--vol-b", "inf", "--format", "json")):
+        code, out, err = run(capsys, "compare", "--lattice", "lambda1",
+                             "--m", "1", *flags)
+        assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_data_dir_override_and_corruption(capsys, tmp_path, monkeypatch, lambda2):

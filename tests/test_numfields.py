@@ -55,6 +55,12 @@ def test_canonical_embedding_rows():
         canonical_embedding(field, [(1, 0), (2, 0)])
 
 
+# Tr(delta^(i+j)) for the minimal polynomial x^4 - 2x^3 - 5x^2 + 6x - 1;
+# its determinant is 14400 = 3^2 * 1600.
+_POWER_TRACE_FORM = ((4, 2, 14, 20), (2, 14, 20, 102), (14, 20, 102, 222),
+                     (20, 102, 222, 848))
+
+
 def test_twisted_embedding_proves_its_gram():
     # Z[sqrt(2)] twisted by 1/(4+2*sqrt(2)) on {1, 1+sqrt(2)} has trace form I.
     field = number_field((-2, 0, 1))
@@ -69,6 +75,26 @@ def test_twisted_embedding_proves_its_gram():
                             gram=((1, 0), (0, 1)))
     with pytest.raises(DomainError, match="totally positive"):  # 1 - 2 sqrt(2) < 0
         canonical_embedding(field, basis, alpha=(1, 2), gram=((2, 10), (10, 22)))
+    # (1+sqrt(2))/2 has characteristic polynomial x^2 - x - 1/4; its
+    # discriminant 2 and trace form are stated truly, so only integrality fails
+    with pytest.raises(ConstructionError, match="algebraic integer"):
+        canonical_embedding(field, ((1,), (Fraction(1, 2), Fraction(1, 2))),
+                            gram=((2, 1), (1, Fraction(3, 2))), disc=2)
+    # Q(delta), delta = sqrt(2) + (1+sqrt(5))/2, of discriminant 1600: the
+    # basis {1, 1+sqrt(2)} x {1, (1+sqrt(5))/2} spans its ring of integers,
+    # while Z[delta], of index 3 and discriminant 14400, is refused
+    field = number_field((-1, 6, -5, -2, 1))
+    compositum = ((1,), (Fraction(7, 3), Fraction(-10, 3), -1, Fraction(2, 3)),
+                  (Fraction(-4, 3), Fraction(13, 3), 1, Fraction(-2, 3)),
+                  (Fraction(-1, 3), Fraction(-5, 3), 0, Fraction(1, 3)))
+    alpha = (Fraction(17, 60), Fraction(-7, 30), 0, Fraction(1, 60))
+    gen = canonical_embedding(field, compositum, alpha=alpha,
+                              gram=np.eye(4, dtype=int), disc=1600)
+    assert gen.unitarity_defect() <= 1e-14
+    power = [(0,) * i + (1,) for i in range(4)]
+    canonical_embedding(field, power, gram=_POWER_TRACE_FORM)
+    with pytest.raises(ConstructionError, match="span"):
+        canonical_embedding(field, power, gram=_POWER_TRACE_FORM, disc=1600)
 
 
 def test_norm_identity_on_random_elements():
@@ -141,11 +167,20 @@ def test_lambda2_compositum_generator():
 
 
 def test_shipped_data_matches_builders(lambda1, lambda2, lambda3):
+    # lambda2's shipped file was built as a Kronecker product of two
+    # quadratic rotations; its one twisted embedding agrees to within
+    # 8.9e-16 in the same row and column order. The file's own bits are
+    # pinned through tests/data.
     built = {"lambda1": lambda1, "lambda2": lambda2, "lambda3": lambda3}
     for name in LATTICE_NAMES:
-        loaded = load_lattice(name)
-        assert (loaded.generator.entries == built[name].generator.entries).all()
-        assert loaded.reference_dpmin == built[name].reference_dpmin
+        loaded, want = load_lattice(name), built[name]
+        got, exp = loaded.generator.entries, want.generator.entries
+        if name == "lambda2":
+            assert got.shape == exp.shape
+            assert np.abs(got - exp).max() <= 1e-15
+        else:
+            assert (got == exp).all()
+        assert loaded.reference_dpmin == want.reference_dpmin
 
 
 def test_data_dir_override(tmp_path, monkeypatch, lambda1):

@@ -87,7 +87,7 @@ def test_count_roots_open_counts_distinct_roots(case):
 def test_isolate_roots_open_isolates_each_distinct_root(case):
     p, a, b = case
     sp = _sympy_poly(p)
-    intervals = ratpoly.isolate_roots_open(p, a, b)
+    intervals = ratpoly.isolate_roots_open(ratpoly.sturm_chain(p), a, b)
     assert len(intervals) == sp.count_roots(_rational(a), _rational(b))
     edges = [a] + [x for iv in intervals for x in iv] + [b]
     assert edges == sorted(edges)

@@ -65,7 +65,8 @@ def test_params_take_numpy_reals_and_refuse_bools():
     doc = compare_report([_report("lambda2", 3, 1.16395e7)], params)
     assert json.loads(doc.to_json())["n"] == 4
     for bad in ({"n": True}, {"gamma_e": True}, {"vol_b": True},
-                {"gamma_e": "10"}, {"n": 4.0}, {"vol_b": math.nan}):
+                {"gamma_e": "10"}, {"n": 4.0}, {"vol_b": math.nan},
+                {"gamma_e": math.inf}, {"vol_b": np.inf}):
         with pytest.raises(DomainError):
             ChannelParams(**{"gamma_e": 10.0, "vol_b": 1.0, "n": 4, **bad})
 
@@ -74,6 +75,8 @@ def test_db_conversion():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0)
     assert db_to_linear(20.0) == pytest.approx(100.0)
+    with pytest.raises(DomainError):
+        db_to_linear(1e5)
 
 
 def test_ranking_published_m3_values():
