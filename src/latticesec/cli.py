@@ -69,37 +69,38 @@ def _parse_poly_file(path: str) -> ZPolynomial:
     return ZPolynomial(coeffs)
 
 
+# The flags each secrecy subcommand takes, exactly one of them when any.
+_SECRECY_SOURCES = {"table": (), "gain": ("--dim", "--all"),
+                    "verify": ("--dim", "--all", "--poly")}
+
+
 def _cmd_secrecy(args: argparse.Namespace) -> int:
+    given = [flag for flag, on in zip(
+        ("--dim", "--all", "--poly"),
+        (args.dim is not None, args.all, args.poly is not None)) if on]
+    takes = _SECRECY_SOURCES[args.subcommand]
+    if len(given) != bool(takes) or not set(given) <= set(takes):
+        raise DomainError("secrecy %s takes %s" % (args.subcommand, (
+            "one of " + "/".join(takes) if takes else "no --dim/--all/--poly")))
+
     if args.subcommand == "table":
         for dim, poly in known_extremal_table():
             print("dim %d: %s" % (dim, poly))
-        return 0
-
-    if args.subcommand == "gain":
+    elif args.subcommand == "gain":
         if args.all:
             for dim, poly in known_extremal_table():
                 print("%d %s" % (dim, secrecy_gain(poly)))
-            return 0
-        if args.dim is None:
-            raise DomainError("secrecy gain needs --dim or --all")
-        print(secrecy_gain(table_polynomial(args.dim)))
-        return 0
-
-    # verify
-    if args.poly is not None:
-        cert = verify_conjecture(_parse_poly_file(args.poly))
-        print(cert.to_json())
-        return 0
-    if args.all:
-        docs = []
-        for dim, poly in known_extremal_table():
-            docs.append(verify_conjecture(poly).to_json_dict(dimension=dim))
+        else:
+            print(secrecy_gain(table_polynomial(args.dim)))
+    elif args.poly is not None:
+        print(verify_conjecture(_parse_poly_file(args.poly)).to_json())
+    elif args.all:
+        docs = [verify_conjecture(poly).to_json_dict(dimension=dim)
+                for dim, poly in known_extremal_table()]
         print(json.dumps(docs, indent=2, sort_keys=True))
-        return 0
-    if args.dim is None:
-        raise DomainError("secrecy verify needs --dim, --all, or --poly")
-    cert = verify_conjecture(table_polynomial(args.dim))
-    print(cert.to_json(dimension=args.dim))
+    else:
+        cert = verify_conjecture(table_polynomial(args.dim))
+        print(cert.to_json(dimension=args.dim))
     return 0
 
 
@@ -142,8 +143,9 @@ def _table_row(args: argparse.Namespace) -> TableRow:
 
 def _cmd_sum(args: argparse.Namespace) -> int:
     if args.reproduce is not None:
-        if args.lattice is not None or args.m is not None:
-            raise DomainError("--reproduce replaces --lattice/--m")
+        if (args.lattice, args.m, args.p_lim, args.target_size) != (None,) * 4:
+            raise DomainError(
+                "--reproduce replaces --lattice/--m/--p-lim/--target-size")
         sweeps = ([(name, TABLE1_ROWS) for name in TABLE1_LATTICES]
                   if args.reproduce == "table1"
                   else [(TABLE2_LATTICE, TABLE2_ROWS)])
@@ -163,7 +165,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     gamma = args.gamma if args.gamma is not None else db_to_linear(args.gamma_db)
     row = _table_row(args)
     reports = table_sweep([(load_lattice(name), [row]) for name in args.lattice],
-                          exponent=args.exponent, jobs=args.jobs)
+                          jobs=args.jobs)
     params = ChannelParams(gamma_e=gamma, vol_b=args.vol_b, n=reports[0].n)
     doc = compare_report(reports, params)
     print(doc.to_json() if args.format == "json" else doc.render_text())
@@ -217,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--m", type=int, required=True)
     p_cmp.add_argument("--p-lim", type=float, default=None)
     p_cmp.add_argument("--target-size", type=int, default=None)
-    p_cmp.add_argument("--exponent", type=int, default=3)
     p_cmp.add_argument("--jobs", type=int, default=1)
     p_cmp.add_argument("--gamma", type=float, default=None,
                        help="eavesdropper SNR, linear scale")

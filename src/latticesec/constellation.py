@@ -18,41 +18,43 @@ fixed ascending order of the leading coefficient. That also makes
 runs bit-identical for any thread count: threads compute whole slices
 and the combination order never depends on scheduling.
 
-Slice z1 is z1*M[0] plus the block rest @ M[1:] over the rest box
-{-m..m}^(n-1); that block is built once per sum. It and the carve's
-words are made by _product in row blocks of at most 2^17 multiply-adds
-each, which OpenBLAS computes in the calling thread. One call over a
-whole m=40 half box would wake its thread pool, whose worker then
-spins for about 0.13 s of CPU (on a 2-core machine) after a product of
-a few milliseconds has returned. The blocks split rows only, never
-the inner dimension, so each row has the bits of the one-call product.
-With jobs > 1 the slices are mapped, in order, over
-min(jobs, cores, m + 1) threads that share the block; numpy releases
-the GIL in the whole-slice work. A slice that keeps every row is
-written into its thread's buffer, reused from slice to slice, and
-reduced in place.
+Slice z1 is z1*M[0] plus rest @ M[1:] over its rest vectors
+(z_2, ..., z_n). Without a cap, or when the ball holds the box, these
+are the whole rest box {-m..m}^(n-1), and that block is built once per
+sum. Every product is made by _product in row blocks of at most 2^17
+multiply-adds each, which OpenBLAS computes in the calling thread; a
+larger call would wake its thread pool, whose worker then spins for
+about 0.13 s of CPU after the product has returned. The blocks split
+rows only, and no call takes a single row, which numpy would hand to
+gemv, so each row has the bits of the one-call product. With jobs > 1
+the slices are mapped, in order, over min(jobs, cores, m + 1) threads
+that share the block; numpy releases the GIL in the whole-slice work.
+A slice's words go into its thread's buffer, grown on demand and
+reused from slice to slice; a slice that keeps every row is reduced
+there in place.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 Row N-1-i of the lex-ordered rest box is minus row i, so only the
-block's upper half (from the zero row on) is multiplied and the lower
-half is its IEEE negation, which is exact: the block is odd bit for bit
-by construction. So every word of slice -z1 is the bitwise negation of
-a word of slice z1, and the two slices have the same count, terms,
-energies and p_max bit for bit. A slice sum rounds once, whatever the
-order of its terms, so only slices z1 = 0..m are computed and their
-partials are passed on as [m, ..., 1, 0, 1, ..., m]. A diversity
-failure is reported at the lex-first offending coefficient vector, as
-without the fold.
+uncapped block's upper half (from the zero row on) is multiplied and
+the lower half is its IEEE negation: that block is odd bit for bit by
+construction. Capped slices rest on two facts instead: a row of a
+_product has the same bits in any call, and IEEE negation is exact, so
+(-r) @ M[1:] - z1*M[0] is minus r @ M[1:] + z1*M[0] bit for bit. So
+every word of slice -z1 is the bitwise negation of a word of slice z1,
+and the two slices have the same count, terms, energies and p_max bit
+for bit. A slice sum rounds once, whatever the order of its terms, so
+only slices z1 = 0..m are computed and their partials are passed on as
+[m, ..., 1, 0, 1, ..., m]. A diversity failure is reported at the
+lex-first offending coefficient vector, as without the fold.
 
 With an energy cap, the lattice-point walker numfields.EllipsoidWalker
-(Fincke-Pohst over the Gram matrix G = M M^T) gives each slice the
-ascending rows of the rest box whose words can lie in the ball. Only
-those rows are gathered from the shared block, and the float test
-||x||^2 <= p_lim still decides membership on the same words, so count,
-terms, energies and p_max are those of a full scan bit for bit. The
-walker's docstring gives the rule by which it never drops a word that
-the float test keeps. Without a cap, or when the ball holds the box,
-it returns the whole slice and does no walk.
+(Fincke-Pohst over the Gram matrix G = M M^T) gives each slice its
+candidates in lex order, and the slice multiplies only those. The
+float test ||x||^2 <= p_lim still decides membership on the words a
+full scan makes, so count, terms, energies and p_max are those of a
+full scan bit for bit. The walker's docstring gives the rule by which
+it never drops a word that the float test keeps. Without a cap, or
+when the ball holds the box, the sum does no walk.
 
 The lowest-energy carve takes its candidates from the same walker. It
 starts from the ball whose volume holds target_size lattice points and
@@ -151,12 +153,17 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
     Each call stays within _PRODUCT_MADDS, so OpenBLAS never wakes its
     thread pool, whose workers would spin on after the product returns.
     Only rows are split, so each row has the bits of one np.matmul call.
+    numpy hands a one-row product to gemv, whose rows need not have
+    gemm's bits, so no call takes one row: a lone row is taken twice.
     """
     if out is None:
         out = np.empty((len(a), b.shape[1]))
-    step = max(1, _PRODUCT_MADDS // (a.shape[1] * b.shape[1]))
+    step = max(2, _PRODUCT_MADDS // (a.shape[1] * b.shape[1]))
     for i in range(0, len(a), step):
-        np.matmul(a[i:i + step], b, out=out[i:i + step])
+        if len(a) - i == 1:
+            out[i] = np.matmul(a[[i, i]], b)[0]
+        else:
+            np.matmul(a[i:i + step], b, out=out[i:i + step])
     return out
 
 
@@ -249,39 +256,48 @@ def _reduce(words: np.ndarray, norms: np.ndarray, exponent: int):
 class _Slices:
     """The codebook split by its leading coefficient z1.
 
-    Slice z1 holds the words z1*M[0] + r @ M[1:] for the rows r of the
-    rest box {-m..m}^(n-1) that the walker visits. The product
-    rest @ M[1:] is the same for every slice, so it is built once, by
-    _product in row blocks that keep OpenBLAS in this thread, and whole
-    slices are written into one buffer per thread, one after the other.
+    Slice z1 holds the words z1*M[0] + r @ M[1:] for the rest vectors
+    r = (z_2, ..., z_n) that the walker gives it. Without a cap, or when
+    the ball holds the box, r runs over the whole rest box
+    {-m..m}^(n-1), whose product rest @ M[1:] is the same for every
+    slice, so it is built once. With a cap each slice multiplies only
+    its own candidates. Either way the words are written into one
+    buffer per thread, reused from slice to slice, and every product is
+    made by _product in row blocks that keep OpenBLAS in this thread.
     Everything else is only read after __init__, so threads may share
     one _Slices.
     """
 
     def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
-        self.M, self.m, self.p_lim, self.exponent = M, m, p_lim, exponent
-        self.rest = _box(M.shape[0] - 1, m)
-        # Row N-1-i of the box is minus row i: multiply the upper half and
-        # negate it into the lower half, so the block is odd bit for bit.
-        self.zero = len(self.rest) // 2
-        self.shared = np.empty((len(self.rest), M.shape[1]))
-        _product(self.rest[self.zero:], M[1:], out=self.shared[self.zero:])
-        np.negative(self.shared[:self.zero:-1], out=self.shared[:self.zero])
+        self.M, self.p_lim, self.exponent = M, p_lim, exponent
         self.local = threading.local()
         self.walker = EllipsoidWalker(M @ M.T, m)
+        self.capped = p_lim < self.walker.box_top
+        if not self.capped:
+            self.rest = _box(M.shape[0] - 1, m)
+            # Row N-1-i of the box is minus row i: multiply the upper half
+            # and negate it into the lower, so the block is odd bit for bit.
+            zero = len(self.rest) // 2
+            self.shared = np.empty((len(self.rest), M.shape[1]))
+            _product(self.rest[zero:], M[1:], out=self.shared[zero:])
+            np.negative(self.shared[:zero:-1], out=self.shared[:zero])
 
-    def words(self, z1: int) -> tuple[np.ndarray | None, np.ndarray]:
-        """(rows, words) of slice z1 that may lie in the ball, in lex
-        order; rows None stands for the whole rest box, whose words
-        overwrite those of this thread's previous whole slice."""
-        rows = self.walker.rows(z1, self.p_lim)
-        if rows is None:
-            if not hasattr(self.local, "whole"):
-                self.local.whole = np.empty_like(self.shared)
-            return None, np.add(self.shared, z1 * self.M[0], out=self.local.whole)
-        block = self.shared[rows]
-        block += z1 * self.M[0]
-        return rows, block
+    def words(self, z1: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rest, words) of slice z1 in lex order: the rest vectors that
+        may lie in the ball and their words, which overwrite those of
+        this thread's previous slice."""
+        rest = (self.walker.vectors(z1, self.p_lim)[:, 1:] if self.capped
+                else self.rest)
+        buf = getattr(self.local, "buf", None)
+        if buf is None or len(buf) < len(rest):
+            buf = self.local.buf = np.empty((len(rest), self.M.shape[1]))
+        words = buf[:len(rest)]
+        if self.capped:
+            _product(rest, self.M[1:], out=words)
+            words += z1 * self.M[0]
+        else:
+            np.add(self.shared, z1 * self.M[0], out=words)
+        return rest, words
 
     def stats(self, z1: int):
         """Sum/energy statistics of slice z1.
@@ -291,24 +307,23 @@ class _Slices:
         (coefficient vector, coordinate index, coordinate value), or is
         None. All reductions are deterministic functions of the slice.
         """
-        rows, block = self.words(z1)
+        rest, block = self.words(z1)
         norms = np.einsum("ij,ij->i", block, block)
         keep = norms <= self.p_lim
         count = int(np.count_nonzero(keep))
         if z1 == 0:
             # The zero word counts, but has no term, and its energy is +0.0,
             # which leaves the exact energy sum as it is.
-            keep[self.zero if rows is None else np.searchsorted(rows, self.zero)] = False
+            keep &= rest.any(axis=1)
         gathered = z1 == 0 or count < len(norms)
         if gathered:
             block, norms = block[keep], norms[keep]
-        # block is this slice's own: a gather, or the whole-slice buffer.
+        # block is this slice's own: a gather, or this thread's buffer.
         s_partial, p_max, energy, bad = _reduce(block, norms, self.exponent)
         if bad is not None:
             first, coord, value = bad
             row = np.flatnonzero(keep)[first] if gathered else first
-            rest = self.rest[row if rows is None else rows[row]]
-            bad = ((z1, *map(int, rest)), coord, value)
+            bad = ((z1, *map(int, rest[row])), coord, value)
         return count, s_partial, p_max, energy, bad
 
 
@@ -390,7 +405,7 @@ def _ball_candidates(
         if whole:
             z = _box(n, m)
         else:
-            z = walker.vectors(None, p).astype(float)
+            z = walker.vectors(None, p)
         x = _product(z, M)
         norms = np.einsum("ij,ij->i", x, x)
         inside = np.count_nonzero(norms <= p)

@@ -184,10 +184,6 @@ class GeneratorMatrix:
     def det(self) -> float:
         return float(np.linalg.det(self.entries))
 
-    def unitarity_defect(self) -> float:
-        gram = self.entries @ self.entries.T
-        return float(np.max(np.abs(gram - np.eye(self.n))))
-
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -289,9 +285,9 @@ class EllipsoidWalker:
     are computed exactly in Fraction from the Gram entries and rounded
     once to float. With a box bound m every run is clipped to -m..m.
     Each level expands its runs in ascending order under ascending
-    prefixes, so the candidates come out in lex order. vectors gives
-    the candidates of one slice z1, or of every slice at once; rows
-    gives a slice's candidates as rows of the rest box _box(n - 1, m).
+    prefixes, so the candidates come out in lex order. vectors, the
+    walker's one output, gives the candidates of one slice z1, or of
+    every slice at once, as float64 rows like those of _box.
 
     The candidates of slice z1 hold every z (in the box, if m is given)
     with z G z^T <= cap, and, for G = M M^T, every word whose float norm
@@ -356,11 +352,10 @@ class EllipsoidWalker:
         b = math.floor(math.sqrt(cap * self.widen / self.d[0]))
         return range(-b, b + 1)
 
-    def _walk(self, z1: int | None, cap: float):
-        """(cols, lo, runs) of slice z1, or of every slice if z1 is None.
-        The candidates are the prefixes (z_1, ..., z_{n-1}), which cols
-        holds column by column, each followed by each z_n of the prefix's
-        run lo..lo+runs-1."""
+    def vectors(self, z1: int | None, cap: float) -> np.ndarray:
+        """The candidates (z_1, ..., z_n) of slice z1, or of every slice if
+        z1 is None, as rows in ascending lex order. The entries are small
+        integers stored as float64, exact, as _box stores them."""
         n, d, u, m = len(self.d), self.d, self.u, self.m
         room = np.array([cap * self.widen])
         # c[j] = -sum_{i<k} U_ij z_i over each prefix, the centre of z_j.
@@ -384,35 +379,13 @@ class EllipsoidWalker:
                 np.minimum(hi, m, out=hi)
             runs = np.maximum(hi - lo + 1, 0).astype(np.intp)
             lo = lo.astype(np.int64)
-        return cols, lo, runs
-
-    def vectors(self, z1: int | None, cap: float) -> np.ndarray:
-        """The candidates (z_1, ..., z_n) of slice z1, or of every slice if
-        z1 is None, as int64 rows in ascending lex order."""
-        cols, lo, runs = self._walk(z1, cap)
-        parent, last = _expand(lo, runs)
-        out = np.empty((len(last), len(cols) + 1), np.int64)
+        # cols holds the prefixes (z_1, ..., z_{n-1}) column by column; each
+        # is followed by each z_n of its run lo..lo+runs-1.
+        out = np.empty((int(runs.sum()), n))
         for j, col in enumerate(cols):
-            out[:, j] = col[parent]
-        out[:, -1] = last
+            out[:, j] = np.repeat(col, runs)
+        out[:, -1] = _expand(lo, runs)[1]
         return out
-
-    def rows(self, z1: int, cap: float) -> np.ndarray | None:
-        """Ascending rows of the rest box _box(n - 1, m) that hold the
-        candidates of slice z1. None stands for the whole rest box, when
-        the ball holds the box; the walk is then skipped."""
-        if not cap < self.box_top:
-            return None
-        cols, lo, runs = self._walk(z1, cap)
-        m, side = self.m, 2 * self.m + 1
-        # Rows of the whole box {-m..m}^n, less slice z1's first row.
-        row = np.zeros(len(runs), np.int64)
-        for col in cols:
-            row = row * side + (col + m)
-        first = (z1 + m) * side ** (len(self.d) - 1)
-        starts = np.cumsum(runs) - runs
-        return (np.repeat(row * side + m - first + lo - starts, runs)
-                + np.arange(runs.sum()))
 
 
 def _expand(lo: np.ndarray, runs: np.ndarray):

@@ -58,7 +58,7 @@ def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]
         wide = sum(abs(gi[i][j]) * b[i] * b[j] for i in range(len(b))
                    for j in range(len(b))) >= 2 ** 63
         dtype = object if wide else np.int64
-        z = z.astype(dtype)
+        z = z.astype(np.int64).astype(dtype, copy=False)
         norms = ((z @ np.array(gi, dtype=dtype)) * z).sum(axis=1)
         for q, c in zip(*np.unique(norms, return_counts=True)):
             if int(q) <= cap:

@@ -57,12 +57,22 @@ def eve_correct_probability(params: ChannelParams, s_value: float) -> float:
     """(1/(4 gamma_e^2))^(n/2) * vol_b * s_value.
 
     The sum must come from a constellation of the same dimension as
-    ``params.n``; the prefactor is pure channel geometry.
+    ``params.n``; the prefactor is pure channel geometry. A gamma_e or
+    vol_b that takes the prefactor, or a finite sum times it, out of the
+    float range raises DomainError.
     """
     if not (s_value >= 0):
         raise DomainError("s_value must be nonnegative")
-    prefactor = (1.0 / (4.0 * params.gamma_e**2)) ** (params.n / 2.0)
-    return prefactor * params.vol_b * s_value
+    try:
+        p = ((1.0 / (4.0 * params.gamma_e**2)) ** (params.n / 2.0)
+             * params.vol_b * s_value)
+    except (OverflowError, ZeroDivisionError):
+        p = math.inf
+    if math.isinf(p) and math.isfinite(s_value):
+        raise DomainError(
+            "(1/(4 gamma_e^2))^(n/2) vol_b S leaves the float range at "
+            "gamma_e = %g, vol_b = %g" % (params.gamma_e, params.vol_b))
+    return p
 
 
 @dataclass(frozen=True)

@@ -234,8 +234,8 @@ def test_criterion_5_lattice_constructions(verdict, lambda1, lambda2, lambda3):
     from latticesec.numfields import min_product_distance
     dp_rel = max(abs(min_product_distance(s.generator) - refs[n]) / refs[n]
                  for n, s in specs.items())
-    unit = max(lambda1.generator.unitarity_defect(),
-               lambda2.generator.unitarity_defect())
+    unit = max(np.abs(M @ M.T - np.eye(4)).max()
+               for M in (lambda1.generator.entries, lambda2.generator.entries))
     det_dev = max(abs(abs(s.generator.det) - 1.0) for s in specs.values())
     ok = dp_rel <= 1e-6 and unit <= 1e-9 and det_dev <= 1e-12
     verdict(5, ok, "d_p,min rel dev %.2e (<=1e-6), unitarity defect %.2e "

@@ -286,6 +286,36 @@ def test_compare_gamma_flags(capsys):
         assert (code, out) == (2, "") and err.startswith("error:")
 
 
+@pytest.mark.parametrize("gamma", ["1e-100", "1e200", "1e-200", "1e-77"])
+def test_compare_probability_out_of_float_range(capsys, gamma):
+    # The prefactor overflows (1e-100, and 1e200 through gamma^2), divides
+    # by an underflowed 4 gamma^2 (1e-200), or times S overflows (1e-77).
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "compare", "--lattice", "lambda1",
+                             "--m", "1", "--gamma", gamma, "--format", fmt)
+        assert (code, out) == (2, "") and err.startswith("error:")
+
+
+def test_compare_takes_no_exponent(capsys):
+    # p_correct is the cube sum's bound only; S of another exponent would
+    # print a number that bounds nothing.
+    code, out, err = run(capsys, "compare", "--lattice", "lambda1", "--m", "1",
+                         "--gamma", "10", "--exponent", "2")
+    assert (code, out) == (2, "") and "--exponent" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", "--reproduce", "table2", "--p-lim", "10"),
+    ("sum", "--reproduce", "table1", "--target-size", "5"),
+    ("secrecy", "table", "--dim", "8"),
+    ("secrecy", "verify", "--all", "--dim", "8"),
+    ("secrecy", "gain", "--poly", "/nonexistent", "--dim", "8"),
+])
+def test_ignored_flags_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error:")
+
+
 def test_data_dir_override_and_corruption(capsys, tmp_path, monkeypatch, lambda2):
     path = save_lattice(lambda2, tmp_path)
     monkeypatch.setenv("LATTICESEC_DATA", str(tmp_path))

@@ -246,11 +246,13 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
                 caps |= {np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)}
             walker = EllipsoidWalker(M @ M.T, m)
             for p_lim in sorted(caps):
+                if not p_lim < walker.box_top:
+                    continue  # the sum takes the whole box, with no walk
                 for z1 in range(-m, m + 1):
                     need = np.flatnonzero(norms[z1 + m] <= p_lim)
-                    rows = walker.rows(z1, p_lim)
-                    if rows is None:
-                        continue
+                    rest = walker.vectors(z1, p_lim)[:, 1:] + m
+                    rows = np.ravel_multi_index(rest.astype(np.intp).T,
+                                                (side,) * (n - 1))
                     assert np.all(np.diff(rows) > 0)
                     assert np.isin(need, rows).all(), (M, m, p_lim, z1)
                     # and it prunes: the visited words lie within a hair
@@ -341,19 +343,64 @@ def test_products_stay_in_the_calling_thread(lambda3, monkeypatch):
     monkeypatch.setattr(np, "matmul", recording_matmul)
     monkeypatch.setattr(constellation, "_product", recording_product)
     inverse_norm_power_sum(lambda3.generator, 40, p_lim=1600.0)
-    assert [len(p[0]) for p in products] == [(81 ** 3 + 1) // 2]
+    # A capped sum multiplies each slice's own candidates, never the half
+    # rest box.
+    assert len(products) == 41
+    assert max(len(p[0]) for p in products) < (81 ** 3 + 1) // 2
     carve_lowest_energy(lambda3.generator, 25, 100000)
-    assert len(products) >= 2
+    assert len(products) >= 42
     assert sum(len(p[3]) for p in products) == len(calls)
     for a, b, out, own in products:
         row = 0
         for ai, bi, oi in own:
-            assert bi is b and len(ai) == len(oi)
+            assert bi is b
+            if oi is None:  # a lone last row, taken twice
+                assert row == len(a) - 1 and np.array_equal(ai, a[[row, row]])
+                row += 1
+                continue
+            assert len(ai) == len(oi) > 1
             assert len(ai) * a.shape[1] * b.shape[1] <= 1 << 17
             assert offset(ai, a) == row * a.strides[0]
             assert offset(oi, out) == row * out.strides[0]
             row += len(ai)
         assert row == len(a)
+
+
+def test_lone_rows_match_one_matmul(lambda1, lambda2, lambda3):
+    # numpy takes a one-row matmul to gemv, which may round otherwise than
+    # gemm; _product never makes such a call, so a lone row, alone or last
+    # in a product, has the bits it has among others.
+    rest = _box(3, 14)
+    for spec in (lambda1, lambda2, lambda3):
+        M = spec.generator.entries
+        many = np.matmul(rest, M[1:]).view(np.int64)
+        for i in range(0, len(rest), 211):
+            assert np.array_equal(_product(rest[i:i + 1], M[1:]).view(np.int64),
+                                  many[i:i + 1])
+        step = constellation._PRODUCT_MADDS // 12
+        for rows in (step + 1, 2 * step + 1):
+            assert np.array_equal(_product(rest[:rows], M[1:]).view(np.int64),
+                                  many[:rows])
+
+
+def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):
+    # Uncapped, or with a ball that holds the box, a sum multiplies the
+    # rest box {-m..m}^3 once; capped, each slice multiplies only the
+    # walker's candidates, and no box is built.
+    boxes = []
+
+    def recording_box(k, m):
+        boxes.append((k, m))
+        return _box(k, m)
+
+    monkeypatch.setattr(constellation, "_box", recording_box)
+    gen = lambda3.generator
+    inverse_norm_power_sum(gen, 9, p_lim=64.0)
+    inverse_norm_power_sum(gen, 9, p_lim=64.0, jobs=2)
+    assert boxes == []
+    inverse_norm_power_sum(gen, 3)
+    inverse_norm_power_sum(gen, 3, p_lim=1e6)
+    assert boxes == [(3, 3), (3, 3)]
 
 
 def test_integer_arguments_of_any_integer_type_but_bool(lambda3):

@@ -52,13 +52,18 @@ def test_walker_keeps_every_vector_of_a_box_scan(case):
     slices = []
     for z1 in walker.leading(cap):
         z = walker.vectors(z1, cap)
-        assert z.shape[1] == n and np.all(z[:, 0] == z1)
+        assert z.dtype == np.float64 and z.shape[1] == n and np.all(z[:, 0] == z1)
         assert [tuple(v) for v in z.tolist()] == sorted(map(tuple, z.tolist()))
         if m is not None:
             assert np.all(np.abs(z) <= m)
-            rows = walker.rows(z1, cap)
-            if rows is not None:
-                assert np.array_equal(_box(n - 1, m)[rows], z[:, 1:])
+        if m is not None and n > 1:
+            # The candidates' rest vectors are rows of the rest box, bit
+            # for bit as _box stores them.
+            rest = z[:, 1:]
+            rows = np.ravel_multi_index((rest + m).astype(np.intp).T,
+                                        (2 * m + 1,) * (n - 1))
+            assert np.array_equal(_box(n - 1, m)[rows].view(np.int64),
+                                  rest.view(np.int64))
         slices.append(z)
     # Walking every slice at once gives the same candidates in the same order.
     assert np.array_equal(walker.vectors(None, cap), np.concatenate(slices))

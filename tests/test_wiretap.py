@@ -71,6 +71,18 @@ def test_params_take_numpy_reals_and_refuse_bools():
             ChannelParams(**{"gamma_e": 10.0, "vol_b": 1.0, "n": 4, **bad})
 
 
+def test_probability_out_of_float_range_is_a_domain_error():
+    # Today's formula keeps its bits wherever it stays in range.
+    assert eve_correct_probability(ChannelParams(1e-75, 1.0, 4), 1.0) == \
+        (1.0 / (4.0 * 1e-75**2)) ** 2.0
+    for gamma, vol_b in ((1e-100, 1.0), (1e200, 1.0), (1e-200, 1.0),
+                         (1e-77, 1.0), (1.0, 1e308)):
+        with pytest.raises(DomainError, match="float range"):
+            eve_correct_probability(ChannelParams(gamma, vol_b, 4), 1.2e6)
+    # An infinite sum stays infinite.
+    assert eve_correct_probability(ChannelParams(1.0, 1.0, 4), math.inf) == math.inf
+
+
 def test_db_conversion():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0)
