@@ -11,27 +11,32 @@ too. The eavesdropper-confusion metric is
 (the inverse norm power sum; exponent 3 corresponds to the fast-fading
 correct-decision probability). The sums span many orders of magnitude,
 so each coefficient slice's terms and energies are summed exactly and
-rounded once. _exact_sum does that with integer mantissa parts binned
-by exponent and returns the bits math.fsum would, without a Python
-float per term. The per-slice partials are combined with math.fsum in
-fixed ascending order of the leading coefficient. That also makes
-runs bit-identical for any thread count: threads compute whole slices
-and the combination order never depends on scheduling.
+rounded once. _ExactSum does that with integer mantissa parts binned
+by exponent, merged block by block, and returns the bits math.fsum
+would, without a Python float per term. The per-slice partials are
+combined with math.fsum in fixed ascending order of the leading
+coefficient. That also makes runs bit-identical for any thread count:
+threads compute whole slices and the combination order never depends
+on scheduling.
 
 Slice z1 is z1*M[0] plus rest @ M[1:] over its rest vectors
 (z_2, ..., z_n). Without a cap, or when the ball holds the box, these
 are the whole rest box {-m..m}^(n-1), and that block is built once per
-sum. Every product is made by _product in row blocks of at most 2^17
-multiply-adds each, which OpenBLAS computes in the calling thread; a
-larger call would wake its thread pool, whose worker then spins for
-about 0.13 s of CPU after the product has returned. The blocks split
-rows only, and no call takes a single row, which numpy would hand to
-gemv, so each row has the bits of the one-call product. With jobs > 1
-the slices are mapped, in order, over min(jobs, cores, m + 1) threads
-that share the block; numpy releases the GIL in the whole-slice work.
-A slice's words go into its thread's buffer, grown on demand and
-reused from slice to slice; a slice that keeps every row is reduced
-there in place.
+sum. A slice is streamed through blocks of _BLOCK = 8192 rows: each
+block's words, norms, keep mask, absolute values and terms are made in
+its thread's fixed scratch, and its energies and terms are added to
+the slice's exact sums. Apart from a capped slice's walk, no pass of a
+slice allocates a slice-sized array, so a block stays in cache and
+memory is not mapped afresh for every slice. Every row's arithmetic is
+its own, so the bits do not depend on the block size. Every product is
+made by _product in row blocks of at most 16 * _BLOCK = 2^17
+multiply-adds, which OpenBLAS computes in the calling thread; a larger
+call would wake its thread pool, whose worker then spins for about
+0.13 s of CPU after the product has returned. The blocks split rows only, and
+no call takes a single row, which numpy would hand to gemv, so each
+row has the bits of the one-call product. With jobs > 1 the slices are
+mapped, in order, over min(jobs, cores, m + 1) threads that share the
+block and the walker; numpy releases the GIL in the per-block work.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 Row N-1-i of the lex-ordered rest box is minus row i, so only the
@@ -142,23 +147,27 @@ def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
     return gen.entries
 
 
-# Multiply-adds per np.matmul call of _product: half of the 65536 * 4 up
-# to which OpenBLAS's gemm runs in the calling thread.
-_PRODUCT_MADDS = 1 << 17
+# Rows per block. A block of words is 256 KB at n = 4, so it stays in
+# L2 through a slice's passes over it; a product of 8192 rows of 4
+# columns into 4 is 16 * 8192 = 2^17 multiply-adds, half of the
+# 65536 * 4 up to which OpenBLAS's gemm runs in the calling thread.
+_BLOCK = 8192
 
 
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
     """a @ b, one np.matmul per block of rows, written into out.
 
-    Each call stays within _PRODUCT_MADDS, so OpenBLAS never wakes its
-    thread pool, whose workers would spin on after the product returns.
-    Only rows are split, so each row has the bits of one np.matmul call.
-    numpy hands a one-row product to gemv, whose rows need not have
-    gemm's bits, so no call takes one row: a lone row is taken twice.
+    A block is _BLOCK rows, fewer if a row takes more than 16
+    multiply-adds, so each call stays within 16 * _BLOCK of them and
+    OpenBLAS never wakes its thread pool, whose workers would spin on
+    after the product returns. Only rows are split, so each row has the
+    bits of one np.matmul call. numpy hands a one-row product to gemv, whose rows need
+    not have gemm's bits, so no call takes one row: a lone row is taken
+    twice.
     """
     if out is None:
         out = np.empty((len(a), b.shape[1]))
-    step = max(2, _PRODUCT_MADDS // (a.shape[1] * b.shape[1]))
+    step = max(2, 16 * _BLOCK // max(16, a.shape[1] * b.shape[1]))
     for i in range(0, len(a), step):
         if len(a) - i == 1:
             out[i] = np.matmul(a[[i, i]], b)[0]
@@ -177,57 +186,119 @@ def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
     return first, coord, float(absx[first, coord])
 
 
-# Terms per chunk of _exact_sum. Up to 2^26 terms of under 2^27 units each
-# keep a bin's sum below 2^53 units, so exact; a smaller chunk bounds the
-# temporaries.
-_CHUNK = 1 << 20
-_LOW = (1 << 26) - 1
+class _Scratch(threading.local):
+    """Fixed buffers for blocks of at most _BLOCK rows of n coordinates,
+    one set per thread: words, norms, the keep mask, the reciprocals and
+    terms of _terms, and the bins and high parts of _ExactSum.add."""
+
+    def __init__(self, n: int):
+        self.words = np.empty((_BLOCK, n))
+        self.norms, self.r, self.t = np.empty((3, _BLOCK))
+        self.keep = np.empty(_BLOCK, dtype=bool)
+        self.bins, self.high = np.empty((2, _BLOCK), dtype=np.uint64)
 
 
-def _exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values), bit for bit, from per-exponent bins.
+# Values per flush of _ExactSum's bins: up to 2^26 parts of under 2^27
+# units each keep a bin's sum below 2^53 units, so exact.
+_MAX_PARTS = 1 << 26
+_HIGH = np.uint64(2 ** 64 - 2 ** 26)  # clears the low 26 mantissa bits
+
+
+class _ExactSum:
+    """math.fsum of every value added, in order, bit for bit, from bins.
 
     Each float64 is split into its value with the low 26 mantissa bits
     cleared and the remainder, both exact. Binned by sign and biased
     exponent e, the high parts are multiples of 2^(e-1049) below
     2^(e-1022) and the low parts multiples of 2^(e-1075) below
     2^(e-1049) (subnormals, in bin 0, scale as e = 1), so np.bincount
-    adds each bin exactly. The bins sum to the exact total, and
-    math.fsum of them rounds it once, as math.fsum of the values does.
-    Non-finite values, input of only zeros and totals that could
-    overflow go to math.fsum itself.
+    adds each block's bins exactly, and so does merging them into the
+    running bins, which go to a list of parts every _MAX_PARTS values.
+    The parts sum to the exact total, and math.fsum of them rounds it
+    once, as math.fsum of the values does. Infinities and NaNs are set
+    aside in order; while the finite values cannot overflow, math.fsum
+    of the values gives what math.fsum of those gives.
+
+    result is None where math.fsum's outcome depends on the order of
+    the values: when the finite ones could overflow (largest exponent
+    plus the count's bit length past 2044). The bins are then dropped,
+    exact is False, and the caller takes math.fsum of the values
+    themselves. Values that are all zeros leave no parts, and math.fsum
+    of them is +0.0, as of none.
     """
-    a = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    bits = a.view(np.int64)
-    parts = []
-    for i in range(0, len(a), _CHUNK):
-        chunk, b = a[i:i + _CHUNK], bits[i:i + _CHUNK]
-        bins = (b.view(np.uint64) >> 52).view(np.int64)
-        high = (b & ~_LOW).view(np.float64)
-        sums = np.bincount(bins, high)
-        used = np.flatnonzero(sums)
-        # len(a) terms below 2^(top-1022) stay below 2^1022, so neither
+
+    def __init__(self, scratch: _Scratch):
+        self.scratch, self.exact = scratch, True
+        self.parts, self.specials = [], []
+        self.hi = self.lo = None
+        self.count = self.total = self.top = 0
+
+    def add(self, values: np.ndarray) -> None:
+        """Add a float64 block of at most _BLOCK (and _MAX_PARTS) values."""
+        if not self.exact:
+            return
+        k = len(values)
+        if self.count and self.count + k > _MAX_PARTS:
+            self._flush()
+        self.count += k
+        self.total += k
+        bits = values.view(np.uint64)
+        bins = np.right_shift(bits, 52, out=self.scratch.bins[:k]).view(np.int64)
+        high = np.bitwise_and(bits, _HIGH, out=self.scratch.high[:k]).view(np.float64)
+        hi = np.bincount(bins, high)
+        special = len(hi) > 2047 and np.any(hi[2047::2048])
+        if special:  # an infinity or NaN: set aside, and out of the bins
+            nonfinite = ~np.isfinite(values)
+            self.specials += values[nonfinite].tolist()
+            high[nonfinite] = 0.0
+        lo = np.bincount(bins, np.subtract(values, high, out=high))
+        top = len(hi) - 1
+        if top > 2046:  # the largest bin holds a special or a negative value
+            if special:
+                hi[2047::2048] = lo[2047::2048] = 0.0
+            top = int((np.flatnonzero(hi) & 0x7FF).max(initial=0))
+        self.top = max(self.top, top)
+        # total values below 2^(top-1022) stay below 2^1022, so neither
         # the bins nor fsum's own partials can overflow.
-        if len(used) and int((used & 0x7FF).max()) + len(a).bit_length() > 2044:
-            return math.fsum(a.tolist())
-        parts += sums[used].tolist()
-        low = np.bincount(bins, chunk - high)
-        parts += low[low != 0].tolist()
-    if not parts:  # every value is +0.0 or -0.0
-        return math.fsum(a.tolist())
-    return math.fsum(parts)
+        if self.top + self.total.bit_length() > 2044:
+            self.exact, self.hi, self.lo = False, None, None
+        elif self.hi is None:
+            self.hi, self.lo = hi, lo
+        else:
+            if len(hi) > len(self.hi):
+                self.hi, self.lo, hi, lo = hi, lo, self.hi, self.lo
+            self.hi[:len(hi)] += hi
+            self.lo[:len(lo)] += lo
+
+    def _flush(self) -> None:
+        self.parts += self.hi[self.hi != 0].tolist()
+        self.parts += self.lo[self.lo != 0].tolist()
+        self.hi = self.lo = None
+        self.count = 0
+
+    def result(self) -> float | None:
+        """math.fsum of the values, or None if it must be taken of them."""
+        if not self.exact:
+            return None
+        if self.hi is not None:
+            self._flush()
+        if self.specials:
+            return math.fsum(self.specials)
+        return math.fsum(self.parts)
 
 
-def _terms(absx: np.ndarray, exponent: int) -> np.ndarray:
-    """prod_i |x_i|^(-exponent) per row: the product ((a0*a1)*a2)*...,
-    its reciprocal r, then r^exponent by left-to-right square and
-    multiply. Every step is one correctly rounded IEEE operation, so
-    the bits do not depend on the CPU's SIMD dispatch, as np.power's do."""
-    r = absx[:, 0].copy()
+def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
+           out: np.ndarray) -> np.ndarray:
+    """prod_i |x_i|^(-exponent) per row, into out: the product
+    ((a0*a1)*a2)*... and its reciprocal, into r, then r^exponent by
+    left-to-right square and multiply. Every step is one correctly
+    rounded IEEE operation, so the bits do not depend on the CPU's SIMD
+    dispatch, as np.power's do."""
+    np.copyto(r, absx[:, 0])
     for j in range(1, absx.shape[1]):
         r *= absx[:, j]
     np.divide(1.0, r, out=r)
-    out = r.copy()
+    np.copyto(out, r)
     # A large exponent overflows to inf, which the exact sum passes on.
     with np.errstate(over="ignore"):
         for bit in bin(exponent)[3:]:
@@ -237,20 +308,54 @@ def _terms(absx: np.ndarray, exponent: int) -> np.ndarray:
     return out
 
 
-def _reduce(words: np.ndarray, norms: np.ndarray, exponent: int):
-    """(s, p_max, energy, bad) of selected nonzero words and their float
-    squared norms: the exact sums of the terms and of the norms, and the
-    largest norm. bad is (row, coordinate, |value|) of the first word
-    with a coordinate below DIVERSITY_EPS, or None; s and p_max are then
-    0.0. words is overwritten by its absolute values."""
-    energy = _exact_sum(norms)
-    if not len(norms):
-        return 0.0, 0.0, energy, None
-    absx = np.abs(words, out=words)
-    bad = _first_violation(absx)
+def _reduce(blocks, exponent: int, scratch: _Scratch):
+    """(size, s, p_max, energy, bad) of the selected nonzero words that
+    blocks() yields as (words, norms, rows) blocks of at most _BLOCK
+    rows, in order: their count, the exact sums of their terms and of
+    their float squared norms, and the largest norm. words is
+    overwritten by its absolute values. bad is (rows[i], coordinate,
+    |value|) of the first word i with a coordinate below DIVERSITY_EPS,
+    or None; s and p_max are then 0.0.
+
+    Where an _ExactSum has no result, blocks() is read again and
+    math.fsum takes the values themselves. No term is taken once the
+    energy's bins are dropped until the energy is settled, so an energy
+    sum that overflows raises before any term can overflow, as when all
+    the norms were summed first.
+    """
+    energy, s = _ExactSum(scratch), _ExactSum(scratch)
+    size, p_max, bad = 0, 0.0, None
+    for words, norms, rows in blocks():
+        energy.add(norms)
+        size += len(norms)
+        if bad is not None or not len(norms):
+            continue
+        p_max = max(p_max, float(norms.max()))
+        absx = np.abs(words, out=words)
+        bad = _first_violation(absx)
+        if bad is not None:
+            bad = (rows[bad[0]],) + bad[1:]
+        elif energy.exact:
+            s.add(_terms(absx, exponent, scratch.r[:len(absx)], scratch.t[:len(absx)]))
+    total = energy.result()
+    if total is None:
+        total = _fsum(blocks, lambda words, norms: norms)
     if bad is not None:
-        return 0.0, 0.0, energy, bad
-    return _exact_sum(_terms(absx, exponent)), float(norms.max()), energy, None
+        return size, 0.0, 0.0, total, bad
+    s_value = s.result() if energy.exact else None
+    if s_value is None:
+        s_value = _fsum(blocks, lambda words, norms: _terms(
+            np.abs(words, out=words), exponent,
+            scratch.r[:len(words)], scratch.t[:len(words)]))
+    return size, s_value, p_max, total, None
+
+
+def _fsum(blocks, values) -> float:
+    """math.fsum of values(words, norms) over blocks(), as Python floats."""
+    parts = []
+    for words, norms, _ in blocks():
+        parts += values(words, norms).tolist()
+    return math.fsum(parts)
 
 
 class _Slices:
@@ -261,16 +366,15 @@ class _Slices:
     the ball holds the box, r runs over the whole rest box
     {-m..m}^(n-1), whose product rest @ M[1:] is the same for every
     slice, so it is built once. With a cap each slice multiplies only
-    its own candidates. Either way the words are written into one
-    buffer per thread, reused from slice to slice, and every product is
-    made by _product in row blocks that keep OpenBLAS in this thread.
-    Everything else is only read after __init__, so threads may share
-    one _Slices.
+    its own candidates. Either way a slice is streamed through blocks of
+    _BLOCK rows in this thread's fixed _Scratch: its words, their norms
+    and masks, and its terms. Everything else is only read after
+    __init__, so threads may share one _Slices.
     """
 
     def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
         self.M, self.p_lim, self.exponent = M, p_lim, exponent
-        self.local = threading.local()
+        self.scratch = _Scratch(M.shape[1])
         self.walker = EllipsoidWalker(M @ M.T, m)
         self.capped = p_lim < self.walker.box_top
         if not self.capped:
@@ -282,22 +386,31 @@ class _Slices:
             _product(self.rest[zero:], M[1:], out=self.shared[zero:])
             np.negative(self.shared[:zero:-1], out=self.shared[:zero])
 
-    def words(self, z1: int) -> tuple[np.ndarray, np.ndarray]:
-        """(rest, words) of slice z1 in lex order: the rest vectors that
-        may lie in the ball and their words, which overwrite those of
-        this thread's previous slice."""
-        rest = (self.walker.vectors(z1, self.p_lim)[:, 1:] if self.capped
-                else self.rest)
-        buf = getattr(self.local, "buf", None)
-        if buf is None or len(buf) < len(rest):
-            buf = self.local.buf = np.empty((len(rest), self.M.shape[1]))
-        words = buf[:len(rest)]
-        if self.capped:
-            _product(rest, self.M[1:], out=words)
-            words += z1 * self.M[0]
-        else:
-            np.add(self.shared, z1 * self.M[0], out=words)
-        return rest, words
+    def _blocks(self, z1: int, rest: np.ndarray):
+        """(words, norms, rows) per block of slice z1's rest vectors: the
+        words within the cap other than the zero word, their norms, and
+        their row numbers in rest. The words of a whole block are this
+        thread's scratch, overwritten by the next block."""
+        scratch, shift = self.scratch, z1 * self.M[0]
+        for i in range(0, len(rest), _BLOCK):
+            r = rest[i:i + _BLOCK]
+            words = scratch.words[:len(r)]
+            if self.capped:
+                block = _product(r, self.M[1:], out=words)
+            else:
+                block = self.shared[i:i + len(r)]
+            # A column at a time: numpy adds a broadcast row four values
+            # per inner loop, several times slower.
+            for j, x in enumerate(shift):
+                np.add(block[:, j], x, out=words[:, j])
+            norms = np.einsum("ij,ij->i", words, words, out=scratch.norms[:len(r)])
+            keep = np.less_equal(norms, self.p_lim, out=scratch.keep[:len(r)])
+            if z1 == 0:
+                keep &= r.any(axis=1)
+            if np.count_nonzero(keep) == len(r):
+                yield words, norms, range(i, i + len(r))
+            else:
+                yield words[keep], norms[keep], i + np.flatnonzero(keep)
 
     def stats(self, z1: int):
         """Sum/energy statistics of slice z1.
@@ -307,24 +420,15 @@ class _Slices:
         (coefficient vector, coordinate index, coordinate value), or is
         None. All reductions are deterministic functions of the slice.
         """
-        rest, block = self.words(z1)
-        norms = np.einsum("ij,ij->i", block, block)
-        keep = norms <= self.p_lim
-        count = int(np.count_nonzero(keep))
-        if z1 == 0:
-            # The zero word counts, but has no term, and its energy is +0.0,
-            # which leaves the exact energy sum as it is.
-            keep &= rest.any(axis=1)
-        gathered = z1 == 0 or count < len(norms)
-        if gathered:
-            block, norms = block[keep], norms[keep]
-        # block is this slice's own: a gather, or this thread's buffer.
-        s_partial, p_max, energy, bad = _reduce(block, norms, self.exponent)
+        rest = (self.walker.vectors(z1, self.p_lim)[:, 1:] if self.capped
+                else self.rest)
+        size, s_partial, p_max, energy, bad = _reduce(
+            lambda: self._blocks(z1, rest), self.exponent, self.scratch)
         if bad is not None:
-            first, coord, value = bad
-            row = np.flatnonzero(keep)[first] if gathered else first
+            row, coord, value = bad
             bad = ((z1, *map(int, rest[row])), coord, value)
-        return count, s_partial, p_max, energy, bad
+        # The zero word, in slice 0 whatever the cap, counts but has no term.
+        return size + (z1 == 0), s_partial, p_max, energy, bad
 
 
 def _combine(parts, lattice_name, n, m, p_lim, exponent):
@@ -450,7 +554,13 @@ def carve_lowest_energy(
 
     zs, xs, ns = z[sel], x[sel], norms[sel]
     nonzero = np.any(zs != 0, axis=1)
-    s_value, p_max, energy, bad = _reduce(xs[nonzero], ns[nonzero], exponent)
+    xs, ns = xs[nonzero], ns[nonzero]
+
+    def blocks():
+        for i in range(0, len(ns), _BLOCK):
+            yield xs[i:i + _BLOCK], ns[i:i + _BLOCK], range(i, i + _BLOCK)
+
+    _, s_value, p_max, energy, bad = _reduce(blocks, exponent, _Scratch(n))
     if bad is not None:
         first, coord, value = bad
         raise DiversityError(tuple(map(int, zs[nonzero][first])), coord, value)

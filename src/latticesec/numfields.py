@@ -357,34 +357,54 @@ class EllipsoidWalker:
         z1 is None, as rows in ascending lex order. The entries are small
         integers stored as float64, exact, as _box stores them."""
         n, d, u, m = len(self.d), self.d, self.u, self.m
-        room = np.array([cap * self.widen])
-        # c[j] = -sum_{i<k} U_ij z_i over each prefix, the centre of z_j.
-        c = [np.zeros(1)] * n
-        cols, start = [], 0
-        if z1 is not None:  # level 0 is the run of z1 alone, or empty
-            start, lo = 1, np.array([z1])
-            runs = np.array([int(d[0] * z1 * z1 <= room[0]
-                                 and (m is None or abs(z1) <= m))])
-        for k in range(start, n):
-            if k:
+        # One node, the root or below it z1, is walked in Python floats,
+        # which round as numpy's float64 do: its room and the centres
+        # c[j] = -sum_{i<j} U_ij z_i of the coordinates below it.
+        room, c, prefix = cap * self.widen, [0.0] * n, []
+        if z1 is not None:
+            if not (d[0] * z1 * z1 <= room and (m is None or abs(z1) <= m)):
+                return np.empty((0, n))
+            if n == 1:
+                return np.array([[z1]], dtype=float)
+            y = z1 - c[0]
+            room = room - d[0] * y * y
+            c = [c[j] - z1 * u[0, j] for j in range(n)]
+            prefix = [z1]
+        k0 = len(prefix)
+        half = math.sqrt(max(room, 0.0) / d[k0])
+        lo, hi = c[k0] - half, c[k0] + half
+        if m is not None:
+            lo, hi = max(lo, -m), min(hi, m)
+        # Its run of coordinate k0 is the first level of many nodes; the
+        # levels below are walked vectorised, one node per element.
+        zk = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)
+        cols, runs = [zk], None
+        for k in range(k0, n - 1):
+            if runs is not None:
                 parent, zk = _expand(lo, runs)
                 cols = [x[parent] for x in cols] + [zk]
-                y = zk - c[k - 1][parent]
-                room = room[parent] - d[k - 1] * y * y
-                c[k:] = [c[j][parent] - zk * u[k - 1, j] for j in range(k, n)]
-            half = np.sqrt(np.maximum(room, 0.0) / d[k])
-            lo, hi = np.ceil(c[k] - half), np.floor(c[k] + half)
+                room, c[k:] = room[parent], [x[parent] for x in c[k:]]
+            y = zk - c[k]
+            room = room - d[k] * y * y
+            c[k + 1:] = [c[j] - zk * u[k, j] for j in range(k + 1, n)]
+            half = np.sqrt(np.maximum(room, 0.0) / d[k + 1])
+            lo, hi = np.ceil(c[k + 1] - half), np.floor(c[k + 1] + half)
             if m is not None:
                 np.maximum(lo, -m, out=lo)
                 np.minimum(hi, m, out=hi)
             runs = np.maximum(hi - lo + 1, 0).astype(np.intp)
             lo = lo.astype(np.int64)
-        # cols holds the prefixes (z_1, ..., z_{n-1}) column by column; each
-        # is followed by each z_n of its run lo..lo+runs-1.
-        out = np.empty((int(runs.sum()), n))
-        for j, col in enumerate(cols):
-            out[:, j] = np.repeat(col, runs)
-        out[:, -1] = _expand(lo, runs)[1]
+        # cols holds coordinates len(prefix).. of each node of the last
+        # level but one, and each node is followed by each z_n of its run.
+        if runs is None:
+            out = np.empty((len(zk), n))
+            out[:, -1] = zk
+        else:
+            out = np.empty((int(runs.sum()), n))
+            for j, col in enumerate(cols):
+                out[:, len(prefix) + j] = np.repeat(col, runs)
+            out[:, -1] = _expand(lo, runs)[1]
+        out[:, :len(prefix)] = prefix
         return out
 
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -297,7 +298,7 @@ def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
         x = _box(4, 6) @ spec.generator.entries
         absx = np.abs(np.delete(x, len(x) // 2, axis=0))
         for exponent in (2, 3):
-            assert np.array_equal(_terms(absx, exponent),
+            assert np.array_equal(_terms(absx, exponent, *np.empty((2, len(absx)))),
                                   _inverse_power(np.prod(absx, axis=1), exponent))
 
 
@@ -343,12 +344,13 @@ def test_products_stay_in_the_calling_thread(lambda3, monkeypatch):
     monkeypatch.setattr(np, "matmul", recording_matmul)
     monkeypatch.setattr(constellation, "_product", recording_product)
     inverse_norm_power_sum(lambda3.generator, 40, p_lim=1600.0)
-    # A capped sum multiplies each slice's own candidates, never the half
-    # rest box.
-    assert len(products) == 41
-    assert max(len(p[0]) for p in products) < (81 ** 3 + 1) // 2
+    # A capped sum multiplies each block of each slice's own candidates,
+    # never the half rest box.
+    summed = len(products)
+    assert summed >= 41
+    assert max(len(p[0]) for p in products) <= constellation._BLOCK
     carve_lowest_energy(lambda3.generator, 25, 100000)
-    assert len(products) >= 42
+    assert len(products) > summed
     assert sum(len(p[3]) for p in products) == len(calls)
     for a, b, out, own in products:
         row = 0
@@ -377,10 +379,82 @@ def test_lone_rows_match_one_matmul(lambda1, lambda2, lambda3):
         for i in range(0, len(rest), 211):
             assert np.array_equal(_product(rest[i:i + 1], M[1:]).view(np.int64),
                                   many[i:i + 1])
-        step = constellation._PRODUCT_MADDS // 12
+        step = constellation._BLOCK
         for rows in (step + 1, 2 * step + 1):
             assert np.array_equal(_product(rest[:rows], M[1:]).view(np.int64),
                                   many[:rows])
+
+
+def _outcome(f, *args, **kwargs):
+    """The full-precision CSV row of f's report, or what it raised."""
+    try:
+        return reports_to_csv([f(*args, **kwargs)], full_precision=True)
+    except DiversityError as exc:
+        return str(exc), exc.coeff_vector, exc.coordinate_index, exc.value
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
+                                            monkeypatch, block):
+    # Every row's arithmetic is its own, so the rows per block must not
+    # move a bit. The uncapped sums at m = 2, 3, 4 put slice 0's zero row
+    # at rest rows 62, 171 and 364: at the start or the end of a block
+    # for each size here. At m = 8, p_lim 4, slices 5..8 of lambda3 have
+    # no candidates. The skewed generator's lex-first zero coordinate is
+    # at (-9, 0): row 9 of its slice uncapped, row 7 capped, so in a
+    # later block than the first.
+    g1, g2, g3 = lambda1.generator, lambda2.generator, lambda3.generator
+    skew = np.array([[1.0, 0.0], [-2.0, 1.0]])
+    M3 = g3.entries
+    assert len(EllipsoidWalker(M3 @ M3.T, 8).vectors(5, 4.0)) == 0
+
+    def outcomes():
+        out = []
+        for jobs in (1, 2):
+            for gen, m, p_lim in ((g1, 2, math.inf), (g2, 3, math.inf),
+                                  (g3, 4, math.inf), (g3, 8, 4.0),
+                                  (g3, 9, 64.0), (g1, 5, 20.0),
+                                  (skew, 9, math.inf), (skew, 9, 90.0)):
+                out.append(_outcome(inverse_norm_power_sum, gen, m,
+                                    p_lim=p_lim, jobs=jobs))
+        for gen, m, target in ((g3, 6, 500), (g2, 3, 600), (skew, 3, 20)):
+            out.append(_outcome(carve_lowest_energy, gen, m, target))
+        return out
+
+    want = outcomes()
+    assert want[6][1] == want[7][1] == (-9, 0)
+    monkeypatch.setattr(constellation, "_BLOCK", block)
+    assert outcomes() == want
+
+
+def test_overflowing_energy_raises_before_any_term():
+    # Norms near 1e308 overflow the energy sum; math.fsum raises, and no
+    # term, whose coordinate product would overflow too, is taken first
+    # (a warning here would be an error).
+    for m in (3, 40):
+        with pytest.raises(OverflowError):
+            inverse_norm_power_sum(np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154, m)
+
+
+def test_slice_memory_does_not_grow_with_the_slice(lambda1):
+    # A slice streams through its thread's fixed scratch, made with the
+    # _Slices: a slice allocates no array of its own size. So the peak
+    # of one uncapped slice is the same at m = 10 (9261 rest rows) as at
+    # m = 25 (132651), and a fraction of the scratch.
+    M = lambda1.generator.entries
+    peaks = {}
+    for m in (10, 25):
+        slices = constellation._Slices(M, m, math.inf, 3)
+        scratch = sum(a.nbytes for a in vars(slices.scratch).values())
+        for z1 in (0, 1):
+            tracemalloc.start()
+            try:
+                slices.stats(z1)
+                peaks[m, z1] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert max(peaks.values()) < scratch
+    assert peaks[25, 1] < 2 * peaks[10, 1]
 
 
 def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):

@@ -1,9 +1,10 @@
 """The per-word terms and the exact slice sum, bit for bit.
 
-constellation._exact_sum bins integer mantissa parts by exponent and
-rounds once; math.fsum is the independent oracle. Values are drawn
-over the whole double range, with zeros, subnormals, both signs,
-infinities and NaNs, and totals past the largest double.
+constellation._ExactSum bins integer mantissa parts by exponent, block
+by block, and rounds once; math.fsum of the concatenated blocks is the
+independent oracle. Values are drawn over the whole double range, with
+zeros, subnormals, both signs, infinities and NaNs, and totals past the
+largest double, and split into blocks at drawn boundaries.
 
 constellation._terms must give, bit for bit, what the same IEEE
 operations give row by row in Python floats, so that no SIMD kernel's
@@ -21,7 +22,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from latticesec import constellation
-from latticesec.constellation import _exact_sum
+from latticesec.constellation import _ExactSum, _Scratch
 
 # A fixed example sequence keeps the suite reproducible run to run.
 oracle_settings = settings(max_examples=200, deadline=None, derandomize=True)
@@ -40,9 +41,20 @@ def _outcome(f, values):
         return type(exc), str(exc)
 
 
-def _assert_matches_fsum(a):
+def _exact_sum(blocks):
+    """The accumulator's sum of the blocks, fed in order, or math.fsum of
+    their values where it has none, as constellation._reduce takes it."""
+    acc = _ExactSum(_Scratch(1))
+    for block in blocks:
+        acc.add(np.asarray(block, dtype=np.float64))
+    total = acc.result()
+    return math.fsum(np.concatenate(blocks).tolist()) if total is None else total
+
+
+def _assert_matches_fsum(a, cuts=()):
     a = np.asarray(a, dtype=np.float64)
-    assert _outcome(_exact_sum, a) == _outcome(math.fsum, a.tolist())
+    blocks = np.split(a, sorted(cuts))
+    assert _outcome(_exact_sum, blocks) == _outcome(math.fsum, a.tolist())
 
 
 @st.composite
@@ -79,17 +91,50 @@ def test_edge_lengths_and_totals():
                    [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
                    [2.0**1000] * 3000):
         _assert_matches_fsum(values)
+        # and block by block, one value per block
+        _assert_matches_fsum(values, range(1, len(values)))
     with pytest.raises(OverflowError):
-        _exact_sum(np.array([big, big / 2]))
+        _exact_sum([np.array([big]), np.array([big / 2])])
+
+
+@st.composite
+def blocks(draw):
+    """One array of a few blocks, each of finite values, zeros of either
+    sign, infinities and NaNs, or values near the largest double, and
+    boundaries drawn at random, empty blocks included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(
+            ("finite", "wide", "zeros", "special", "huge")), min_size=1, max_size=5)):
+        k = int(rng.integers(1, 300))
+        if kind == "finite":
+            part = draw(st.lists(finite | tiny, min_size=1, max_size=60))
+        elif kind == "wide":
+            part = draw(wide_arrays())[:k]
+        elif kind == "zeros":
+            part = rng.choice([0.0, -0.0], k)
+        elif kind == "special":
+            part = rng.choice([math.inf, -math.inf, math.nan, 1.0], k)
+        else:
+            part = (sys.float_info.max * rng.uniform(0.25, 1.0, k)
+                    * rng.choice([-1.0, 1.0], k))
+        parts.append(np.asarray(part, dtype=np.float64))
+    values = np.concatenate(parts)
+    cuts = draw(st.lists(st.integers(0, len(values)), max_size=8))
+    return values, cuts
 
 
 @oracle_settings
-@given(st.lists(finite | tiny, max_size=60) | wide_arrays())
-def test_chunked_sums_match_fsum(values):
-    # Chunks of 7 terms exercise the chunk loop that long inputs run.
+@given(blocks(), st.sampled_from([1, 2, 7, 1 << 26]))
+def test_blocked_sums_match_fsum(case, max_parts):
+    # Any split of the values into blocks, with the bins flushed at most
+    # every max_parts values (2^26 is the exactness bound), gives fsum's
+    # outcome. A block holds at most max_parts values.
+    values, cuts = case
+    cuts = set(cuts) | set(range(max_parts, len(values), max_parts))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(constellation, "_CHUNK", 7)
-        _assert_matches_fsum(values)
+        mp.setattr(constellation, "_MAX_PARTS", max_parts)
+        _assert_matches_fsum(values, cuts)
 
 
 def _term(row, exponent):
@@ -115,5 +160,5 @@ coordinates = st.floats(min_value=1e-12, max_value=1e12)
            st.lists(coordinates, min_size=k, max_size=k), min_size=1, max_size=40)),
        st.integers(1, 12) | st.just(250))
 def test_terms_match_a_per_row_python_reference(rows, exponent):
-    got = constellation._terms(np.array(rows), exponent)
+    got = constellation._terms(np.array(rows), exponent, *np.empty((2, len(rows))))
     assert got.tobytes() == np.array([_term(row, exponent) for row in rows]).tobytes()
