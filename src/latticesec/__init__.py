@@ -44,10 +44,9 @@ from .numfields import (
     load_lattice,
     min_product_distance,
     number_field,
-    save_lattice,
 )
 from .theta import ThetaTriple, eval_z, theta_triple
-from .theta_series import theta_series_oracle, theta_series_value
+from .theta_series import theta_series_oracle
 from .wiretap import (
     ChannelParams,
     ComparisonReport,
@@ -95,13 +94,11 @@ __all__ = [
     "min_product_distance",
     "number_field",
     "reports_to_csv",
-    "save_lattice",
     "secrecy_function",
     "secrecy_gain",
     "table_polynomial",
     "table_sweep",
     "theta_series_oracle",
-    "theta_series_value",
     "theta_triple",
     "verify_conjecture",
 ]

@@ -1,9 +1,9 @@
 """Command-line front end for reproducible batch runs.
 
 Every run is fully determined by its flags: no hidden state, no wall-clock
-or RNG dependence, byte-identical output across repeat invocations and
-worker counts. Exit codes: 0 success, 2 usage/domain error, 3 internal
-invariant or construction failure.
+or RNG dependence, byte-identical output across repeat invocations. Exit
+codes: 0 success, 2 usage/domain error, 3 internal invariant or
+construction failure.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
             raise DomainError("sum needs --lattice and --m (or --reproduce)")
         sweeps = [(args.lattice, [_table_row(args)])]
     reports = table_sweep([(load_lattice(name), rows) for name, rows in sweeps],
-                          exponent=args.exponent, jobs=args.jobs)
+                          exponent=args.exponent)
     print(_render_reports(reports, args.format, args.full_precision))
     return 0
 
@@ -164,8 +164,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         raise DomainError("compare needs exactly one of --gamma/--gamma-db")
     gamma = args.gamma if args.gamma is not None else db_to_linear(args.gamma_db)
     row = _table_row(args)
-    reports = table_sweep([(load_lattice(name), [row]) for name in args.lattice],
-                          jobs=args.jobs)
+    reports = table_sweep([(load_lattice(name), [row]) for name in args.lattice])
     params = ChannelParams(gamma_e=gamma, vol_b=args.vol_b, n=reports[0].n)
     doc = compare_report(reports, params)
     print(doc.to_json() if args.format == "json" else doc.render_text())
@@ -204,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.add_argument("--target-size", type=int, default=None,
                        help="carve the lowest-energy codebook of this size")
     p_sum.add_argument("--exponent", type=int, default=3)
-    p_sum.add_argument("--jobs", type=int, default=1)
     p_sum.add_argument("--format", choices=("csv", "json", "text"),
                        default="csv")
     p_sum.add_argument("--full-precision", action="store_true")
@@ -219,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--m", type=int, required=True)
     p_cmp.add_argument("--p-lim", type=float, default=None)
     p_cmp.add_argument("--target-size", type=int, default=None)
-    p_cmp.add_argument("--jobs", type=int, default=1)
     p_cmp.add_argument("--gamma", type=float, default=None,
                        help="eavesdropper SNR, linear scale")
     p_cmp.add_argument("--gamma-db", type=float, default=None,

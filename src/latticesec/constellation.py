@@ -15,16 +15,14 @@ rounded once. _ExactSum does that with integer mantissa parts binned
 by exponent, merged block by block, and returns the bits math.fsum
 would, without a Python float per term. The per-slice partials are
 combined with math.fsum in fixed ascending order of the leading
-coefficient. That also makes runs bit-identical for any thread count:
-threads compute whole slices and the combination order never depends
-on scheduling.
+coefficient.
 
 Slice z1 is z1*M[0] plus rest @ M[1:] over its rest vectors
 (z_2, ..., z_n). Without a cap, or when the ball holds the box, these
 are the whole rest box {-m..m}^(n-1), and that block is built once per
 sum. A slice is streamed through blocks of _BLOCK = 8192 rows: each
 block's words, norms, keep mask, absolute values and terms are made in
-its thread's fixed scratch, and its energies and terms are added to
+the sum's fixed scratch, and its energies and terms are added to
 the slice's exact sums. Apart from a capped slice's walk, no pass of a
 slice allocates a slice-sized array, so a block stays in cache and
 memory is not mapped afresh for every slice. Every row's arithmetic is
@@ -34,9 +32,7 @@ multiply-adds, which OpenBLAS computes in the calling thread; a larger
 call would wake its thread pool, whose worker then spins for about
 0.13 s of CPU after the product has returned. The blocks split rows only, and
 no call takes a single row, which numpy would hand to gemv, so each
-row has the bits of the one-call product. With jobs > 1 the slices are
-mapped, in order, over min(jobs, cores, m + 1) threads that share the
-block and the walker; numpy releases the GIL in the per-block work.
+row has the bits of the one-call product.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 Row N-1-i of the lex-ordered rest box is minus row i, so only the
@@ -84,8 +80,6 @@ orthogonal-box values n*m*(m+1)/3 exactly.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,7 +135,8 @@ def _check_box_args(m: int, p_lim: float, exponent: int) -> tuple[int, int]:
 
 def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
     """The entries of gen; anything but a GeneratorMatrix is made one,
-    so every generator is square, finite and of nonzero determinant."""
+    so every generator is square and finite, with a finite nonzero
+    determinant and a finite Gram matrix."""
     if not isinstance(gen, GeneratorMatrix):
         gen = GeneratorMatrix(gen)
     return gen.entries
@@ -186,10 +181,11 @@ def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
     return first, coord, float(absx[first, coord])
 
 
-class _Scratch(threading.local):
+class _Scratch:
     """Fixed buffers for blocks of at most _BLOCK rows of n coordinates,
-    one set per thread: words, norms, the keep mask, the reciprocals and
-    terms of _terms, and the bins and high parts of _ExactSum.add."""
+    owned by one _Slices or one carve: words, norms, the keep mask, the
+    reciprocals and terms of _terms, and the bins and high parts of
+    _ExactSum.add."""
 
     def __init__(self, n: int):
         self.words = np.empty((_BLOCK, n))
@@ -367,9 +363,8 @@ class _Slices:
     {-m..m}^(n-1), whose product rest @ M[1:] is the same for every
     slice, so it is built once. With a cap each slice multiplies only
     its own candidates. Either way a slice is streamed through blocks of
-    _BLOCK rows in this thread's fixed _Scratch: its words, their norms
-    and masks, and its terms. Everything else is only read after
-    __init__, so threads may share one _Slices.
+    _BLOCK rows in one fixed _Scratch: its words, their norms and masks,
+    and its terms.
     """
 
     def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
@@ -389,8 +384,8 @@ class _Slices:
     def _blocks(self, z1: int, rest: np.ndarray):
         """(words, norms, rows) per block of slice z1's rest vectors: the
         words within the cap other than the zero word, their norms, and
-        their row numbers in rest. The words of a whole block are this
-        thread's scratch, overwritten by the next block."""
+        their row numbers in rest. The words of a whole block are the
+        scratch's, overwritten by the next block."""
         scratch, shift = self.scratch, z1 * self.M[0]
         for i in range(0, len(rest), _BLOCK):
             r = rest[i:i + _BLOCK]
@@ -452,7 +447,6 @@ def inverse_norm_power_sum(
     m: int,
     p_lim: float = math.inf,
     exponent: int = 3,
-    jobs: int = 1,
     lattice_name: str = "",
 ) -> SumReport:
     """S over the box-and-ball codebook, with energy statistics.
@@ -460,23 +454,12 @@ def inverse_norm_power_sum(
     Work is partitioned by the leading coefficient z1. Only the slices
     z1 >= 0 are computed, since slice -z1 mirrors slice z1; each slice
     is reduced exactly, as math.fsum would, and partials are combined
-    in ascending z1 order, so the result is bit-identical for any
-    thread count. With jobs > 1 the slices are mapped over
-    min(jobs, cores, m + 1) threads sharing one _Slices.
+    in ascending z1 order, so the result is deterministic.
     """
     m, exponent = _check_box_args(m, p_lim, exponent)
-    jobs = positive_int(jobs, "jobs")
     M = _as_matrix(gen)
     slices = _Slices(M, m, p_lim, exponent)
-    workers = min(jobs, os.cpu_count() or 1, m + 1)
-    if workers == 1:
-        parts = [slices.stats(z1) for z1 in range(m + 1)]
-    else:
-        # Imported here, so that serial runs do not pay for the import.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(slices.stats, range(m + 1)))
+    parts = [slices.stats(z1) for z1 in range(m + 1)]
     parts = parts[:0:-1] + parts
     # A mirrored slice -z1 reports slice z1's violation, whose mirror
     # need not be the lex-first one there: rescan that slice.
@@ -571,13 +554,9 @@ def carve_lowest_energy(
         exponent=exponent, target_size=target_size)
 
 
-def table_sweep(sweeps, exponent: int = 3, jobs: int = 1) -> list[SumReport]:
+def table_sweep(sweeps, exponent: int = 3) -> list[SumReport]:
     """One SumReport per TableRow of each (LatticeSpec, rows) pair of
-    sweeps, computed independently, in order.
-
-    Each sum maps its slices over up to jobs threads; carves run in
-    this thread."""
-    positive_int(jobs, "jobs")
+    sweeps, computed independently, in order."""
     out = []
     for lattice, rows in sweeps:
         for row in rows:
@@ -588,7 +567,7 @@ def table_sweep(sweeps, exponent: int = 3, jobs: int = 1) -> list[SumReport]:
             else:
                 out.append(inverse_norm_power_sum(
                     lattice.generator, row.m, row.p_lim, exponent=exponent,
-                    jobs=jobs, lattice_name=lattice.name))
+                    lattice_name=lattice.name))
     return out
 
 

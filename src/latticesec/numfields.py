@@ -161,7 +161,9 @@ def number_field(min_poly) -> NumberFieldSpec:
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Full-rank square generator; rows are the basis vectors."""
+    """Full-rank square generator; rows are the basis vectors. Its
+    entries, its nonzero determinant and its Gram matrix M M^T are
+    finite."""
 
     entries: np.ndarray
 
@@ -171,7 +173,12 @@ class GeneratorMatrix:
             raise DomainError("generator matrix must be square")
         if not np.isfinite(m).all():
             raise DomainError("generator matrix entries must be finite")
-        if abs(np.linalg.det(m)) == 0.0:
+        with np.errstate(over="ignore"):
+            det, gram = np.linalg.det(m), m @ m.T
+        if not (np.isfinite(det) and np.isfinite(gram).all()):
+            raise DomainError("generator matrix's determinant or Gram matrix "
+                              "M M^T overflows")
+        if det == 0.0:
             raise DomainError("generator matrix must have nonzero determinant")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -544,37 +551,6 @@ def default_data_dir() -> Path:
     if env:
         return Path(env)
     return Path(__file__).resolve().parent / "data"
-
-
-def _f17(x) -> str:
-    # 17 significant digits: enough to reproduce any double exactly.
-    return "%.17g" % float(x)
-
-
-def save_lattice(spec: LatticeSpec, data_dir=None) -> Path:
-    """Write <data_dir>/<name>.json; matrix entries carry 17 significant
-    digits so the stored generator is bit-identical on reload."""
-    base = Path(data_dir) if data_dir is not None else default_data_dir()
-    base.mkdir(parents=True, exist_ok=True)
-    path = base / ("%s.json" % spec.name)
-    rows = ",\n".join(
-        "  [%s]" % ", ".join(_f17(x) for x in row)
-        for row in spec.generator.entries)
-    text = "\n".join([
-        "{",
-        ' "dpmin_ref": %s,' % _f17(spec.reference_dpmin),
-        ' "generator": [',
-        rows,
-        " ],",
-        ' "min_poly": %s,' % json.dumps(list(CATALOGUE[spec.name].min_poly)),
-        ' "n": %d,' % spec.generator.n,
-        ' "name": %s,' % json.dumps(spec.name),
-        ' "provenance": %s' % json.dumps(spec.provenance),
-        "}",
-        "",
-    ])
-    path.write_text(text)
-    return path
 
 
 def load_lattice(name: str, data_dir=None) -> LatticeSpec:

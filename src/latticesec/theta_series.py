@@ -72,11 +72,6 @@ def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]
     return out
 
 
-def theta_series_value(counts, y: float) -> float:
-    """Partial theta sum sum_r N(r) exp(-pi y r) from oracle counts."""
-    return math.fsum(c * math.exp(-math.pi * y * float(r)) for r, c in counts)
-
-
 # Gram matrix of the E8 root lattice (Cartan matrix, Bourbaki node
 # ordering: chain 1-3-4-5-6-7-8 with node 2 attached to node 4).
 _E8_EDGES = ((0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3))

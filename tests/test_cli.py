@@ -1,16 +1,13 @@
 """End-to-end command-line behavior: output shapes, exit codes, and
 reproducibility."""
 
-import concurrent.futures
 import json
-import os
 import shlex
 from pathlib import Path
 
 import pytest
 
 from latticesec.cli import main
-from latticesec.numfields import save_lattice
 
 
 def run(capsys, *argv):
@@ -98,6 +95,17 @@ def test_secrecy_table(capsys):
     assert lines[0] == "dim 8: 1 - z"
 
 
+@pytest.mark.parametrize("name, argv", [
+    pytest.param("secrecy_verify_all.json", ["verify", "--all"], id="verify"),
+    pytest.param("secrecy_gain_all.txt", ["gain", "--all"], id="gain"),
+    pytest.param("secrecy_table.txt", ["table"], id="table")])
+def test_secrecy_bytes_are_frozen(capsys, name, argv):
+    # The frozen files pin the certificate half: every certificate, gain
+    # and table polynomial of the catalogued dimensions.
+    frozen = (Path(__file__).parent / "data" / name).read_text()
+    assert run(capsys, "secrecy", *argv) == (0, frozen, "")
+
+
 def test_sum_single_row(capsys):
     code, out, _ = run(capsys, "sum", "--lattice", "lambda2", "--m", "1")
     assert code == 0
@@ -153,22 +161,12 @@ def test_reproduce_table1(capsys):
     assert lines[11].startswith("lambda2,1,inf,81,")
 
 
-def test_reproduce_table2_worker_independence(capsys):
-    _, out1, _ = run(capsys, "sum", "--reproduce", "table2")
-    _, out2, _ = run(capsys, "sum", "--reproduce", "table2", "--jobs", "2")
-    assert out1 == out2
-    assert len(out1.splitlines()) == 12
-
-
 @pytest.mark.parametrize("table", ["table1", "table2"])
 def test_reproduce_full_precision_bytes_are_frozen(capsys, table):
-    # The frozen files pin every bit of both tables, for one thread and
-    # for two.
+    # The frozen files pin every bit of both tables.
     frozen = (Path(__file__).parent / "data" / f"{table}_full_precision.csv").read_text()
-    for jobs in ("1", "2"):
-        code, out, err = run(capsys, "sum", "--reproduce", table,
-                             "--full-precision", "--jobs", jobs)
-        assert (code, out, err) == (0, frozen, "")
+    code, out, err = run(capsys, "sum", "--reproduce", table, "--full-precision")
+    assert (code, out, err) == (0, frozen, "")
 
 
 def test_full_precision_flag(capsys):
@@ -205,33 +203,15 @@ def test_compare_bytes_are_frozen(capsys, suffix, codebook, fmt):
     assert run(capsys, *argv) == (0, frozen, "")
 
 
-def test_jobs_run_threads_not_processes(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sum must not start a process")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    frozen = (Path(__file__).parent / "data" / "table1_full_precision.csv").read_text()
-    assert run(capsys, "sum", "--reproduce", "table1", "--full-precision",
-               "--jobs", "2") == (0, frozen, "")
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_must_be_positive_for_carves_too(capsys, jobs):
-    carve = ["--lattice", "lambda3", "--m", "2", "--target-size", "10", "--jobs", jobs]
-    for argv in (["sum", *carve], ["compare", *carve, "--gamma-db", "10"]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "") and err.startswith("error: jobs"), argv
-
-
-@pytest.mark.parametrize("codebook", [[], ["--p-lim", "20"], ["--target-size", "300"]])
-def test_compare_worker_independence(capsys, codebook):
-    argv = ["compare", "--lattice", "lambda1", "--lattice", "lambda2",
-            "--lattice", "lambda3", "--m", "4", "--gamma-db", "10",
-            "--format", "json", *codebook]
-    one = run(capsys, *argv, "--jobs", "1")
-    assert one[0] == 0 and one == run(capsys, *argv, "--jobs", "2")
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sum", "--lattice", "lambda1", "--m", "2"], id="sum"),
+    pytest.param(["compare", "--lattice", "lambda1", "--m", "2",
+                  "--gamma-db", "10"], id="compare")])
+def test_jobs_is_not_an_option(capsys, argv):
+    # Every sum runs in one thread; a --jobs left in a script is a usage
+    # error, not a silently ignored flag.
+    code, out, err = run(capsys, *argv, "--jobs", "2")
+    assert (code, out) == (2, "") and "--jobs" in err
 
 
 def test_sum_large_exponent_overflows_quietly(capsys):
@@ -316,8 +296,8 @@ def test_ignored_flags_are_refused(capsys, argv):
     assert (code, out) == (2, "") and err.startswith("error:")
 
 
-def test_data_dir_override_and_corruption(capsys, tmp_path, monkeypatch, lambda2):
-    path = save_lattice(lambda2, tmp_path)
+def test_data_dir_override_and_corruption(capsys, tmp_path, monkeypatch, shipped):
+    path = shipped("lambda2")
     monkeypatch.setenv("LATTICESEC_DATA", str(tmp_path))
     code, out, _ = run(capsys, "sum", "--lattice", "lambda2", "--m", "1")
     assert code == 0 and "2.83706e+06" in out
@@ -365,8 +345,8 @@ def _non_square(text):
 
 @pytest.mark.parametrize("damage", [_truncated, _without_generator,
                                     _non_numeric_entry, _nan_entry, _non_square])
-def test_malformed_data_file_exits_3(capsys, tmp_path, monkeypatch, lambda2, damage):
-    path = save_lattice(lambda2, tmp_path)
+def test_malformed_data_file_exits_3(capsys, tmp_path, monkeypatch, shipped, damage):
+    path = shipped("lambda2")
     path.write_text(damage(path.read_text()))
     monkeypatch.setenv("LATTICESEC_DATA", str(tmp_path))
     code, out, err = run(capsys, "sum", "--lattice", "lambda2", "--m", "1")

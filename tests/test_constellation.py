@@ -1,12 +1,11 @@
 """Codebook enumeration and the inverse norm power sum: brute-force
 oracles, frozen regressions, invariance properties, and determinism."""
 
-import concurrent.futures
 import itertools
 import math
-import os
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -410,13 +409,11 @@ def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
 
     def outcomes():
         out = []
-        for jobs in (1, 2):
-            for gen, m, p_lim in ((g1, 2, math.inf), (g2, 3, math.inf),
-                                  (g3, 4, math.inf), (g3, 8, 4.0),
-                                  (g3, 9, 64.0), (g1, 5, 20.0),
-                                  (skew, 9, math.inf), (skew, 9, 90.0)):
-                out.append(_outcome(inverse_norm_power_sum, gen, m,
-                                    p_lim=p_lim, jobs=jobs))
+        for gen, m, p_lim in ((g1, 2, math.inf), (g2, 3, math.inf),
+                              (g3, 4, math.inf), (g3, 8, 4.0),
+                              (g3, 9, 64.0), (g1, 5, 20.0),
+                              (skew, 9, math.inf), (skew, 9, 90.0)):
+            out.append(_outcome(inverse_norm_power_sum, gen, m, p_lim=p_lim))
         for gen, m, target in ((g3, 6, 500), (g2, 3, 600), (skew, 3, 20)):
             out.append(_outcome(carve_lowest_energy, gen, m, target))
         return out
@@ -437,8 +434,7 @@ def test_overflowing_energy_raises_before_any_term():
 
 
 def test_slice_memory_does_not_grow_with_the_slice(lambda1):
-    # A slice streams through its thread's fixed scratch, made with the
-    # _Slices: a slice allocates no array of its own size. So the peak
+    # A slice streams through the fixed scratch made with its _Slices: a slice allocates no array of its own size. So the peak
     # of one uncapped slice is the same at m = 10 (9261 rest rows) as at
     # m = 25 (132651), and a fraction of the scratch.
     M = lambda1.generator.entries
@@ -470,7 +466,6 @@ def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):
     monkeypatch.setattr(constellation, "_box", recording_box)
     gen = lambda3.generator
     inverse_norm_power_sum(gen, 9, p_lim=64.0)
-    inverse_norm_power_sum(gen, 9, p_lim=64.0, jobs=2)
     assert boxes == []
     inverse_norm_power_sum(gen, 3)
     inverse_norm_power_sum(gen, 3, p_lim=1e6)
@@ -480,30 +475,26 @@ def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):
 def test_integer_arguments_of_any_integer_type_but_bool(lambda3):
     # numpy integers are integers; a bool is not a box bound or a count.
     gen = lambda3.generator
-    rep = inverse_norm_power_sum(gen, np.int64(3), exponent=np.int32(3),
-                                 jobs=np.int64(2))
+    rep = inverse_norm_power_sum(gen, np.int64(3), exponent=np.int32(3))
     assert rep == inverse_norm_power_sum(gen, 3) and type(rep.m) is int
     rep = carve_lowest_energy(gen, np.int64(3), np.int64(10))
     assert rep == carve_lowest_energy(gen, 3, 10)
     assert type(rep.m) is int and type(rep.target_size) is int
-    for kwargs in ({"m": True}, {"m": 2, "exponent": True},
-                   {"m": 2, "jobs": True}, {"m": 2.0}, {"m": np.int64(0)}):
+    for kwargs in ({"m": True}, {"m": 2, "exponent": True}, {"m": 2.0},
+                   {"m": np.int64(0)}):
         with pytest.raises(DomainError):
             inverse_norm_power_sum(gen, **kwargs)
     with pytest.raises(DomainError):
         carve_lowest_energy(gen, 1, True)
-    with pytest.raises(DomainError):
-        table_sweep([(lambda3, [TableRow(2, 16.0)])], jobs=True)
 
 
 def test_capped_diversity_failure_names_the_lex_first_word():
     # With a cap the kernel visits only some rows of each slice; the
     # offender must still map back to its own coefficient vector.
-    for jobs in (1, 2):
-        with pytest.raises(DiversityError) as err:
-            inverse_norm_power_sum(np.eye(2), 2, p_lim=2.5, jobs=jobs)
-        assert err.value.coeff_vector == (-1, 0)
-        assert err.value.coordinate_index == 1
+    with pytest.raises(DiversityError) as err:
+        inverse_norm_power_sum(np.eye(2), 2, p_lim=2.5)
+    assert err.value.coeff_vector == (-1, 0)
+    assert err.value.coordinate_index == 1
 
 
 def test_carve_selects_by_energy(lambda3):
@@ -544,20 +535,9 @@ def test_sign_permutation_invariance(lambda3):
         assert rep.p_ave == pytest.approx(base.p_ave, rel=1e-12)
 
 
-def test_workers_are_bit_identical(lambda3):
-    reports = [
-        inverse_norm_power_sum(lambda3.generator, 9, p_lim=64.0, jobs=jobs,
-                               lattice_name="lambda3")
-        for jobs in (1, 2, 8)
-    ]
-    csvs = {reports_to_csv([r], full_precision=True) for r in reports}
-    assert len(csvs) == 1
-    assert reports[0] == reports[1] == reports[2]
-
-
 def test_one_slice_block_per_sum(lambda3, monkeypatch):
-    # Every thread shares one _Slices, and so does the rescan of a
-    # mirrored diversity failure.
+    # A sum builds one _Slices, and the rescan of a mirrored diversity
+    # failure reuses it.
     built = []
 
     class Counted(constellation._Slices):
@@ -566,51 +546,21 @@ def test_one_slice_block_per_sum(lambda3, monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(constellation, "_Slices", Counted)
-    for jobs in (1, 2, 8):
-        built.clear()
-        inverse_norm_power_sum(lambda3.generator, 9, p_lim=64.0, jobs=jobs)
-        with pytest.raises(DiversityError):
-            inverse_norm_power_sum(np.eye(2), 1, jobs=jobs)
-        assert len(built) == 2
-
-
-def test_threads_never_outnumber_the_cores_or_slices(lambda3, monkeypatch):
-    # Recorded, never started: the stand-in maps every slice in this thread.
-    made = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
-    args = (lambda3.generator, 9)
-    serial = inverse_norm_power_sum(*args, p_lim=64.0)
-    for cores, jobs in ((2, 64), (None, 8), (8, 3), (16, 64)):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
-        assert inverse_norm_power_sum(*args, p_lim=64.0, jobs=jobs) == serial
-    # min(jobs, cores, m + 1); one core runs the slices without an executor.
-    assert made == [2, 3, 10]
+    inverse_norm_power_sum(lambda3.generator, 9, p_lim=64.0)
+    with pytest.raises(DiversityError):
+        inverse_norm_power_sum(np.eye(2), 1)
+    assert len(built) == 2
 
 
 def test_diversity_failure_reported():
     # The lex-first offending word is (-1, 0) -> (-1, 0), in slice z1 = -1,
     # which the folded kernel only mirrors from slice z1 = 1.
-    for jobs in (1, 2):
-        with pytest.raises(DiversityError) as err:
-            inverse_norm_power_sum(np.eye(2), 1, jobs=jobs)
-        assert "coefficient vector" in str(err.value)
-        assert err.value.coeff_vector == (-1, 0)
-        assert err.value.coordinate_index == 1
-        assert err.value.value == 0.0
+    with pytest.raises(DiversityError) as err:
+        inverse_norm_power_sum(np.eye(2), 1)
+    assert "coefficient vector" in str(err.value)
+    assert err.value.coeff_vector == (-1, 0)
+    assert err.value.coordinate_index == 1
+    assert err.value.value == 0.0
     # The carve reports the first offender in (energy, lex) order.
     with pytest.raises(DiversityError) as err:
         carve_lowest_energy(np.eye(2), 1, 9)
@@ -651,6 +601,23 @@ def test_plain_generators_pass_the_generator_checks(entry):
         carve_lowest_energy(gen, 2, 5)
 
 
+@pytest.mark.parametrize("gen", [
+    pytest.param(np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e160, id="det"),
+    pytest.param(np.array([[1e200, 1.0], [1.0, 1e-180]]), id="gram")])
+def test_generators_whose_det_or_gram_overflows_are_refused(gen):
+    # The determinant overflows, or it is 1e20 and the Gram matrix M M^T
+    # overflows: either is refused by the gate, with no numpy warning and
+    # before the walker sees the Gram.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            inverse_norm_power_sum(gen, 2)
+        with pytest.raises(DomainError, match="overflows"):
+            inverse_norm_power_sum(gen, 2, p_lim=5.0)
+        with pytest.raises(DomainError, match="overflows"):
+            carve_lowest_energy(gen, 2, 5)
+
+
 def test_argument_validation(lambda3):
     gen = lambda3.generator
     with pytest.raises(DomainError):
@@ -659,12 +626,6 @@ def test_argument_validation(lambda3):
         inverse_norm_power_sum(gen, 1, p_lim=0.0)
     with pytest.raises(DomainError):
         inverse_norm_power_sum(gen, 1, exponent=0)
-    with pytest.raises(DomainError):
-        inverse_norm_power_sum(gen, 1, jobs=0)
-    with pytest.raises(DomainError):
-        inverse_norm_power_sum(gen, 1, jobs=1.5)
-    with pytest.raises(DomainError):
-        table_sweep([(lambda3, [TableRow(2, target_size=10)])], jobs=0)
     with pytest.raises(DomainError):
         carve_lowest_energy(gen, 1, 0)
     with pytest.raises(DomainError):

@@ -22,7 +22,6 @@ from latticesec.numfields import (
     min_product_distance,
     normalize_unit_volume,
     number_field,
-    save_lattice,
 )
 from norm_oracle import nf_norm
 
@@ -190,16 +189,16 @@ def test_shipped_data_matches_builders(lambda1, lambda2, lambda3):
         assert loaded.reference_dpmin == want.reference_dpmin
 
 
-def test_data_dir_override(tmp_path, monkeypatch, lambda1):
-    save_lattice(lambda1, tmp_path)
+def test_data_dir_override(tmp_path, monkeypatch, lambda1, shipped):
+    shipped("lambda1")
     monkeypatch.setenv("LATTICESEC_DATA", str(tmp_path))
     assert default_data_dir() == tmp_path
     loaded = load_lattice("lambda1")
     assert (loaded.generator.entries == lambda1.generator.entries).all()
 
 
-def test_corrupted_data_file_is_rejected(tmp_path, monkeypatch, lambda1):
-    path = save_lattice(lambda1, tmp_path)
+def test_corrupted_data_file_is_rejected(tmp_path, monkeypatch, lambda1, shipped):
+    path = shipped("lambda1")
     text = path.read_text().replace(
         "%.17g" % lambda1.generator.entries[0, 0],
         "%.17g" % (2.0 * lambda1.generator.entries[0, 0]))
@@ -210,12 +209,12 @@ def test_corrupted_data_file_is_rejected(tmp_path, monkeypatch, lambda1):
 
 
 @pytest.mark.parametrize("field", ["name", "dpmin_ref", "min_poly", "generator"])
-def test_data_file_must_match_the_catalogue(tmp_path, monkeypatch, lambda3, field):
+def test_data_file_must_match_the_catalogue(tmp_path, monkeypatch, shipped, field):
     # Another lattice's name, a dpmin_ref one ulp off, another field, or
     # the basis rebased by row 0 += row 1 (the same lattice, volume and
     # d_p,min, but another coefficient box, which only the Gram tells
     # apart) is not the catalogued lattice.
-    path = save_lattice(lambda3, tmp_path)
+    path = shipped("lambda3")
     doc = json.loads(path.read_text())
     gen = doc["generator"]
     doc[field] = {"name": "lambda2",

@@ -9,11 +9,7 @@ import pytest
 
 from latticesec.errors import DomainError
 from latticesec.theta import theta_triple
-from latticesec.theta_series import (
-    E8_GRAM,
-    theta_series_oracle,
-    theta_series_value,
-)
+from latticesec.theta_series import E8_GRAM, theta_series_oracle
 
 
 def _identity_gram(n: int) -> tuple[tuple[int, ...], ...]:
@@ -54,7 +50,7 @@ def test_z4_counts_against_brute_force():
 def test_z1_value_matches_theta3():
     counts = theta_series_oracle(_identity_gram(1), 144)
     for y in (0.5, 1.0, 2.0):
-        val = theta_series_value(counts, y)
+        val = math.fsum(c * math.exp(-math.pi * y * r) for r, c in counts)
         assert val == pytest.approx(theta_triple(y).theta3, rel=1e-12)
 
 
@@ -64,7 +60,8 @@ def test_e8_value_matches_modular_form():
     for y in (0.5, 1.0, 2.0, 4.0):
         trip = theta_triple(y)
         closed = (trip.theta2**8 + trip.theta3**8 + trip.theta4**8) / 2.0
-        assert theta_series_value(counts, y) == pytest.approx(closed, rel=1e-6)
+        val = math.fsum(c * math.exp(-math.pi * y * r) for r, c in counts)
+        assert val == pytest.approx(closed, rel=1e-6)
 
 
 def test_rational_gram_scaled_norms():
@@ -99,6 +96,8 @@ def test_gram_validation():
 
 
 def test_value_at_zero_norm_only():
-    assert theta_series_value([(0, 1)], 1.0) == 1.0
-    assert theta_series_value([(0, 1), (2, 240)], 10.0) == pytest.approx(
-        1.0 + 240.0 * math.exp(-2 * math.pi * 10.0), rel=1e-15)
+    # Below norm 2 only the zero vector counts; up to 2, E8's 240 roots.
+    for cap, want in ((1, 1.0), (2, 1.0 + 240.0 * math.exp(-2 * math.pi * 10.0))):
+        counts = theta_series_oracle(E8_GRAM, cap)
+        val = math.fsum(c * math.exp(-math.pi * 10.0 * r) for r, c in counts)
+        assert val == pytest.approx(want, rel=1e-15)
