@@ -60,15 +60,16 @@ when the ball holds the box, the sum does no walk.
 The lowest-energy carve takes its candidates from the same walker. It
 starts from the ball whose volume holds target_size lattice points and
 grows it until at least target_size candidates have a float norm at or
-below its radius; in the limit the candidates are the whole box. The
-walker keeps every word at or below the radius, so the target_size-th
-smallest energy of the box is among the candidates, and so is every
-word at or below it. A partition finds that energy, and only the words
-at or below it are sorted by (energy, lex), which selects the same
-words in the same order as sorting the box. The candidates' words
-z @ M are bit-equal to the box's rows as long as the matmul computes
-each row on its own, which the tests check against a full-box carve
-and against one-call products.
+below its radius; from a radius of box_top on, the walk gives the whole
+box, in _box's order and bits. The walker keeps every word at or below
+the radius, so the target_size-th smallest energy of the box is among
+the candidates, and so is every word at or below it. A partition finds
+that energy, and a stable sort of just the words at or below it by
+energy selects the same words in the same order as sorting the box by
+(energy, lex), since the candidates come in lex order. The candidates'
+words z @ M are bit-equal to the box's rows as long as the matmul
+computes each row on its own, which the tests check against a full-box
+carve and against one-call products.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -108,8 +109,9 @@ class SumReport:
     def __post_init__(self):
         if math.isfinite(self.p_lim) and self.p_max > self.p_lim + 1e-9:
             raise DomainError("p_max exceeds the configured p_lim")
-        if self.size > 1 and not self.s_value > 0:
-            raise DomainError("s_value must be positive for nontrivial codebooks")
+        # A sum of positive terms can still underflow to 0.0.
+        if not self.s_value >= 0:
+            raise DomainError("s_value must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -488,11 +490,9 @@ def _ball_candidates(
     ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
     p = (target_size * abs(float(np.linalg.det(M))) / ball) ** (2 / n)
     while True:
+        # From box_top on, the walk gives the whole box, as _box does.
         whole = not p < walker.box_top
-        if whole:
-            z = _box(n, m)
-        else:
-            z = walker.vectors(None, p)
+        z = walker.vectors(None, p)
         x = _product(z, M)
         norms = np.einsum("ij,ij->i", x, x)
         inside = np.count_nonzero(norms <= p)
@@ -527,13 +527,11 @@ def carve_lowest_energy(
 
     z, x, norms = _ball_candidates(M, m, target_size)
     # Only rows at or below the target_size-th smallest energy can be
-    # selected; sorting just those gives the same (energy, lex) prefix.
+    # selected. The candidates are in lex order, so a stable sort of just
+    # those rows by energy gives the box's (energy, lex) prefix.
     cut = np.partition(norms, target_size - 1)[target_size - 1]
     rows = np.flatnonzero(norms <= cut)
-    # Primary key: energy; then the coefficient columns, lexicographic.
-    order = np.lexsort(tuple(z[rows, j] for j in reversed(range(n)))
-                       + (norms[rows],))
-    sel = rows[order[:target_size]]
+    sel = rows[np.argsort(norms[rows], kind="stable")[:target_size]]
 
     zs, xs, ns = z[sel], x[sel], norms[sel]
     nonzero = np.any(zs != 0, axis=1)

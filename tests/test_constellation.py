@@ -640,9 +640,19 @@ def test_sum_report_guards():
     with pytest.raises(DomainError):
         SumReport("x", 2, 1, p_lim=4.0, size=5, p_max=9.0, p_ave=1.0,
                   s_value=1.0)
-    with pytest.raises(DomainError):
-        SumReport("x", 2, 1, p_lim=math.inf, size=5, p_max=1.0, p_ave=1.0,
-                  s_value=0.0)
+    for s_value in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            SumReport("x", 2, 1, p_lim=math.inf, size=5, p_max=1.0, p_ave=1.0,
+                      s_value=s_value)
+
+
+def test_an_underflowed_sum_is_returned_as_zero():
+    # A fully diverse generator whose S, about 1e-358, is below the
+    # smallest subnormal: the sum and the carve report 0.0, as theta
+    # reports an underflowed value.
+    gen = np.array([[1.0, 0.3], [0.2, -1.1]]) * 1e60
+    for rep in (inverse_norm_power_sum(gen, 2), carve_lowest_energy(gen, 2, 10)):
+        assert rep.s_value == 0.0 and rep.p_max > 0.0
 
 
 def test_csv_shape(lambda2):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from latticesec.cli import main
 from latticesec.errors import DomainError, InternalConsistencyError
 from latticesec.theta import (
     DEFAULT_TOL,
@@ -16,6 +17,7 @@ from latticesec.theta import (
     eval_z,
     theta_triple,
 )
+from latticesec.zpoly import secrecy_function, table_polynomial
 
 Y_GRID = np.geomspace(0.05, 20.0, 50)
 
@@ -125,7 +127,8 @@ def test_asymptotic_below_domain():
 
 
 def test_asymptotic_matches_series_at_boundary():
-    # The closed-form limits and the series should agree where they meet.
+    # On the domain's edges the flag is still off, and the series has
+    # already collapsed to its leading terms.
     inside = theta_triple(DOMAIN_MAX)
     assert not inside.asymptotic
     assert inside.theta3 == pytest.approx(1.0, abs=1e-100)
@@ -141,3 +144,31 @@ def test_loose_tolerance_still_close():
 def test_triple_invariant_guard():
     with pytest.raises(InternalConsistencyError):
         ThetaTriple(y=1.0, theta2=1.0, theta3=1.0, theta4=1.0, tol=1e-14)
+
+
+@pytest.mark.parametrize("y", [230.0, 236.0, 240.0, 500.0, 900.0])
+def test_theta2_keeps_its_digits_where_the_nome_is_subnormal(y):
+    # exp(-pi*y) is subnormal above y = 225.5; theta2 ~ 2*exp(-pi*y/4) is
+    # still a normal float up to y = 900 and beyond.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.jtheta(2, 0, mpmath.exp(-mpmath.pi * mpmath.mpf(y)))
+        assert ref > 1e-307
+        assert abs(theta_triple(y).theta2 - ref) <= 1e-12 * ref
+        # theta4(i/y) = sqrt(y) theta2(yi), which mpmath's jtheta(4) at
+        # a nome near 1 would only give after cancelling its terms.
+        ref4 = mpmath.sqrt(y) * ref
+        assert abs(theta_triple(1.0 / y).theta4 - ref4) <= 1e-12 * ref4
+
+
+@pytest.mark.parametrize("y", [1e-200, 5e-324])
+def test_tiny_y_stays_finite(y, capsys):
+    # theta2 = theta3 = 1/sqrt(y) there, whose fourth power overflows.
+    trip = theta_triple(y)
+    assert trip.asymptotic and trip.theta4 == 0.0
+    assert trip.theta2 == trip.theta3 == pytest.approx(1.0 / math.sqrt(y), rel=1e-15)
+    assert eval_z(y) == 0.0
+    assert secrecy_function(table_polynomial(8), y) == 1.0
+    assert main(["theta", "--y", repr(y)]) == 0
+    out = capsys.readouterr().out
+    assert "z = 0" in out.splitlines() and "regime = asymptotic" in out

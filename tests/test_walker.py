@@ -67,6 +67,12 @@ def test_walker_keeps_every_vector_of_a_box_scan(case):
         slices.append(z)
     # Walking every slice at once gives the same candidates in the same order.
     assert np.array_equal(walker.vectors(None, cap), np.concatenate(slices))
+    if m is not None:
+        # A cap of box_top or more walks the whole box, bit for bit as
+        # _box stores it: the carve relies on it.
+        for top in (walker.box_top, 2.0 * walker.box_top):
+            assert np.array_equal(walker.vectors(None, top).view(np.int64),
+                                  _box(n, m).view(np.int64))
     assert want <= {tuple(v) for v in np.concatenate(slices).tolist()}
 
 
