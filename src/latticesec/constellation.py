@@ -17,59 +17,48 @@ would, without a Python float per term. The per-slice partials are
 combined with math.fsum in fixed ascending order of the leading
 coefficient.
 
+One rule decides every codebook. Each z has a key: its exact energy
+q = z F z^T where the generator carries its integer form F (the
+catalogued lattices do), a sum of products of small integers and so
+exact in float64; for a plain array, the float norm ||x||^2 of its
+word. The rule (cut, ties) keeps the z keyed below cut and, of those
+keyed cut, all or the lex-first ties. A sum keeps all at cut p_lim, or
+for exact keys at q_cap = max{q : q^n <= det(F) p_lim^n}, decided in
+Fraction. A carve counts the keys of each slice to find its cut, the
+target_size-th smallest key, and how many words keyed cut it takes,
+then runs the sum's slices under that rule. With exact keys no float
+rounding, so no BLAS or SIMD kernel, decides which words a codebook
+keeps. p_max and p_ave are float norms of the kept words.
+
 Slice z1 is z1*M[0] plus rest @ M[1:] over its rest vectors
-(z_2, ..., z_n). Without a cap, or when the ball holds the box, these
-are the whole rest box {-m..m}^(n-1), and that block is built once per
-sum. A slice is streamed through blocks of _BLOCK = 8192 rows: each
-block's words, norms, keep mask, absolute values and terms are made in
-the sum's fixed scratch, and its energies and terms are added to
-the slice's exact sums. Apart from a capped slice's walk, no pass of a
-slice allocates a slice-sized array, so a block stays in cache and
-memory is not mapped afresh for every slice. Every row's arithmetic is
-its own, so the bits do not depend on the block size. Every product is
-made by _product in row blocks of at most 16 * _BLOCK = 2^17
-multiply-adds, which OpenBLAS computes in the calling thread; a larger
-call would wake its thread pool, whose worker then spins for about
-0.13 s of CPU after the product has returned. The blocks split rows only, and
-no call takes a single row, which numpy would hand to gemv, so each
-row has the bits of the one-call product.
+(z_2, ..., z_n). Where the rule keeps the box (cut at box_top or above,
+every tie), these are the whole rest box {-m..m}^(n-1), multiplied
+once, and exact keys are not needed. Below box_top the walker
+numfields.EllipsoidWalker (Fincke-Pohst over F, or over M M^T for float
+keys) gives each slice its candidates at cut in lex order, none within
+the cut left out. A slice streams through blocks of _BLOCK = 8192 rows
+whose keys, words, norms, masks and terms are made in fixed scratch
+and added to its exact sums: no pass but the walk allocates a
+slice-sized array. Every row's arithmetic is its own, so the bits do
+not depend on the block size, and every product is a _product, whose
+rows have the bits of one call.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 Row N-1-i of the lex-ordered rest box is minus row i, so only the
-uncapped block's upper half (from the zero row on) is multiplied and
-the lower half is its IEEE negation: that block is odd bit for bit by
-construction. Capped slices rest on two facts instead: a row of a
-_product has the same bits in any call, and IEEE negation is exact, so
-(-r) @ M[1:] - z1*M[0] is minus r @ M[1:] + z1*M[0] bit for bit. So
-every word of slice -z1 is the bitwise negation of a word of slice z1,
-and the two slices have the same count, terms, energies and p_max bit
-for bit. A slice sum rounds once, whatever the order of its terms, so
-only slices z1 = 0..m are computed and their partials are passed on as
-[m, ..., 1, 0, 1, ..., m]. A diversity failure is reported at the
-lex-first offending coefficient vector, as without the fold.
-
-With an energy cap, the lattice-point walker numfields.EllipsoidWalker
-(Fincke-Pohst over the Gram matrix G = M M^T) gives each slice its
-candidates in lex order, and the slice multiplies only those. The
-float test ||x||^2 <= p_lim still decides membership on the words a
-full scan makes, so count, terms, energies and p_max are those of a
-full scan bit for bit. The walker's docstring gives the rule by which
-it never drops a word that the float test keeps. Without a cap, or
-when the ball holds the box, the sum does no walk.
-
-The lowest-energy carve takes its candidates from the same walker. It
-starts from the ball whose volume holds target_size lattice points and
-grows it until at least target_size candidates have a float norm at or
-below its radius; from a radius of box_top on, the walk gives the whole
-box, in _box's order and bits. The walker keeps every word at or below
-the radius, so the target_size-th smallest energy of the box is among
-the candidates, and so is every word at or below it. A partition finds
-that energy, and a stable sort of just the words at or below it by
-energy selects the same words in the same order as sorting the box by
-(energy, lex), since the candidates come in lex order. The candidates'
-words z @ M are bit-equal to the box's rows as long as the matmul
-computes each row on its own, which the tests check against a full-box
-carve and against one-call products.
+shared block's upper half (from the zero row on) is multiplied and the
+lower half is its IEEE negation. Walked slices rest on two facts: a
+row of a _product has the same bits in any call, and IEEE negation is
+exact, so (-r) @ M[1:] - z1*M[0] is minus r @ M[1:] + z1*M[0] bit for
+bit. So every word of slice -z1 is the bitwise negation of a word of
+slice z1, with the same key, term and energy. A slice sum rounds once,
+whatever the order of its terms, so slices z1 = 0..m are computed and
+slice -z1 takes slice z1's partials where both keep all of their words
+keyed cut, or none; a pair that the carve's lex-first ties split is
+computed slice by slice. A diversity failure is reported at the
+lex-first offending coefficient vector, as without the fold. The
+carve's count walks a ball whose volume holds target_size lattice
+points and grows it until at least target_size keys lie in it; from
+box_top on, the walk gives the whole box.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -80,13 +69,15 @@ orthogonal-box values n*m*(m+1)/3 exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DiversityError, DomainError, positive_int
-from .numfields import EllipsoidWalker, GeneratorMatrix, _box
+from .numfields import EllipsoidWalker, GeneratorMatrix, _box, _frac_det
 
 DIVERSITY_EPS = 1e-12
 
@@ -135,13 +126,10 @@ def _check_box_args(m: int, p_lim: float, exponent: int) -> tuple[int, int]:
     return m, positive_int(exponent, "exponent")
 
 
-def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
-    """The entries of gen; anything but a GeneratorMatrix is made one,
-    so every generator is square and finite, with a finite nonzero
-    determinant and a finite Gram matrix."""
-    if not isinstance(gen, GeneratorMatrix):
-        gen = GeneratorMatrix(gen)
-    return gen.entries
+def _as_generator(gen: GeneratorMatrix | np.ndarray) -> GeneratorMatrix:
+    """gen, or a plain array made a GeneratorMatrix without a form: square
+    and finite, with a finite nonzero determinant and Gram matrix."""
+    return gen if isinstance(gen, GeneratorMatrix) else GeneratorMatrix(gen)
 
 
 # Rows per block. A block of words is 256 KB at n = 4, so it stays in
@@ -151,7 +139,7 @@ def _as_matrix(gen: GeneratorMatrix | np.ndarray) -> np.ndarray:
 _BLOCK = 8192
 
 
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a @ b, one np.matmul per block of rows, written into out.
 
     A block is _BLOCK rows, fewer if a row takes more than 16
@@ -162,8 +150,6 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
     not have gemm's bits, so no call takes one row: a lone row is taken
     twice.
     """
-    if out is None:
-        out = np.empty((len(a), b.shape[1]))
     step = max(2, 16 * _BLOCK // max(16, a.shape[1] * b.shape[1]))
     for i in range(0, len(a), step):
         if len(a) - i == 1:
@@ -185,13 +171,13 @@ def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
 
 class _Scratch:
     """Fixed buffers for blocks of at most _BLOCK rows of n coordinates,
-    owned by one _Slices or one carve: words, norms, the keep mask, the
+    owned by one _Slices: words, norms, keys, the keep mask, the
     reciprocals and terms of _terms, and the bins and high parts of
     _ExactSum.add."""
 
     def __init__(self, n: int):
         self.words = np.empty((_BLOCK, n))
-        self.norms, self.r, self.t = np.empty((3, _BLOCK))
+        self.norms, self.keys, self.r, self.t = np.empty((4, _BLOCK))
         self.keep = np.empty(_BLOCK, dtype=bool)
         self.bins, self.high = np.empty((2, _BLOCK), dtype=np.uint64)
 
@@ -357,51 +343,117 @@ def _fsum(blocks, values) -> float:
 
 
 class _Slices:
-    """The codebook split by its leading coefficient z1.
+    """The codebook split by its leading coefficient z1, the keys of its
+    coefficient vectors, and the rule (cut, ties) that keeps the words
+    keyed below cut and, of those keyed cut, all (ties None) or the
+    lex-first ties. Every block goes through one fixed _Scratch."""
 
-    Slice z1 holds the words z1*M[0] + r @ M[1:] for the rest vectors
-    r = (z_2, ..., z_n) that the walker gives it. Without a cap, or when
-    the ball holds the box, r runs over the whole rest box
-    {-m..m}^(n-1), whose product rest @ M[1:] is the same for every
-    slice, so it is built once. With a cap each slice multiplies only
-    its own candidates. Either way a slice is streamed through blocks of
-    _BLOCK rows in one fixed _Scratch: its words, their norms and masks,
-    and its terms.
-    """
+    def __init__(self, gen: GeneratorMatrix, m: int, exponent: int):
+        self.M, self.m, self.exponent = gen.entries, m, exponent
+        self.scratch = _Scratch(gen.n)
+        exact = gen.form is not None
+        self.form = np.array(gen.form, dtype=float) if exact else None
+        self.det = _frac_det(gen.form) if exact else None
+        self.walker = EllipsoidWalker(gen.form if exact else self.M @ self.M.T, m)
+        self.shared = None  # the rest box's product, once a rule keeps the box
 
-    def __init__(self, M: np.ndarray, m: int, p_lim: float, exponent: int):
-        self.M, self.p_lim, self.exponent = M, p_lim, exponent
-        self.scratch = _Scratch(M.shape[1])
-        self.walker = EllipsoidWalker(M @ M.T, m)
-        self.capped = p_lim < self.walker.box_top
-        if not self.capped:
-            self.rest = _box(M.shape[0] - 1, m)
-            # Row N-1-i of the box is minus row i: multiply the upper half
-            # and negate it into the lower, so the block is odd bit for bit.
-            zero = len(self.rest) // 2
-            self.shared = np.empty((len(self.rest), M.shape[1]))
-            _product(self.rest[zero:], M[1:], out=self.shared[zero:])
-            np.negative(self.shared[:zero:-1], out=self.shared[:zero])
+    def cap(self, p_lim: float) -> float:
+        """The cut of the ball ||x||^2 <= p_lim: p_lim for float keys or an
+        infinite p_lim, else the largest integer q <= box_top with
+        q^n <= det(F) p_lim^n, decided in Fraction."""
+        if self.form is None or math.isinf(p_lim):
+            return p_lim
+        n, top = len(self.form), int(self.walker.box_top)
+        bound = self.det * Fraction(float(p_lim)) ** n
+        return float(bisect.bisect_right(range(top + 1), bound, key=lambda q: q ** n) - 1)
 
-    def _blocks(self, z1: int, rest: np.ndarray):
+    def cut(self, target: int) -> tuple[float, list]:
+        """(cut, ties) of the rule that keeps the box's target words lowest
+        in (key, lex) order: cut is the target-th smallest key, and
+        ties[z1 + m] how many words keyed cut slice z1 keeps (None: all).
+        Slices z1 and -z1 hold the same keys, so z1 >= 0 are counted."""
+        m, n, top = self.m, len(self.M), self.walker.box_top
+        ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+        covolume = abs(np.linalg.det(self.M)) if self.form is None else math.sqrt(self.det)
+        radius = (target * covolume / ball) ** (2 / n)
+        while True:
+            radius = min(radius, top)
+            hists = []
+            for z1 in range(m + 1):
+                z = self.walker.vectors(z1, radius)
+                keys = np.empty(len(z))
+                for i in range(0, len(z), _BLOCK):
+                    keys[i:i + _BLOCK] = self._keys(z1, z[i:i + _BLOCK])
+                # Every key counts from box_top on.
+                hists.append(np.unique(keys[keys <= radius] if radius < top else keys,
+                                       return_counts=True))
+            keys, where = np.unique(np.concatenate([k for k, _ in hists]),
+                                    return_inverse=True)
+            below = np.cumsum(np.bincount(where, np.concatenate(
+                [c * (1 + (z1 > 0)) for z1, (_, c) in enumerate(hists)])))
+            if not radius < top or below[-1] >= target:
+                break
+            # The box cuts the ball, so the count grows slower than the
+            # volume: aim past the target.
+            grow = 1.1 * max(1.1, (target / below[-1]) ** (2 / n))
+            radius = radius * grow if radius > 0 else top
+        j = int(np.searchsorted(below, target))
+        cut, left = keys[j], target - (int(below[j - 1]) if j else 0)
+        ties = []
+        for z1 in range(-m, m + 1):
+            k, c = hists[abs(z1)]
+            tied = int(c[k == cut].sum())
+            ties.append(None if left >= tied else left)
+            left -= min(left, tied)
+        return float(cut), ties
+
+    def _keys(self, z1: int, z: np.ndarray) -> np.ndarray:
+        """The keys of a block z of slice z1's coefficient vectors, in the
+        scratch: z F z^T, whose product borrows the words buffer, or the
+        float norms of the words."""
+        if self.form is None:
+            return self._words(z1, z[:, 1:])[1]
+        y = _product(z, self.form, out=self.scratch.words[:len(z)])
+        np.multiply(y, z, out=y)
+        q = self.scratch.keys[:len(z)]
+        np.copyto(q, y[:, 0])
+        for j in range(1, y.shape[1]):
+            q += y[:, j]
+        return q
+
+    def _words(self, z1: int, r: np.ndarray, i: int | None = None):
+        """The words z1*M[0] + r @ M[1:] of a block r of rest vectors and
+        their float norms, in the scratch; r @ M[1:] is the shared block's
+        rows from i on, if i is given."""
+        words = self.scratch.words[:len(r)]
+        block = (_product(r, self.M[1:], out=words) if i is None
+                 else self.shared[i:i + len(r)])
+        # A column at a time: numpy adds a broadcast row four values per
+        # inner loop, several times slower.
+        for j, x in enumerate(z1 * self.M[0]):
+            np.add(block[:, j], x, out=words[:, j])
+        norms = np.einsum("ij,ij->i", words, words, out=self.scratch.norms[:len(r)])
+        return words, norms
+
+    def _blocks(self, z1: int, z, rest: np.ndarray, cut: float, ties):
         """(words, norms, rows) per block of slice z1's rest vectors: the
-        words within the cap other than the zero word, their norms, and
-        their row numbers in rest. The words of a whole block are the
-        scratch's, overwritten by the next block."""
-        scratch, shift = self.scratch, z1 * self.M[0]
+        words the rule keeps other than the zero word, their norms, and
+        their row numbers in rest. z holds the walker's rows, or is None
+        for the shared block, whose keys are the norms. The words of a
+        whole block are the scratch's, overwritten by the next block."""
+        exact = self.form is not None
         for i in range(0, len(rest), _BLOCK):
             r = rest[i:i + _BLOCK]
-            words = scratch.words[:len(r)]
-            if self.capped:
-                block = _product(r, self.M[1:], out=words)
-            else:
-                block = self.shared[i:i + len(r)]
-            # A column at a time: numpy adds a broadcast row four values
-            # per inner loop, several times slower.
-            for j, x in enumerate(shift):
-                np.add(block[:, j], x, out=words[:, j])
-            norms = np.einsum("ij,ij->i", words, words, out=scratch.norms[:len(r)])
-            keep = np.less_equal(norms, self.p_lim, out=scratch.keep[:len(r)])
+            keep = self.scratch.keep[:len(r)]
+            # Exact keys first: their product borrows the words buffer.
+            keys = self._keys(z1, z[i:i + _BLOCK]) if exact and z is not None else None
+            words, norms = self._words(z1, r, None if z is not None else i)
+            keys = norms if keys is None else keys
+            np.less_equal(keys, cut, out=keep)
+            if ties is not None:
+                tied = np.flatnonzero(keys == cut)
+                keep[tied[ties:]] = False
+                ties -= min(ties, len(tied))
             if z1 == 0:
                 keep &= r.any(axis=1)
             if np.count_nonzero(keep) == len(r):
@@ -409,39 +461,58 @@ class _Slices:
             else:
                 yield words[keep], norms[keep], i + np.flatnonzero(keep)
 
-    def stats(self, z1: int):
-        """Sum/energy statistics of slice z1.
-
-        Returns (count, s_partial, p_max, energy_partial, bad) where bad
-        describes the first (lex order) diversity violation as a tuple
-        (coefficient vector, coordinate index, coordinate value), or is
-        None. All reductions are deterministic functions of the slice.
-        """
-        rest = (self.walker.vectors(z1, self.p_lim)[:, 1:] if self.capped
-                else self.rest)
+    def stats(self, z1: int, cut: float, ties: int | None = None):
+        """(count, s_partial, p_max, energy_partial, bad) of the words of
+        slice z1 that the rule (cut, ties) keeps, where bad is the first
+        (lex order) diversity violation as (coefficient vector,
+        coordinate index, coordinate value), or None."""
+        z = None
+        if ties is None and not cut < self.walker.box_top:
+            if self.shared is None:
+                self.rest = _box(len(self.M) - 1, self.m)
+                # Row N-1-i of the box is minus row i: multiply the upper
+                # half and negate it into the lower.
+                zero = len(self.rest) // 2
+                self.shared = np.empty((len(self.rest), self.M.shape[1]))
+                _product(self.rest[zero:], self.M[1:], out=self.shared[zero:])
+                np.negative(self.shared[:zero:-1], out=self.shared[:zero])
+            rest = self.rest
+            # Every exact key of the box is within cut: test norms against inf.
+            cut = math.inf if self.form is not None else cut
+        else:
+            z = self.walker.vectors(z1, cut)
+            rest = z[:, 1:]
         size, s_partial, p_max, energy, bad = _reduce(
-            lambda: self._blocks(z1, rest), self.exponent, self.scratch)
+            lambda: self._blocks(z1, z, rest, cut, ties), self.exponent, self.scratch)
         if bad is not None:
             row, coord, value = bad
             bad = ((z1, *map(int, rest[row])), coord, value)
-        # The zero word, in slice 0 whatever the cap, counts but has no term.
+        # The zero word, in slice 0 whatever the rule, counts but has no term.
         return size + (z1 == 0), s_partial, p_max, energy, bad
 
-
-def _combine(parts, lattice_name, n, m, p_lim, exponent):
-    """Fold per-slice statistics in ascending-z1 order."""
-    for count, s, pmax, energy, bad in parts:
-        if bad is not None:
-            raise DiversityError(*bad)
-    size = sum(p[0] for p in parts)
-    s_value = math.fsum(p[1] for p in parts)
-    p_max = max((p[2] for p in parts if p[0]), default=0.0)
-    energy = math.fsum(p[3] for p in parts)
-    p_ave = energy / size if size else 0.0
-    return SumReport(
-        lattice_name=lattice_name, n=n, m=m, p_lim=p_lim,
-        size=size, p_max=p_max, p_ave=p_ave, s_value=s_value,
-        exponent=exponent)
+    def report(self, cut: float, ties: list, lattice_name: str,
+               p_lim: float = math.inf, target_size: int | None = None) -> SumReport:
+        """The SumReport of the words that the rule keeps, ties[z1 + m]
+        being slice z1's; slice -z1 mirrors slice z1 where their ties
+        agree."""
+        m = self.m
+        own = [self.stats(z1, cut, ties[z1 + m]) for z1 in range(m + 1)]
+        parts = [own[abs(z1)] if ties[z1 + m] == ties[abs(z1) + m]
+                 else self.stats(z1, cut, ties[z1 + m]) for z1 in range(-m, m + 1)]
+        # A mirrored slice -z1 reports slice z1's violation, whose mirror
+        # need not be the lex-first one there: rescan that slice.
+        first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), None)
+        if first_bad is not None:
+            if first_bad < m:
+                parts[first_bad] = self.stats(first_bad - m, cut, ties[first_bad])
+            raise DiversityError(*parts[first_bad][4])
+        size = sum(p[0] for p in parts)
+        return SumReport(
+            lattice_name, len(self.M), m, p_lim, size,
+            p_max=max((p[2] for p in parts if p[0]), default=0.0),
+            p_ave=math.fsum(p[3] for p in parts) / size,
+            s_value=math.fsum(p[1] for p in parts),
+            exponent=self.exponent, target_size=target_size)
 
 
 def inverse_norm_power_sum(
@@ -451,57 +522,12 @@ def inverse_norm_power_sum(
     exponent: int = 3,
     lattice_name: str = "",
 ) -> SumReport:
-    """S over the box-and-ball codebook, with energy statistics.
-
-    Work is partitioned by the leading coefficient z1. Only the slices
-    z1 >= 0 are computed, since slice -z1 mirrors slice z1; each slice
-    is reduced exactly, as math.fsum would, and partials are combined
-    in ascending z1 order, so the result is deterministic.
-    """
+    """S over the box-and-ball codebook, with energy statistics: the rule
+    with cut at the cap of p_lim, keeping every tie."""
     m, exponent = _check_box_args(m, p_lim, exponent)
-    M = _as_matrix(gen)
-    slices = _Slices(M, m, p_lim, exponent)
-    parts = [slices.stats(z1) for z1 in range(m + 1)]
-    parts = parts[:0:-1] + parts
-    # A mirrored slice -z1 reports slice z1's violation, whose mirror
-    # need not be the lex-first one there: rescan that slice.
-    first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), m)
-    if first_bad < m:
-        parts[first_bad] = slices.stats(first_bad - m)
-    return _combine(parts, lattice_name, M.shape[0], m, p_lim, exponent)
-
-
-def _ball_candidates(
-    M: np.ndarray, m: int, target_size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficient vectors z, words z @ M and float squared norms of the
-    box's words in a ball that holds its target_size lowest-energy words.
-
-    The first radius is the one whose ball volume fits target_size
-    lattice points; it grows until the float norms of at least
-    target_size candidates are at or below it. The walker keeps every
-    box word whose float norm is at or below the radius, so the
-    target_size-th smallest norm of the box is then among the
-    candidates, and so is every word at or below it. In the limit the
-    candidates are the whole box.
-    """
-    n = M.shape[0]
-    walker = EllipsoidWalker(M @ M.T, m)
-    ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    p = (target_size * abs(float(np.linalg.det(M))) / ball) ** (2 / n)
-    while True:
-        # From box_top on, the walk gives the whole box, as _box does.
-        whole = not p < walker.box_top
-        z = walker.vectors(None, p)
-        x = _product(z, M)
-        norms = np.einsum("ij,ij->i", x, x)
-        inside = np.count_nonzero(norms <= p)
-        if whole or inside >= target_size:
-            return z, x, norms
-        # The box cuts the ball, so the count grows slower than the
-        # volume: aim past the target.
-        grow = 1.1 * max(1.1, (target_size / inside) ** (2 / n))
-        p = p * grow if p > 0 else walker.box_top
+    slices = _Slices(_as_generator(gen), m, exponent)
+    return slices.report(slices.cap(p_lim), [None] * (2 * m + 1),
+                         lattice_name, p_lim)
 
 
 def carve_lowest_energy(
@@ -517,56 +543,26 @@ def carve_lowest_energy(
     order. The zero word has energy 0 and is always selected.
     """
     m, exponent = _check_box_args(m, math.inf, exponent)
-    M = _as_matrix(gen)
-    n = M.shape[0]
-    box_size = (2 * m + 1) ** n
+    gen = _as_generator(gen)
+    box_size = (2 * m + 1) ** gen.n
     target_size = positive_int(target_size, "target_size")
     if target_size > box_size:
         raise DomainError(
             "target_size %d exceeds box size %d" % (target_size, box_size))
-
-    z, x, norms = _ball_candidates(M, m, target_size)
-    # Only rows at or below the target_size-th smallest energy can be
-    # selected. The candidates are in lex order, so a stable sort of just
-    # those rows by energy gives the box's (energy, lex) prefix.
-    cut = np.partition(norms, target_size - 1)[target_size - 1]
-    rows = np.flatnonzero(norms <= cut)
-    sel = rows[np.argsort(norms[rows], kind="stable")[:target_size]]
-
-    zs, xs, ns = z[sel], x[sel], norms[sel]
-    nonzero = np.any(zs != 0, axis=1)
-    xs, ns = xs[nonzero], ns[nonzero]
-
-    def blocks():
-        for i in range(0, len(ns), _BLOCK):
-            yield xs[i:i + _BLOCK], ns[i:i + _BLOCK], range(i, i + _BLOCK)
-
-    _, s_value, p_max, energy, bad = _reduce(blocks, exponent, _Scratch(n))
-    if bad is not None:
-        first, coord, value = bad
-        raise DiversityError(tuple(map(int, zs[nonzero][first])), coord, value)
-    p_ave = energy / target_size
-    return SumReport(
-        lattice_name=lattice_name, n=n, m=m, p_lim=math.inf,
-        size=target_size, p_max=p_max, p_ave=p_ave, s_value=s_value,
-        exponent=exponent, target_size=target_size)
+    slices = _Slices(gen, m, exponent)
+    return slices.report(*slices.cut(target_size), lattice_name,
+                         target_size=target_size)
 
 
 def table_sweep(sweeps, exponent: int = 3) -> list[SumReport]:
     """One SumReport per TableRow of each (LatticeSpec, rows) pair of
     sweeps, computed independently, in order."""
-    out = []
-    for lattice, rows in sweeps:
-        for row in rows:
-            if row.target_size is not None:
-                out.append(carve_lowest_energy(
-                    lattice.generator, row.m, row.target_size,
-                    exponent=exponent, lattice_name=lattice.name))
-            else:
-                out.append(inverse_norm_power_sum(
-                    lattice.generator, row.m, row.p_lim, exponent=exponent,
-                    lattice_name=lattice.name))
-    return out
+    return [carve_lowest_energy(lattice.generator, row.m, row.target_size,
+                                exponent=exponent, lattice_name=lattice.name)
+            if row.target_size is not None else
+            inverse_norm_power_sum(lattice.generator, row.m, row.p_lim,
+                                   exponent=exponent, lattice_name=lattice.name)
+            for lattice, rows in sweeps for row in rows]
 
 
 # Catalogued sweep configurations. table1: the two unitary lattices

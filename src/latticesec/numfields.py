@@ -163,9 +163,11 @@ def number_field(min_poly) -> NumberFieldSpec:
 class GeneratorMatrix:
     """Full-rank square generator; rows are the basis vectors. Its
     entries, its nonzero determinant and its Gram matrix M M^T are
-    finite."""
+    finite. form is None or the exact integer Gram F of a unit-volume
+    lattice, M M^T = F / det(F)^(1/n), as _validated attaches it."""
 
     entries: np.ndarray
+    form: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -299,8 +301,8 @@ class EllipsoidWalker:
     The candidates of slice z1 hold every z (in the box, if m is given)
     with z G z^T <= cap, and, for G = M M^T, every word whose float norm
     ||zM||^2 is <= cap. Such a z has |z_j| <= sqrt(cap (G^-1)_jj), and
-    |U_jk| <= sqrt(G_jj / D_k). So with kappa = sum_j sqrt(G_jj (G^-1)_jj),
-    which is at least n, the float walk's partial norms are off by a few
+    |U_jk| <= sqrt(G_jj / D_k). So with kappa = sum_j sqrt(G_jj (G^-1)_jj)
+    (math.fsum), at least n, the float walk's partial norms are off by a few
     n units of roundoff of kappa^2 cap, and its centres and run ends by
     a few n units of roundoff of kappa sqrt(cap / D_k). A float norm ||zM||^2, and the exact form of
     a float product M M^T, are off from the exact ||zM||^2 by a few n
@@ -340,8 +342,8 @@ class EllipsoidWalker:
         for c in range(n):
             for k in range(c + 1, n):
                 w[k][c] = -sum(u[i][k] * w[i][c] for i in range(c, k))
-        kappa = sum(math.sqrt(g[j][j] * sum(w[j][k] ** 2 / d[k] for k in range(j + 1)))
-                    for j in range(n))
+        kappa = math.fsum(math.sqrt(g[j][j] * sum(w[j][k] ** 2 / d[k] for k in range(j + 1)))
+                          for j in range(n))
         self.widen = 1.0 + 2.0 ** -30 * kappa * kappa
         self.d = [float(x) for x in d]
         self.m = m
@@ -504,9 +506,10 @@ LATTICE_NAMES = tuple(CATALOGUE)
 
 
 def _validated(name: str, m: GeneratorMatrix, provenance: str) -> LatticeSpec:
-    """The catalogued lattice name with generator m, after checking unit
-    volume and that M M^T is the catalogued Gram scaled to determinant 1
-    within UNITARITY_TOL (for lambda1 and lambda2, orthogonality).
+    """The catalogued lattice name with generator m and its exact form,
+    after checking unit volume and that M M^T is the catalogued Gram
+    scaled to determinant 1 within UNITARITY_TOL (for lambda1 and
+    lambda2, orthogonality).
     LatticeSpec's constructor enforces the d_p,min invariant."""
     want = CATALOGUE[name].unit_gram()
     if m.n != len(want):
@@ -519,7 +522,8 @@ def _validated(name: str, m: GeneratorMatrix, provenance: str) -> LatticeSpec:
     if not defect <= UNITARITY_TOL:
         raise ConstructionError(
             "%s: Gram defect %.3e exceeds 1e-9" % (name, defect))
-    return LatticeSpec(name=name, generator=m,
+    return LatticeSpec(name=name,
+                       generator=GeneratorMatrix(m.entries, CATALOGUE[name].gram),
                        reference_dpmin=CATALOGUE[name].dpmin,
                        provenance=provenance)
 

@@ -123,11 +123,11 @@ class NormForm:
     energy_disc: int         # ||x||^2 = q(z) * energy_disc^(-1/4)
 
     def energy_cap(self, p_lim) -> int:
-        """Largest integer q with q * energy_disc^(-1/4) <= p_lim."""
-        p = Fraction(p_lim)
-        if p.denominator != 1:
-            raise ValueError("the exact cap needs an integer p_lim")
-        return math.isqrt(math.isqrt(self.energy_disc * int(p) ** 4))
+        """Largest integer q with q * energy_disc^(-1/4) <= p_lim, i.e.
+        q^4 <= energy_disc p_lim^4 on the exact rational value of p_lim:
+        the fourth root of the integer part of the right side."""
+        bound = self.energy_disc * Fraction(p_lim) ** 4
+        return math.isqrt(math.isqrt(bound.numerator // bound.denominator))
 
 
 NORM_FORMS = {
@@ -220,7 +220,7 @@ def exact_codebook(lattice: str, m: int, p_lim=math.inf,
         q_closed = int(q.max())
     nonzero = np.any(z != 0, axis=1)
     return ExactCodebook(
-        lattice=lattice, m=m, size=len(z), q_max=int(q[nonzero].max()),
+        lattice=lattice, m=m, size=len(z), q_max=int(q[nonzero].max(initial=0)),
         q_sum=int(q.sum()), q_closed=q_closed,
         inv_norm_sum=inverse_cube_sum(form.norms(z[nonzero])))
 

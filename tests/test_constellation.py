@@ -6,10 +6,13 @@ import math
 import random
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from norm_oracle import exact_codebook
 
 from latticesec import constellation
 from latticesec.constellation import (
@@ -17,7 +20,6 @@ from latticesec.constellation import (
     TABLE2_ROWS,
     SumReport,
     TableRow,
-    _ball_candidates,
     _first_violation,
     _product,
     _terms,
@@ -27,7 +29,7 @@ from latticesec.constellation import (
     table_sweep,
 )
 from latticesec.errors import DiversityError, DomainError
-from latticesec.numfields import EllipsoidWalker, _box
+from latticesec.numfields import EllipsoidWalker, _box, _frac_det
 
 # Frozen full-precision regressions for the shipped lattices, computed by
 # this implementation and cross-checked against the published
@@ -48,7 +50,8 @@ L3_TABLE2 = {
     # m: (size, p_max, p_ave, s_value)
     8: (79, 3.626028089755895, 2.6577758632568806, 1891949.6040485608),
     7: (2405, 35.56960888046257, 20.327726703592607, 7130240.828380058),
-    12: (2401, 24.00085259409852, 15.241097660065165, 8572911.565456519),
+    # the (q, lex) carve, within 3.1e-14 of the exact norm-form oracle
+    12: (2401, 24.000852594098536, 15.241097660065165, 8572911.547276571),
     14: (50975, 195.97818485109235, 106.62799193311898, 17234509.75807331),
     20: (208411, 399.8990978987929, 217.31130845275564, 24071625.91483873),
 }
@@ -187,44 +190,121 @@ def _inverse_power(prods, exponent):
     return out
 
 
-def _unfolded_sum(M, m, p_lim, exponent=3):
-    """(size, p_max, p_ave, S) from all 2m+1 slices, one matmul each."""
+def _unfolded_sum(gen, m, p_lim=math.inf, target=None, exponent=3):
+    """(size, p_max, p_ave, S) from all 2m+1 slices, one matmul each, of
+    the words z1*M[0] + rest @ M[1:] that the rule keeps.
+
+    Keys are the exact energies z F z^T, in integers, where gen carries
+    its form F, else the float norms. The rule keeps the rows keyed
+    below a cut and the lex-first k keyed at it: for a sum, every row
+    with ||x||^2 <= p_lim (q^n <= det(F) p_lim^n for exact keys); for a
+    carve, the target rows lowest in (key, lex) order.
+    """
+    M = np.asarray(getattr(gen, "entries", gen))
+    form = getattr(gen, "form", None)
     n = M.shape[0]
     grids = np.meshgrid(*([np.arange(-m, m + 1)] * (n - 1)), indexing="ij")
     rest = np.stack([g.ravel() for g in grids], axis=1)
+    slices = [(z1, z1 * M[0] + rest @ M[1:]) for z1 in range(-m, m + 1)]
+    norms = [np.einsum("ij,ij->i", block, block) for _, block in slices]
+    if form is None:
+        keys = np.concatenate(norms)
+    else:
+        z = np.concatenate([np.insert(rest, 0, z1, axis=1) for z1, _ in slices])
+        keys = np.einsum("ki,ij,kj->k", z, np.array(form), z)
+    if target is not None:
+        # The rows are in lex order, so a stable sort on keys is (key, lex).
+        keep = np.zeros(len(keys), dtype=bool)
+        keep[np.argsort(keys, kind="stable")[:target]] = True
+    elif form is None or math.isinf(p_lim):
+        keep = keys <= p_lim
+    else:
+        bound = _frac_det(form) * Fraction(p_lim) ** n
+        keep = np.array([int(q) ** n <= bound for q in keys.tolist()])
+    keep = keep.reshape(2 * m + 1, -1)
     size, p_max, s_parts, energy_parts = 0, 0.0, [], []
-    for z1 in range(-m, m + 1):
-        block = z1 * M[0] + rest @ M[1:]
-        norms = np.einsum("ij,ij->i", block, block)
-        keep = norms <= p_lim
-        nonzero = keep & (np.any(rest != 0, axis=1) | (z1 != 0))
-        size += int(np.count_nonzero(keep))
-        energy_parts.append(math.fsum(norms[keep]))
+    for (z1, block), norm, kept in zip(slices, norms, keep):
+        nonzero = kept & (np.any(rest != 0, axis=1) | (z1 != 0))
+        size += int(np.count_nonzero(kept))
+        energy_parts.append(math.fsum(norm[kept]))
         if np.any(nonzero):
             terms = _inverse_power(np.prod(np.abs(block[nonzero]), axis=1), exponent)
             s_parts.append(math.fsum(terms))
-            p_max = max(p_max, float(norms[nonzero].max()))
+            p_max = max(p_max, float(norm[nonzero].max()))
     return size, p_max, math.fsum(energy_parts) / size, math.fsum(s_parts)
 
 
 def test_folded_kernel_matches_unfolded_bits(lambda1, lambda2, lambda3):
     # Only slices z1 >= 0 are computed; the mirrored fold must reproduce
-    # the full computation bit for bit, capped or not.
+    # the full computation bit for bit, capped or not, with the exact
+    # keys of the catalogued generators and with float keys of the same
+    # entries as a plain array.
     for spec in (lambda1, lambda2, lambda3):
-        M = spec.generator.entries
-        for m, p_lim, exponent in ((1, math.inf, 3), (4, math.inf, 3),
-                                   (5, 16.0, 3), (7, 30.5, 2), (9, 64.0, 3)):
-            rep = inverse_norm_power_sum(spec.generator, m, p_lim=p_lim,
-                                         exponent=exponent)
-            assert (rep.size, rep.p_max, rep.p_ave, rep.s_value) == \
-                _unfolded_sum(M, m, p_lim, exponent)
+        for gen in (spec.generator, spec.generator.entries):
+            for m, p_lim, exponent in ((1, math.inf, 3), (4, math.inf, 3),
+                                       (5, 16.0, 3), (7, 30.5, 2), (9, 64.0, 3)):
+                rep = inverse_norm_power_sum(gen, m, p_lim=p_lim, exponent=exponent)
+                assert (rep.size, rep.p_max, rep.p_ave, rep.s_value) == \
+                    _unfolded_sum(gen, m, p_lim, exponent=exponent)
+
+
+@st.composite
+def _codebooks(draw):
+    """(lattice, m, p_lim, target_size): an energy cap, integer or not,
+    or a carve, on a box of m <= 6."""
+    lattice = draw(st.sampled_from(("lambda1", "lambda2", "lambda3")))
+    m = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("integer", "real", "carve")))
+    if kind == "carve":
+        return lattice, m, math.inf, draw(st.integers(1, (2 * m + 1) ** 4))
+    if kind == "integer":
+        return lattice, m, float(draw(st.integers(1, 5 * m * m))), None
+    return lattice, m, draw(st.floats(0.25, 5.0 * m * m)), None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_codebooks())
+@example(case=("lambda1", 4, 5e-324, None))
+@example(case=("lambda2", 5, 5e-324, None))
+@example(case=("lambda3", 6, 5e-324, None))
+@example(case=("lambda1", 6, 1e308, None))
+@example(case=("lambda2", 1, 1e308, None))
+@example(case=("lambda3", 3, 1e308, None))
+def test_codebooks_match_the_exact_oracle(lambda1, lambda2, lambda3, case):
+    # Every catalogued sum and carve keeps the oracle's words, decided on
+    # integer energies, so its size is the oracle's; S, p_max and p_ave
+    # differ only by the float generator's rounding. The float range's
+    # ends are caps too: 5e-324 keeps the zero word alone, and 1e308 the
+    # whole box.
+    lattice, m, p_lim, target = case
+    gen = {"lambda1": lambda1, "lambda2": lambda2, "lambda3": lambda3}[lattice].generator
+    if target is None:
+        rep = inverse_norm_power_sum(gen, m, p_lim=p_lim)
+    else:
+        rep = carve_lowest_energy(gen, m, target)
+    exact = exact_codebook(lattice, m, p_lim, target)
+    assert rep.size == exact.size
+    for field in ("s_value", "p_max", "p_ave"):
+        assert getattr(rep, field) == pytest.approx(getattr(exact, field), rel=1e-12)
+
+
+def test_a_cap_past_the_box_skips_the_walk(lambda1, lambda2, lambda3, monkeypatch):
+    # q_cap is decided in Fraction, so a cap of 1e308 does not overflow;
+    # it holds the box, so the sum takes the whole box with no walk.
+    def no_walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(EllipsoidWalker, "vectors", no_walk)
+    for spec in (lambda1, lambda2, lambda3):
+        rep = inverse_norm_power_sum(spec.generator, 3, p_lim=1e308)
+        assert rep == replace(inverse_norm_power_sum(spec.generator, 3), p_lim=1e308)
 
 
 def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
     # The shipped lattices, a diagonal one and the exactly tied [[1, 3],
     # [3, -1]], whose words all have integer energies 10 (z1^2 + z2^2).
-    # Both float norms the library tests against a cap count: the sum
-    # kernel's z1*M[0] + rest @ M[1:] and the carve's z @ M.
+    # The float norms of the words z1*M[0] + rest @ M[1:] are the keys a
+    # plain generator's sum and carve test against a cap.
     gens = [spec.generator.entries for spec in (lambda1, lambda2, lambda3)]
     for M in gens + [np.eye(2), np.array([[1.0, 3.0], [3.0, -1.0]])]:
         n = M.shape[0]
@@ -232,12 +312,9 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
             side = 2 * m + 1
             rest = _box(n - 1, m)
             shared = rest @ M[1:]
-            sliced = np.stack([np.einsum("ij,ij->i", z1 * M[0] + shared,
-                                         z1 * M[0] + shared)
-                               for z1 in range(-m, m + 1)])
-            x = _box(n, m) @ M
-            whole = np.einsum("ij,ij->i", x, x).reshape(side, -1)
-            norms = np.minimum(sliced, whole)
+            norms = np.stack([np.einsum("ij,ij->i", z1 * M[0] + shared,
+                                        z1 * M[0] + shared)
+                              for z1 in range(-m, m + 1)])
             # Integer caps put words of lambda1, lambda2 and the tied
             # generator exactly on the sphere; the others sit one ulp either
             # side of a float norm of the box.
@@ -260,34 +337,22 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
                     assert np.all(norms[z1 + m][rows] <= p_lim + 1e-4), (M, m)
 
 
-def _direct_carve(M, m, target):
-    """(size, p_max, p_ave, S) of a full-box (energy, lex) sort."""
-    n = M.shape[0]
-    z = _box(n, m)
-    x = z @ M
-    norms = np.einsum("ij,ij->i", x, x)
-    sel = np.lexsort(tuple(z[:, j] for j in reversed(range(n))) + (norms,))
-    sel = sel[:target]
-    nonzero = np.any(z[sel] != 0, axis=1)
-    terms = _inverse_power(np.prod(np.abs(x[sel][nonzero]), axis=1), 3)
-    p_max = float(norms[sel][nonzero].max()) if nonzero.any() else 0.0
-    return target, p_max, math.fsum(norms[sel]) / target, math.fsum(terms)
-
-
 def test_carve_grows_its_ball_to_the_whole_box(lambda1, lambda2, lambda3):
     # Targets of the whole box and one word less make the carve's ball
     # grow until it holds the box; the middle ones cut a ball that the
-    # box truncates.
-    shipped = [spec.generator.entries for spec in (lambda1, lambda2, lambda3)]
+    # box truncates. The shipped generators are taken with their exact
+    # keys and, as plain arrays, with float keys.
+    shipped = [g for spec in (lambda1, lambda2, lambda3)
+               for g in (spec.generator, spec.generator.entries)]
     # The tied generator has a word with a zero coordinate from m = 3 on.
     tied = np.array([[1.0, 3.0], [3.0, -1.0]])
-    for M, ms in [(M, (1, 2, 6)) for M in shipped] + [(tied, (1, 2))]:
+    for gen, ms in [(g, (1, 2, 6)) for g in shipped] + [(tied, (1, 2))]:
         for m in ms:
-            box = (2 * m + 1) ** M.shape[0]
+            box = (2 * m + 1) ** len(getattr(gen, "entries", gen))
             for target in (1, 7, box // 3, box - 1, box):
-                rep = carve_lowest_energy(M, m, target)
+                rep = carve_lowest_energy(gen, m, target)
                 assert (rep.size, rep.p_max, rep.p_ave, rep.s_value) == \
-                    _direct_carve(M, m, target), (M, m, target)
+                    _unfolded_sum(gen, m, target=target), (gen, m, target)
 
 
 def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
@@ -313,16 +378,13 @@ def test_blocked_product_matches_one_matmul(lambda1, lambda2, lambda3):
             assert _product(half, M[1:], out=out) is out
             assert np.array_equal(out.view(np.int64),
                                   np.matmul(half, M[1:]).view(np.int64))
-    M = lambda3.generator.entries
-    z, x, _ = _ball_candidates(M, 25, 100000)
-    assert np.array_equal(x.view(np.int64), np.matmul(z, M).view(np.int64))
 
 
 def test_products_stay_in_the_calling_thread(lambda3, monkeypatch):
     # OpenBLAS runs a gemm of up to 65536 * 4 multiply-adds in the calling
     # thread and hands a larger one to its pool, whose workers then spin.
-    # Every matmul of a capped m=40 sum and of the m=25 carve stays within
-    # half that, and the calls of each product tile its rows in order.
+    # Every matmul of a capped m=40 sum stays within half that, and the
+    # calls of each product tile its rows in order.
     calls, products = [], []
     matmul, product = np.matmul, constellation._product
 
@@ -348,8 +410,6 @@ def test_products_stay_in_the_calling_thread(lambda3, monkeypatch):
     summed = len(products)
     assert summed >= 41
     assert max(len(p[0]) for p in products) <= constellation._BLOCK
-    carve_lowest_energy(lambda3.generator, 25, 100000)
-    assert len(products) > summed
     assert sum(len(p[3]) for p in products) == len(calls)
     for a, b, out, own in products:
         row = 0
@@ -375,12 +435,13 @@ def test_lone_rows_match_one_matmul(lambda1, lambda2, lambda3):
     for spec in (lambda1, lambda2, lambda3):
         M = spec.generator.entries
         many = np.matmul(rest, M[1:]).view(np.int64)
+        out = np.empty((len(rest), 4))
         for i in range(0, len(rest), 211):
-            assert np.array_equal(_product(rest[i:i + 1], M[1:]).view(np.int64),
+            assert np.array_equal(_product(rest[i:i + 1], M[1:], out[:1]).view(np.int64),
                                   many[i:i + 1])
         step = constellation._BLOCK
         for rows in (step + 1, 2 * step + 1):
-            assert np.array_equal(_product(rest[:rows], M[1:]).view(np.int64),
+            assert np.array_equal(_product(rest[:rows], M[1:], out[:rows]).view(np.int64),
                                   many[:rows])
 
 
@@ -437,15 +498,16 @@ def test_slice_memory_does_not_grow_with_the_slice(lambda1):
     # A slice streams through the fixed scratch made with its _Slices: a slice allocates no array of its own size. So the peak
     # of one uncapped slice is the same at m = 10 (9261 rest rows) as at
     # m = 25 (132651), and a fraction of the scratch.
-    M = lambda1.generator.entries
     peaks = {}
     for m in (10, 25):
-        slices = constellation._Slices(M, m, math.inf, 3)
+        slices = constellation._Slices(lambda1.generator, m, 3)
+        cut = slices.cap(math.inf)
+        slices.stats(1, cut)  # builds the shared block
         scratch = sum(a.nbytes for a in vars(slices.scratch).values())
         for z1 in (0, 1):
             tracemalloc.start()
             try:
-                slices.stats(z1)
+                slices.stats(z1, cut)
                 peaks[m, z1] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -561,7 +623,7 @@ def test_diversity_failure_reported():
     assert err.value.coeff_vector == (-1, 0)
     assert err.value.coordinate_index == 1
     assert err.value.value == 0.0
-    # The carve reports the first offender in (energy, lex) order.
+    # The carve reports the lex-first offender among its words.
     with pytest.raises(DiversityError) as err:
         carve_lowest_energy(np.eye(2), 1, 9)
     assert err.value.coeff_vector == (-1, 0)

@@ -53,8 +53,12 @@ def test_energy_cap_is_exact():
         cap = form.energy_cap(p)
         assert cap**4 <= 1125 * p**4 < (cap + 1) ** 4
     assert NORM_FORMS["lambda1"].energy_cap(25) == 25
-    with pytest.raises(ValueError):
-        form.energy_cap(2.5)
+    # Caps that are not integers are taken at their exact rational value,
+    # the float range's ends included.
+    for p in (2.5, 30.5, 5e-324, 1e308):
+        cap = form.energy_cap(p)
+        assert cap**4 <= 1125 * Fraction(p) ** 4 < (cap + 1) ** 4
+    assert form.energy_cap(5e-324) == NORM_FORMS["lambda1"].energy_cap(0.5) == 0
 
 
 def test_oracle_matches_program_on_small_rows(lambda1, lambda2, lambda3):

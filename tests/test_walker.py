@@ -8,8 +8,10 @@ candidates, and each slice's candidates must come out in ascending lex
 order inside the box.
 """
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -88,15 +90,35 @@ def test_numpy_integer_grams_walk_as_python_ints(scale):
     assert len(b.vectors(None, cap)) > 1
     assert np.array_equal(a.vectors(None, cap), b.vectors(None, cap))
 
+def _kappa_terms(gram):
+    """sqrt(G_jj (G^-1)_jj) for each j, with (G^-1)_jj taken as the j-th
+    principal minor over det G."""
+    g = [[Fraction(int(x)) for x in row] for row in gram]
+    det = _frac_det(g)
+    return [math.sqrt(g[j][j] * _frac_det(
+        [row[:j] + row[j + 1:] for i, row in enumerate(g) if i != j]) / det)
+        for j in range(len(g))]
+
+
 @walker_settings
 @given(cases())
 def test_widening_follows_the_inverse_gram_diagonal(case):
-    # kappa = sum_j sqrt(G_jj (G^-1)_jj), with (G^-1)_jj taken here as the
-    # j-th principal minor over det G.
+    # kappa = sum_j sqrt(G_jj (G^-1)_jj), summed by math.fsum.
     gram, m, _ = case
-    g = [[Fraction(int(x)) for x in row] for row in gram]
-    det = _frac_det(g)
-    kappa = sum(math.sqrt(g[j][j] * _frac_det(
-        [row[:j] + row[j + 1:] for i, row in enumerate(g) if i != j]) / det)
-        for j in range(len(g)))
+    kappa = math.fsum(_kappa_terms(gram))
     assert EllipsoidWalker(gram.tolist(), m).widen == 1.0 + 2.0 ** -30 * kappa * kappa
+
+
+def test_widening_does_not_depend_on_the_builtin_sum():
+    # kappa's terms here sum to another double left to right than by
+    # math.fsum, and widen tells the two apart. Python 3.12 changed the
+    # builtin sum of floats; math.fsum rounds the exact sum once on every
+    # version, so widen is pinned.
+    gram = [[3463129760, 3463129751, 10389389239],
+            [3463129751, 3463129764, 10389389243],
+            [10389389239, 10389389243, 31168167717]]
+    terms = _kappa_terms(gram)
+    left_to_right = functools.reduce(operator.add, terms)
+    assert left_to_right != math.fsum(terms)
+    assert 1.0 + 2.0 ** -30 * left_to_right ** 2 != 3.500427361851757
+    assert EllipsoidWalker(gram).widen == 3.500427361851757
