@@ -30,35 +30,38 @@ then runs the sum's slices under that rule. With exact keys no float
 rounding, so no BLAS or SIMD kernel, decides which words a codebook
 keeps. p_max and p_ave are float norms of the kept words.
 
-Slice z1 is z1*M[0] plus rest @ M[1:] over its rest vectors
-(z_2, ..., z_n). Where the rule keeps the box (cut at box_top or above,
-every tie), these are the whole rest box {-m..m}^(n-1), multiplied
-once, and exact keys are not needed. Below box_top the walker
-numfields.EllipsoidWalker (Fincke-Pohst over F, or over M M^T for float
-keys) gives each slice its candidates at cut in lex order, none within
-the cut left out. A slice streams through blocks of _BLOCK = 8192 rows
-whose keys, words, norms, masks and terms are made in fixed scratch
-and added to its exact sums: no pass but the walk allocates a
-slice-sized array. Every row's arithmetic is its own, so the bits do
-not depend on the block size, and every product is a _product, whose
-rows have the bits of one call.
+Every word and norm is one formula in IEEE column arithmetic,
+
+    x_j = ((z_2 M_2j + z_3 M_3j) + ... + z_n M_nj) + z_1 M_1j,
+    ||x||^2 = ((x_1^2 + x_2^2) + ...) + x_n^2,
+
+each step one correctly rounded ufunc on a column of a column-major
+block, so no BLAS or SIMD kernel decides a bit. Where the rule keeps
+the box (cut at box_top or above, every tie), the rest sums of the
+whole rest box {-m..m}^(n-1) are taken once, and exact keys are not
+needed. Below box_top the walker numfields.EllipsoidWalker
+(Fincke-Pohst over F, or over M M^T for float keys) gives each slice
+its candidates at cut in lex order, none within the cut left out. A
+slice streams through blocks of _BLOCK = 8192 rows whose keys, words,
+norms, masks and terms are made in fixed scratch and added to its
+exact sums: no pass but the walk allocates a slice-sized array. Every
+row's arithmetic is its own, so the bits do not depend on the block
+size. The one matmul, the keys' z F, sums integers, exactly in any
+order.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
-Row N-1-i of the lex-ordered rest box is minus row i, so only the
-shared block's upper half (from the zero row on) is multiplied and the
-lower half is its IEEE negation. Walked slices rest on two facts: a
-row of a _product has the same bits in any call, and IEEE negation is
-exact, so (-r) @ M[1:] - z1*M[0] is minus r @ M[1:] + z1*M[0] bit for
-bit. So every word of slice -z1 is the bitwise negation of a word of
-slice z1, with the same key, term and energy. A slice sum rounds once,
-whatever the order of its terms, so slices z1 = 0..m are computed and
-slice -z1 takes slice z1's partials where both keep all of their words
-keyed cut, or none; a pair that the carve's lex-first ties split is
-computed slice by slice. A diversity failure is reported at the
-lex-first offending coefficient vector, as without the fold. The
-carve's count walks a ball whose volume holds target_size lattice
-points and grows it until at least target_size keys lie in it; from
-box_top on, the walk gives the whole box.
+IEEE negation is exact and rounding is symmetric, so the formula is
+odd: the word of -z is minus the word of z bit for bit, up to the sign
+of a zero coordinate, which abs and squaring erase. So every word of
+slice -z1 has the key, term and energy of its mirror in slice z1. A
+slice sum rounds once, whatever the order of its terms, so slices
+z1 = 0..m are computed and slice -z1 takes slice z1's partials where
+both keep all of their words keyed cut, or none; a pair that the
+carve's lex-first ties split is computed slice by slice. A diversity
+failure is reported at the lex-first offending coefficient vector, as
+without the fold. The carve's count walks a ball whose volume holds
+target_size lattice points and grows it until at least target_size
+keys lie in it; from box_top on, the walk gives the whole box.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -133,30 +136,10 @@ def _as_generator(gen: GeneratorMatrix | np.ndarray) -> GeneratorMatrix:
 
 
 # Rows per block. A block of words is 256 KB at n = 4, so it stays in
-# L2 through a slice's passes over it; a product of 8192 rows of 4
-# columns into 4 is 16 * 8192 = 2^17 multiply-adds, half of the
-# 65536 * 4 up to which OpenBLAS's gemm runs in the calling thread.
+# L2 through a slice's passes over it. The one matmul, the integer keys'
+# z F of a block, is 16 * 8192 = 2^17 multiply-adds at n = 4, half of
+# the 65536 * 4 up to which OpenBLAS's gemm runs in the calling thread.
 _BLOCK = 8192
-
-
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a @ b, one np.matmul per block of rows, written into out.
-
-    A block is _BLOCK rows, fewer if a row takes more than 16
-    multiply-adds, so each call stays within 16 * _BLOCK of them and
-    OpenBLAS never wakes its thread pool, whose workers would spin on
-    after the product returns. Only rows are split, so each row has the
-    bits of one np.matmul call. numpy hands a one-row product to gemv, whose rows need
-    not have gemm's bits, so no call takes one row: a lone row is taken
-    twice.
-    """
-    step = max(2, 16 * _BLOCK // max(16, a.shape[1] * b.shape[1]))
-    for i in range(0, len(a), step):
-        if len(a) - i == 1:
-            out[i] = np.matmul(a[[i, i]], b)[0]
-        else:
-            np.matmul(a[i:i + step], b, out=out[i:i + step])
-    return out
 
 
 def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
@@ -171,12 +154,12 @@ def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
 
 class _Scratch:
     """Fixed buffers for blocks of at most _BLOCK rows of n coordinates,
-    owned by one _Slices: words, norms, keys, the keep mask, the
-    reciprocals and terms of _terms, and the bins and high parts of
-    _ExactSum.add."""
+    owned by one _Slices: column-major words, norms, keys, the keep mask,
+    the reciprocals and terms of _terms (t is also the word formula's
+    product), and the bins and high parts of _ExactSum.add."""
 
     def __init__(self, n: int):
-        self.words = np.empty((_BLOCK, n))
+        self.words = np.empty((_BLOCK, n), order="F")
         self.norms, self.keys, self.r, self.t = np.empty((4, _BLOCK))
         self.keep = np.empty(_BLOCK, dtype=bool)
         self.bins, self.high = np.empty((2, _BLOCK), dtype=np.uint64)
@@ -354,8 +337,8 @@ class _Slices:
         exact = gen.form is not None
         self.form = np.array(gen.form, dtype=float) if exact else None
         self.det = _frac_det(gen.form) if exact else None
-        self.walker = EllipsoidWalker(gen.form if exact else self.M @ self.M.T, m)
-        self.shared = None  # the rest box's product, once a rule keeps the box
+        self.walker = EllipsoidWalker(gen.form if exact else gen.gram, m)
+        self.shared = None  # the rest box's rest sums, once a rule keeps the box
 
     def cap(self, p_lim: float) -> float:
         """The cut of the ball ||x||^2 <= p_lim: p_lim for float keys or an
@@ -409,11 +392,11 @@ class _Slices:
 
     def _keys(self, z1: int, z: np.ndarray) -> np.ndarray:
         """The keys of a block z of slice z1's coefficient vectors, in the
-        scratch: z F z^T, whose product borrows the words buffer, or the
-        float norms of the words."""
+        scratch: z F z^T, whose z F borrows the words buffer, or the float
+        norms of the words."""
         if self.form is None:
             return self._words(z1, z[:, 1:])[1]
-        y = _product(z, self.form, out=self.scratch.words[:len(z)])
+        y = np.matmul(z, self.form, out=self.scratch.words[:len(z)])
         np.multiply(y, z, out=y)
         q = self.scratch.keys[:len(z)]
         np.copyto(q, y[:, 0])
@@ -421,18 +404,34 @@ class _Slices:
             q += y[:, j]
         return q
 
+    def _rest(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The rest sums (z_2 M_2j + z_3 M_3j) + ... + z_n M_nj of a block
+        r of rest vectors into the columns of out; +0.0 for n = 1."""
+        M, t = self.M, self.scratch.t[:len(r)]
+        if len(M) == 1:
+            out.fill(0.0)
+            return out
+        for j in range(len(M)):
+            np.multiply(r[:, 0], M[1, j], out=out[:, j])
+            for i in range(2, len(M)):
+                np.add(out[:, j], np.multiply(r[:, i - 1], M[i, j], out=t), out=out[:, j])
+        return out
+
     def _words(self, z1: int, r: np.ndarray, i: int | None = None):
-        """The words z1*M[0] + r @ M[1:] of a block r of rest vectors and
-        their float norms, in the scratch; r @ M[1:] is the shared block's
-        rows from i on, if i is given."""
-        words = self.scratch.words[:len(r)]
-        block = (_product(r, self.M[1:], out=words) if i is None
-                 else self.shared[i:i + len(r)])
-        # A column at a time: numpy adds a broadcast row four values per
-        # inner loop, several times slower.
+        """The words of slice z1 over a block r of rest vectors and their
+        float norms, by the word formula, in the scratch; the rest sums
+        are the shared block's rows from i on, if i is given."""
+        k, t = len(r), self.scratch.t[:len(r)]
+        words = self.scratch.words[:k]
+        rest = self._rest(r, words) if i is None else self.shared[i:i + k]
         for j, x in enumerate(z1 * self.M[0]):
-            np.add(block[:, j], x, out=words[:, j])
-        norms = np.einsum("ij,ij->i", words, words, out=self.scratch.norms[:len(r)])
+            np.add(rest[:, j], x, out=words[:, j])
+        # A norm may overflow to inf; the energy sum passes it on, or raises,
+        # as math.fsum does.
+        with np.errstate(over="ignore"):
+            norms = np.multiply(words[:, 0], words[:, 0], out=self.scratch.norms[:k])
+            for j in range(1, words.shape[1]):
+                np.add(norms, np.multiply(words[:, j], words[:, j], out=t), out=norms)
         return words, norms
 
     def _blocks(self, z1: int, z, rest: np.ndarray, cut: float, ties):
@@ -470,12 +469,9 @@ class _Slices:
         if ties is None and not cut < self.walker.box_top:
             if self.shared is None:
                 self.rest = _box(len(self.M) - 1, self.m)
-                # Row N-1-i of the box is minus row i: multiply the upper
-                # half and negate it into the lower.
-                zero = len(self.rest) // 2
-                self.shared = np.empty((len(self.rest), self.M.shape[1]))
-                _product(self.rest[zero:], self.M[1:], out=self.shared[zero:])
-                np.negative(self.shared[:zero:-1], out=self.shared[:zero])
+                self.shared = np.empty((len(self.rest), len(self.M)), order="F")
+                for i in range(0, len(self.rest), _BLOCK):
+                    self._rest(self.rest[i:i + _BLOCK], self.shared[i:i + _BLOCK])
             rest = self.rest
             # Every exact key of the box is within cut: test norms against inf.
             cut = math.inf if self.form is not None else cut

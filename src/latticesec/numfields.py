@@ -45,7 +45,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -162,12 +162,13 @@ def number_field(min_poly) -> NumberFieldSpec:
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Full-rank square generator; rows are the basis vectors. Its
-    entries, its nonzero determinant and its Gram matrix M M^T are
+    entries, its nonzero determinant and its Gram gram = M M^T are
     finite. form is None or the exact integer Gram F of a unit-volume
     lattice, M M^T = F / det(F)^(1/n), as _validated attaches it."""
 
     entries: np.ndarray
     form: tuple[tuple[int, ...], ...] | None = None
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -184,6 +185,7 @@ class GeneratorMatrix:
             raise DomainError("generator matrix must have nonzero determinant")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "gram", gram)
 
     @property
     def n(self) -> int:
@@ -270,14 +272,14 @@ def _box(k: int, m: int) -> np.ndarray:
 
     Row N-1-i is the negation of row i and the zero vector is the middle
     row. The entries are small integers stored as float64, which is
-    exact and lets the box enter a matmul without a cast copy.
+    exact, column-major, so each coordinate is a contiguous column.
     """
     side = 2 * m + 1
-    out = np.empty((side,) * k + (k,))
+    out = np.empty((side ** k, k), order="F")
     rng = np.arange(-m, m + 1, dtype=float)
     for j in range(k):
-        out[..., j] = rng.reshape((1,) * j + (side,) + (1,) * (k - j - 1))
-    return out.reshape(side ** k, k)
+        out[:, j].reshape(side ** j, side, -1)[...] = rng[:, None]
+    return out
 
 
 class EllipsoidWalker:
@@ -296,7 +298,7 @@ class EllipsoidWalker:
     Each level expands its runs in ascending order under ascending
     prefixes, so the candidates come out in lex order. vectors, the
     walker's one output, gives the candidates of one slice z1, or of
-    every slice at once, as float64 rows like those of _box.
+    every slice at once, as column-major float64 rows like those of _box.
 
     The candidates of slice z1 hold every z (in the box, if m is given)
     with z G z^T <= cap, and, for G = M M^T, every word whose float norm
@@ -406,10 +408,10 @@ class EllipsoidWalker:
         # cols holds coordinates len(prefix).. of each node of the last
         # level but one, and each node is followed by each z_n of its run.
         if runs is None:
-            out = np.empty((len(zk), n))
+            out = np.empty((len(zk), n), order="F")
             out[:, -1] = zk
         else:
-            out = np.empty((int(runs.sum()), n))
+            out = np.empty((int(runs.sum()), n), order="F")
             for j, col in enumerate(cols):
                 out[:, len(prefix) + j] = np.repeat(col, runs)
             out[:, -1] = _expand(lo, runs)[1]

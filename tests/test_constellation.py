@@ -21,7 +21,6 @@ from latticesec.constellation import (
     SumReport,
     TableRow,
     _first_violation,
-    _product,
     _terms,
     carve_lowest_energy,
     inverse_norm_power_sum,
@@ -65,10 +64,11 @@ def test_codebook_counts():
 
 
 def test_codebook_lex_order_and_zero():
-    # The one coefficient box: lex order, zero in the middle row, and row
-    # N-1-i the negation of row i, which the sum kernel's fold relies on.
+    # The one coefficient box: lex order, zero in the middle row, row
+    # N-1-i the negation of row i, and each coordinate a contiguous column.
     for k, m in ((1, 3), (2, 1), (3, 2), (4, 2)):
         box = _box(k, m)
+        assert box.flags.f_contiguous
         zs = [tuple(map(int, z)) for z in box]
         assert zs == sorted(zs)
         assert zs == list(itertools.product(range(-m, m + 1), repeat=k))
@@ -190,9 +190,26 @@ def _inverse_power(prods, exponent):
     return out
 
 
+def _column_formula(z, M):
+    """(words, norms) of the coefficient rows z by the word formula, a
+    column at a time: x_j = ((z_2 M_2j + z_3 M_3j) + ...) + z_1 M_1j,
+    the rest sum being 0.0 for n = 1, and ((x_1^2 + x_2^2) + ...) + x_n^2."""
+    n = len(M)
+    words = np.empty((len(z), n))
+    for j in range(n):
+        rest = np.zeros(len(z)) if n == 1 else z[:, 1] * M[1, j]
+        for i in range(2, n):
+            rest = rest + z[:, i] * M[i, j]
+        words[:, j] = rest + z[:, 0] * M[0, j]
+    norms = words[:, 0] * words[:, 0]
+    for j in range(1, n):
+        norms = norms + words[:, j] * words[:, j]
+    return words, norms
+
+
 def _unfolded_sum(gen, m, p_lim=math.inf, target=None, exponent=3):
-    """(size, p_max, p_ave, S) from all 2m+1 slices, one matmul each, of
-    the words z1*M[0] + rest @ M[1:] that the rule keeps.
+    """(size, p_max, p_ave, S) from all 2m+1 slices of the words that the
+    rule keeps, each slice's words and norms by _column_formula.
 
     Keys are the exact energies z F z^T, in integers, where gen carries
     its form F, else the float norms. The rule keeps the rows keyed
@@ -205,12 +222,13 @@ def _unfolded_sum(gen, m, p_lim=math.inf, target=None, exponent=3):
     n = M.shape[0]
     grids = np.meshgrid(*([np.arange(-m, m + 1)] * (n - 1)), indexing="ij")
     rest = np.stack([g.ravel() for g in grids], axis=1)
-    slices = [(z1, z1 * M[0] + rest @ M[1:]) for z1 in range(-m, m + 1)]
-    norms = [np.einsum("ij,ij->i", block, block) for _, block in slices]
+    zs = [np.insert(rest, 0, z1, axis=1).astype(float) for z1 in range(-m, m + 1)]
+    words, norms = zip(*(_column_formula(z, M) for z in zs))
+    slices = list(zip(range(-m, m + 1), words))
     if form is None:
         keys = np.concatenate(norms)
     else:
-        z = np.concatenate([np.insert(rest, 0, z1, axis=1) for z1, _ in slices])
+        z = np.concatenate(zs)
         keys = np.einsum("ki,ij,kj->k", z, np.array(form), z)
     if target is not None:
         # The rows are in lex order, so a stable sort on keys is (key, lex).
@@ -303,7 +321,7 @@ def test_a_cap_past_the_box_skips_the_walk(lambda1, lambda2, lambda3, monkeypatc
 def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
     # The shipped lattices, a diagonal one and the exactly tied [[1, 3],
     # [3, -1]], whose words all have integer energies 10 (z1^2 + z2^2).
-    # The float norms of the words z1*M[0] + rest @ M[1:] are the keys a
+    # The float norms of the words, by the word formula, are the keys a
     # plain generator's sum and carve test against a cap.
     gens = [spec.generator.entries for spec in (lambda1, lambda2, lambda3)]
     for M in gens + [np.eye(2), np.array([[1.0, 3.0], [3.0, -1.0]])]:
@@ -311,9 +329,7 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
         for m in range(1, 10):
             side = 2 * m + 1
             rest = _box(n - 1, m)
-            shared = rest @ M[1:]
-            norms = np.stack([np.einsum("ij,ij->i", z1 * M[0] + shared,
-                                        z1 * M[0] + shared)
+            norms = np.stack([_column_formula(np.insert(rest, 0, z1, axis=1), M)[1]
                               for z1 in range(-m, m + 1)])
             # Integer caps put words of lambda1, lambda2 and the tied
             # generator exactly on the sphere; the others sit one ulp either
@@ -366,83 +382,74 @@ def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
                                   _inverse_power(np.prod(absx, axis=1), exponent))
 
 
-def test_blocked_product_matches_one_matmul(lambda1, lambda2, lambda3):
-    # _product splits rows only, so each row must have the bits of one
-    # np.matmul over the whole product, whichever threads computed that.
-    for spec in (lambda1, lambda2, lambda3):
-        M = spec.generator.entries
-        for m in (30, 40):
-            rest = _box(3, m)
-            half = rest[len(rest) // 2:]
-            out = np.empty((len(half), 4))
-            assert _product(half, M[1:], out=out) is out
-            assert np.array_equal(out.view(np.int64),
-                                  np.matmul(half, M[1:]).view(np.int64))
-
-
-def test_products_stay_in_the_calling_thread(lambda3, monkeypatch):
-    # OpenBLAS runs a gemm of up to 65536 * 4 multiply-adds in the calling
-    # thread and hands a larger one to its pool, whose workers then spin.
-    # Every matmul of a capped m=40 sum stays within half that, and the
-    # calls of each product tile its rows in order.
-    calls, products = [], []
-    matmul, product = np.matmul, constellation._product
+def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
+    # The words and norms take no matmul. A capped sum of a catalogued
+    # generator makes one for each block's integer keys z F, which are
+    # exact in any BLAS; each is within _BLOCK rows, so within the 65536 * 4
+    # multiply-adds that OpenBLAS's gemm runs in the calling thread.
+    calls = []
+    matmul = np.matmul
 
     def recording_matmul(a, b, out=None):
         calls.append((a, b, out))
         return matmul(a, b, out=out)
 
-    def recording_product(a, b, out=None):
-        start = len(calls)
-        out = product(a, b, out=out)
-        products.append((a, b, out, calls[start:]))
-        return out
-
-    def offset(view, base):
-        return (view.__array_interface__["data"][0]
-                - base.__array_interface__["data"][0])
-
     monkeypatch.setattr(np, "matmul", recording_matmul)
-    monkeypatch.setattr(constellation, "_product", recording_product)
     inverse_norm_power_sum(lambda3.generator, 40, p_lim=1600.0)
-    # A capped sum multiplies each block of each slice's own candidates,
-    # never the half rest box.
-    summed = len(products)
-    assert summed >= 41
-    assert max(len(p[0]) for p in products) <= constellation._BLOCK
-    assert sum(len(p[3]) for p in products) == len(calls)
-    for a, b, out, own in products:
-        row = 0
-        for ai, bi, oi in own:
-            assert bi is b
-            if oi is None:  # a lone last row, taken twice
-                assert row == len(a) - 1 and np.array_equal(ai, a[[row, row]])
-                row += 1
-                continue
-            assert len(ai) == len(oi) > 1
-            assert len(ai) * a.shape[1] * b.shape[1] <= 1 << 17
-            assert offset(ai, a) == row * a.strides[0]
-            assert offset(oi, out) == row * out.strides[0]
-            row += len(ai)
-        assert row == len(a)
+    assert len(calls) >= 41
+    form = np.array(lambda3.generator.form, dtype=float)
+    for a, b, out in calls:
+        assert np.array_equal(b, form) and np.array_equal(a, np.round(a))
+        assert len(a) == len(out) <= constellation._BLOCK
+        assert len(a) * a.shape[1] * b.shape[1] <= 1 << 17
+    calls.clear()
+    inverse_norm_power_sum(lambda1.generator, 10)
+    inverse_norm_power_sum(lambda3.generator.entries, 10)
+    inverse_norm_power_sum(lambda3.generator.entries, 20, p_lim=200.0)
+    assert calls == []
 
 
-def test_lone_rows_match_one_matmul(lambda1, lambda2, lambda3):
-    # numpy takes a one-row matmul to gemv, which may round otherwise than
-    # gemm; _product never makes such a call, so a lone row, alone or last
-    # in a product, has the bits it has among others.
-    rest = _box(3, 14)
-    for spec in (lambda1, lambda2, lambda3):
-        M = spec.generator.entries
-        many = np.matmul(rest, M[1:]).view(np.int64)
-        out = np.empty((len(rest), 4))
-        for i in range(0, len(rest), 211):
-            assert np.array_equal(_product(rest[i:i + 1], M[1:], out[:1]).view(np.int64),
-                                  many[i:i + 1])
-        step = constellation._BLOCK
-        for rows in (step + 1, 2 * step + 1):
-            assert np.array_equal(_product(rest[:rows], M[1:], out[:rows]).view(np.int64),
-                                  many[:rows])
+def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
+    # Sampled rows of the shared block and of walked capped slices hold
+    # the word formula's words and norms, evaluated in Python floats, bit
+    # for bit: no BLAS or SIMD kernel enters them.
+    def bits(values):
+        return np.array(values, dtype=float).view(np.int64).tolist()
+
+    def formula(z, M):
+        n, x = len(M), []
+        for j in range(n):
+            rest = 0.0 if n == 1 else z[1] * M[1][j]
+            for i in range(2, n):
+                rest = rest + z[i] * M[i][j]
+            x.append(rest + z[0] * M[0][j])
+        norm = x[0] * x[0]
+        for v in x[1:]:
+            norm = norm + v * v
+        return x, norm
+
+    rng = random.Random(2202)
+    plain = [np.array([[1.7]]), np.array([[1.0, 0.3], [0.2, -1.1]]),
+             np.array([[0.9, -0.7], [0.45, 1.35]])]
+    gens = [spec.generator for spec in (lambda1, lambda2, lambda3)] + plain
+    checked = 0
+    for gen in gens:
+        M = np.asarray(getattr(gen, "entries", gen))
+        for m, p_lim in ((5, math.inf), (7, 30.5)):
+            slices = constellation._Slices(constellation._as_generator(gen), m, 3)
+            cut = slices.cap(p_lim)
+            if math.isinf(cut):
+                slices.stats(0, cut)  # builds the shared block
+            for z1 in range(-m, m + 1):
+                z = None if math.isinf(cut) else slices.walker.vectors(z1, cut)
+                rest = slices.rest if z is None else z[:, 1:]
+                for words, norms, rows in slices._blocks(z1, z, rest, cut, None):
+                    for i in rng.sample(range(len(norms)), min(len(norms), 12)):
+                        x, norm = formula([z1, *rest[rows[i]].tolist()], M.tolist())
+                        assert bits(words[i]) == bits(x), (M, m, z1, rows[i])
+                        assert bits([norms[i]]) == bits([norm]), (M, m, z1, rows[i])
+                        checked += 1
+    assert checked > 1000
 
 
 def _outcome(f, *args, **kwargs):
