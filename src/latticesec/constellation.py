@@ -10,12 +10,13 @@ too. The eavesdropper-confusion metric is
 
 (the inverse norm power sum; exponent 3 corresponds to the fast-fading
 correct-decision probability). The sums span many orders of magnitude,
-so each coefficient slice's terms and energies are summed exactly and
-rounded once. _ExactSum does that with integer mantissa parts binned
-by exponent, merged block by block, and returns the bits math.fsum
-would, without a Python float per term. The per-slice partials are
-combined with math.fsum in fixed ascending order of the leading
-coefficient.
+so each coefficient slice's terms are summed exactly and rounded once.
+_ExactSum does that with integer mantissa parts binned by exponent,
+merged block by block, and returns the bits math.fsum would, without a
+Python float per term. The per-slice partials are combined with
+math.fsum in fixed ascending order of the leading coefficient. A plain
+array's float norms are summed the same way; a catalogued generator's
+energies are integers, summed exactly in Python ints.
 
 One rule decides every codebook. Each z has a key: its exact energy
 q = z F z^T where the generator carries its integer form F (the
@@ -28,9 +29,16 @@ Fraction. A carve counts the keys of each slice to find its cut, the
 target_size-th smallest key, and how many words keyed cut it takes,
 then runs the sum's slices under that rule. With exact keys no float
 rounding, so no BLAS or SIMD kernel, decides which words a codebook
-keeps. p_max and p_ave are float norms of the kept words.
+keeps, and the energies are the kept keys: p_max is q_max det(F)^(-1/n)
+and p_ave (sum q / size) det(F)^(-1/n), each correctly rounded once
+(_rounded). Slices on the shared block take no keys: their sum of q is
+(2m+1)^(n-1) F_11 z1^2 + (2m+1)^(n-2) tr(F_rest) m(m+1)(2m+1)/3, the
+box's cross terms cancelling, and their largest q is at a corner of
+the rest box. For a plain array, p_max and p_ave are the float norms'
+largest and exact mean.
 
-Every word and norm is one formula in IEEE column arithmetic,
+Every word, and a plain array's norm, is one formula in IEEE column
+arithmetic,
 
     x_j = ((z_2 M_2j + z_3 M_3j) + ... + z_n M_nj) + z_1 M_1j,
     ||x||^2 = ((x_1^2 + x_2^2) + ...) + x_n^2,
@@ -66,13 +74,15 @@ keys lie in it; from box_top on, the walk gives the whole box.
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
 squared norm over nonzero codewords; p_ave averages squared norms over
-all included codewords including zero, which reproduces the catalogued
-orthogonal-box values n*m*(m+1)/3 exactly.
+all included codewords including zero. For lambda1 and lambda2 (F = I)
+they are the catalogued orthogonal-box values 4m^2 and the float
+nearest 4m(m+1)/3 exactly.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,7 +111,7 @@ class SumReport:
     target_size: int | None = None
 
     def __post_init__(self):
-        if math.isfinite(self.p_lim) and self.p_max > self.p_lim + 1e-9:
+        if math.isfinite(self.p_lim) and self.p_max > self.p_lim:
             raise DomainError("p_max exceeds the configured p_lim")
         # A sum of positive terms can still underflow to 0.0.
         if not self.s_value >= 0:
@@ -140,6 +150,28 @@ def _as_generator(gen: GeneratorMatrix | np.ndarray) -> GeneratorMatrix:
 # z F of a block, is 16 * 8192 = 2^17 multiply-adds at n = 4, half of
 # the 65536 * 4 up to which OpenBLAS's gemm runs in the calling thread.
 _BLOCK = 8192
+
+
+def _rounded(a: int, b: int, det: Fraction, n: int) -> float:
+    """The float nearest (a / b) det^(-1/n), for integers a >= 0, b > 0
+    and det > 0. If det is an n-th power r^n, that is a / (b r), rounded
+    by Fraction. Else the value is irrational, so never a midpoint of two
+    floats, and the float whose midpoints with its neighbours bracket it
+    is found by comparing their n-th powers with (a / b)^n / det."""
+    root = round(float(det) ** (1 / n))
+    if root ** n == det:
+        return float(Fraction(a, b * root))
+    power = Fraction(a, b) ** n / det
+
+    def mid(f: float, toward: float) -> Fraction:
+        return (Fraction(f) + Fraction(math.nextafter(f, toward))) / 2
+
+    f = float(Fraction(a, b)) * float(det) ** (-1 / n)
+    while mid(f, math.inf) ** n < power:
+        f = math.nextafter(f, math.inf)
+    while mid(f, 0.0) ** n > power:
+        f = math.nextafter(f, 0.0)
+    return f
 
 
 def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
@@ -275,14 +307,20 @@ def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
     return out
 
 
-def _reduce(blocks, exponent: int, scratch: _Scratch):
-    """(size, s, p_max, energy, bad) of the selected nonzero words that
-    blocks() yields as (words, norms, rows) blocks of at most _BLOCK
-    rows, in order: their count, the exact sums of their terms and of
-    their float squared norms, and the largest norm. words is
-    overwritten by its absolute values. bad is (rows[i], coordinate,
-    |value|) of the first word i with a coordinate below DIVERSITY_EPS,
-    or None; s and p_max are then 0.0.
+def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
+    """(size, s, top, total, bad) of the selected nonzero words that
+    blocks() yields as (words, keys, rows) blocks of at most _BLOCK
+    rows, in order: their count, the exact sum of their terms, and the
+    largest and the sum of their keys. words is overwritten by its
+    absolute values. bad is (rows[i], coordinate, |value|) of the first
+    word i with a coordinate below DIVERSITY_EPS, or None; s and top
+    are then 0.0.
+
+    Exact keys (exact True) are integers of at most the cut each, so a
+    block's float64 sum of them is exact while _BLOCK cut < 2^53, and
+    total is an int; keys None (the shared block, whose energies stats
+    takes in closed form) leave top 0.0 and total 0. Float norms are
+    summed by an _ExactSum.
 
     Where an _ExactSum has no result, blocks() is read again and
     math.fsum takes the values themselves. No term is taken once the
@@ -290,38 +328,44 @@ def _reduce(blocks, exponent: int, scratch: _Scratch):
     sum that overflows raises before any term can overflow, as when all
     the norms were summed first.
     """
-    energy, s = _ExactSum(scratch), _ExactSum(scratch)
-    size, p_max, bad = 0, 0.0, None
-    for words, norms, rows in blocks():
-        energy.add(norms)
-        size += len(norms)
-        if bad is not None or not len(norms):
+    energy = None if exact else _ExactSum(scratch)
+    s = _ExactSum(scratch)
+    size, top, total, bad = 0, 0.0, 0, None
+    for words, keys, rows in blocks():
+        size += len(words)
+        if energy is not None:
+            energy.add(keys)
+        elif keys is not None:
+            total += int(keys.sum())
+        if bad is not None or not len(words):
             continue
-        p_max = max(p_max, float(norms.max()))
+        if keys is not None:
+            top = max(top, float(keys.max()))
         absx = np.abs(words, out=words)
         bad = _first_violation(absx)
         if bad is not None:
             bad = (rows[bad[0]],) + bad[1:]
-        elif energy.exact:
+        elif energy is None or energy.exact:
             s.add(_terms(absx, exponent, scratch.r[:len(absx)], scratch.t[:len(absx)]))
-    total = energy.result()
-    if total is None:
-        total = _fsum(blocks, lambda words, norms: norms)
+    if energy is not None:
+        total = energy.result()
+        if total is None:
+            total = _fsum(blocks, lambda words, keys: keys)
     if bad is not None:
         return size, 0.0, 0.0, total, bad
-    s_value = s.result() if energy.exact else None
+    s_value = s.result() if energy is None or energy.exact else None
     if s_value is None:
-        s_value = _fsum(blocks, lambda words, norms: _terms(
+        s_value = _fsum(blocks, lambda words, keys: _terms(
             np.abs(words, out=words), exponent,
             scratch.r[:len(words)], scratch.t[:len(words)]))
-    return size, s_value, p_max, total, None
+    return size, s_value, top, total, None
 
 
 def _fsum(blocks, values) -> float:
-    """math.fsum of values(words, norms) over blocks(), as Python floats."""
+    """math.fsum of values(words, keys) over blocks(), as Python floats."""
     parts = []
-    for words, norms, _ in blocks():
-        parts += values(words, norms).tolist()
+    for words, keys, _ in blocks():
+        parts += values(words, keys).tolist()
     return math.fsum(parts)
 
 
@@ -334,10 +378,19 @@ class _Slices:
     def __init__(self, gen: GeneratorMatrix, m: int, exponent: int):
         self.M, self.m, self.exponent = gen.entries, m, exponent
         self.scratch = _Scratch(gen.n)
-        exact = gen.form is not None
-        self.form = np.array(gen.form, dtype=float) if exact else None
-        self.det = _frac_det(gen.form) if exact else None
-        self.walker = EllipsoidWalker(gen.form if exact else gen.gram, m)
+        self.F = F = gen.form
+        exact = F is not None
+        self.form = np.array(F, dtype=float) if exact else None
+        self.det = _frac_det(F) if exact else None
+        if exact:
+            # The form is q(z1, m s) = F_11 z1^2 + z1 m a + m^2 b at each
+            # corner m s, s in {-1, 1}^(n-1), of the rest box: its (a, b).
+            rest = range(1, gen.n)
+            self.corners = [
+                (2 * sum(F[0][j] * s[j - 1] for j in rest),
+                 sum(F[i][j] * s[i - 1] * s[j - 1] for i in rest for j in rest))
+                for s in itertools.product((-1, 1), repeat=gen.n - 1)]
+        self.walker = EllipsoidWalker(F if exact else gen.gram, m)
         self.shared = None  # the rest box's rest sums, once a rule keeps the box
 
     def cap(self, p_lim: float) -> float:
@@ -395,7 +448,7 @@ class _Slices:
         scratch: z F z^T, whose z F borrows the words buffer, or the float
         norms of the words."""
         if self.form is None:
-            return self._words(z1, z[:, 1:])[1]
+            return self._norms(self._words(z1, z[:, 1:]))
         y = np.matmul(z, self.form, out=self.scratch.words[:len(z)])
         np.multiply(y, z, out=y)
         q = self.scratch.keys[:len(z)]
@@ -417,38 +470,50 @@ class _Slices:
                 np.add(out[:, j], np.multiply(r[:, i - 1], M[i, j], out=t), out=out[:, j])
         return out
 
-    def _words(self, z1: int, r: np.ndarray, i: int | None = None):
-        """The words of slice z1 over a block r of rest vectors and their
-        float norms, by the word formula, in the scratch; the rest sums
-        are the shared block's rows from i on, if i is given."""
-        k, t = len(r), self.scratch.t[:len(r)]
-        words = self.scratch.words[:k]
-        rest = self._rest(r, words) if i is None else self.shared[i:i + k]
+    def _words(self, z1: int, r: np.ndarray, i: int | None = None) -> np.ndarray:
+        """The words of slice z1 over a block r of rest vectors, by the
+        word formula, in the scratch; the rest sums are the shared block's
+        rows from i on, if i is given."""
+        words = self.scratch.words[:len(r)]
+        rest = self._rest(r, words) if i is None else self.shared[i:i + len(r)]
         for j, x in enumerate(z1 * self.M[0]):
             np.add(rest[:, j], x, out=words[:, j])
-        # A norm may overflow to inf; the energy sum passes it on, or raises,
-        # as math.fsum does.
+        return words
+
+    def _norms(self, words: np.ndarray) -> np.ndarray:
+        """The float norms of a block of words, by the word formula, in the
+        scratch. A norm may overflow to inf; the energy sum passes it on,
+        or raises, as math.fsum does."""
+        t = self.scratch.t[:len(words)]
         with np.errstate(over="ignore"):
-            norms = np.multiply(words[:, 0], words[:, 0], out=self.scratch.norms[:k])
+            norms = np.multiply(words[:, 0], words[:, 0], out=self.scratch.norms[:len(words)])
             for j in range(1, words.shape[1]):
                 np.add(norms, np.multiply(words[:, j], words[:, j], out=t), out=norms)
-        return words, norms
+        return norms
 
     def _blocks(self, z1: int, z, rest: np.ndarray, cut: float, ties):
-        """(words, norms, rows) per block of slice z1's rest vectors: the
-        words the rule keeps other than the zero word, their norms, and
+        """(words, keys, rows) per block of slice z1's rest vectors: the
+        words the rule keeps other than the zero word, their keys, and
         their row numbers in rest. z holds the walker's rows, or is None
-        for the shared block, whose keys are the norms. The words of a
-        whole block are the scratch's, overwritten by the next block."""
-        exact = self.form is not None
+        for the shared block, which the rule keeps whole and whose keys
+        are None for exact keys. The words of a whole block are the
+        scratch's, overwritten by the next block."""
         for i in range(0, len(rest), _BLOCK):
             r = rest[i:i + _BLOCK]
             keep = self.scratch.keep[:len(r)]
-            # Exact keys first: their product borrows the words buffer.
-            keys = self._keys(z1, z[i:i + _BLOCK]) if exact and z is not None else None
-            words, norms = self._words(z1, r, None if z is not None else i)
-            keys = norms if keys is None else keys
-            np.less_equal(keys, cut, out=keep)
+            if self.form is None:
+                words = self._words(z1, r, None if z is not None else i)
+                keys = self._norms(words)
+            elif z is not None:
+                # Exact keys first: their product borrows the words buffer.
+                keys = self._keys(z1, z[i:i + _BLOCK])
+                words = self._words(z1, r)
+            else:
+                keys, words = None, self._words(z1, r, i)
+            if keys is None:
+                keep.fill(True)
+            else:
+                np.less_equal(keys, cut, out=keep)
             if ties is not None:
                 tied = np.flatnonzero(keys == cut)
                 keep[tied[ties:]] = False
@@ -456,15 +521,32 @@ class _Slices:
             if z1 == 0:
                 keep &= r.any(axis=1)
             if np.count_nonzero(keep) == len(r):
-                yield words, norms, range(i, i + len(r))
+                yield words, keys, range(i, i + len(r))
             else:
-                yield words[keep], norms[keep], i + np.flatnonzero(keep)
+                yield words[keep], None if keys is None else keys[keep], i + np.flatnonzero(keep)
+
+    def _box_energy(self, z1: int) -> tuple[int, int]:
+        """(largest, sum) of the exact keys of slice z1's words over the
+        whole rest box {-m..m}^(n-1). The box is symmetric, so the sum's
+        cross terms z_i z_j (i != j) cancel and each rest coordinate adds
+        F_jj times its sum of squares; the form is convex, so its largest
+        value on the box is at a corner."""
+        F, m, n = self.F, self.m, len(self.F)
+        side = 2 * m + 1
+        total = side ** (n - 1) * F[0][0] * z1 * z1
+        if n > 1:
+            total += (sum(F[j][j] for j in range(1, n)) * side ** (n - 2)
+                      * (m * (m + 1) * side // 3))
+        top = F[0][0] * z1 * z1 + max(z1 * m * a + m * m * b for a, b in self.corners)
+        return top, total
 
     def stats(self, z1: int, cut: float, ties: int | None = None):
-        """(count, s_partial, p_max, energy_partial, bad) of the words of
-        slice z1 that the rule (cut, ties) keeps, where bad is the first
-        (lex order) diversity violation as (coefficient vector,
-        coordinate index, coordinate value), or None."""
+        """(count, s_partial, top, energy_partial, bad) of the words of
+        slice z1 that the rule (cut, ties) keeps: top and energy_partial
+        are the largest and the sum of their keys, exact integers where
+        the generator has a form, and bad is the first (lex order)
+        diversity violation as (coefficient vector, coordinate index,
+        coordinate value), or None."""
         z = None
         if ties is None and not cut < self.walker.box_top:
             if self.shared is None:
@@ -473,18 +555,19 @@ class _Slices:
                 for i in range(0, len(self.rest), _BLOCK):
                     self._rest(self.rest[i:i + _BLOCK], self.shared[i:i + _BLOCK])
             rest = self.rest
-            # Every exact key of the box is within cut: test norms against inf.
-            cut = math.inf if self.form is not None else cut
         else:
             z = self.walker.vectors(z1, cut)
             rest = z[:, 1:]
-        size, s_partial, p_max, energy, bad = _reduce(
-            lambda: self._blocks(z1, z, rest, cut, ties), self.exponent, self.scratch)
+        exact = self.form is not None
+        size, s_partial, top, energy, bad = _reduce(
+            lambda: self._blocks(z1, z, rest, cut, ties), self.exponent, self.scratch, exact)
         if bad is not None:
             row, coord, value = bad
             bad = ((z1, *map(int, rest[row])), coord, value)
+        elif exact and z is None:
+            top, energy = self._box_energy(z1)
         # The zero word, in slice 0 whatever the rule, counts but has no term.
-        return size + (z1 == 0), s_partial, p_max, energy, bad
+        return size + (z1 == 0), s_partial, top, energy, bad
 
     def report(self, cut: float, ties: list, lattice_name: str,
                p_lim: float = math.inf, target_size: int | None = None) -> SumReport:
@@ -502,11 +585,15 @@ class _Slices:
             if first_bad < m:
                 parts[first_bad] = self.stats(first_bad - m, cut, ties[first_bad])
             raise DiversityError(*parts[first_bad][4])
-        size = sum(p[0] for p in parts)
+        size, n = sum(p[0] for p in parts), len(self.M)
+        top = max((p[2] for p in parts if p[0]), default=0.0)
+        if self.form is None:
+            p_max, p_ave = top, math.fsum(p[3] for p in parts) / size
+        else:
+            p_max = _rounded(int(top), 1, self.det, n)
+            p_ave = _rounded(sum(p[3] for p in parts), size, self.det, n)
         return SumReport(
-            lattice_name, len(self.M), m, p_lim, size,
-            p_max=max((p[2] for p in parts if p[0]), default=0.0),
-            p_ave=math.fsum(p[3] for p in parts) / size,
+            lattice_name, n, m, p_lim, size, p_max=p_max, p_ave=p_ave,
             s_value=math.fsum(p[1] for p in parts),
             exponent=self.exponent, target_size=target_size)
 

@@ -19,12 +19,13 @@ Hence S = D^(3/2) * sum |N(beta_z)|^-3 with D = 725, 40^2 or 1125.
 Norms are integer determinants of multiplication matrices,
 energies are integer quadratic forms, the sum is exact over Fractions
 grouped by |N|, and ball membership and carve order are decided on
-integers. The only float steps are the final scalings by D^(3/2) and by
-1125^(-1/4). Nothing here reads the program's generator matrices
-except anchor_defect, which checks that both describe the same lattice
-in the same coefficient coordinates. nf_norm, the Fraction field norm
-that the det4 norms are checked against, reuses the program's exact
-multiplication matrices and determinant.
+integers. The only float steps are the final scaling by D^(3/2) and
+the one rounding of each energy statistic (q * 1125^(-1/4), rounded
+from an integer fourth root). Nothing here reads the program's
+generator matrices except anchor_defect, which checks that both
+describe the same lattice in the same coefficient coordinates. nf_norm,
+the Fraction field norm that the det4 norms are checked against,
+reuses the program's exact multiplication matrices and determinant.
 """
 
 from __future__ import annotations
@@ -149,6 +150,23 @@ NORM_FORMS = {
 }
 
 
+def rounded_energy(num: int, den: int, energy_disc: int) -> float:
+    """The float nearest num / den * energy_disc^(-1/4), for integers
+    num >= 0 and den, energy_disc > 0."""
+    if energy_disc == 1 or num == 0:
+        return float(Fraction(num, den))
+    # energy_disc is then no fourth power (1125 = 3^2 5^3), so the value
+    # v is irrational and lies strictly between N / 2^k and (N + 1) / 2^k,
+    # N = floor(v 2^k), the integer fourth root of
+    # num^4 2^(4k) / (den^4 energy_disc). This k makes N at least 2^55, so
+    # every midpoint of two floats near v 2^k is an integer, and v rounds
+    # as (N + 1/2) / 2^k does.
+    assert round(energy_disc ** 0.25) ** 4 != energy_disc
+    k = 55 + den.bit_length() + energy_disc.bit_length()
+    root = math.isqrt(math.isqrt((num ** 4 << 4 * k) // (den ** 4 * energy_disc)))
+    return float(Fraction(2 * root + 1, 1 << k + 1))
+
+
 def _box(m: int) -> np.ndarray:
     """{-m..m}^4 in lexicographic order."""
     rng = np.arange(-m, m + 1, dtype=np.int64)
@@ -193,11 +211,11 @@ class ExactCodebook:
 
     @property
     def p_max(self) -> float:
-        return self.q_max * self.form.energy_disc ** -0.25
+        return rounded_energy(self.q_max, 1, self.form.energy_disc)
 
     @property
     def p_ave(self) -> float:
-        return float(Fraction(self.q_sum, self.size)) * self.form.energy_disc ** -0.25
+        return rounded_energy(self.q_sum, self.size, self.form.energy_disc)
 
 
 def exact_codebook(lattice: str, m: int, p_lim=math.inf,

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from norm_oracle import exact_codebook
+from norm_oracle import exact_codebook, rounded_energy
 
 from latticesec import constellation
 from latticesec.constellation import (
@@ -47,12 +47,12 @@ L2_S = {
 }
 L3_TABLE2 = {
     # m: (size, p_max, p_ave, s_value)
-    8: (79, 3.626028089755895, 2.6577758632568806, 1891949.6040485608),
-    7: (2405, 35.56960888046257, 20.327726703592607, 7130240.828380058),
+    8: (79, 3.626028089755892, 2.6577758632568806, 1891949.6040485608),
+    7: (2405, 35.56960888046256, 20.32772670359261, 7130240.828380058),
     # the (q, lex) carve, within 3.1e-14 of the exact norm-form oracle
-    12: (2401, 24.000852594098536, 15.241097660065165, 8572911.547276571),
-    14: (50975, 195.97818485109235, 106.62799193311898, 17234509.75807331),
-    20: (208411, 399.8990978987929, 217.31130845275564, 24071625.91483873),
+    12: (2401, 24.000852594098525, 15.241097660065165, 8572911.547276571),
+    14: (50975, 195.97818485109227, 106.62799193311898, 17234509.75807331),
+    20: (208411, 399.89909789879266, 217.31130845275564, 24071625.91483873),
 }
 
 
@@ -101,18 +101,19 @@ def test_brute_force_oracle_n2():
 
 
 def test_orthonormal_closed_forms(lambda1, lambda2):
-    for spec in (lambda1, lambda2):
-        for m in (1, 2, 3):
-            rep = inverse_norm_power_sum(spec.generator, m)
-            assert rep.size == (2 * m + 1) ** 4
-            assert rep.p_max == pytest.approx(4.0 * m * m, rel=1e-12)
-            assert rep.p_ave == pytest.approx(4.0 * m * (m + 1) / 3.0, rel=1e-12)
+    # The catalogue's values of the table1 rows, bit for bit: the energies
+    # are the exact q = ||z||^2, rounded once.
+    for rep in table_sweep([(lambda1, TABLE1_ROWS), (lambda2, TABLE1_ROWS)]):
+        m = rep.m
+        assert rep.size == (2 * m + 1) ** 4
+        assert rep.p_max == 4 * m * m
+        assert rep.p_ave == float(Fraction(4 * m * (m + 1), 3))
 
 
 def test_p_ave_includes_the_zero_word(lambda2):
     rep = inverse_norm_power_sum(lambda2.generator, 1)
     # 80 nonzero words of mean energy 27/10 average to 8/3 over all 81
-    assert rep.p_ave == pytest.approx(8.0 / 3.0, rel=1e-12)
+    assert rep.p_ave == float(Fraction(8, 3))
     assert rep.size == 81
 
 
@@ -215,21 +216,23 @@ def _unfolded_sum(gen, m, p_lim=math.inf, target=None, exponent=3):
     its form F, else the float norms. The rule keeps the rows keyed
     below a cut and the lex-first k keyed at it: for a sum, every row
     with ||x||^2 <= p_lim (q^n <= det(F) p_lim^n for exact keys); for a
-    carve, the target rows lowest in (key, lex) order.
+    carve, the target rows lowest in (key, lex) order. p_max and p_ave
+    are the largest and the mean key, for exact keys each an integer or
+    a ratio of integers times det(F)^(-1/4), rounded once (gen is then a
+    catalogued n = 4 lattice).
     """
     M = np.asarray(getattr(gen, "entries", gen))
     form = getattr(gen, "form", None)
     n = M.shape[0]
     grids = np.meshgrid(*([np.arange(-m, m + 1)] * (n - 1)), indexing="ij")
     rest = np.stack([g.ravel() for g in grids], axis=1)
-    zs = [np.insert(rest, 0, z1, axis=1).astype(float) for z1 in range(-m, m + 1)]
-    words, norms = zip(*(_column_formula(z, M) for z in zs))
-    slices = list(zip(range(-m, m + 1), words))
+    zs = [np.insert(rest, 0, z1, axis=1) for z1 in range(-m, m + 1)]
+    words, norms = zip(*(_column_formula(z.astype(float), M) for z in zs))
     if form is None:
-        keys = np.concatenate(norms)
+        energies = norms
     else:
-        z = np.concatenate(zs)
-        keys = np.einsum("ki,ij,kj->k", z, np.array(form), z)
+        energies = [np.einsum("ki,ij,kj->k", z, np.array(form), z) for z in zs]
+    keys = np.concatenate(energies)
     if target is not None:
         # The rows are in lex order, so a stable sort on keys is (key, lex).
         keep = np.zeros(len(keys), dtype=bool)
@@ -238,18 +241,24 @@ def _unfolded_sum(gen, m, p_lim=math.inf, target=None, exponent=3):
         keep = keys <= p_lim
     else:
         bound = _frac_det(form) * Fraction(p_lim) ** n
-        keep = np.array([int(q) ** n <= bound for q in keys.tolist()])
+        keep = np.array([q ** n <= bound for q in keys.tolist()])
     keep = keep.reshape(2 * m + 1, -1)
-    size, p_max, s_parts, energy_parts = 0, 0.0, [], []
-    for (z1, block), norm, kept in zip(slices, norms, keep):
+    size, top, s_parts, energy_parts = 0, 0.0, [], []
+    for z1, block, energy, kept in zip(range(-m, m + 1), words, energies, keep):
         nonzero = kept & (np.any(rest != 0, axis=1) | (z1 != 0))
         size += int(np.count_nonzero(kept))
-        energy_parts.append(math.fsum(norm[kept]))
+        energy_parts.append(energy[kept].tolist())
         if np.any(nonzero):
             terms = _inverse_power(np.prod(np.abs(block[nonzero]), axis=1), exponent)
             s_parts.append(math.fsum(terms))
-            p_max = max(p_max, float(norm[nonzero].max()))
-    return size, p_max, math.fsum(energy_parts) / size, math.fsum(s_parts)
+            top = max(top, energy[nonzero].max().item())
+    if form is None:
+        p_max, p_ave = top, math.fsum(map(math.fsum, energy_parts)) / size
+    else:
+        det = int(_frac_det(form))
+        p_max = rounded_energy(int(top), 1, det)
+        p_ave = rounded_energy(sum(map(sum, energy_parts)), size, det)
+    return size, p_max, p_ave, math.fsum(s_parts)
 
 
 def test_folded_kernel_matches_unfolded_bits(lambda1, lambda2, lambda3):
@@ -290,8 +299,9 @@ def _codebooks(draw):
 @example(case=("lambda3", 3, 1e308, None))
 def test_codebooks_match_the_exact_oracle(lambda1, lambda2, lambda3, case):
     # Every catalogued sum and carve keeps the oracle's words, decided on
-    # integer energies, so its size is the oracle's; S, p_max and p_ave
-    # differ only by the float generator's rounding. The float range's
+    # integer energies, so its size is the oracle's, and its p_max and
+    # p_ave are the exact energies rounded once, so the oracle's bits; S
+    # differs only by the float generator's rounding. The float range's
     # ends are caps too: 5e-324 keeps the zero word alone, and 1e308 the
     # whole box.
     lattice, m, p_lim, target = case
@@ -302,8 +312,21 @@ def test_codebooks_match_the_exact_oracle(lambda1, lambda2, lambda3, case):
         rep = carve_lowest_energy(gen, m, target)
     exact = exact_codebook(lattice, m, p_lim, target)
     assert rep.size == exact.size
-    for field in ("s_value", "p_max", "p_ave"):
-        assert getattr(rep, field) == pytest.approx(getattr(exact, field), rel=1e-12)
+    assert (rep.p_max, rep.p_ave) == (exact.p_max, exact.p_ave)
+    assert rep.s_value == pytest.approx(exact.s_value, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.integers(0, 10 ** 15), b=st.integers(1, 10 ** 9),
+       det=st.sampled_from((1, 2, 16, 1125)))
+def test_energies_are_rounded_once(a, b, det):
+    # (a / b) det^(-1/4), correctly rounded: against the oracle's integer
+    # fourth root where det is no fourth power, else a / (b det^(1/4)).
+    got = constellation._rounded(a, b, Fraction(det), 4)
+    if det in (1, 16):
+        assert got == float(Fraction(a, b * round(det ** 0.25)))
+    else:
+        assert got == rounded_energy(a, b, det)
 
 
 def test_a_cap_past_the_box_skips_the_walk(lambda1, lambda2, lambda3, monkeypatch):
@@ -409,10 +432,43 @@ def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
     assert calls == []
 
 
+def test_catalogued_energies_take_no_float_norm(lambda1, lambda3, monkeypatch):
+    # A catalogued generator's energies are its exact keys, or closed
+    # forms on the shared block: no float norm, and one _ExactSum (its
+    # terms') per slice. A plain array's take the norms and a second one.
+    made, norms, stats = [], [], []
+
+    class Counted(constellation._ExactSum):
+        def __init__(self, scratch):
+            made.append(self)
+            super().__init__(scratch)
+
+    slices = constellation._Slices
+    slices_norms, slices_stats = slices._norms, slices.stats
+    monkeypatch.setattr(constellation, "_ExactSum", Counted)
+    monkeypatch.setattr(slices, "_norms", lambda self, words: (
+        norms.append(len(words)) or slices_norms(self, words)))
+    monkeypatch.setattr(slices, "stats", lambda self, *args: (
+        stats.append(args) or slices_stats(self, *args)))
+    for m in (3, 9):
+        inverse_norm_power_sum(lambda1.generator, m)
+        inverse_norm_power_sum(lambda3.generator, m, p_lim=64.0)
+        carve_lowest_energy(lambda3.generator, m, 2 * m ** 4)
+        carve_lowest_energy(lambda1.generator, m, (2 * m + 1) ** 4 - 1)
+    assert norms == [] and len(made) == len(stats) >= 4 * 2 * 4
+    made.clear()
+    stats.clear()
+    inverse_norm_power_sum(lambda3.generator.entries, 3, p_lim=16.0)
+    inverse_norm_power_sum(lambda1.generator.entries, 3)
+    assert len(made) == 2 * len(stats) == 2 * 2 * 4 and norms
+
+
 def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
     # Sampled rows of the shared block and of walked capped slices hold
-    # the word formula's words and norms, evaluated in Python floats, bit
-    # for bit: no BLAS or SIMD kernel enters them.
+    # the word formula's words, and for a plain array its norms, the
+    # keys, evaluated in Python floats, bit for bit: no BLAS or SIMD
+    # kernel enters them. A catalogued generator's walked rows are keyed
+    # by their exact energies, and its shared block by none.
     def bits(values):
         return np.array(values, dtype=float).view(np.int64).tolist()
 
@@ -443,11 +499,19 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
             for z1 in range(-m, m + 1):
                 z = None if math.isinf(cut) else slices.walker.vectors(z1, cut)
                 rest = slices.rest if z is None else z[:, 1:]
-                for words, norms, rows in slices._blocks(z1, z, rest, cut, None):
-                    for i in rng.sample(range(len(norms)), min(len(norms), 12)):
-                        x, norm = formula([z1, *rest[rows[i]].tolist()], M.tolist())
+                for words, keys, rows in slices._blocks(z1, z, rest, cut, None):
+                    for i in rng.sample(range(len(words)), min(len(words), 12)):
+                        zi = [z1, *map(int, rest[rows[i]])]
+                        x, norm = formula(zi, M.tolist())
                         assert bits(words[i]) == bits(x), (M, m, z1, rows[i])
-                        assert bits([norms[i]]) == bits([norm]), (M, m, z1, rows[i])
+                        if slices.form is None:
+                            assert bits([keys[i]]) == bits([norm]), (M, m, z1, rows[i])
+                        elif z is None:
+                            assert keys is None
+                        else:
+                            q = sum(f * a * b for row, a in zip(gen.form, zi)
+                                    for f, b in zip(row, zi))
+                            assert keys[i] == q, (m, zi)
                         checked += 1
     assert checked > 1000
 
@@ -706,9 +770,14 @@ def test_argument_validation(lambda3):
 
 
 def test_sum_report_guards():
-    with pytest.raises(DomainError):
-        SumReport("x", 2, 1, p_lim=4.0, size=5, p_max=9.0, p_ave=1.0,
-                  s_value=1.0)
+    # p_max <= p_lim holds exactly, for float norms and for exact
+    # energies rounded once, so one ulp above p_lim is refused.
+    for p_max in (9.0, math.nextafter(4.0, math.inf)):
+        with pytest.raises(DomainError):
+            SumReport("x", 2, 1, p_lim=4.0, size=5, p_max=p_max, p_ave=1.0,
+                      s_value=1.0)
+    assert SumReport("x", 2, 1, p_lim=4.0, size=5, p_max=4.0, p_ave=1.0,
+                     s_value=1.0).p_max == 4.0
     for s_value in (-1.0, math.nan):
         with pytest.raises(DomainError):
             SumReport("x", 2, 1, p_lim=math.inf, size=5, p_max=1.0, p_ave=1.0,
