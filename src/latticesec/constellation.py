@@ -31,7 +31,7 @@ then runs the sum's slices under that rule. With exact keys no float
 rounding, so no BLAS or SIMD kernel, decides which words a codebook
 keeps, and the energies are the kept keys: p_max is q_max det(F)^(-1/n)
 and p_ave (sum q / size) det(F)^(-1/n), each correctly rounded once
-(_rounded). Slices on the shared block take no keys: their sum of q is
+(_rounded). Slices on the whole rest box take no keys: their sum of q is
 (2m+1)^(n-1) F_11 z1^2 + (2m+1)^(n-2) tr(F_rest) m(m+1)(2m+1)/3, the
 box's cross terms cancelling, and their largest q is at a corner of
 the rest box. For a plain array, p_max and p_ave are the float norms'
@@ -45,17 +45,21 @@ arithmetic,
 
 each step one correctly rounded ufunc on a column of a column-major
 block, so no BLAS or SIMD kernel decides a bit. Where the rule keeps
-the box (cut at box_top or above, every tie), the rest sums of the
-whole rest box {-m..m}^(n-1) are taken once, and exact keys are not
-needed. Below box_top the walker numfields.EllipsoidWalker
-(Fincke-Pohst over F, or over M M^T for float keys) gives each slice
-its candidates at cut in lex order, none within the cut left out. A
-slice streams through blocks of _BLOCK = 8192 rows whose keys, words,
-norms, masks and terms are made in fixed scratch and added to its
-exact sums: no pass but the walk allocates a slice-sized array. Every
-row's arithmetic is its own, so the bits do not depend on the block
-size. The one matmul, the keys' z F, sums integers, exactly in any
-order.
+the box (cut at box_top or above, every tie), exact keys are not
+needed, and the rest sums of rows 0..(N-1)/2 of the rest box
+{-m..m}^(n-1), the middle (zero) row included, are taken once, from
+pieces of _BLOCK coefficient rows. Row N-1-i of the box is minus row i
+and the formula is odd, so a row above the middle reads its mirror's
+rest sums, negated by the subtraction z_1 M_1j - s: no array of
+(2m+1)^(n-1) rows is built. Below box_top the walker
+numfields.EllipsoidWalker (Fincke-Pohst over F, or over M M^T for float
+keys) gives each slice its candidates at cut in lex order, none within
+the cut left out. A slice streams through blocks of _BLOCK = 8192 rows
+whose keys, words, norms, masks and terms are made in fixed scratch and
+added to its exact sums: no pass but the walk allocates a slice-sized
+array. Every row's arithmetic is its own, so the bits do not depend on
+the block size. The one matmul, the keys' z F, sums integers, exactly
+in any order.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 IEEE negation is exact and rounding is symmetric, so the formula is
@@ -318,7 +322,7 @@ def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
 
     Exact keys (exact True) are integers of at most the cut each, so a
     block's float64 sum of them is exact while _BLOCK cut < 2^53, and
-    total is an int; keys None (the shared block, whose energies stats
+    total is an int; keys None (the whole rest box, whose energies stats
     takes in closed form) leave top 0.0 and total 0. Float norms are
     summed by an _ExactSum.
 
@@ -391,7 +395,9 @@ class _Slices:
                  sum(F[i][j] * s[i - 1] * s[j - 1] for i in rest for j in rest))
                 for s in itertools.product((-1, 1), repeat=gen.n - 1)]
         self.walker = EllipsoidWalker(F if exact else gen.gram, m)
-        self.shared = None  # the rest box's rest sums, once a rule keeps the box
+        # The rest sums of the rest box's rows 0..(N-1)/2, once a rule
+        # keeps the box; row N-1-i is minus row i, so they give every row.
+        self.half = None
 
     def cap(self, p_lim: float) -> float:
         """The cut of the ball ||x||^2 <= p_lim: p_lim for float keys or an
@@ -470,14 +476,28 @@ class _Slices:
                 np.add(out[:, j], np.multiply(r[:, i - 1], M[i, j], out=t), out=out[:, j])
         return out
 
-    def _words(self, z1: int, r: np.ndarray, i: int | None = None) -> np.ndarray:
+    def _words(self, z1: int, r: np.ndarray) -> np.ndarray:
         """The words of slice z1 over a block r of rest vectors, by the
-        word formula, in the scratch; the rest sums are the shared block's
-        rows from i on, if i is given."""
+        word formula, in the scratch."""
         words = self.scratch.words[:len(r)]
-        rest = self._rest(r, words) if i is None else self.shared[i:i + len(r)]
+        rest = self._rest(r, words)
         for j, x in enumerate(z1 * self.M[0]):
             np.add(rest[:, j], x, out=words[:, j])
+        return words
+
+    def _box_words(self, z1: int, i: int, stop: int) -> np.ndarray:
+        """The words of slice z1 over rows i..stop-1 of the whole rest box,
+        in the scratch. A row up to the middle one, mid, adds z1 M_1j to
+        its rest sums in the half block; a row k above it takes
+        z1 M_1j - half[2 mid - k], the same bits up to the sign of a zero:
+        IEEE negation is exact, x - s is x + (-s), and the formula is odd."""
+        words, mid = self.scratch.words[:stop - i], len(self.half) - 1
+        up = min(max(i, mid + 1), stop)  # the first row above the middle
+        # Row k > mid mirrors row k - mid of the reversed half.
+        mirror = self.half[::-1][up - mid:stop - mid]
+        for j, x in enumerate(z1 * self.M[0]):
+            np.add(self.half[i:up, j], x, out=words[:up - i, j])
+            np.subtract(x, mirror[:, j], out=words[up - i:, j])
         return words
 
     def _norms(self, words: np.ndarray) -> np.ndarray:
@@ -491,25 +511,28 @@ class _Slices:
                 np.add(norms, np.multiply(words[:, j], words[:, j], out=t), out=norms)
         return norms
 
-    def _blocks(self, z1: int, z, rest: np.ndarray, cut: float, ties):
+    def _blocks(self, z1: int, z, cut: float, ties):
         """(words, keys, rows) per block of slice z1's rest vectors: the
         words the rule keeps other than the zero word, their keys, and
-        their row numbers in rest. z holds the walker's rows, or is None
-        for the shared block, which the rule keeps whole and whose keys
-        are None for exact keys. The words of a whole block are the
-        scratch's, overwritten by the next block."""
-        for i in range(0, len(rest), _BLOCK):
-            r = rest[i:i + _BLOCK]
-            keep = self.scratch.keep[:len(r)]
-            if self.form is None:
-                words = self._words(z1, r, None if z is not None else i)
-                keys = self._norms(words)
-            elif z is not None:
-                # Exact keys first: their product borrows the words buffer.
-                keys = self._keys(z1, z[i:i + _BLOCK])
+        their row numbers in z or in the rest box. z holds the walker's
+        rows, or is None for the whole rest box, which the rule keeps
+        whole and whose keys are None for exact keys. The words of a
+        whole block are the scratch's, overwritten by the next block."""
+        count = len(z) if z is not None else 2 * len(self.half) - 1
+        for i in range(0, count, _BLOCK):
+            stop = min(i + _BLOCK, count)
+            keep = self.scratch.keep[:stop - i]
+            r = None if z is None else z[i:stop, 1:]
+            if z is None:
+                words = self._box_words(z1, i, stop)
+                keys = None if self.form is not None else self._norms(words)
+            elif self.form is None:
                 words = self._words(z1, r)
+                keys = self._norms(words)
             else:
-                keys, words = None, self._words(z1, r, i)
+                # Exact keys first: their product borrows the words buffer.
+                keys = self._keys(z1, z[i:stop])
+                words = self._words(z1, r)
             if keys is None:
                 keep.fill(True)
             else:
@@ -518,10 +541,12 @@ class _Slices:
                 tied = np.flatnonzero(keys == cut)
                 keep[tied[ties:]] = False
                 ties -= min(ties, len(tied))
-            if z1 == 0:
+            if z1 == 0 and z is not None:
                 keep &= r.any(axis=1)
-            if np.count_nonzero(keep) == len(r):
-                yield words, keys, range(i, i + len(r))
+            elif z1 == 0 and i < len(self.half) <= stop:
+                keep[len(self.half) - 1 - i] = False  # the zero word: the middle row
+            if np.count_nonzero(keep) == len(keep):
+                yield words, keys, range(i, stop)
             else:
                 yield words[keep], None if keys is None else keys[keep], i + np.flatnonzero(keep)
 
@@ -549,21 +574,22 @@ class _Slices:
         coordinate value), or None."""
         z = None
         if ties is None and not cut < self.walker.box_top:
-            if self.shared is None:
-                self.rest = _box(len(self.M) - 1, self.m)
-                self.shared = np.empty((len(self.rest), len(self.M)), order="F")
-                for i in range(0, len(self.rest), _BLOCK):
-                    self._rest(self.rest[i:i + _BLOCK], self.shared[i:i + _BLOCK])
-            rest = self.rest
+            if self.half is None:
+                k = len(self.M) - 1
+                half = ((2 * self.m + 1) ** k + 1) // 2
+                self.half = np.empty((half, len(self.M)), order="F")
+                for i in range(0, half, _BLOCK):
+                    stop = min(i + _BLOCK, half)
+                    self._rest(_box(k, self.m, i, stop), self.half[i:stop])
         else:
             z = self.walker.vectors(z1, cut)
-            rest = z[:, 1:]
         exact = self.form is not None
         size, s_partial, top, energy, bad = _reduce(
-            lambda: self._blocks(z1, z, rest, cut, ties), self.exponent, self.scratch, exact)
+            lambda: self._blocks(z1, z, cut, ties), self.exponent, self.scratch, exact)
         if bad is not None:
             row, coord, value = bad
-            bad = ((z1, *map(int, rest[row])), coord, value)
+            rest = _box(len(self.M) - 1, self.m, row, row + 1)[0] if z is None else z[row, 1:]
+            bad = ((z1, *map(int, rest)), coord, value)
         elif exact and z is None:
             top, energy = self._box_energy(z1)
         # The zero word, in slice 0 whatever the rule, counts but has no term.

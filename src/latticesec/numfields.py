@@ -267,18 +267,21 @@ def normalize_unit_volume(m: GeneratorMatrix) -> GeneratorMatrix:
     return out
 
 
-def _box(k: int, m: int) -> np.ndarray:
-    """{-m..m}^k as rows in lexicographic order.
+def _box(k: int, m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 (by default all) of {-m..m}^k in lexicographic
+    order.
 
-    Row N-1-i is the negation of row i and the zero vector is the middle
-    row. The entries are small integers stored as float64, which is
-    exact, column-major, so each coordinate is a contiguous column.
+    Row i holds the base-(2m+1) digits of i, most significant first, less
+    m. So row N-1-i is the negation of row i and the zero vector is the
+    middle row. The entries are small integers stored as float64, which
+    is exact, column-major, so each coordinate is a contiguous column.
     """
     side = 2 * m + 1
-    out = np.empty((side ** k, k), order="F")
-    rng = np.arange(-m, m + 1, dtype=float)
-    for j in range(k):
-        out[:, j].reshape(side ** j, side, -1)[...] = rng[:, None]
+    rows = np.arange(start, side ** k if stop is None else stop)
+    out = np.empty((len(rows), k), order="F")
+    for j in range(k - 1, -1, -1):
+        rows, digit = np.divmod(rows, side)
+        np.subtract(digit, m, out=out[:, j])
     return out
 
 

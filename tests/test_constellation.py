@@ -434,7 +434,7 @@ def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
 
 def test_catalogued_energies_take_no_float_norm(lambda1, lambda3, monkeypatch):
     # A catalogued generator's energies are its exact keys, or closed
-    # forms on the shared block: no float norm, and one _ExactSum (its
+    # forms on the whole rest box: no float norm, and one _ExactSum (its
     # terms') per slice. A plain array's take the norms and a second one.
     made, norms, stats = [], [], []
 
@@ -463,46 +463,57 @@ def test_catalogued_energies_take_no_float_norm(lambda1, lambda3, monkeypatch):
     assert len(made) == 2 * len(stats) == 2 * 2 * 4 and norms
 
 
+def _formula(z, M):
+    """The word of z and its norm by the word formula, in Python floats."""
+    n, x = len(M), []
+    for j in range(n):
+        rest = 0.0 if n == 1 else z[1] * M[1][j]
+        for i in range(2, n):
+            rest = rest + z[i] * M[i][j]
+        x.append(rest + z[0] * M[0][j])
+    norm = x[0] * x[0]
+    for v in x[1:]:
+        norm = norm + v * v
+    return x, norm
+
+
 def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
-    # Sampled rows of the shared block and of walked capped slices hold
+    # Sampled rows of the whole rest box and of walked capped slices hold
     # the word formula's words, and for a plain array its norms, the
     # keys, evaluated in Python floats, bit for bit: no BLAS or SIMD
-    # kernel enters them. A catalogued generator's walked rows are keyed
-    # by their exact energies, and its shared block by none.
+    # kernel enters them. The samples take in the rows around the middle
+    # of the box and its last row, whose words mirror the half block's
+    # rest sums. A catalogued generator's walked rows are keyed by their
+    # exact energies, and its whole box by none.
     def bits(values):
         return np.array(values, dtype=float).view(np.int64).tolist()
-
-    def formula(z, M):
-        n, x = len(M), []
-        for j in range(n):
-            rest = 0.0 if n == 1 else z[1] * M[1][j]
-            for i in range(2, n):
-                rest = rest + z[i] * M[i][j]
-            x.append(rest + z[0] * M[0][j])
-        norm = x[0] * x[0]
-        for v in x[1:]:
-            norm = norm + v * v
-        return x, norm
 
     rng = random.Random(2202)
     plain = [np.array([[1.7]]), np.array([[1.0, 0.3], [0.2, -1.1]]),
              np.array([[0.9, -0.7], [0.45, 1.35]])]
     gens = [spec.generator for spec in (lambda1, lambda2, lambda3)] + plain
-    checked = 0
+    checked = mirrored = 0
     for gen in gens:
         M = np.asarray(getattr(gen, "entries", gen))
         for m, p_lim in ((5, math.inf), (7, 30.5)):
             slices = constellation._Slices(constellation._as_generator(gen), m, 3)
             cut = slices.cap(p_lim)
             if math.isinf(cut):
-                slices.stats(0, cut)  # builds the shared block
+                slices.stats(0, cut)  # builds the half block
+            box = _box(len(M) - 1, m)
             for z1 in range(-m, m + 1):
                 z = None if math.isinf(cut) else slices.walker.vectors(z1, cut)
-                rest = slices.rest if z is None else z[:, 1:]
-                for words, keys, rows in slices._blocks(z1, z, rest, cut, None):
-                    for i in rng.sample(range(len(words)), min(len(words), 12)):
+                rest = box if z is None else z[:, 1:]
+                for words, keys, rows in slices._blocks(z1, z, cut, None):
+                    sample = rng.sample(range(len(words)), min(len(words), 12))
+                    if z is None:
+                        middle = len(box) // 2
+                        ends = {middle - 1, middle, middle + 1, len(box) - 1}
+                        sample += [i for i, row in enumerate(rows) if row in ends]
+                        mirrored += sum(rows[i] > middle for i in sample)
+                    for i in sample:
                         zi = [z1, *map(int, rest[rows[i]])]
-                        x, norm = formula(zi, M.tolist())
+                        x, norm = _formula(zi, M.tolist())
                         assert bits(words[i]) == bits(x), (M, m, z1, rows[i])
                         if slices.form is None:
                             assert bits([keys[i]]) == bits([norm]), (M, m, z1, rows[i])
@@ -513,7 +524,7 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
                                     for f, b in zip(row, zi))
                             assert keys[i] == q, (m, zi)
                         checked += 1
-    assert checked > 1000
+    assert checked > 1000 and mirrored > 100
 
 
 def _outcome(f, *args, **kwargs):
@@ -573,7 +584,7 @@ def test_slice_memory_does_not_grow_with_the_slice(lambda1):
     for m in (10, 25):
         slices = constellation._Slices(lambda1.generator, m, 3)
         cut = slices.cap(math.inf)
-        slices.stats(1, cut)  # builds the shared block
+        slices.stats(1, cut)  # builds the half block
         scratch = sum(a.nbytes for a in vars(slices.scratch).values())
         for z1 in (0, 1):
             tracemalloc.start()
@@ -586,24 +597,56 @@ def test_slice_memory_does_not_grow_with_the_slice(lambda1):
     assert peaks[25, 1] < 2 * peaks[10, 1]
 
 
+def test_whole_box_state_is_half_the_rest_sums(lambda1):
+    # An uncapped sum keeps the rest sums of rows 0..(N-1)/2 of the rest
+    # box, ceil(N/2) n float64s (2.12 MB at m = 25), built from pieces of
+    # _BLOCK coefficient rows. So the first uncapped slice peaks at them,
+    # one piece and a small margin, with neither the rest box (3.2 MB)
+    # nor its full block of rest sums (4.2 MB).
+    m, n = 25, 4
+    slices = constellation._Slices(lambda1.generator, m, 3)
+    cut = slices.cap(math.inf)
+    tracemalloc.start()
+    try:
+        slices.stats(0, cut)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    half = ((2 * m + 1) ** (n - 1) + 1) // 2
+    assert peak < half * n * 8 + constellation._BLOCK * (n - 1) * 8 + 2 ** 19, peak
+    assert slices.half.shape == (half, n)
+
+
 def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):
-    # Uncapped, or with a ball that holds the box, a sum multiplies the
-    # rest box {-m..m}^3 once; capped, each slice multiplies only the
-    # walker's candidates, and no box is built.
+    # Uncapped, or with a ball that holds the box, a sum takes the rest
+    # sums of half the rest box {-m..m}^3, from pieces of at most _BLOCK
+    # coefficient rows, and allocates no array of the box's 343 rows;
+    # capped, each slice multiplies only the walker's candidates, and no
+    # box is built.
     boxes = []
 
-    def recording_box(k, m):
-        boxes.append((k, m))
-        return _box(k, m)
+    def recording_box(k, m, start=0, stop=None):
+        boxes.append((k, m, start, stop))
+        return _box(k, m, start, stop)
 
     monkeypatch.setattr(constellation, "_box", recording_box)
+    monkeypatch.setattr(constellation, "_BLOCK", 100)
+    real_empty, shapes = np.empty, []
+
+    def recording_empty(shape, *args, **kwargs):
+        shapes.append(shape)
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(constellation.np, "empty", recording_empty)
     gen = lambda3.generator
     inverse_norm_power_sum(gen, 9, p_lim=64.0)
     assert boxes == []
-    inverse_norm_power_sum(gen, 3)
-    inverse_norm_power_sum(gen, 3, p_lim=1e6)
-    assert boxes == [(3, 3), (3, 3)]
-
+    for p_lim in (math.inf, 1e6):
+        inverse_norm_power_sum(gen, 3, p_lim=p_lim)
+    pieces = [(3, 3, 0, 100), (3, 3, 100, 172)]
+    assert boxes == 2 * pieces
+    assert (172, 4) in shapes and not any(
+        343 in (s if isinstance(s, tuple) else (s,)) for s in shapes)
 
 def test_integer_arguments_of_any_integer_type_but_bool(lambda3):
     # numpy integers are integers; a bool is not a box bound or a count.
@@ -699,6 +742,34 @@ def test_diversity_failure_reported():
         carve_lowest_energy(np.eye(2), 1, 9)
     assert err.value.coeff_vector == (-1, 0)
     assert err.value.coordinate_index == 1
+
+
+def test_mirrored_diversity_failure_matches_a_lex_scan():
+    # Each lex-first offender lies above the middle of its slice's rest
+    # box, where the words mirror the half block's rest sums, and in a
+    # slice z1 < 0, which the fold rescans. Its vector, coordinate and
+    # value are those of a brute-force lex scan by the word formula; the
+    # first case's value is a rounding residue, not a zero.
+    cases = (([[0.1, 1.0], [0.3, -0.7]], 3),
+             ([[2.0, 1.0, -1.0], [-1.0, 2.0, -2.0], [0.0, 0.5, -2.0]], 3),
+             ([[-2.0, -1.0, 0.5], [-2.0, 2.0, -1.0], [0.5, -2.0, 2.0]], 3))
+    values = []
+    for M, m in cases:
+        n = len(M)
+        for z in itertools.product(range(-m, m + 1), repeat=n):
+            absx = [abs(v) for v in _formula(z, M)[0]]
+            if any(z) and min(absx) < constellation.DIVERSITY_EPS:
+                want = z, absx.index(min(absx)), min(absx)
+                break
+        side = 2 * m + 1
+        rest_row = sum((c + m) * side ** (n - 2 - k) for k, c in enumerate(want[0][1:]))
+        assert want[0][0] < 0 and rest_row > side ** (n - 1) // 2
+        with pytest.raises(DiversityError) as err:
+            inverse_norm_power_sum(np.array(M), m)
+        got = err.value.coeff_vector, err.value.coordinate_index, err.value.value
+        assert got == want and type(got[2]) is float
+        values.append(got[2])
+    assert values[0] > 0.0 == values[1] == values[2]
 
 
 def test_diversity_scan_finds_the_first_offending_row():
