@@ -10,32 +10,28 @@ too. The eavesdropper-confusion metric is
 
 (the inverse norm power sum; exponent 3 corresponds to the fast-fading
 correct-decision probability). The sums span many orders of magnitude,
-so each coefficient slice's terms are summed exactly and rounded once.
+so S is the exact sum of every included word's term, rounded once.
 _ExactSum does that with integer mantissa parts binned by exponent,
-merged block by block, and returns the bits math.fsum would, without a
-Python float per term. The per-slice partials are combined with
-math.fsum in fixed ascending order of the leading coefficient. A plain
-array's float norms are summed the same way; a catalogued generator's
-energies are integers, summed exactly in Python ints.
+merged block by block, and returns the bits math.fsum of the terms
+would, without a Python float per term; no order or split of the words
+enters S. A plain array's float norms are summed the same way; a
+catalogued generator's energies are integers, summed exactly in Python
+ints.
 
 One rule decides every codebook. Each z has a key: its exact energy
 q = z F z^T where the generator carries its integer form F (the
-catalogued lattices do), a sum of products of small integers and so
-exact in float64; for a plain array, the float norm ||x||^2 of its
-word. The rule (cut, ties) keeps the z keyed below cut and, of those
-keyed cut, all or the lex-first ties. A sum keeps all at cut p_lim, or
-for exact keys at q_cap = max{q : q^n <= det(F) p_lim^n}, decided in
-Fraction. A carve counts the keys of each slice to find its cut, the
-target_size-th smallest key, and how many words keyed cut it takes,
-then runs the sum's slices under that rule. With exact keys no float
-rounding, so no BLAS or SIMD kernel, decides which words a codebook
-keeps, and the energies are the kept keys: p_max is q_max det(F)^(-1/n)
-and p_ave (sum q / size) det(F)^(-1/n), each correctly rounded once
-(_rounded). Slices on the whole rest box take no keys: their sum of q is
-(2m+1)^(n-1) F_11 z1^2 + (2m+1)^(n-2) tr(F_rest) m(m+1)(2m+1)/3, the
-box's cross terms cancelling, and their largest q is at a corner of
-the rest box. For a plain array, p_max and p_ave are the float norms'
-largest and exact mean.
+catalogued lattices do); for a plain array, the float norm ||x||^2 of
+its word. The rule (cut, left) keeps the z keyed below cut and, of
+those keyed cut, all (left None) or the lex-first left. A sum keeps all
+at cut p_lim, or for exact keys at q_cap = max{q : q^n <= det(F)
+p_lim^n}, decided in Fraction. A carve bins the keys of the walk at a
+growing radius (np.bincount for exact keys, np.unique for float norms)
+to find its cut, the target_size-th smallest key, and left. With exact
+keys no float rounding, so no BLAS or SIMD kernel, decides which words
+a codebook keeps, and the energies are the kept keys: p_max is
+q_max det(F)^(-1/n) and p_ave (sum q / size) det(F)^(-1/n), each
+correctly rounded once (_rounded). For a plain array, p_max and p_ave
+are the float norms' largest and exact mean.
 
 Every word, and a plain array's norm, is one formula in IEEE column
 arithmetic,
@@ -44,36 +40,46 @@ arithmetic,
     ||x||^2 = ((x_1^2 + x_2^2) + ...) + x_n^2,
 
 each step one correctly rounded ufunc on a column of a column-major
-block, so no BLAS or SIMD kernel decides a bit. Where the rule keeps
-the box (cut at box_top or above, every tie), exact keys are not
-needed, and the rest sums of rows 0..(N-1)/2 of the rest box
-{-m..m}^(n-1), the middle (zero) row included, are taken once, from
-pieces of _BLOCK coefficient rows. Row N-1-i of the box is minus row i
-and the formula is odd, so a row above the middle reads its mirror's
-rest sums, negated by the subtraction z_1 M_1j - s: no array of
-(2m+1)^(n-1) rows is built. Below box_top the walker
-numfields.EllipsoidWalker (Fincke-Pohst over F, or over M M^T for float
-keys) gives each slice its candidates at cut in lex order, none within
-the cut left out. A slice streams through blocks of _BLOCK = 8192 rows
-whose keys, words, norms, masks and terms are made in fixed scratch and
-added to its exact sums: no pass but the walk allocates a slice-sized
-array. Every row's arithmetic is its own, so the bits do not depend on
-the block size. The one matmul, the keys' z F, sums integers, exactly
-in any order.
+block, so no BLAS or SIMD kernel decides a bit. Its first part, the
+rest sum of r = (z_2, ..., z_n), is taken once per rest vector.
 
 The codebook is symmetric under x -> -x, and the fold uses it exactly.
 IEEE negation is exact and rounding is symmetric, so the formula is
 odd: the word of -z is minus the word of z bit for bit, up to the sign
-of a zero coordinate, which abs and squaring erase. So every word of
-slice -z1 has the key, term and energy of its mirror in slice z1. A
-slice sum rounds once, whatever the order of its terms, so slices
-z1 = 0..m are computed and slice -z1 takes slice z1's partials where
-both keep all of their words keyed cut, or none; a pair that the
-carve's lex-first ties split is computed slice by slice. A diversity
-failure is reported at the lex-first offending coefficient vector, as
-without the fold. The carve's count walks a ball whose volume holds
-target_size lattice points and grows it until at least target_size
-keys lie in it; from box_top on, the walk gives the whole box.
+of a zero coordinate, which abs and squaring erase, so -z has the key,
+term and energy of z. Half the codebook is computed and each of its
+words counts twice, exactly: the exact sums are doubled before their
+one rounding. The zero word counts once and has no term; a carve's
+lex-first left words keyed cut, which need not come in pairs, count
+once each. A diversity failure is reported at the lex-first offending
+coefficient vector of the codebook, either sign.
+
+Where the rule keeps the whole box (cut at box_top or above, left
+None), the half is slice-major: the rest sums of rows 0..(N-1)/2 of the
+rest box {-m..m}^(n-1), the middle (zero) row included, are taken once,
+from pieces of _BLOCK coefficient rows. Row N-1-i of the box is minus
+row i and the formula is odd, so a row above the middle reads its
+mirror's rest sums, negated by the subtraction z_1 M_1j - s: no array
+of (2m+1)^(n-1) rows is built. Slices z1 = 1..m and the rows of slice 0
+below its zero row make the half; exact keys are not needed, since the
+box's sum of q is tr(F) (2m+1)^n m(m+1)/3, its cross terms cancelling,
+and its largest q is at a corner.
+
+Below box_top the half is rest-vector-major. The walker each generator
+builds once (GeneratorMatrix.walker, Fincke-Pohst over F, or over M M^T
+for float keys, with z_1 walked last) streams the rest vectors r in lex
+order, each with its run of z_1, none within the cut left out: the runs
+of r <lex 0 and of r = 0 with z_1 >= 1 are the half. For exact keys
+q = A_r + z_1 (2 b_r + F_11 z_1), with A_r = r F_rest r^T and b_r =
+sum_j F_1j r_j integers, so each run is cut to the cut exactly, its sum
+of q is taken in closed form and its largest q at its ends, and no key
+of a word is computed. A carve's words keyed cut are run ends (q is
+strictly convex in z_1); they are gathered, sorted in lex order with
+their negations, and the first left kept. Plain arrays keep each row's
+float norm and a keep mask. Each chunk of the walk, about _BLOCK rows,
+is made in fixed scratch, so no array grows with the ball beyond the
+walker's groups of nodes. Every row's arithmetic is its own, so the
+bits do not depend on the block size.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -86,7 +92,6 @@ nearest 4m(m+1)/3 exactly.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,7 +99,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DiversityError, DomainError, positive_int
-from .numfields import EllipsoidWalker, GeneratorMatrix, _box, _frac_det
+from .numfields import GeneratorMatrix, _box, _box_rows, _expand
 
 DIVERSITY_EPS = 1e-12
 
@@ -150,9 +155,9 @@ def _as_generator(gen: GeneratorMatrix | np.ndarray) -> GeneratorMatrix:
 
 
 # Rows per block. A block of words is 256 KB at n = 4, so it stays in
-# L2 through a slice's passes over it. The one matmul, the integer keys'
-# z F of a block, is 16 * 8192 = 2^17 multiply-adds at n = 4, half of
-# the 65536 * 4 up to which OpenBLAS's gemm runs in the calling thread.
+# L2 through a block's passes over it. The one matmul, a walked chunk's
+# rest vectors times the form's rows, is on int64 arrays, which numpy
+# never hands to BLAS.
 _BLOCK = 8192
 
 
@@ -178,25 +183,64 @@ def _rounded(a: int, b: int, det: Fraction, n: int) -> float:
     return f
 
 
-def _first_violation(absx: np.ndarray) -> tuple[int, int, float] | None:
-    """(row, coordinate, value) of the first row with a coordinate below
-    DIVERSITY_EPS, or None. absx must not be empty."""
-    if not float(absx.min()) < DIVERSITY_EPS:
-        return None
-    first = int(np.argmax((absx < DIVERSITY_EPS).any(axis=1)))
-    coord = int(np.argmin(absx[first]))
-    return first, coord, float(absx[first, coord])
+def _lex_first(bad, absx: np.ndarray, coeffs, mirrored: bool):
+    """The lex-first of bad and the words of a block with a coordinate
+    below DIVERSITY_EPS, and with mirrored their negations too, as
+    (coefficient vector, coordinate, |value|); coeffs(rows) gives the
+    coefficient vectors of rows of the block. The word of -z is minus
+    the word of z, so the two share the coordinate and the value."""
+    rows = np.flatnonzero((absx < DIVERSITY_EPS).any(axis=1))
+    z = np.asarray(coeffs(rows)).astype(np.int64)
+    order = np.lexsort(z.T[::-1])
+    picks = [(z[order[0]], rows[order[0]])]
+    if mirrored:
+        picks.append((-z[order[-1]], rows[order[-1]]))
+    for v, row in picks:
+        coord = int(np.argmin(absx[row]))
+        found = (tuple(int(x) for x in v), coord, float(absx[row, coord]))
+        if bad is None or found[0] < bad[0]:
+            bad = found
+    return bad
+
+
+def _runs(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The values lo..lo+count-1 of each run, run after run, as float64,
+    exact: the z1 of a chunk's rows."""
+    end = np.cumsum(count)
+    total = int(end[-1]) if len(end) else 0
+    return np.repeat((lo - end + count).astype(float), count) + np.arange(total, dtype=float)
+
+
+def _coeffs(r: np.ndarray, count: np.ndarray, z1: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The int64 coefficient vectors (z1[i], r[k]) of rows i of a chunk
+    that has count[k] rows under each rest vector r[k] in turn."""
+    parent = np.repeat(np.arange(len(r)), count)
+    return np.column_stack((z1[rows], r[parent[rows]])).astype(np.int64)
+
+
+def _around_zero(r: np.ndarray) -> tuple[int, int]:
+    """How many rows of lex-ascending integer rows r lie below zero in lex
+    order, and how many are zero (they follow)."""
+    lo, hi = 0, len(r)
+    if r.shape[1] and r[-1, 0] < 0:
+        return hi, 0
+    for j in range(r.shape[1]):
+        col = r[lo:hi, j]
+        lo, hi = lo + int(np.searchsorted(col, 0)), lo + int(np.searchsorted(col, 0, "right"))
+    return lo, hi - lo
 
 
 class _Scratch:
     """Fixed buffers for blocks of at most _BLOCK rows of n coordinates,
-    owned by one _Slices: column-major words, norms, keys, the keep mask,
-    the reciprocals and terms of _terms (t is also the word formula's
-    product), and the bins and high parts of _ExactSum.add."""
+    owned by one _Codebook: column-major words (first the products of
+    _rest) and rest sums, norms, the keep mask, the reciprocals and terms
+    of _terms (t is also the word formula's product), and the bins and
+    high parts of _ExactSum.add."""
 
     def __init__(self, n: int):
         self.words = np.empty((_BLOCK, n), order="F")
-        self.norms, self.keys, self.r, self.t = np.empty((4, _BLOCK))
+        self.rest = None  # made on the first walked chunk; a whole box needs none
+        self.norms, self.r, self.t = np.empty((3, _BLOCK))
         self.keep = np.empty(_BLOCK, dtype=bool)
         self.bins, self.high = np.empty((2, _BLOCK), dtype=np.uint64)
 
@@ -208,7 +252,9 @@ _HIGH = np.uint64(2 ** 64 - 2 ** 26)  # clears the low 26 mantissa bits
 
 
 class _ExactSum:
-    """math.fsum of every value added, in order, bit for bit, from bins.
+    """math.fsum of every value added, in order, bit for bit, from bins;
+    with twice, of every value added twice, and of the extra values that
+    result is given.
 
     Each float64 is split into its value with the low 26 mantissa bits
     cleared and the remainder, both exact. Binned by sign and biased
@@ -217,21 +263,22 @@ class _ExactSum:
     2^(e-1049) (subnormals, in bin 0, scale as e = 1), so np.bincount
     adds each block's bins exactly, and so does merging them into the
     running bins, which go to a list of parts every _MAX_PARTS values.
-    The parts sum to the exact total, and math.fsum of them rounds it
-    once, as math.fsum of the values does. Infinities and NaNs are set
-    aside in order; while the finite values cannot overflow, math.fsum
-    of the values gives what math.fsum of those gives.
+    The parts sum to the exact total, and math.fsum of them (each twice,
+    with twice) rounds it once, as math.fsum of the values does.
+    Infinities and NaNs are set aside in order; while the finite values
+    cannot overflow, math.fsum of the values gives what math.fsum of
+    those gives.
 
     result is None where math.fsum's outcome depends on the order of
     the values: when the finite ones could overflow (largest exponent
-    plus the count's bit length past 2044). The bins are then dropped,
-    exact is False, and the caller takes math.fsum of the values
-    themselves. Values that are all zeros leave no parts, and math.fsum
-    of them is +0.0, as of none.
+    plus the bit length of the count, doubled with twice, past 2044).
+    The bins are then dropped, exact is False, and the caller takes
+    math.fsum of the values themselves. Values that are all zeros leave
+    no parts, and math.fsum of them is +0.0, as of none.
     """
 
-    def __init__(self, scratch: _Scratch):
-        self.scratch, self.exact = scratch, True
+    def __init__(self, scratch: _Scratch, twice: bool = False):
+        self.scratch, self.exact, self.copies = scratch, True, 1 + twice
         self.parts, self.specials = [], []
         self.hi = self.lo = None
         self.count = self.total = self.top = 0
@@ -244,7 +291,7 @@ class _ExactSum:
         if self.count and self.count + k > _MAX_PARTS:
             self._flush()
         self.count += k
-        self.total += k
+        self.total += k * self.copies
         bits = values.view(np.uint64)
         bins = np.right_shift(bits, 52, out=self.scratch.bins[:k]).view(np.int64)
         high = np.bitwise_and(bits, _HIGH, out=self.scratch.high[:k]).view(np.float64)
@@ -279,15 +326,16 @@ class _ExactSum:
         self.hi = self.lo = None
         self.count = 0
 
-    def result(self) -> float | None:
-        """math.fsum of the values, or None if it must be taken of them."""
+    def result(self, extra: list = ()) -> float | None:
+        """math.fsum of the values and extra, or None if it must be taken
+        of them."""
         if not self.exact:
             return None
         if self.hi is not None:
             self._flush()
         if self.specials:
-            return math.fsum(self.specials)
-        return math.fsum(self.parts)
+            return math.fsum(self.specials + list(extra))
+        return math.fsum(self.parts * self.copies + list(extra))
 
 
 def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
@@ -297,142 +345,128 @@ def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
     left-to-right square and multiply. Every step is one correctly
     rounded IEEE operation, so the bits do not depend on the CPU's SIMD
     dispatch, as np.power's do."""
-    np.copyto(r, absx[:, 0])
-    for j in range(1, absx.shape[1]):
+    if absx.shape[1] == 1:
+        np.copyto(r, absx[:, 0])
+    else:
+        np.multiply(absx[:, 0], absx[:, 1], out=r)
+    for j in range(2, absx.shape[1]):
         r *= absx[:, j]
     np.divide(1.0, r, out=r)
-    np.copyto(out, r)
     # A large exponent overflows to inf, which the exact sum passes on.
     with np.errstate(over="ignore"):
-        for bit in bin(exponent)[3:]:
-            out *= out
+        if exponent == 1:
+            np.copyto(out, r)
+        else:
+            np.multiply(r, r, out=out)  # the first square
+        for i, bit in enumerate(bin(exponent)[3:]):
+            if i:
+                out *= out
             if bit == "1":
                 out *= r
     return out
 
 
 def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
-    """(size, s, top, total, bad) of the selected nonzero words that
-    blocks() yields as (words, keys, rows) blocks of at most _BLOCK
-    rows, in order: their count, the exact sum of their terms, and the
-    largest and the sum of their keys. words is overwritten by its
-    absolute values. bad is (rows[i], coordinate, |value|) of the first
-    word i with a coordinate below DIVERSITY_EPS, or None; s and top
-    are then 0.0.
+    """(size, s, top, energy, bad) of the words that blocks() yields as
+    (words, keys, coeffs) blocks of at most _BLOCK rows, each word
+    standing for itself and its negation: their count, the exact sum of
+    their terms (an _ExactSum with twice, unrounded), and the largest and
+    the sum of their keys. words is overwritten by its absolute values.
+    bad is the lex-first word, either sign, with a coordinate below
+    DIVERSITY_EPS, as _lex_first gives it from coeffs, or None; once
+    there is one no term is taken.
 
-    Exact keys (exact True) are integers of at most the cut each, so a
-    block's float64 sum of them is exact while _BLOCK cut < 2^53, and
-    total is an int; keys None (the whole rest box, whose energies stats
-    takes in closed form) leave top 0.0 and total 0. Float norms are
-    summed by an _ExactSum.
+    Exact keys (exact True) come as the block's (largest, sum), integers,
+    or as None (the whole rest box, whose energies report takes in
+    closed form); energy is then the int sum. Float norms are added to
+    energy, an _ExactSum with twice.
 
-    Where an _ExactSum has no result, blocks() is read again and
+    Where an _ExactSum has no result, report reads blocks() again and
     math.fsum takes the values themselves. No term is taken once the
     energy's bins are dropped until the energy is settled, so an energy
     sum that overflows raises before any term can overflow, as when all
     the norms were summed first.
     """
-    energy = None if exact else _ExactSum(scratch)
-    s = _ExactSum(scratch)
-    size, top, total, bad = 0, 0.0, 0, None
-    for words, keys, rows in blocks():
+    energy = 0 if exact else _ExactSum(scratch, twice=True)
+    s = _ExactSum(scratch, twice=True)
+    size, top, bad = 0, 0 if exact else 0.0, None
+    for words, keys, coeffs in blocks():
         size += len(words)
-        if energy is not None:
+        if not exact:
             energy.add(keys)
-        elif keys is not None:
-            total += int(keys.sum())
-        if bad is not None or not len(words):
-            continue
-        if keys is not None:
             top = max(top, float(keys.max()))
+        elif keys is not None:
+            top = max(top, keys[0])
+            energy += keys[1]
         absx = np.abs(words, out=words)
-        bad = _first_violation(absx)
-        if bad is not None:
-            bad = (rows[bad[0]],) + bad[1:]
-        elif energy is None or energy.exact:
+        if float(absx.min()) < DIVERSITY_EPS:
+            bad = _lex_first(bad, absx, coeffs, mirrored=True)
+        elif bad is None and (exact or energy.exact):
             s.add(_terms(absx, exponent, scratch.r[:len(absx)], scratch.t[:len(absx)]))
-    if energy is not None:
-        total = energy.result()
-        if total is None:
-            total = _fsum(blocks, lambda words, keys: keys)
-    if bad is not None:
-        return size, 0.0, 0.0, total, bad
-    s_value = s.result() if energy is None or energy.exact else None
-    if s_value is None:
-        s_value = _fsum(blocks, lambda words, keys: _terms(
-            np.abs(words, out=words), exponent,
-            scratch.r[:len(words)], scratch.t[:len(words)]))
-    return size, s_value, top, total, None
+    return size, s, top, energy, bad
 
 
-def _fsum(blocks, values) -> float:
-    """math.fsum of values(words, keys) over blocks(), as Python floats."""
+def _fsum(blocks, values, extra: list) -> float:
+    """The sum of values(words, keys) over blocks(), each twice, and of
+    extra, as Python floats: math.fsum of the finite ones, which raises
+    OverflowError where they overflow, else math.fsum of the infinities
+    and NaNs, if any. No order of the values enters it."""
     parts = []
     for words, keys, _ in blocks():
         parts += values(words, keys).tolist()
-    return math.fsum(parts)
+    parts = parts * 2 + extra
+    total = math.fsum(v for v in parts if math.isfinite(v))
+    specials = [v for v in parts if not math.isfinite(v)]
+    return math.fsum(specials) if specials else total
 
 
-class _Slices:
-    """The codebook split by its leading coefficient z1, the keys of its
-    coefficient vectors, and the rule (cut, ties) that keeps the words
-    keyed below cut and, of those keyed cut, all (ties None) or the
-    lex-first ties. Every block goes through one fixed _Scratch."""
+class _Codebook:
+    """The codebook of a generator on the box {-m..m}^n under a rule
+    (cut, left): keep the words keyed below cut and, of those keyed cut,
+    all (left None) or the lex-first left. Half the codebook is walked
+    and the rest read as negations. Every block goes through one fixed
+    _Scratch."""
 
     def __init__(self, gen: GeneratorMatrix, m: int, exponent: int):
         self.M, self.m, self.exponent = gen.entries, m, exponent
+        self.F, self.walker = gen.form, gen.walker
+        self.box_top = m * m * self.walker.corner
         self.scratch = _Scratch(gen.n)
-        self.F = F = gen.form
-        exact = F is not None
-        self.form = np.array(F, dtype=float) if exact else None
-        self.det = _frac_det(F) if exact else None
-        if exact:
-            # The form is q(z1, m s) = F_11 z1^2 + z1 m a + m^2 b at each
-            # corner m s, s in {-1, 1}^(n-1), of the rest box: its (a, b).
-            rest = range(1, gen.n)
-            self.corners = [
-                (2 * sum(F[0][j] * s[j - 1] for j in rest),
-                 sum(F[i][j] * s[i - 1] * s[j - 1] for i in rest for j in rest))
-                for s in itertools.product((-1, 1), repeat=gen.n - 1)]
-        self.walker = EllipsoidWalker(F if exact else gen.gram, m)
+        if self.F is not None:
+            # Rows z_2..z_n of the form with z_1 last: a rest vector r
+            # times them gives r F_rest and r (F_12..F_1n).
+            n = gen.n
+            order = [*range(1, n), 0]
+            self.rows = np.array([[self.F[i][j] for j in order] for i in range(1, n)],
+                                 dtype=np.int64).reshape(n - 1, n)
         # The rest sums of the rest box's rows 0..(N-1)/2, once a rule
         # keeps the box; row N-1-i is minus row i, so they give every row.
         self.half = None
+        # The words of the walked half keyed cut, when the rule splits them.
+        self.tied = []
 
     def cap(self, p_lim: float) -> float:
         """The cut of the ball ||x||^2 <= p_lim: p_lim for float keys or an
         infinite p_lim, else the largest integer q <= box_top with
         q^n <= det(F) p_lim^n, decided in Fraction."""
-        if self.form is None or math.isinf(p_lim):
+        if self.F is None or math.isinf(p_lim):
             return p_lim
-        n, top = len(self.form), int(self.walker.box_top)
-        bound = self.det * Fraction(float(p_lim)) ** n
+        n, top = len(self.F), int(self.box_top)
+        bound = self.walker.det * Fraction(float(p_lim)) ** n
         return float(bisect.bisect_right(range(top + 1), bound, key=lambda q: q ** n) - 1)
 
-    def cut(self, target: int) -> tuple[float, list]:
-        """(cut, ties) of the rule that keeps the box's target words lowest
-        in (key, lex) order: cut is the target-th smallest key, and
-        ties[z1 + m] how many words keyed cut slice z1 keeps (None: all).
-        Slices z1 and -z1 hold the same keys, so z1 >= 0 are counted."""
-        m, n, top = self.m, len(self.M), self.walker.box_top
+    def cut(self, target: int) -> tuple[float, int | None]:
+        """(cut, left) of the rule that keeps the box's target words lowest
+        in (key, lex) order: cut is the target-th smallest key, and left
+        how many of the words keyed cut it keeps (None: all)."""
+        n, top = len(self.M), self.box_top
         ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-        covolume = abs(np.linalg.det(self.M)) if self.form is None else math.sqrt(self.det)
+        covolume = abs(np.linalg.det(self.M)) if self.F is None else math.sqrt(self.walker.det)
         radius = (target * covolume / ball) ** (2 / n)
         while True:
             radius = min(radius, top)
-            hists = []
-            for z1 in range(m + 1):
-                z = self.walker.vectors(z1, radius)
-                keys = np.empty(len(z))
-                for i in range(0, len(z), _BLOCK):
-                    keys[i:i + _BLOCK] = self._keys(z1, z[i:i + _BLOCK])
-                # Every key counts from box_top on.
-                hists.append(np.unique(keys[keys <= radius] if radius < top else keys,
-                                       return_counts=True))
-            keys, where = np.unique(np.concatenate([k for k, _ in hists]),
-                                    return_inverse=True)
-            below = np.cumsum(np.bincount(where, np.concatenate(
-                [c * (1 + (z1 > 0)) for z1, (_, c) in enumerate(hists)])))
+            keys, counts = self._histogram(radius)
+            below = np.cumsum(counts)
             if not radius < top or below[-1] >= target:
                 break
             # The box cuts the ball, so the count grows slower than the
@@ -440,49 +474,146 @@ class _Slices:
             grow = 1.1 * max(1.1, (target / below[-1]) ** (2 / n))
             radius = radius * grow if radius > 0 else top
         j = int(np.searchsorted(below, target))
-        cut, left = keys[j], target - (int(below[j - 1]) if j else 0)
-        ties = []
-        for z1 in range(-m, m + 1):
-            k, c = hists[abs(z1)]
-            tied = int(c[k == cut].sum())
-            ties.append(None if left >= tied else left)
-            left -= min(left, tied)
-        return float(cut), ties
+        left = target - (int(below[j - 1]) if j else 0)
+        return float(keys[j]), None if left == counts[j] else left
 
-    def _keys(self, z1: int, z: np.ndarray) -> np.ndarray:
-        """The keys of a block z of slice z1's coefficient vectors, in the
-        scratch: z F z^T, whose z F borrows the words buffer, or the float
-        norms of the words."""
-        if self.form is None:
-            return self._norms(self._words(z1, z[:, 1:]))
-        y = np.matmul(z, self.form, out=self.scratch.words[:len(z)])
-        np.multiply(y, z, out=y)
-        q = self.scratch.keys[:len(z)]
-        np.copyto(q, y[:, 0])
-        for j in range(1, y.shape[1]):
-            q += y[:, j]
-        return q
+    def _histogram(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, counts) of the codebook's words keyed at most radius
+        (every word, from box_top on), zero included, in ascending key
+        order: each word of the walked half counts for itself and its
+        negation. Exact keys are binned by np.bincount, float norms by
+        np.unique."""
+        every = not radius < self.box_top
+        if self.F is not None:
+            cut = math.floor(radius)
+            counts = np.zeros(cut + 1, dtype=np.int64)
+            f = self.F[0][0]
+            for r, lo, runs in self._nodes(radius):
+                a, e, _, _, A, b2 = self._trim(r, lo, runs, cut)
+                parent, z1 = _expand(a, e - a + 1)
+                counts += np.bincount(A[parent] + z1 * (b2[parent] + f * z1), minlength=cut + 1)
+            counts *= 2
+            counts[0] += 1
+            keys = np.flatnonzero(counts)
+            return keys, counts[keys]
+        found = [(np.zeros(1), np.ones(1, dtype=np.int64))]
+        for r, lo, runs in self._nodes(radius):
+            norms = self._norms(self._words(r, runs, _runs(lo, runs)))
+            keys, counts = np.unique(norms if every else norms[norms <= radius],
+                                     return_counts=True)
+            found.append((keys, 2 * counts))
+        keys, where = np.unique(np.concatenate([k for k, _ in found]), return_inverse=True)
+        return keys, np.bincount(where, np.concatenate([c for _, c in found])).astype(np.int64)
+
+    def _nodes(self, cap: float):
+        """The walker's chunks (r, lo, runs) at cap of half the codebook:
+        rest vectors r <lex 0 with their whole runs of z1, then r = 0 with
+        z1 >= 1. With their negations they hold every word but zero; the
+        walk stops at the first r >lex 0."""
+        for r, lo, runs in self.walker.nodes(cap, _BLOCK, self.m):
+            below, zero = _around_zero(r)
+            end = below + zero
+            if zero:
+                start = np.maximum(lo[below:end], 1)
+                runs[below:end] = np.maximum(lo[below:end] + runs[below:end] - start, 0)
+                lo[below:end] = start
+            yield r[:end], lo[:end], runs[:end]
+            if end < len(r):
+                return
+
+    def _trim(self, r: np.ndarray, lo: np.ndarray, runs: np.ndarray, cut: int):
+        """(a, e, qa, qe, A, b2): each walked run cut to z1 = a..e, the
+        exact run q = A + z1 (b2 + F_11 z1) <= cut, and q at its ends,
+        where A = r F_rest r^T and b2 = 2 r (F_12..F_1n). q is convex in z1
+        and the walked run holds the exact one, so its ends move in until
+        they are within the cut. Every value is an integer far below 2^63,
+        exact in int64."""
+        y = np.matmul(r, self.rows)
+        A, b2, f = np.einsum("ij,ij->i", y[:, :-1], r), 2 * y[:, -1], self.F[0][0]
+
+        def q(z):
+            return A + z * (b2 + f * z)
+
+        a, e = lo, lo + runs - 1
+        qa, qe = q(a), q(e)
+        while (out := (qa > cut) & (e >= a)).any():
+            a += out
+            qa = q(a)
+        while (out := (qe > cut) & (e >= a)).any():
+            e -= out
+            qe = q(e)
+        return a, e, qa, qe, A, b2
+
+    def _walked(self, cut: float, split: bool):
+        """(words, keys, coeffs) per chunk of the walked half's words that
+        the rule keeps: for exact keys, the chunk's (largest, sum) from
+        each run's ends and closed form; else the float norms, kept by a
+        mask. coeffs(rows) gives rows' coefficient vectors. With split the
+        words keyed cut are left out and gathered in self.tied, as (z1, r)
+        rows: for exact keys they are run ends, q being strictly convex."""
+        self.tied = []
+        exact = self.F is not None
+        f = self.F[0][0] if exact else None
+        for r, lo, runs in self._nodes(cut):
+            if exact:
+                a, e, qa, qe, A, b2 = self._trim(r, lo, runs, int(cut))
+                if split:
+                    ta = (e >= a) & (qa == cut)
+                    te = (e > a) & (qe == cut)
+                    self.tied += [np.column_stack((a[ta], r[ta])), np.column_stack((e[te], r[te]))]
+                    a, e = a + ta, e - te
+                    qa, qe = A + a * (b2 + f * a), A + e * (b2 + f * e)
+                count = e - a + 1
+                live = count > 0
+                if not live.any():
+                    continue
+                # q(a + t) = q(a) + t (b2 + 2 F_11 a) + F_11 t^2, summed over
+                # t = 0..count-1.
+                pairs = count * (count - 1)
+                keys = (int(np.maximum(qa, qe)[live].max()),
+                        int(count @ qa + (b2 + 2 * f * a) @ (pairs // 2)
+                            + f * (pairs * (2 * count - 1) // 6).sum()))
+            else:
+                count = runs
+            z1 = _runs(a if exact else lo, count)
+            words, kept = self._words(r, count, z1), None
+            if not exact:
+                keys = self._norms(words)
+                keep = self.scratch.keep[:len(keys)]
+                (np.less if split else np.less_equal)(keys, cut, out=keep)
+                if split:
+                    self.tied.append(_coeffs(r, count, z1, np.flatnonzero(keys == cut)))
+                if np.count_nonzero(keep) < len(keep):
+                    kept = np.flatnonzero(keep)
+                    words, keys = words[kept], keys[kept]
+                if not len(words):
+                    continue
+            yield words, keys, lambda rows: _coeffs(r, count, z1, rows if kept is None else kept[rows])
 
     def _rest(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The rest sums (z_2 M_2j + z_3 M_3j) + ... + z_n M_nj of a block
-        r of rest vectors into the columns of out; +0.0 for n = 1."""
-        M, t = self.M, self.scratch.t[:len(r)]
+        r of rest vectors into the columns of out, all columns at once,
+        with the scratch words as the products; +0.0 for n = 1."""
+        M, t = self.M, self.scratch.words[:len(r)]
         if len(M) == 1:
             out.fill(0.0)
             return out
-        for j in range(len(M)):
-            np.multiply(r[:, 0], M[1, j], out=out[:, j])
-            for i in range(2, len(M)):
-                np.add(out[:, j], np.multiply(r[:, i - 1], M[i, j], out=t), out=out[:, j])
+        np.multiply.outer(r[:, 0], M[1], out=out)
+        for i in range(2, len(M)):
+            np.add(out, np.multiply.outer(r[:, i - 1], M[i], out=t), out=out)
         return out
 
-    def _words(self, z1: int, r: np.ndarray) -> np.ndarray:
-        """The words of slice z1 over a block r of rest vectors, by the
-        word formula, in the scratch."""
-        words = self.scratch.words[:len(r)]
-        rest = self._rest(r, words)
-        for j, x in enumerate(z1 * self.M[0]):
-            np.add(rest[:, j], x, out=words[:, j])
+    def _words(self, r: np.ndarray, count: np.ndarray, z1: np.ndarray) -> np.ndarray:
+        """The words of the rows (z1[i], r[k]), count[k] rows for each rest
+        vector r[k] in turn, by the word formula, in the scratch: each rest
+        vector's rest sums once, then z1 M_1j added to them row by row."""
+        if self.scratch.rest is None:
+            self.scratch.rest = np.empty_like(self.scratch.words)
+        rest = self._rest(r, self.scratch.rest[:len(r)])
+        words, t = self.scratch.words[:len(z1)], self.scratch.t[:len(z1)]
+        for j in range(len(self.M)):
+            np.add(np.repeat(rest[:, j], count), np.multiply(z1, self.M[0, j], out=t),
+                   out=words[:, j])
         return words
 
     def _box_words(self, z1: int, i: int, stop: int) -> np.ndarray:
@@ -511,117 +642,89 @@ class _Slices:
                 np.add(norms, np.multiply(words[:, j], words[:, j], out=t), out=norms)
         return norms
 
-    def _blocks(self, z1: int, z, cut: float, ties):
-        """(words, keys, rows) per block of slice z1's rest vectors: the
-        words the rule keeps other than the zero word, their keys, and
-        their row numbers in z or in the rest box. z holds the walker's
-        rows, or is None for the whole rest box, which the rule keeps
-        whole and whose keys are None for exact keys. The words of a
-        whole block are the scratch's, overwritten by the next block."""
-        count = len(z) if z is not None else 2 * len(self.half) - 1
-        for i in range(0, count, _BLOCK):
-            stop = min(i + _BLOCK, count)
-            keep = self.scratch.keep[:stop - i]
-            r = None if z is None else z[i:stop, 1:]
-            if z is None:
-                words = self._box_words(z1, i, stop)
-                keys = None if self.form is not None else self._norms(words)
-            elif self.form is None:
-                words = self._words(z1, r)
-                keys = self._norms(words)
-            else:
-                # Exact keys first: their product borrows the words buffer.
-                keys = self._keys(z1, z[i:stop])
-                words = self._words(z1, r)
-            if keys is None:
-                keep.fill(True)
-            else:
-                np.less_equal(keys, cut, out=keep)
-            if ties is not None:
-                tied = np.flatnonzero(keys == cut)
-                keep[tied[ties:]] = False
-                ties -= min(ties, len(tied))
-            if z1 == 0 and z is not None:
-                keep &= r.any(axis=1)
-            elif z1 == 0 and i < len(self.half) <= stop:
-                keep[len(self.half) - 1 - i] = False  # the zero word: the middle row
-            if np.count_nonzero(keep) == len(keep):
-                yield words, keys, range(i, stop)
-            else:
-                yield words[keep], None if keys is None else keys[keep], i + np.flatnonzero(keep)
+    def _box_blocks(self):
+        """(words, keys, coeffs) per block of half the whole box, slice by
+        slice: rows 0..mid-1 of slice 0 (the rest vectors below zero), and
+        every row of slices 1..m. keys are the float norms, or None for
+        exact keys; coeffs(rows) gives rows' coefficient vectors."""
+        k, m = len(self.M) - 1, self.m
+        if self.half is None:
+            half = ((2 * m + 1) ** k + 1) // 2
+            self.half = np.empty((half, len(self.M)), order="F")
+            for i in range(0, half, _BLOCK):
+                stop = min(i + _BLOCK, half)
+                self._rest(_box(k, m, i, stop), self.half[i:stop])
+        mid = len(self.half) - 1
+        for z1 in range(m + 1):
+            count = mid if z1 == 0 else 2 * mid + 1
+            for i in range(0, count, _BLOCK):
+                words = self._box_words(z1, i, min(i + _BLOCK, count))
+                keys = None if self.F is not None else self._norms(words)
+                yield words, keys, lambda rows, z1=z1, i=i: np.column_stack(
+                    (np.full(len(rows), z1), _box_rows(k, m, i + rows)))
 
-    def _box_energy(self, z1: int) -> tuple[int, int]:
-        """(largest, sum) of the exact keys of slice z1's words over the
-        whole rest box {-m..m}^(n-1). The box is symmetric, so the sum's
-        cross terms z_i z_j (i != j) cancel and each rest coordinate adds
-        F_jj times its sum of squares; the form is convex, so its largest
-        value on the box is at a corner."""
-        F, m, n = self.F, self.m, len(self.F)
-        side = 2 * m + 1
-        total = side ** (n - 1) * F[0][0] * z1 * z1
-        if n > 1:
-            total += (sum(F[j][j] for j in range(1, n)) * side ** (n - 2)
-                      * (m * (m + 1) * side // 3))
-        top = F[0][0] * z1 * z1 + max(z1 * m * a + m * m * b for a, b in self.corners)
-        return top, total
-
-    def stats(self, z1: int, cut: float, ties: int | None = None):
-        """(count, s_partial, top, energy_partial, bad) of the words of
-        slice z1 that the rule (cut, ties) keeps: top and energy_partial
-        are the largest and the sum of their keys, exact integers where
-        the generator has a form, and bad is the first (lex order)
-        diversity violation as (coefficient vector, coordinate index,
-        coordinate value), or None."""
-        z = None
-        if ties is None and not cut < self.walker.box_top:
-            if self.half is None:
-                k = len(self.M) - 1
-                half = ((2 * self.m + 1) ** k + 1) // 2
-                self.half = np.empty((half, len(self.M)), order="F")
-                for i in range(0, half, _BLOCK):
-                    stop = min(i + _BLOCK, half)
-                    self._rest(_box(k, self.m, i, stop), self.half[i:stop])
-        else:
-            z = self.walker.vectors(z1, cut)
-        exact = self.form is not None
-        size, s_partial, top, energy, bad = _reduce(
-            lambda: self._blocks(z1, z, cut, ties), self.exponent, self.scratch, exact)
-        if bad is not None:
-            row, coord, value = bad
-            rest = _box(len(self.M) - 1, self.m, row, row + 1)[0] if z is None else z[row, 1:]
-            bad = ((z1, *map(int, rest)), coord, value)
-        elif exact and z is None:
-            top, energy = self._box_energy(z1)
-        # The zero word, in slice 0 whatever the rule, counts but has no term.
-        return size + (z1 == 0), s_partial, top, energy, bad
-
-    def report(self, cut: float, ties: list, lattice_name: str,
+    def report(self, cut: float, left: int | None, lattice_name: str,
                p_lim: float = math.inf, target_size: int | None = None) -> SumReport:
-        """The SumReport of the words that the rule keeps, ties[z1 + m]
-        being slice z1's; slice -z1 mirrors slice z1 where their ties
-        agree."""
-        m = self.m
-        own = [self.stats(z1, cut, ties[z1 + m]) for z1 in range(m + 1)]
-        parts = [own[abs(z1)] if ties[z1 + m] == ties[abs(z1) + m]
-                 else self.stats(z1, cut, ties[z1 + m]) for z1 in range(-m, m + 1)]
-        # A mirrored slice -z1 reports slice z1's violation, whose mirror
-        # need not be the lex-first one there: rescan that slice.
-        first_bad = next((i for i, p in enumerate(parts) if p[4] is not None), None)
-        if first_bad is not None:
-            if first_bad < m:
-                parts[first_bad] = self.stats(first_bad - m, cut, ties[first_bad])
-            raise DiversityError(*parts[first_bad][4])
-        size, n = sum(p[0] for p in parts), len(self.M)
-        top = max((p[2] for p in parts if p[0]), default=0.0)
-        if self.form is None:
-            p_max, p_ave = top, math.fsum(p[3] for p in parts) / size
+        """The SumReport of the words that the rule (cut, left) keeps: half
+        of them walked, or read from the whole box's half block, each for
+        itself and its negation, and the lex-first left words keyed cut,
+        each once. Energies are settled before any term of those is taken,
+        and S and a plain array's energy are rounded once."""
+        n, exact = len(self.M), self.F is not None
+        whole = left is None and not cut < self.box_top
+        blocks = self._box_blocks if whole else lambda: self._walked(cut, left is not None)
+        size, s, top, energy, bad = _reduce(blocks, self.exponent, self.scratch, exact)
+        size = 2 * size + 1  # the zero word counts but has no term
+        # No term is taken once a plain array's energy bins are dropped.
+        settled = exact or energy.exact
+        tied, e_extra = np.empty((0, n), dtype=np.int64), []
+        if left is not None:
+            tied = np.concatenate([tied, *self.tied])
+            tied = np.concatenate((tied, -tied))
+            tied = tied[np.lexsort(tied.T[::-1])[:left]]
+            size, top = size + left, max(top, int(cut) if exact else cut)
+        for z, words in self._tied_blocks(tied):
+            if not exact:
+                e_extra += self._norms(words).tolist()
+            absx = np.abs(words, out=words)
+            if float(absx.min()) < DIVERSITY_EPS:
+                bad = _lex_first(bad, absx, lambda rows: z[rows], mirrored=False)
+        if not exact:
+            total = energy.result(e_extra)
+            if total is None:
+                total = _fsum(blocks, lambda words, keys: keys, e_extra)
+            p_max, p_ave = top, total / size
         else:
-            p_max = _rounded(int(top), 1, self.det, n)
-            p_ave = _rounded(sum(p[3] for p in parts), size, self.det, n)
+            if whole:
+                # The box's cross terms cancel, and its largest q is at a corner.
+                m, side = self.m, 2 * self.m + 1
+                top = int(self.box_top)
+                energy = (sum(self.F[j][j] for j in range(n)) * side ** (n - 1)
+                          * (m * (m + 1) * side // 3))
+            else:
+                energy = 2 * energy + len(tied) * int(cut)
+            p_max = _rounded(top, 1, self.walker.det, n)
+            p_ave = _rounded(energy, size, self.walker.det, n)
+        if bad is not None:
+            raise DiversityError(*bad)
+
+        def terms(words, keys=None):
+            return _terms(np.abs(words, out=words), self.exponent,
+                          self.scratch.r[:len(words)], self.scratch.t[:len(words)])
+
+        s_extra = [t for _, words in self._tied_blocks(tied) for t in terms(words).tolist()]
+        s_value = s.result(s_extra) if settled else None
+        if s_value is None:
+            s_value = _fsum(blocks, terms, s_extra)
         return SumReport(
-            lattice_name, n, m, p_lim, size, p_max=p_max, p_ave=p_ave,
-            s_value=math.fsum(p[1] for p in parts),
-            exponent=self.exponent, target_size=target_size)
+            lattice_name, n, self.m, p_lim, size, p_max=p_max, p_ave=p_ave,
+            s_value=s_value, exponent=self.exponent, target_size=target_size)
+
+    def _tied_blocks(self, tied: np.ndarray):
+        """(z, words) per block of _BLOCK coefficient rows z of tied."""
+        for i in range(0, len(tied), _BLOCK):
+            z = tied[i:i + _BLOCK]
+            yield z, self._words(z[:, 1:], np.ones(len(z), dtype=np.int64), z[:, 0])
 
 
 def inverse_norm_power_sum(
@@ -634,9 +737,8 @@ def inverse_norm_power_sum(
     """S over the box-and-ball codebook, with energy statistics: the rule
     with cut at the cap of p_lim, keeping every tie."""
     m, exponent = _check_box_args(m, p_lim, exponent)
-    slices = _Slices(_as_generator(gen), m, exponent)
-    return slices.report(slices.cap(p_lim), [None] * (2 * m + 1),
-                         lattice_name, p_lim)
+    codebook = _Codebook(_as_generator(gen), m, exponent)
+    return codebook.report(codebook.cap(p_lim), None, lattice_name, p_lim)
 
 
 def carve_lowest_energy(
@@ -658,9 +760,9 @@ def carve_lowest_energy(
     if target_size > box_size:
         raise DomainError(
             "target_size %d exceeds box size %d" % (target_size, box_size))
-    slices = _Slices(gen, m, exponent)
-    return slices.report(*slices.cut(target_size), lattice_name,
-                         target_size=target_size)
+    codebook = _Codebook(gen, m, exponent)
+    return codebook.report(*codebook.cut(target_size), lattice_name,
+                           target_size=target_size)
 
 
 def table_sweep(sweeps, exponent: int = 3) -> list[SumReport]:

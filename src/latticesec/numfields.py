@@ -34,9 +34,11 @@ embedding values, at roots isolated to 1e-15.
 The package's lattice-point enumeration lives here too, so that one
 module owns the lex layout of the coefficient box. _box is the box
 {-m..m}^k in lex order, and EllipsoidWalker enumerates the integer
-vectors of an ellipsoid z G z^T <= cap, within that box or not, one
-leading coefficient at a time. The walker serves the capped sums and
-the carve in constellation, and theta_series_oracle.
+vectors of an ellipsoid z G z^T <= cap, within that box or not, as
+runs of the last coordinate under lex-ordered prefixes. The walker
+serves the capped sums and the carve in constellation, through the one
+each GeneratorMatrix builds with z_1 walked last, and
+theta_series_oracle.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -195,6 +198,16 @@ class GeneratorMatrix:
     def det(self) -> float:
         return float(np.linalg.det(self.entries))
 
+    @cached_property
+    def walker(self) -> EllipsoidWalker:
+        """The walker of form, or of gram if there is none, with the
+        coordinates taken in the order z_2, ..., z_n, z_1: its prefixes
+        are rest vectors, each with its run of z_1. Built once per
+        generator; it reads the upper triangle of the unturned gram."""
+        g = self.gram if self.form is None else self.form
+        order = [*range(1, self.n), 0]
+        return EllipsoidWalker([[g[min(i, j)][max(i, j)] for j in order] for i in order])
+
 
 @dataclass(frozen=True)
 class LatticeSpec:
@@ -276,17 +289,29 @@ def _box(k: int, m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
     middle row. The entries are small integers stored as float64, which
     is exact, column-major, so each coordinate is a contiguous column.
     """
+    return _box_rows(k, m, np.arange(start, (2 * m + 1) ** k if stop is None else stop))
+
+
+def _box_rows(k: int, m: int, rows: np.ndarray) -> np.ndarray:
+    """The rows of {-m..m}^k with the given lex indices, as _box has them.
+    The int64 array rows is overwritten."""
     side = 2 * m + 1
-    rows = np.arange(start, side ** k if stop is None else stop)
     out = np.empty((len(rows), k), order="F")
+    digit = np.empty_like(rows)
     for j in range(k - 1, -1, -1):
-        rows, digit = np.divmod(rows, side)
+        np.divmod(rows, side, out=(rows, digit))
         np.subtract(digit, m, out=out[:, j])
     return out
 
 
+# Nodes per group that a level of the walk expands at once: a group's
+# arrays, a few per coordinate, stay within a few hundred KB.
+_GROUP = 1024
+
+
 class EllipsoidWalker:
-    """Integer vectors z with z G z^T <= cap, one leading coefficient at a time.
+    """Integer vectors z with z G z^T <= cap, as runs of their last
+    coordinate under each prefix z_1..z_{n-1}.
 
     This is Fincke-Pohst enumeration (Math. Comp. 44, 1985), vectorised
     level by level. Completing the square in z_n, then in z_{n-1}, and
@@ -297,14 +322,16 @@ class EllipsoidWalker:
     so once z_1..z_{k-1} are fixed, the z_k that keep the partial sum at
     or below the cap form one run around -sum_{j<k} U_jk z_j. D and U
     are computed exactly in Fraction from the Gram entries and rounded
-    once to float. With a box bound m every run is clipped to -m..m.
-    Each level expands its runs in ascending order under ascending
-    prefixes, so the candidates come out in lex order. vectors, the
-    walker's one output, gives the candidates of one slice z1, or of
-    every slice at once, as column-major float64 rows like those of _box.
+    once to float; det is prod D_k, exact. With a box bound m every run
+    is clipped to -m..m. Each level expands its runs in ascending order
+    under ascending prefixes, so the candidates come out in lex order.
+    nodes, the walker's one output, streams them: a level expands its
+    nodes in groups of about _GROUP children, so no level holds more than
+    about _GROUP nodes, and the last level's runs come in chunks of a
+    given number of rows.
 
-    The candidates of slice z1 hold every z (in the box, if m is given)
-    with z G z^T <= cap, and, for G = M M^T, every word whose float norm
+    The candidates hold every z (in the box, if m is given) with
+    z G z^T <= cap, and, for G = M M^T, every word whose float norm
     ||zM||^2 is <= cap. Such a z has |z_j| <= sqrt(cap (G^-1)_jj), and
     |U_jk| <= sqrt(G_jj / D_k). So with kappa = sum_j sqrt(G_jj (G^-1)_jj)
     (math.fsum), at least n, the float walk's partial norms are off by a few
@@ -321,10 +348,11 @@ class EllipsoidWalker:
     needs, but it drops none.
 
     Only the upper triangle of gram is read, since a float M @ M.T need
-    not be symmetric bit for bit.
+    not be symmetric bit for bit. Nothing here depends on a box bound:
+    the box's largest value of the form is m^2 corner.
     """
 
-    def __init__(self, gram, m: int | None = None):
+    def __init__(self, gram):
         gram = np.asarray(gram).tolist()  # a Fraction of an np.int64 wraps
         n = len(gram)
         g = [[Fraction(gram[min(i, j)][max(i, j)]) for j in range(n)]
@@ -351,75 +379,80 @@ class EllipsoidWalker:
                           for j in range(n))
         self.widen = 1.0 + 2.0 ** -30 * kappa * kappa
         self.d = [float(x) for x in d]
-        self.m = m
-        self.box_top = math.inf
-        if m is not None:
-            # A positive definite form is convex: its maximum over the box
-            # lies at a corner.
-            c = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-            gf = np.array([[float(x) for x in row] for row in g])
-            self.box_top = m * m * float(np.einsum("ij,jk,ik->i", c, gf, c).max())
+        self.det = math.prod(d)
+        # A positive definite form is convex: its maximum over a box lies
+        # at a corner.
+        c = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+        gf = np.array([[float(x) for x in row] for row in g])
+        self.corner = float(np.einsum("ij,jk,ik->i", c, gf, c).max())
 
-    def leading(self, cap: float) -> range:
-        """The leading coefficients z1 whose slices can hold candidates,
-        ignoring the box."""
-        b = math.floor(math.sqrt(cap * self.widen / self.d[0]))
-        return range(-b, b + 1)
+    def nodes(self, cap: float, block: int, m: int | None = None):
+        """The candidates in ascending lex order, as chunks (prefix, lo,
+        runs): row i of the int64 array prefix holds z_1..z_{n-1}, and
+        the candidates under it are z_n = lo[i]..lo[i]+runs[i]-1, every
+        run nonempty. Each chunk's runs total block, the last one's fewer;
+        a run that a chunk ends inside goes on in the next chunk under
+        the same prefix. For n = 1 the prefixes are empty rows."""
+        n = len(self.d)
+        root = np.array([cap * self.widen])
+        left = None
+        for group in self._level(0, [], root, [np.zeros(1)] * n, m):
+            if left is not None:
+                prefix, lo, runs = (np.concatenate(pair) for pair in zip(left, group))
+                group = np.asfortranarray(prefix), lo, runs
+            left = yield from _chunks(*group, block)
+        if left is not None and len(left[1]):
+            yield left
 
-    def vectors(self, z1: int | None, cap: float) -> np.ndarray:
-        """The candidates (z_1, ..., z_n) of slice z1, or of every slice if
-        z1 is None, as rows in ascending lex order. The entries are small
-        integers stored as float64, exact, as _box stores them."""
-        n, d, u, m = len(self.d), self.d, self.u, self.m
-        # One node, the root or below it z1, is walked in Python floats,
-        # which round as numpy's float64 do: its room and the centres
-        # c[j] = -sum_{i<j} U_ij z_i of the coordinates below it.
-        room, c, prefix = cap * self.widen, [0.0] * n, []
-        if z1 is not None:
-            if not (d[0] * z1 * z1 <= room and (m is None or abs(z1) <= m)):
-                return np.empty((0, n))
-            if n == 1:
-                return np.array([[z1]], dtype=float)
-            y = z1 - c[0]
-            room = room - d[0] * y * y
-            c = [c[j] - z1 * u[0, j] for j in range(n)]
-            prefix = [z1]
-        k0 = len(prefix)
-        half = math.sqrt(max(room, 0.0) / d[k0])
-        lo, hi = c[k0] - half, c[k0] + half
+    def _level(self, k: int, cols: list, room: np.ndarray, c: list, m: int | None):
+        """(prefix, lo, runs) of the nonempty last-level runs under nodes
+        z_1..z_k (the columns cols), each with its room and the centres
+        c[j] = -sum_{i<k} U_ij z_i, j >= k, a group of nodes at a time."""
+        d, u, n = self.d, self.u, len(self.d)
+        half = np.sqrt(np.maximum(room, 0.0) / d[k])
+        lo, hi = np.ceil(c[k] - half), np.floor(c[k] + half)
         if m is not None:
-            lo, hi = max(lo, -m), min(hi, m)
-        # Its run of coordinate k0 is the first level of many nodes; the
-        # levels below are walked vectorised, one node per element.
-        zk = np.arange(math.ceil(lo), math.floor(hi) + 1, dtype=np.int64)
-        cols, runs = [zk], None
-        for k in range(k0, n - 1):
-            if runs is not None:
-                parent, zk = _expand(lo, runs)
-                cols = [x[parent] for x in cols] + [zk]
-                room, c[k:] = room[parent], [x[parent] for x in c[k:]]
-            y = zk - c[k]
-            room = room - d[k] * y * y
-            c[k + 1:] = [c[j] - zk * u[k, j] for j in range(k + 1, n)]
-            half = np.sqrt(np.maximum(room, 0.0) / d[k + 1])
-            lo, hi = np.ceil(c[k + 1] - half), np.floor(c[k + 1] + half)
-            if m is not None:
-                np.maximum(lo, -m, out=lo)
-                np.minimum(hi, m, out=hi)
-            runs = np.maximum(hi - lo + 1, 0).astype(np.intp)
-            lo = lo.astype(np.int64)
-        # cols holds coordinates len(prefix).. of each node of the last
-        # level but one, and each node is followed by each z_n of its run.
-        if runs is None:
-            out = np.empty((len(zk), n), order="F")
-            out[:, -1] = zk
-        else:
-            out = np.empty((int(runs.sum()), n), order="F")
-            for j, col in enumerate(cols):
-                out[:, len(prefix) + j] = np.repeat(col, runs)
-            out[:, -1] = _expand(lo, runs)[1]
-        out[:, :len(prefix)] = prefix
-        return out
+            np.maximum(lo, -m, out=lo)
+            np.minimum(hi, m, out=hi)
+        runs = np.maximum(hi - lo + 1, 0).astype(np.int64)
+        lo = lo.astype(np.int64)
+        if k == n - 1:
+            live = runs > 0
+            prefix = np.empty((int(np.count_nonzero(live)), k), dtype=np.int64, order="F")
+            for j, x in enumerate(cols):
+                prefix[:, j] = x[live]
+            yield prefix, lo[live], runs[live]
+            return
+        # Parents whose runs start in the same _GROUP children go together.
+        group = (np.cumsum(runs) - runs) // _GROUP
+        bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(runs)]
+        for s, e in zip(bounds, bounds[1:]):
+            parent, zk = _expand(lo[s:e], runs[s:e])
+            parent += s
+            y = zk - c[k][parent]
+            kids = [x[parent] for x in cols] + [zk]
+            centres = [None] * (k + 1) + [c[j][parent] - zk * u[k, j] for j in range(k + 1, n)]
+            yield from self._level(k + 1, kids, room[parent] - d[k] * y * y, centres, m)
+
+
+def _chunks(prefix: np.ndarray, lo: np.ndarray, runs: np.ndarray, block: int):
+    """Yield (prefix, lo, runs) chunks of block rows of the runs, and
+    return the rows left over, fewer than block, as the same triple."""
+    end = np.cumsum(runs)
+    start = end - runs
+    total, s = int(end[-1]) if len(end) else 0, 0
+    while True:
+        e = min(s + block, total)
+        i, j = int(np.searchsorted(end, s, "right")), int(np.searchsorted(start, e))
+        a, b = lo[i:j].copy(), runs[i:j].copy()
+        if i < j:
+            a[0] += s - start[i]
+            b[0] -= s - start[i]
+            b[-1] -= end[j - 1] - e
+        if e - s < block:
+            return prefix[i:j], a, b
+        yield prefix[i:j], a, b
+        s = e
 
 
 def _expand(lo: np.ndarray, runs: np.ndarray):

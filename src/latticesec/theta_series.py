@@ -19,7 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, positive_int
-from .numfields import EllipsoidWalker
+from .numfields import EllipsoidWalker, _expand
+
+# Candidate rows per chunk of the walk: the chunk's vectors, their
+# products with the Gram and their norms stay in L2.
+_BLOCK = 2048
 
 
 def _as_fraction_matrix(gram) -> list[list[Fraction]]:
@@ -50,15 +54,16 @@ def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]
     walker = EllipsoidWalker(gi)  # also validates positive definiteness
 
     counts: dict[int, int] = {}
-    for z1 in walker.leading(cap):
-        z = walker.vectors(z1, cap)
+    for prefix, lo, runs in walker.nodes(cap, _BLOCK):
+        parent, last = _expand(lo, runs)
+        z = np.column_stack((prefix[parent], last))
         # int64 is exact while sum_ij |G_ij| b_i b_j, with b_j >= 1 bounding
         # |z_j|, stays below 2^63; past that Python ints take over.
-        b = [max(1, int(v)) for v in np.abs(z).max(axis=0, initial=0)]
+        b = [max(1, int(v)) for v in np.abs(z).max(axis=0)]
         wide = sum(abs(gi[i][j]) * b[i] * b[j] for i in range(len(b))
                    for j in range(len(b))) >= 2 ** 63
         dtype = object if wide else np.int64
-        z = z.astype(np.int64).astype(dtype, copy=False)
+        z = z.astype(dtype, copy=False)
         norms = ((z @ np.array(gi, dtype=dtype)) * z).sum(axis=1)
         for q, c in zip(*np.unique(norms, return_counts=True)):
             if int(q) <= cap:

@@ -14,13 +14,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from norm_oracle import exact_codebook, rounded_energy
 
-from latticesec import constellation
+from latticesec import constellation, numfields
 from latticesec.constellation import (
     TABLE1_ROWS,
     TABLE2_ROWS,
     SumReport,
     TableRow,
-    _first_violation,
+    _lex_first,
     _terms,
     carve_lowest_energy,
     inverse_norm_power_sum,
@@ -28,7 +28,7 @@ from latticesec.constellation import (
     table_sweep,
 )
 from latticesec.errors import DiversityError, DomainError
-from latticesec.numfields import EllipsoidWalker, _box, _frac_det
+from latticesec.numfields import EllipsoidWalker, GeneratorMatrix, _box, _expand, _frac_det
 
 # Frozen full-precision regressions for the shipped lattices, computed by
 # this implementation and cross-checked against the published
@@ -216,10 +216,12 @@ def _unfolded_sum(gen, m, p_lim=math.inf, target=None, exponent=3):
     its form F, else the float norms. The rule keeps the rows keyed
     below a cut and the lex-first k keyed at it: for a sum, every row
     with ||x||^2 <= p_lim (q^n <= det(F) p_lim^n for exact keys); for a
-    carve, the target rows lowest in (key, lex) order. p_max and p_ave
-    are the largest and the mean key, for exact keys each an integer or
-    a ratio of integers times det(F)^(-1/4), rounded once (gen is then a
-    catalogued n = 4 lattice).
+    carve, the target rows lowest in (key, lex) order. S is math.fsum of
+    every kept word's term, rounded once. p_max and p_ave are the largest
+    and the mean key: for exact keys each an integer or a ratio of
+    integers times det(F)^(-1/4), rounded once (gen is then a catalogued
+    n = 4 lattice); for float keys the largest norm and math.fsum of all
+    the norms over the size.
     """
     M = np.asarray(getattr(gen, "entries", gen))
     form = getattr(gen, "form", None)
@@ -243,29 +245,29 @@ def _unfolded_sum(gen, m, p_lim=math.inf, target=None, exponent=3):
         bound = _frac_det(form) * Fraction(p_lim) ** n
         keep = np.array([q ** n <= bound for q in keys.tolist()])
     keep = keep.reshape(2 * m + 1, -1)
-    size, top, s_parts, energy_parts = 0, 0.0, [], []
+    size, top, terms, kept_energies = 0, 0.0, [], []
     for z1, block, energy, kept in zip(range(-m, m + 1), words, energies, keep):
         nonzero = kept & (np.any(rest != 0, axis=1) | (z1 != 0))
         size += int(np.count_nonzero(kept))
-        energy_parts.append(energy[kept].tolist())
+        kept_energies += energy[kept].tolist()
         if np.any(nonzero):
-            terms = _inverse_power(np.prod(np.abs(block[nonzero]), axis=1), exponent)
-            s_parts.append(math.fsum(terms))
+            terms += _inverse_power(np.prod(np.abs(block[nonzero]), axis=1), exponent).tolist()
             top = max(top, energy[nonzero].max().item())
     if form is None:
-        p_max, p_ave = top, math.fsum(map(math.fsum, energy_parts)) / size
+        p_max, p_ave = top, math.fsum(kept_energies) / size
     else:
         det = int(_frac_det(form))
         p_max = rounded_energy(int(top), 1, det)
-        p_ave = rounded_energy(sum(map(sum, energy_parts)), size, det)
-    return size, p_max, p_ave, math.fsum(s_parts)
+        p_ave = rounded_energy(sum(kept_energies), size, det)
+    return size, p_max, p_ave, math.fsum(terms)
 
 
 def test_folded_kernel_matches_unfolded_bits(lambda1, lambda2, lambda3):
-    # Only slices z1 >= 0 are computed; the mirrored fold must reproduce
-    # the full computation bit for bit, capped or not, with the exact
-    # keys of the catalogued generators and with float keys of the same
-    # entries as a plain array.
+    # Only half the codebook is computed, each word standing for its
+    # negation too; rounded once, the fold must reproduce the full
+    # computation bit for bit, capped or not, with the exact keys of the
+    # catalogued generators and with float keys of the same entries as a
+    # plain array.
     for spec in (lambda1, lambda2, lambda3):
         for gen in (spec.generator, spec.generator.entries):
             for m, p_lim, exponent in ((1, math.inf, 3), (4, math.inf, 3),
@@ -335,7 +337,7 @@ def test_a_cap_past_the_box_skips_the_walk(lambda1, lambda2, lambda3, monkeypatc
     def no_walk(*args):
         raise AssertionError("walked")
 
-    monkeypatch.setattr(EllipsoidWalker, "vectors", no_walk)
+    monkeypatch.setattr(EllipsoidWalker, "nodes", no_walk)
     for spec in (lambda1, lambda2, lambda3):
         rep = inverse_norm_power_sum(spec.generator, 3, p_lim=1e308)
         assert rep == replace(inverse_norm_power_sum(spec.generator, 3), p_lim=1e308)
@@ -345,35 +347,41 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
     # The shipped lattices, a diagonal one and the exactly tied [[1, 3],
     # [3, -1]], whose words all have integer energies 10 (z1^2 + z2^2).
     # The float norms of the words, by the word formula, are the keys a
-    # plain generator's sum and carve test against a cap.
+    # plain generator's sum and carve test against a cap. The walker a
+    # plain generator builds walks M M^T with z1 last, so its candidates
+    # come rest vector by rest vector, each with its run of z1.
     gens = [spec.generator.entries for spec in (lambda1, lambda2, lambda3)]
     for M in gens + [np.eye(2), np.array([[1.0, 3.0], [3.0, -1.0]])]:
         n = M.shape[0]
+        walker = GeneratorMatrix(M).walker
         for m in range(1, 10):
             side = 2 * m + 1
             rest = _box(n - 1, m)
-            norms = np.stack([_column_formula(np.insert(rest, 0, z1, axis=1), M)[1]
-                              for z1 in range(-m, m + 1)])
+            norms = np.concatenate([_column_formula(np.insert(rest, 0, z1, axis=1), M)[1]
+                                    for z1 in range(-m, m + 1)])
             # Integer caps put words of lambda1, lambda2 and the tied
             # generator exactly on the sphere; the others sit one ulp either
             # side of a float norm of the box.
             caps = {1.0, 2.0, 10.0, float(m), float(m * m), float(3 * m * m)}
             for v in np.quantile(norms[norms > 0], (0.01, 0.1, 0.4)):
                 caps |= {np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)}
-            walker = EllipsoidWalker(M @ M.T, m)
             for p_lim in sorted(caps):
-                if not p_lim < walker.box_top:
+                if not p_lim < m * m * walker.corner:
                     continue  # the sum takes the whole box, with no walk
-                for z1 in range(-m, m + 1):
-                    need = np.flatnonzero(norms[z1 + m] <= p_lim)
-                    rest = walker.vectors(z1, p_lim)[:, 1:] + m
-                    rows = np.ravel_multi_index(rest.astype(np.intp).T,
-                                                (side,) * (n - 1))
-                    assert np.all(np.diff(rows) > 0)
-                    assert np.isin(need, rows).all(), (M, m, p_lim, z1)
-                    # and it prunes: the visited words lie within a hair
-                    # of the ball
-                    assert np.all(norms[z1 + m][rows] <= p_lim + 1e-4), (M, m)
+                rows = []
+                for r, lo, runs in walker.nodes(p_lim, constellation._BLOCK, m):
+                    parent, z1 = _expand(lo, runs)
+                    rows.append((r[parent] + m) @ side ** np.arange(n - 2, -1, -1) * side
+                                + z1 + m)
+                rows = np.concatenate(rows)
+                # rest-major lex order: by the rest vector, then by z1
+                assert np.all(np.diff(rows) > 0)
+                index = rows % side * side ** (n - 1) + rows // side
+                need = np.flatnonzero(norms <= p_lim)
+                assert np.isin(need, index).all(), (M, m, p_lim)
+                # and it prunes: the visited words lie within a hair
+                # of the ball
+                assert np.all(norms[index] <= p_lim + 1e-4), (M, m)
 
 
 def test_carve_grows_its_ball_to_the_whole_box(lambda1, lambda2, lambda3):
@@ -407,9 +415,9 @@ def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
 
 def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
     # The words and norms take no matmul. A capped sum of a catalogued
-    # generator makes one for each block's integer keys z F, which are
-    # exact in any BLAS; each is within _BLOCK rows, so within the 65536 * 4
-    # multiply-adds that OpenBLAS's gemm runs in the calling thread.
+    # generator makes one per walked chunk, of its int64 rest vectors by
+    # the int64 rows of the form, which numpy never hands to BLAS; no
+    # float matmul runs in any sum.
     calls = []
     matmul = np.matmul
 
@@ -420,11 +428,9 @@ def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
     monkeypatch.setattr(np, "matmul", recording_matmul)
     inverse_norm_power_sum(lambda3.generator, 40, p_lim=1600.0)
     assert len(calls) >= 41
-    form = np.array(lambda3.generator.form, dtype=float)
     for a, b, out in calls:
-        assert np.array_equal(b, form) and np.array_equal(a, np.round(a))
-        assert len(a) == len(out) <= constellation._BLOCK
-        assert len(a) * a.shape[1] * b.shape[1] <= 1 << 17
+        assert a.dtype == b.dtype == np.int64 and out is None
+        assert len(a) <= constellation._BLOCK and b.shape == (3, 4)
     calls.clear()
     inverse_norm_power_sum(lambda1.generator, 10)
     inverse_norm_power_sum(lambda3.generator.entries, 10)
@@ -433,34 +439,35 @@ def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
 
 
 def test_catalogued_energies_take_no_float_norm(lambda1, lambda3, monkeypatch):
-    # A catalogued generator's energies are its exact keys, or closed
-    # forms on the whole rest box: no float norm, and one _ExactSum (its
-    # terms') per slice. A plain array's take the norms and a second one.
-    made, norms, stats = [], [], []
+    # A catalogued generator's energies are its exact keys, from each
+    # walked run's ends and closed form, or closed forms on the whole
+    # box: no float norm, and one _ExactSum, its terms', per codebook. A
+    # plain array's take the norms and a second one.
+    made, norms, reports = [], [], []
 
     class Counted(constellation._ExactSum):
-        def __init__(self, scratch):
+        def __init__(self, *args, **kwargs):
             made.append(self)
-            super().__init__(scratch)
+            super().__init__(*args, **kwargs)
 
-    slices = constellation._Slices
-    slices_norms, slices_stats = slices._norms, slices.stats
+    codebook = constellation._Codebook
+    codebook_norms, codebook_report = codebook._norms, codebook.report
     monkeypatch.setattr(constellation, "_ExactSum", Counted)
-    monkeypatch.setattr(slices, "_norms", lambda self, words: (
-        norms.append(len(words)) or slices_norms(self, words)))
-    monkeypatch.setattr(slices, "stats", lambda self, *args: (
-        stats.append(args) or slices_stats(self, *args)))
+    monkeypatch.setattr(codebook, "_norms", lambda self, words: (
+        norms.append(len(words)) or codebook_norms(self, words)))
+    monkeypatch.setattr(codebook, "report", lambda self, *args, **kwargs: (
+        reports.append(args) or codebook_report(self, *args, **kwargs)))
     for m in (3, 9):
         inverse_norm_power_sum(lambda1.generator, m)
         inverse_norm_power_sum(lambda3.generator, m, p_lim=64.0)
         carve_lowest_energy(lambda3.generator, m, 2 * m ** 4)
         carve_lowest_energy(lambda1.generator, m, (2 * m + 1) ** 4 - 1)
-    assert norms == [] and len(made) == len(stats) >= 4 * 2 * 4
+    assert norms == [] and len(made) == len(reports) == 4 * 2
     made.clear()
-    stats.clear()
+    reports.clear()
     inverse_norm_power_sum(lambda3.generator.entries, 3, p_lim=16.0)
     inverse_norm_power_sum(lambda1.generator.entries, 3)
-    assert len(made) == 2 * len(stats) == 2 * 2 * 4 and norms
+    assert len(made) == 2 * len(reports) == 2 * 2 and norms
 
 
 def _formula(z, M):
@@ -477,14 +484,21 @@ def _formula(z, M):
     return x, norm
 
 
+def _rest_rows(z, m):
+    """The row numbers in the rest box {-m..m}^(n-1) of the rest vectors
+    of the coefficient rows z."""
+    side, n = 2 * m + 1, z.shape[1]
+    return (z[:, 1:] + m) @ side ** np.arange(n - 2, -1, -1)
+
+
 def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
-    # Sampled rows of the whole rest box and of walked capped slices hold
-    # the word formula's words, and for a plain array its norms, the
+    # Sampled rows of the whole box's half and of walked capped halves
+    # hold the word formula's words, and for a plain array its norms, the
     # keys, evaluated in Python floats, bit for bit: no BLAS or SIMD
     # kernel enters them. The samples take in the rows around the middle
-    # of the box and its last row, whose words mirror the half block's
-    # rest sums. A catalogued generator's walked rows are keyed by their
-    # exact energies, and its whole box by none.
+    # of the rest box and its last row, whose words mirror the half
+    # block's rest sums. A catalogued generator's walked chunks carry the
+    # largest and the sum of their exact energies, and its whole box none.
     def bits(values):
         return np.array(values, dtype=float).view(np.int64).tolist()
 
@@ -495,36 +509,154 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
     checked = mirrored = 0
     for gen in gens:
         M = np.asarray(getattr(gen, "entries", gen))
+        n = len(M)
         for m, p_lim in ((5, math.inf), (7, 30.5)):
-            slices = constellation._Slices(constellation._as_generator(gen), m, 3)
-            cut = slices.cap(p_lim)
-            if math.isinf(cut):
-                slices.stats(0, cut)  # builds the half block
-            box = _box(len(M) - 1, m)
-            for z1 in range(-m, m + 1):
-                z = None if math.isinf(cut) else slices.walker.vectors(z1, cut)
-                rest = box if z is None else z[:, 1:]
-                for words, keys, rows in slices._blocks(z1, z, cut, None):
-                    sample = rng.sample(range(len(words)), min(len(words), 12))
-                    if z is None:
-                        middle = len(box) // 2
-                        ends = {middle - 1, middle, middle + 1, len(box) - 1}
-                        sample += [i for i, row in enumerate(rows) if row in ends]
-                        mirrored += sum(rows[i] > middle for i in sample)
-                    for i in sample:
-                        zi = [z1, *map(int, rest[rows[i]])]
-                        x, norm = _formula(zi, M.tolist())
-                        assert bits(words[i]) == bits(x), (M, m, z1, rows[i])
-                        if slices.form is None:
-                            assert bits([keys[i]]) == bits([norm]), (M, m, z1, rows[i])
-                        elif z is None:
-                            assert keys is None
-                        else:
-                            q = sum(f * a * b for row, a in zip(gen.form, zi)
-                                    for f, b in zip(row, zi))
-                            assert keys[i] == q, (m, zi)
-                        checked += 1
+            codebook = constellation._Codebook(constellation._as_generator(gen), m, 3)
+            cut = codebook.cap(p_lim)
+            whole = not cut < codebook.box_top
+            middle, last = (2 * m + 1) ** (n - 1) // 2, (2 * m + 1) ** (n - 1) - 1
+            blocks = codebook._box_blocks() if whole else codebook._walked(cut, False)
+            for words, keys, coeffs in blocks:
+                z = coeffs(np.arange(len(words)))
+                sample = rng.sample(range(len(words)), min(len(words), 40))
+                if whole:
+                    rows = _rest_rows(z, m)
+                    ends = {middle - 1, middle, middle + 1, last}
+                    sample += np.flatnonzero(np.isin(rows, list(ends))).tolist()
+                    mirrored += sum(rows[i] > middle for i in sample)
+                for i in sample:
+                    x, norm = _formula([int(v) for v in z[i]], M.tolist())
+                    assert bits(words[i]) == bits(x), (M, m, z[i])
+                    if codebook.F is None:
+                        assert bits([keys[i]]) == bits([norm]), (M, m, z[i])
+                    checked += 1
+                if codebook.F is not None:
+                    q = np.einsum("ki,ij,kj->k", z.astype(np.int64), np.array(gen.form), z.astype(np.int64))
+                    assert keys == (None if whole else (q.max(), q.sum())), (m, keys)
     assert checked > 1000 and mirrored > 100
+
+
+def _python_terms(words, exponent):
+    """The kernel's term of each word in Python floats: the product
+    ((a0*a1)*a2)*... of the |x_i|, its reciprocal r, then r^exponent by
+    left-to-right square and multiply."""
+    terms = []
+    for x in words:
+        prod = abs(x[0])
+        for v in x[1:]:
+            prod = prod * abs(v)
+        r = 1.0 / prod
+        out = r
+        for bit in bin(exponent)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * r
+        terms.append(out)
+    return terms
+
+
+def test_unfolded_terms_are_rounded_once(lambda1, lambda2, lambda3):
+    # S is math.fsum of every kept word's term: the exact sum, rounded
+    # once, whatever order or split the kernel takes the words in. The
+    # words come from the word formula in Python floats, and the rule
+    # from a scan of the box: exact keys z F z^T for the catalogued
+    # generators, float norms for plain arrays, a carve's ties by lex
+    # order. lambda1 m = 3 and m = 5, and the m = 4 carve to 300, are
+    # sums where rounding each slice's sum first gives another S.
+    tied = np.array([[1.0, 3.0], [3.0, -1.0]])
+    skew3 = np.array([[1.0, math.sqrt(2) - 1, -math.sqrt(3) / 7],
+                      [math.sqrt(5) / 9, 1.2, math.sqrt(7) / 6],
+                      [-math.sqrt(11) / 13, math.sqrt(13) / 17, 0.93]])
+    cases = [(lambda1.generator, 3, math.inf, None), (lambda1.generator, 5, math.inf, None),
+             (lambda1.generator, 4, math.inf, 300), (lambda2.generator, 4, 30.5, None),
+             (lambda3.generator, 4, 30.5, None), (lambda3.generator, 4, math.inf, 500),
+             (lambda1.generator.entries, 3, math.inf, None),
+             (lambda3.generator.entries, 3, 16.0, None),
+             (lambda2.generator.entries, 3, math.inf, 50),
+             (tied, 2, math.inf, 14), (tied, 2, math.inf, 17),
+             (skew3, 6, math.inf, None), (skew3, 6, 7.5, None), (skew3, 6, math.inf, 400)]
+    for gen, m, p_lim, target in cases:
+        M = np.asarray(getattr(gen, "entries", gen)).tolist()
+        form = getattr(gen, "form", None)
+        n = len(M)
+        scanned = []
+        for z in itertools.product(range(-m, m + 1), repeat=n):
+            x, norm = _formula(z, M)
+            key = norm if form is None else sum(
+                f * a * b for row, a in zip(form, z) for f, b in zip(row, z))
+            scanned.append((key, z, x))
+        if target is not None:
+            kept = sorted(scanned, key=lambda w: (w[0], w[1]))[:target]
+            rep = carve_lowest_energy(gen, m, target)
+        else:
+            if form is None or math.isinf(p_lim):
+                kept = [w for w in scanned if w[0] <= p_lim]
+            else:
+                bound = _frac_det(form) * Fraction(p_lim) ** n
+                kept = [w for w in scanned if Fraction(w[0]) ** n <= bound]
+            rep = inverse_norm_power_sum(gen, m, p_lim=p_lim)
+        terms = _python_terms([x for _, z, x in kept if any(z)], 3)
+        assert rep.size == len(kept), (gen, m, p_lim, target)
+        assert rep.s_value == math.fsum(terms), (gen, m, p_lim, target)
+        if form is None:
+            assert rep.p_ave == math.fsum(k for k, _, _ in kept) / len(kept)
+
+
+@st.composite
+def _rules(draw):
+    """(lattice, m, p_lim, target_size) of a catalogued sum or carve on a
+    box of m <= 4."""
+    lattice = draw(st.sampled_from(("lambda1", "lambda2", "lambda3")))
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return lattice, m, math.inf, draw(st.integers(1, (2 * m + 1) ** 4))
+    return lattice, m, draw(st.floats(0.25, 5.0 * m * m)), None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=_rules())
+@example(case=("lambda3", 12, math.inf, 2401))
+@example(case=("lambda2", 3, math.inf, 600))
+@example(case=("lambda1", 4, math.inf, 300))
+def test_rest_major_runs_carve_the_exact_oracle(lambda1, lambda2, lambda3, case):
+    # The walked half holds, rest vector by rest vector, exactly one of
+    # each pair +-z of box words keyed below the cut (at or below it,
+    # unless a carve splits the words keyed cut), and each chunk carries
+    # the largest and the sum of their exact energies. A carve gathers one
+    # of each pair keyed cut, and keeps the lex-first of them and their
+    # negations, so its ties split across signs: 30 of the 48 words of
+    # the shell q = 139 at lambda3 m = 12, 18 of them without their
+    # negation. The codebook's size and energies are the exact oracle's.
+    lattice, m, p_lim, target = case
+    gen = {"lambda1": lambda1, "lambda2": lambda2, "lambda3": lambda3}[lattice].generator
+    codebook = constellation._Codebook(gen, m, 3)
+    cut, left = codebook.cut(target) if target else (codebook.cap(p_lim), None)
+    box = _box(4, m).astype(np.int64)
+    q = np.einsum("ki,ij,kj->k", box, np.array(gen.form), box)
+    half = []
+    for words, keys, coeffs in codebook._walked(cut, left is not None):
+        z = coeffs(np.arange(len(words)))
+        zq = np.einsum("ki,ij,kj->k", z, np.array(gen.form), z)
+        assert keys == (zq.max(), zq.sum())
+        half += [tuple(v) for v in z.tolist()]
+    below = q < cut if left is not None else q <= cut
+    want = {tuple(v) for v in box[below & box.any(axis=1)].tolist()}
+    got = set(half)
+    negated = {tuple(-c for c in v) for v in got}
+    assert len(got) == len(half) and got.isdisjoint(negated) and got | negated == want
+    keep = want | {(0, 0, 0, 0)}
+    if left is not None:
+        tied = {tuple(v) for v in np.concatenate(codebook.tied).tolist()}
+        shell = {tuple(v) for v in box[q == cut].tolist()}
+        assert tied.isdisjoint({tuple(-c for c in v) for v in tied})
+        assert tied | {tuple(-c for c in v) for v in tied} == shell
+        keep |= set(sorted(shell)[:left])
+    exact = exact_codebook(lattice, m, p_lim, target)
+    energies = [int(np.dot(np.dot(v, gen.form), v)) for v in keep]
+    assert (len(keep), sum(energies), max(energies)) == (exact.size, exact.q_sum, exact.q_max)
+    rep = codebook.report(cut, left, lattice, p_lim, target)
+    assert (rep.size, rep.p_max, rep.p_ave) == (exact.size, exact.p_max, exact.p_ave)
+    assert rep.s_value == pytest.approx(exact.s_value, rel=1e-12)
 
 
 def _outcome(f, *args, **kwargs):
@@ -539,16 +671,15 @@ def _outcome(f, *args, **kwargs):
 def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
                                             monkeypatch, block):
     # Every row's arithmetic is its own, so the rows per block must not
-    # move a bit. The uncapped sums at m = 2, 3, 4 put slice 0's zero row
-    # at rest rows 62, 171 and 364: at the start or the end of a block
-    # for each size here. At m = 8, p_lim 4, slices 5..8 of lambda3 have
-    # no candidates. The skewed generator's lex-first zero coordinate is
-    # at (-9, 0): row 9 of its slice uncapped, row 7 capped, so in a
-    # later block than the first.
+    # move a bit, nor where the walk splits a run between chunks. The
+    # uncapped sums at m = 2, 3, 4 end slice 0's half, rows below its zero
+    # row, at rest rows 61, 170 and 363: at the start or the end of a
+    # block for each size here. At m = 8, p_lim 4, lambda3 keeps 79 of
+    # the 17^4 words, and most walked runs are cut to nothing. The skewed
+    # generator's lex-first zero coordinate is at (-9, 0), which the fold
+    # reads only as the negation of (9, 0), a word of the last slice.
     g1, g2, g3 = lambda1.generator, lambda2.generator, lambda3.generator
     skew = np.array([[1.0, 0.0], [-2.0, 1.0]])
-    M3 = g3.entries
-    assert len(EllipsoidWalker(M3 @ M3.T, 8).vectors(5, 4.0)) == 0
 
     def outcomes():
         out = []
@@ -577,52 +708,73 @@ def test_overflowing_energy_raises_before_any_term():
 
 
 def test_slice_memory_does_not_grow_with_the_slice(lambda1):
-    # A slice streams through the fixed scratch made with its _Slices: a slice allocates no array of its own size. So the peak
-    # of one uncapped slice is the same at m = 10 (9261 rest rows) as at
-    # m = 25 (132651), and a fraction of the scratch.
+    # A codebook streams through the fixed scratch made with its
+    # _Codebook: once its half block is built, an uncapped sum allocates
+    # no array that grows with the box. So the peak of a second report is
+    # the same at m = 10 (9261 rest rows) as at m = 25 (132651), and a
+    # fraction of the scratch.
     peaks = {}
     for m in (10, 25):
-        slices = constellation._Slices(lambda1.generator, m, 3)
-        cut = slices.cap(math.inf)
-        slices.stats(1, cut)  # builds the half block
-        scratch = sum(a.nbytes for a in vars(slices.scratch).values())
-        for z1 in (0, 1):
-            tracemalloc.start()
-            try:
-                slices.stats(z1, cut)
-                peaks[m, z1] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        codebook = constellation._Codebook(lambda1.generator, m, 3)
+        cut = codebook.cap(math.inf)
+        codebook.report(cut, None, "")  # builds the half block
+        scratch = sum(a.nbytes for a in vars(codebook.scratch).values() if a is not None)
+        tracemalloc.start()
+        try:
+            codebook.report(cut, None, "")
+            peaks[m] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert max(peaks.values()) < scratch
-    assert peaks[25, 1] < 2 * peaks[10, 1]
+    assert peaks[25] < 2 * peaks[10]
 
 
 def test_whole_box_state_is_half_the_rest_sums(lambda1):
     # An uncapped sum keeps the rest sums of rows 0..(N-1)/2 of the rest
     # box, ceil(N/2) n float64s (2.12 MB at m = 25), built from pieces of
-    # _BLOCK coefficient rows. So the first uncapped slice peaks at them,
+    # _BLOCK coefficient rows. So the first uncapped report peaks at them,
     # one piece and a small margin, with neither the rest box (3.2 MB)
-    # nor its full block of rest sums (4.2 MB).
+    # nor its full block of rest sums (4.2 MB). Slice 0 takes only the
+    # rows below its zero row, so no block is copied to drop that row, and
+    # a piece's digits are taken in place: the peak is 2.52 MB here, and
+    # it was 2.58 MB with the copy.
     m, n = 25, 4
-    slices = constellation._Slices(lambda1.generator, m, 3)
-    cut = slices.cap(math.inf)
+    codebook = constellation._Codebook(lambda1.generator, m, 3)
+    cut = codebook.cap(math.inf)
     tracemalloc.start()
     try:
-        slices.stats(0, cut)
+        codebook.report(cut, None, "")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     half = ((2 * m + 1) ** (n - 1) + 1) // 2
-    assert peak < half * n * 8 + constellation._BLOCK * (n - 1) * 8 + 2 ** 19, peak
-    assert slices.half.shape == (half, n)
+    assert peak < half * n * 8 + constellation._BLOCK * (n - 1) * 8 + 2 ** 18, peak
+    assert codebook.half.shape == (half, n)
+
+
+def test_capped_sum_memory_does_not_grow_with_the_ball(lambda3):
+    # The walk streams chunks of _BLOCK rows out of groups of at most
+    # numfields._GROUP nodes per level, so a capped sum allocates no array
+    # that grows with its ball. The lambda3 m = 40 sum at p_lim 1600 keeps
+    # 3259369 words; its tracemalloc peak is 1.52 MB here (1.50 MB at
+    # m = 20, p_lim 400), against
+    # 3.37 MB for the slice-by-slice walk it replaced, and an unstreamed
+    # rest-major walk of the whole ball reached 9.5 MB.
+    tracemalloc.start()
+    try:
+        rep = inverse_norm_power_sum(lambda3.generator, 40, p_lim=1600.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.size == 3259369
+    assert peak < 3.2e6, peak
 
 
 def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):
     # Uncapped, or with a ball that holds the box, a sum takes the rest
     # sums of half the rest box {-m..m}^3, from pieces of at most _BLOCK
     # coefficient rows, and allocates no array of the box's 343 rows;
-    # capped, each slice multiplies only the walker's candidates, and no
-    # box is built.
+    # capped, the sum walks its ball, and no box is built.
     boxes = []
 
     def recording_box(k, m, start=0, stop=None):
@@ -665,7 +817,7 @@ def test_integer_arguments_of_any_integer_type_but_bool(lambda3):
 
 
 def test_capped_diversity_failure_names_the_lex_first_word():
-    # With a cap the kernel visits only some rows of each slice; the
+    # With a cap the kernel visits only part of the box; the
     # offender must still map back to its own coefficient vector.
     with pytest.raises(DiversityError) as err:
         inverse_norm_power_sum(np.eye(2), 2, p_lim=2.5)
@@ -712,25 +864,36 @@ def test_sign_permutation_invariance(lambda3):
 
 
 def test_one_slice_block_per_sum(lambda3, monkeypatch):
-    # A sum builds one _Slices, and the rescan of a mirrored diversity
-    # failure reuses it.
-    built = []
+    # A sum or a carve builds one _Codebook, and a generator builds its
+    # walker once: later sums on it, and a failing one, reuse it.
+    built, walkers = [], []
 
-    class Counted(constellation._Slices):
+    class Counted(constellation._Codebook):
         def __init__(self, *args):
             built.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(constellation, "_Slices", Counted)
-    inverse_norm_power_sum(lambda3.generator, 9, p_lim=64.0)
-    with pytest.raises(DiversityError):
-        inverse_norm_power_sum(np.eye(2), 1)
-    assert len(built) == 2
+    class CountedWalker(EllipsoidWalker):
+        def __init__(self, *args):
+            walkers.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(constellation, "_Codebook", Counted)
+    monkeypatch.setattr(numfields, "EllipsoidWalker", CountedWalker)
+    gen = GeneratorMatrix(lambda3.generator.entries, lambda3.generator.form)
+    inverse_norm_power_sum(gen, 9, p_lim=64.0)
+    carve_lowest_energy(gen, 6, 500)
+    inverse_norm_power_sum(gen, 4)
+    eye = GeneratorMatrix(np.eye(2))
+    for _ in range(2):
+        with pytest.raises(DiversityError):
+            inverse_norm_power_sum(eye, 1)
+    assert len(built) == 5 and len(walkers) == 2
 
 
 def test_diversity_failure_reported():
     # The lex-first offending word is (-1, 0) -> (-1, 0), in slice z1 = -1,
-    # which the folded kernel only mirrors from slice z1 = 1.
+    # which the fold reads only as the negation of (1, 0).
     with pytest.raises(DiversityError) as err:
         inverse_norm_power_sum(np.eye(2), 1)
     assert "coefficient vector" in str(err.value)
@@ -747,9 +910,10 @@ def test_diversity_failure_reported():
 def test_mirrored_diversity_failure_matches_a_lex_scan():
     # Each lex-first offender lies above the middle of its slice's rest
     # box, where the words mirror the half block's rest sums, and in a
-    # slice z1 < 0, which the fold rescans. Its vector, coordinate and
-    # value are those of a brute-force lex scan by the word formula; the
-    # first case's value is a rounding residue, not a zero.
+    # slice z1 < 0, which the fold reads only as negations. Its vector,
+    # coordinate and value are those of a brute-force lex scan by the
+    # word formula; the first case's value is a rounding residue, not a
+    # zero.
     cases = (([[0.1, 1.0], [0.3, -0.7]], 3),
              ([[2.0, 1.0, -1.0], [-1.0, 2.0, -2.0], [0.0, 0.5, -2.0]], 3),
              ([[-2.0, -1.0, 0.5], [-2.0, 2.0, -1.0], [0.5, -2.0, 2.0]], 3))
@@ -773,23 +937,19 @@ def test_mirrored_diversity_failure_matches_a_lex_scan():
 
 
 def test_diversity_scan_finds_the_first_offending_row():
-    def old_first_violation(absx):
-        # Reference: the row minimum, taken column by column.
-        row_min = absx[:, 0].copy()
-        for j in range(1, absx.shape[1]):
-            np.minimum(row_min, absx[:, j], out=row_min)
-        if not float(row_min.min()) < constellation.DIVERSITY_EPS:
-            return None
-        first = int(np.argmax(row_min < constellation.DIVERSITY_EPS))
-        coord = int(np.argmin(absx[first]))
-        return first, coord, float(absx[first, coord])
-
+    # _lex_first takes, of a block's rows with a coordinate below
+    # DIVERSITY_EPS, the lex-first coefficient vector, of either sign
+    # where the block stands for the negations too, or an earlier one.
     absx = np.full((7, 4), 0.5)
-    assert _first_violation(absx) is None is old_first_violation(absx)
+    z = np.arange(28).reshape(7, 4) - 14
     absx[5, 1] = 1e-13
     absx[2, 3] = 4e-13
     absx[2, 0] = 3e-13
-    assert _first_violation(absx) == (2, 0, 3e-13) == old_first_violation(absx)
+    z[5], z[2] = (0, 1, -2, 0), (1, -1, 0, 0)
+    assert _lex_first(None, absx, lambda rows: z[rows], False) == ((0, 1, -2, 0), 1, 1e-13)
+    assert _lex_first(None, absx, lambda rows: z[rows], True) == ((-1, 1, 0, 0), 0, 3e-13)
+    assert _lex_first(((-2, 0, 0, 0), 3, 0.0), absx, lambda rows: z[rows], True) == \
+        ((-2, 0, 0, 0), 3, 0.0)
 
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, 1.0])

@@ -4,8 +4,8 @@ hypothesis draws small integer positive-definite Grams G = B B^T + I
 (n = 1..5), with and without a box bound, and caps on, just below and
 just above an integer norm. Every vector that the scan finds at or
 below the cap, with its exact integer norm, must be among the walker's
-candidates, and each slice's candidates must come out in ascending lex
-order inside the box.
+candidates, which come out as chunks of runs of the last coordinate, in
+ascending lex order inside the box, the same for every chunk size.
 """
 
 import functools
@@ -20,7 +20,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from latticesec.numfields import EllipsoidWalker, _box, _frac_det
+from latticesec.numfields import EllipsoidWalker, _box, _expand, _frac_det
 
 # A fixed example sequence keeps the suite reproducible run to run.
 walker_settings = settings(max_examples=80, deadline=None, derandomize=True)
@@ -39,6 +39,20 @@ def cases(draw):
     return gram, m, cap
 
 
+def walked(walker, cap, m=None, block=8192):
+    """The walker's candidates as rows, each chunk checked on the way:
+    every run nonempty, and every chunk but the last of block rows."""
+    chunks = list(walker.nodes(cap, block, m))
+    rows = []
+    for i, (prefix, lo, runs) in enumerate(chunks):
+        assert prefix.dtype == lo.dtype == runs.dtype == np.int64
+        assert len(prefix) == len(lo) == len(runs) and np.all(runs > 0)
+        assert runs.sum() == block if i < len(chunks) - 1 else 0 < runs.sum() <= block
+        parent, last = _expand(lo, runs)
+        rows.append(np.column_stack((prefix[parent], last)))
+    return np.concatenate(rows) if rows else np.empty((0, len(walker.d)), dtype=np.int64)
+
+
 @walker_settings
 @given(cases())
 def test_walker_keeps_every_vector_of_a_box_scan(case):
@@ -50,33 +64,22 @@ def test_walker_keeps_every_vector_of_a_box_scan(case):
     norms = np.einsum("ij,jk,ik->i", z, gram, z)
     want = {tuple(v) for v in z[norms <= cap].tolist()}
 
-    walker = EllipsoidWalker(gram.tolist(), m)
-    slices = []
-    for z1 in walker.leading(cap):
-        z = walker.vectors(z1, cap)
-        assert z.dtype == np.float64 and z.shape[1] == n and np.all(z[:, 0] == z1)
-        assert [tuple(v) for v in z.tolist()] == sorted(map(tuple, z.tolist()))
-        if m is not None:
-            assert np.all(np.abs(z) <= m)
-        if m is not None and n > 1:
-            # The candidates' rest vectors are rows of the rest box, bit
-            # for bit as _box stores them.
-            rest = z[:, 1:]
-            rows = np.ravel_multi_index((rest + m).astype(np.intp).T,
-                                        (2 * m + 1,) * (n - 1))
-            assert np.array_equal(_box(n - 1, m)[rows].view(np.int64),
-                                  rest.view(np.int64))
-        slices.append(z)
-    # Walking every slice at once gives the same candidates in the same order.
-    assert np.array_equal(walker.vectors(None, cap), np.concatenate(slices))
+    walker = EllipsoidWalker(gram.tolist())
+    got = walked(walker, cap, m)
+    assert [tuple(v) for v in got.tolist()] == sorted(map(tuple, got.tolist()))
     if m is not None:
-        # A cap of box_top or more walks the whole box, bit for bit as
-        # _box stores it: the carve relies on it.
-        for top in (walker.box_top, 2.0 * walker.box_top):
-            assert np.array_equal(walker.vectors(None, top).view(np.int64),
-                                  _box(n, m).view(np.int64))
-    assert want <= {tuple(v) for v in np.concatenate(slices).tolist()}
-
+        assert np.all(np.abs(got) <= m)
+    # Chunks of any size, runs split across them, give the same rows.
+    for block in (1, 2, 5):
+        assert np.array_equal(walked(walker, cap, m, block), got)
+    if m is not None:
+        # A cap of m^2 corner or more walks the whole box, as _box stores
+        # it: the carve relies on it.
+        top = m * m * walker.corner
+        assert top == max(v @ gram @ v for v in itertools.product((-m, m), repeat=n))
+        for cap_top in (top, 2.0 * top):
+            assert np.array_equal(walked(walker, cap_top, m), _box(n, m))
+    assert want <= {tuple(v) for v in got.tolist()}
 
 
 @pytest.mark.parametrize("scale", [10**8, 10**9, 10**12])
@@ -84,11 +87,12 @@ def test_numpy_integer_grams_walk_as_python_ints(scale):
     # Products of the scaled entries overflow int64 in the exact
     # decomposition unless they are taken as Python ints.
     gram = np.array([[7, 3, 1], [3, 9, 2], [1, 2, 11]]) * scale
-    a, b = EllipsoidWalker(gram, 3), EllipsoidWalker(gram.tolist(), 3)
+    a, b = EllipsoidWalker(gram), EllipsoidWalker(gram.tolist())
     assert a.d == b.d and np.array_equal(a.u, b.u) and a.widen == b.widen
+    assert a.det == b.det == _frac_det(gram.tolist())
     cap = 12 * scale
-    assert len(b.vectors(None, cap)) > 1
-    assert np.array_equal(a.vectors(None, cap), b.vectors(None, cap))
+    assert len(walked(b, cap, 3)) > 1
+    assert np.array_equal(walked(a, cap, 3), walked(b, cap, 3))
 
 def _kappa_terms(gram):
     """sqrt(G_jj (G^-1)_jj) for each j, with (G^-1)_jj taken as the j-th
@@ -104,9 +108,9 @@ def _kappa_terms(gram):
 @given(cases())
 def test_widening_follows_the_inverse_gram_diagonal(case):
     # kappa = sum_j sqrt(G_jj (G^-1)_jj), summed by math.fsum.
-    gram, m, _ = case
+    gram, _, _ = case
     kappa = math.fsum(_kappa_terms(gram))
-    assert EllipsoidWalker(gram.tolist(), m).widen == 1.0 + 2.0 ** -30 * kappa * kappa
+    assert EllipsoidWalker(gram.tolist()).widen == 1.0 + 2.0 ** -30 * kappa * kappa
 
 
 def test_widening_does_not_depend_on_the_builtin_sum():
