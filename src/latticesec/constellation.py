@@ -203,18 +203,9 @@ def _lex_first(bad, absx: np.ndarray, coeffs, mirrored: bool):
     return bad
 
 
-def _runs(lo: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The values lo..lo+count-1 of each run, run after run, as float64,
-    exact: the z1 of a chunk's rows."""
-    end = np.cumsum(count)
-    total = int(end[-1]) if len(end) else 0
-    return np.repeat((lo - end + count).astype(float), count) + np.arange(total, dtype=float)
-
-
-def _coeffs(r: np.ndarray, count: np.ndarray, z1: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The int64 coefficient vectors (z1[i], r[k]) of rows i of a chunk
-    that has count[k] rows under each rest vector r[k] in turn."""
-    parent = np.repeat(np.arange(len(r)), count)
+def _coeffs(r: np.ndarray, parent: np.ndarray, z1: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The int64 coefficient vectors (z1[i], r[parent[i]]) of rows i of a
+    chunk, as _expand gives parent and z1."""
     return np.column_stack((z1[rows], r[parent[rows]])).astype(np.int64)
 
 
@@ -252,9 +243,9 @@ _HIGH = np.uint64(2 ** 64 - 2 ** 26)  # clears the low 26 mantissa bits
 
 
 class _ExactSum:
-    """math.fsum of every value added, in order, bit for bit, from bins;
-    with twice, of every value added twice, and of the extra values that
-    result is given.
+    """math.fsum(values * 2 + extra) bit for bit, from bins: every value
+    added counts twice, standing for itself and its negation, and each
+    of the extra values that result is given counts once.
 
     Each float64 is split into its value with the low 26 mantissa bits
     cleared and the remainder, both exact. Binned by sign and biased
@@ -263,22 +254,23 @@ class _ExactSum:
     2^(e-1049) (subnormals, in bin 0, scale as e = 1), so np.bincount
     adds each block's bins exactly, and so does merging them into the
     running bins, which go to a list of parts every _MAX_PARTS values.
-    The parts sum to the exact total, and math.fsum of them (each twice,
-    with twice) rounds it once, as math.fsum of the values does.
+    The parts sum to the exact total, and math.fsum of them, each twice,
+    and of extra rounds it once, as math.fsum of the values does.
     Infinities and NaNs are set aside in order; while the finite values
     cannot overflow, math.fsum of the values gives what math.fsum of
     those gives.
 
     result is None where math.fsum's outcome depends on the order of
     the values: when the finite ones could overflow (largest exponent
-    plus the bit length of the count, doubled with twice, past 2044).
-    The bins are then dropped, exact is False, and the caller takes
-    math.fsum of the values themselves. Values that are all zeros leave
+    plus the bit length of their count, the values added counted twice
+    and extra once, past 2044). The bins are dropped once the values
+    added could overflow (exact is False), and the caller takes math.fsum
+    of the values themselves. Values that are all zeros leave
     no parts, and math.fsum of them is +0.0, as of none.
     """
 
-    def __init__(self, scratch: _Scratch, twice: bool = False):
-        self.scratch, self.exact, self.copies = scratch, True, 1 + twice
+    def __init__(self, scratch: _Scratch):
+        self.scratch, self.exact = scratch, True
         self.parts, self.specials = [], []
         self.hi = self.lo = None
         self.count = self.total = self.top = 0
@@ -291,7 +283,7 @@ class _ExactSum:
         if self.count and self.count + k > _MAX_PARTS:
             self._flush()
         self.count += k
-        self.total += k * self.copies
+        self.total += 2 * k
         bits = values.view(np.uint64)
         bins = np.right_shift(bits, 52, out=self.scratch.bins[:k]).view(np.int64)
         high = np.bitwise_and(bits, _HIGH, out=self.scratch.high[:k]).view(np.float64)
@@ -308,9 +300,7 @@ class _ExactSum:
                 hi[2047::2048] = lo[2047::2048] = 0.0
             top = int((np.flatnonzero(hi) & 0x7FF).max(initial=0))
         self.top = max(self.top, top)
-        # total values below 2^(top-1022) stay below 2^1022, so neither
-        # the bins nor fsum's own partials can overflow.
-        if self.top + self.total.bit_length() > 2044:
+        if not self._bounded(self.top, self.total):
             self.exact, self.hi, self.lo = False, None, None
         elif self.hi is None:
             self.hi, self.lo = hi, lo
@@ -320,22 +310,30 @@ class _ExactSum:
             self.hi[:len(hi)] += hi
             self.lo[:len(lo)] += lo
 
+    @staticmethod
+    def _bounded(top: int, total: int) -> bool:
+        """Whether total values below 2^(top-1022) stay below 2^1022, so
+        that neither the bins nor fsum's own partials can overflow."""
+        return top + total.bit_length() <= 2044
+
     def _flush(self) -> None:
         self.parts += self.hi[self.hi != 0].tolist()
         self.parts += self.lo[self.lo != 0].tolist()
         self.hi = self.lo = None
         self.count = 0
 
-    def result(self, extra: list = ()) -> float | None:
-        """math.fsum of the values and extra, or None if it must be taken
-        of them."""
-        if not self.exact:
+    def result(self, extra: list) -> float | None:
+        """math.fsum of the values, each twice, and of extra, or None if
+        it must be taken of them."""
+        e = np.asarray(extra, dtype=np.float64).view(np.uint64) >> np.uint64(52) & np.uint64(0x7FF)
+        top = int(e[e < 0x7FF].max(initial=0))
+        if not (self.exact and self._bounded(max(self.top, top), self.total + len(extra))):
             return None
         if self.hi is not None:
             self._flush()
-        if self.specials:
-            return math.fsum(self.specials + list(extra))
-        return math.fsum(self.parts * self.copies + list(extra))
+        if self.specials or (e == 0x7FF).any():
+            return math.fsum(self.specials + extra)
+        return math.fsum(self.parts * 2 + extra)
 
 
 def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
@@ -370,7 +368,7 @@ def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
     """(size, s, top, energy, bad) of the words that blocks() yields as
     (words, keys, coeffs) blocks of at most _BLOCK rows, each word
     standing for itself and its negation: their count, the exact sum of
-    their terms (an _ExactSum with twice, unrounded), and the largest and
+    their terms (an _ExactSum, unrounded), and the largest and
     the sum of their keys. words is overwritten by its absolute values.
     bad is the lex-first word, either sign, with a coordinate below
     DIVERSITY_EPS, as _lex_first gives it from coeffs, or None; once
@@ -379,7 +377,7 @@ def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
     Exact keys (exact True) come as the block's (largest, sum), integers,
     or as None (the whole rest box, whose energies report takes in
     closed form); energy is then the int sum. Float norms are added to
-    energy, an _ExactSum with twice.
+    energy, an _ExactSum.
 
     Where an _ExactSum has no result, report reads blocks() again and
     math.fsum takes the values themselves. No term is taken once the
@@ -387,8 +385,8 @@ def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
     sum that overflows raises before any term can overflow, as when all
     the norms were summed first.
     """
-    energy = 0 if exact else _ExactSum(scratch, twice=True)
-    s = _ExactSum(scratch, twice=True)
+    energy = 0 if exact else _ExactSum(scratch)
+    s = _ExactSum(scratch)
     size, top, bad = 0, 0 if exact else 0.0, None
     for words, keys, coeffs in blocks():
         size += len(words)
@@ -406,18 +404,13 @@ def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
     return size, s, top, energy, bad
 
 
-def _fsum(blocks, values, extra: list) -> float:
-    """The sum of values(words, keys) over blocks(), each twice, and of
-    extra, as Python floats: math.fsum of the finite ones, which raises
-    OverflowError where they overflow, else math.fsum of the infinities
-    and NaNs, if any. No order of the values enters it."""
+def _listed(blocks, values, extra: list) -> list:
+    """values(words, keys) over blocks(), each twice, and extra, as
+    Python floats: the values an _ExactSum without a result stands for."""
     parts = []
     for words, keys, _ in blocks():
         parts += values(words, keys).tolist()
-    parts = parts * 2 + extra
-    total = math.fsum(v for v in parts if math.isfinite(v))
-    specials = [v for v in parts if not math.isfinite(v)]
-    return math.fsum(specials) if specials else total
+    return parts * 2 + extra
 
 
 class _Codebook:
@@ -491,14 +484,16 @@ class _Codebook:
             for r, lo, runs in self._nodes(radius):
                 a, e, _, _, A, b2 = self._trim(r, lo, runs, cut)
                 parent, z1 = _expand(a, e - a + 1)
-                counts += np.bincount(A[parent] + z1 * (b2[parent] + f * z1), minlength=cut + 1)
+                # Every trimmed q is at most cut, so only its bins are added.
+                found = np.bincount(A[parent] + z1 * (b2[parent] + f * z1))
+                counts[:len(found)] += found
             counts *= 2
             counts[0] += 1
             keys = np.flatnonzero(counts)
             return keys, counts[keys]
         found = [(np.zeros(1), np.ones(1, dtype=np.int64))]
         for r, lo, runs in self._nodes(radius):
-            norms = self._norms(self._words(r, runs, _runs(lo, runs)))
+            norms = self._norms(self._words(r, runs, _expand(lo, runs, float)[1]))
             keys, counts = np.unique(norms if every else norms[norms <= radius],
                                      return_counts=True)
             found.append((keys, 2 * counts))
@@ -575,20 +570,20 @@ class _Codebook:
                             + f * (pairs * (2 * count - 1) // 6).sum()))
             else:
                 count = runs
-            z1 = _runs(a if exact else lo, count)
+            parent, z1 = _expand(a if exact else lo, count, float)
             words, kept = self._words(r, count, z1), None
             if not exact:
                 keys = self._norms(words)
                 keep = self.scratch.keep[:len(keys)]
                 (np.less if split else np.less_equal)(keys, cut, out=keep)
                 if split:
-                    self.tied.append(_coeffs(r, count, z1, np.flatnonzero(keys == cut)))
+                    self.tied.append(_coeffs(r, parent, z1, np.flatnonzero(keys == cut)))
                 if np.count_nonzero(keep) < len(keep):
                     kept = np.flatnonzero(keep)
                     words, keys = words[kept], keys[kept]
                 if not len(words):
                     continue
-            yield words, keys, lambda rows: _coeffs(r, count, z1, rows if kept is None else kept[rows])
+            yield words, keys, lambda rows: _coeffs(r, parent, z1, rows if kept is None else kept[rows])
 
     def _rest(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The rest sums (z_2 M_2j + z_3 M_3j) + ... + z_n M_nj of a block
@@ -692,7 +687,11 @@ class _Codebook:
         if not exact:
             total = energy.result(e_extra)
             if total is None:
-                total = _fsum(blocks, lambda words, keys: keys, e_extra)
+                # The finite norms first, so an energy sum that overflows
+                # raises, an infinite norm or not; no order enters it.
+                norms = _listed(blocks, lambda words, keys: keys, e_extra)
+                total = math.fsum(v for v in norms if math.isfinite(v))
+                total = math.fsum([v for v in norms if not math.isfinite(v)] or [total])
             p_max, p_ave = top, total / size
         else:
             if whole:
@@ -715,7 +714,11 @@ class _Codebook:
         s_extra = [t for _, words in self._tied_blocks(tied) for t in terms(words).tolist()]
         s_value = s.result(s_extra) if settled else None
         if s_value is None:
-            s_value = _fsum(blocks, terms, s_extra)
+            # Every term is positive, so an infinite one makes S inf (a
+            # large exponent overflows quietly), whether or not the finite
+            # ones overflow, which raises; no order enters it.
+            values = _listed(blocks, terms, s_extra)
+            s_value = math.fsum([v for v in values if not math.isfinite(v)] or values)
         return SumReport(
             lattice_name, n, self.m, p_lim, size, p_max=p_max, p_ave=p_ave,
             s_value=s_value, exponent=self.exponent, target_size=target_size)

@@ -455,11 +455,12 @@ def _chunks(prefix: np.ndarray, lo: np.ndarray, runs: np.ndarray, block: int):
         s = e
 
 
-def _expand(lo: np.ndarray, runs: np.ndarray):
-    """(parent, value) of each element of the runs lo..lo+runs-1."""
+def _expand(lo: np.ndarray, runs: np.ndarray, dtype=np.int64):
+    """(parent, value) of each element of the runs lo..lo+runs-1, the
+    values as dtype (exact as float64 too, being small integers)."""
     starts = np.cumsum(runs) - runs
     return (np.repeat(np.arange(len(runs)), runs),
-            np.repeat(lo - starts, runs) + np.arange(runs.sum()))
+            np.repeat((lo - starts).astype(dtype), runs) + np.arange(runs.sum(), dtype=dtype))
 
 
 def min_product_distance(m: GeneratorMatrix) -> float:

@@ -707,6 +707,22 @@ def test_overflowing_energy_raises_before_any_term():
             inverse_norm_power_sum(np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154, m)
 
 
+def test_an_infinite_term_outweighs_finite_terms_that_overflow(lambda2):
+    # On x = z c with c = 2^-2.0235 and exponent 1000, the terms of z = +-1
+    # overflow to inf, those of z = +-2 are 1.27e308 each, past the
+    # largest double together, and the rest are finite. Every term is
+    # positive, so S is inf, whatever the order of the terms, and not an
+    # OverflowError from the finite ones. So too on lambda2 at exponent
+    # 307, whose m = 1 box has 44 infinite terms and finite ones of 1e307.
+    gen = np.array([[2.0 ** -2.0235]])
+    assert inverse_norm_power_sum(gen, 3, exponent=1000).s_value == math.inf
+    assert inverse_norm_power_sum(gen, 3, p_lim=1.0, exponent=1000).s_value == math.inf
+    assert carve_lowest_energy(gen, 3, 4, exponent=1000).s_value == math.inf
+    for m, p_lim in ((1, math.inf), (3, math.inf), (3, 16.0)):
+        report = inverse_norm_power_sum(lambda2.generator, m, p_lim, exponent=307)
+        assert report.s_value == math.inf
+
+
 def test_slice_memory_does_not_grow_with_the_slice(lambda1):
     # A codebook streams through the fixed scratch made with its
     # _Codebook: once its half block is built, an uncapped sum allocates

@@ -1,10 +1,13 @@
 """The per-word terms and the exact slice sum, bit for bit.
 
 constellation._ExactSum bins integer mantissa parts by exponent, block
-by block, and rounds once; math.fsum of the concatenated blocks is the
-independent oracle. Values are drawn over the whole double range, with
-zeros, subnormals, both signs, infinities and NaNs, and totals past the
-largest double, and split into blocks at drawn boundaries.
+by block, and rounds once. Every value added stands for itself and its
+negation, so it counts twice, and the extra values given to result (a
+carve's tied words) count once: math.fsum(values * 2 + extra) is the
+independent oracle. Values and extras are drawn over the whole double
+range, with zeros, subnormals, both signs, infinities and NaNs, and
+totals past the largest double, and the values are split into blocks at
+drawn boundaries.
 
 constellation._terms must give, bit for bit, what the same IEEE
 operations give row by row in Python floats, so that no SIMD kernel's
@@ -41,20 +44,27 @@ def _outcome(f, values):
         return type(exc), str(exc)
 
 
-def _exact_sum(blocks):
-    """The accumulator's sum of the blocks, fed in order, or math.fsum of
-    their values where it has none, as constellation._reduce takes it."""
+def _fsum(values, extra):
+    """The oracle: math.fsum of the values, each twice, then of extra."""
+    return math.fsum(list(values) * 2 + list(extra))
+
+
+def _exact_sum(blocks, extra=()):
+    """The accumulator's sum of the blocks, fed in order, and of extra, or
+    the oracle's where it has none, as constellation.report falls back
+    to math.fsum of the values themselves."""
     acc = _ExactSum(_Scratch(1))
     for block in blocks:
         acc.add(np.asarray(block, dtype=np.float64))
-    total = acc.result()
-    return math.fsum(np.concatenate(blocks).tolist()) if total is None else total
+    total = acc.result(list(extra))
+    return _fsum(np.concatenate(blocks).tolist(), extra) if total is None else total
 
 
-def _assert_matches_fsum(a, cuts=()):
+def _assert_matches_fsum(a, cuts=(), extra=()):
     a = np.asarray(a, dtype=np.float64)
     blocks = np.split(a, sorted(cuts))
-    assert _outcome(_exact_sum, blocks) == _outcome(math.fsum, a.tolist())
+    assert (_outcome(lambda b: _exact_sum(b, extra), blocks)
+            == _outcome(lambda v: _fsum(v, extra), a.tolist()))
 
 
 @st.composite
@@ -71,16 +81,19 @@ def wide_arrays(draw):
     return values
 
 
-@oracle_settings
-@given(st.lists(finite | tiny | special, max_size=40))
-def test_short_lists_match_fsum(values):
-    _assert_matches_fsum(values)
+extras = st.lists(finite | tiny | special, max_size=6)
 
 
 @oracle_settings
-@given(wide_arrays())
-def test_long_arrays_match_fsum(values):
-    _assert_matches_fsum(values)
+@given(st.lists(finite | tiny | special, max_size=40), extras)
+def test_short_lists_match_fsum(values, extra):
+    _assert_matches_fsum(values, extra=extra)
+
+
+@oracle_settings
+@given(wide_arrays(), extras)
+def test_long_arrays_match_fsum(values, extra):
+    _assert_matches_fsum(values, extra=extra)
 
 
 def test_edge_lengths_and_totals():
@@ -90,11 +103,16 @@ def test_edge_lengths_and_totals():
                    [big], [big, big], [big, big, -big], [big, -big],
                    [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
                    [2.0**1000] * 3000):
-        _assert_matches_fsum(values)
-        # and block by block, one value per block
-        _assert_matches_fsum(values, range(1, len(values)))
+        for extra in ([], [1.0], [big], [-big], [math.inf], [math.nan, 5e-324]):
+            _assert_matches_fsum(values, extra=extra)
+            # and block by block, one value per block
+            _assert_matches_fsum(values, range(1, len(values)), extra)
     with pytest.raises(OverflowError):
-        _exact_sum([np.array([big]), np.array([big / 2])])
+        _exact_sum([np.array([big / 2]), np.array([big / 4])])
+    # Only the extra value takes the total past the largest double.
+    with pytest.raises(OverflowError):
+        _exact_sum([np.array([big / 4])], [big * 0.75])
+    assert _exact_sum([np.array([big / 4])], [big / 2]) == big
 
 
 @st.composite
@@ -125,8 +143,8 @@ def blocks(draw):
 
 
 @oracle_settings
-@given(blocks(), st.sampled_from([1, 2, 7, 1 << 26]))
-def test_blocked_sums_match_fsum(case, max_parts):
+@given(blocks(), st.sampled_from([1, 2, 7, 1 << 26]), extras)
+def test_blocked_sums_match_fsum(case, max_parts, extra):
     # Any split of the values into blocks, with the bins flushed at most
     # every max_parts values (2^26 is the exactness bound), gives fsum's
     # outcome. A block holds at most max_parts values.
@@ -134,7 +152,7 @@ def test_blocked_sums_match_fsum(case, max_parts):
     cuts = set(cuts) | set(range(max_parts, len(values), max_parts))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(constellation, "_MAX_PARTS", max_parts)
-        _assert_matches_fsum(values, cuts)
+        _assert_matches_fsum(values, cuts, extra)
 
 
 def _term(row, exponent):
