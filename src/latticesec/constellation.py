@@ -265,8 +265,8 @@ class _ExactSum:
     plus the bit length of their count, the values added counted twice
     and extra once, past 2044). The bins are dropped once the values
     added could overflow (exact is False), and the caller takes math.fsum
-    of the values themselves. Values that are all zeros leave
-    no parts, and math.fsum of them is +0.0, as of none.
+    of the values themselves. Values that are all zeros leave no parts,
+    and math.fsum of them is +0.0, as of none.
     """
 
     def __init__(self, scratch: _Scratch):

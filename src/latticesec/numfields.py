@@ -460,7 +460,7 @@ def _expand(lo: np.ndarray, runs: np.ndarray, dtype=np.int64):
     values as dtype (exact as float64 too, being small integers)."""
     starts = np.cumsum(runs) - runs
     return (np.repeat(np.arange(len(runs)), runs),
-            np.repeat((lo - starts).astype(dtype), runs) + np.arange(runs.sum(), dtype=dtype))
+            np.repeat((lo - starts).astype(dtype, copy=False), runs) + np.arange(runs.sum(), dtype=dtype))
 
 
 def min_product_distance(m: GeneratorMatrix) -> float:
