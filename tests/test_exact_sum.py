@@ -51,8 +51,8 @@ def _fsum(values, extra):
 
 def _exact_sum(blocks, extra=()):
     """The accumulator's sum of the blocks, fed in order, and of extra, or
-    the oracle's where it has none, as constellation.report falls back
-    to math.fsum of the values themselves."""
+    the oracle's where it has none (constellation.report then reads the
+    values themselves again), so only the sums it gives are checked."""
     acc = _ExactSum(_Scratch(1))
     for block in blocks:
         acc.add(np.asarray(block, dtype=np.float64))
