@@ -2,8 +2,8 @@
 
 Every run is fully determined by its flags: no hidden state, no wall-clock
 or RNG dependence, byte-identical output across repeat invocations. Exit
-codes: 0 success, 2 usage/domain error, 3 internal invariant or
-construction failure.
+codes: 0 success, 2 usage/domain error (a sum past the largest double
+included), 3 internal invariant or construction failure.
 """
 
 from __future__ import annotations
@@ -239,6 +239,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except OverflowError:  # a sum past the largest double
+        print("error: result out of float range", file=sys.stderr)
         return 2
     except LatticeSecError as exc:
         print("error: %s" % exc, file=sys.stderr)

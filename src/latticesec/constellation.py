@@ -11,12 +11,15 @@ too. The eavesdropper-confusion metric is
 (the inverse norm power sum; exponent 3 corresponds to the fast-fading
 correct-decision probability). The sums span many orders of magnitude,
 so S is the exact sum of every included word's term, rounded once.
-_ExactSum does that with integer mantissa parts binned by exponent,
-merged block by block, and returns the bits math.fsum of the terms
-would, without a Python float per term; no order or split of the words
-enters S. A plain array's float norms are summed the same way; a
-catalogued generator's energies are integers, summed exactly in Python
-ints.
+_ExactSum does that for nonnegative values with integer mantissa parts
+binned by exponent, merged block by block, the few values of 2^997 and
+more set aside, without a Python float per term; no order or split of
+the words enters S. A plain array's float norms are summed the same
+way; a catalogued generator's energies are integers, summed exactly in
+Python ints. Each codebook is read once: its norms and terms are taken
+in the same pass, and the energy is rounded before S, so an energy that
+overflows raises first. An infinite term makes S inf; finite terms or
+norms whose sum overflows raise OverflowError.
 
 One rule decides every codebook. Each z has a key: its exact energy
 q = z F z^T where the generator carries its integer form F (the
@@ -54,22 +57,21 @@ lex-first left words keyed cut, which need not come in pairs, count
 once each. A diversity failure is reported at the lex-first offending
 coefficient vector of the codebook, either sign.
 
-Where the rule keeps the whole box (cut at box_top or above, left
-None), the half is slice-major: the rest sums of rows 0..(N-1)/2 of the
-rest box {-m..m}^(n-1), the middle (zero) row included, are taken once,
-from pieces of _BLOCK coefficient rows. Row N-1-i of the box is minus
-row i and the formula is odd, so a row above the middle reads its
-mirror's rest sums, negated by the subtraction z_1 M_1j - s: no array
-of (2m+1)^(n-1) rows is built. Slices z1 = 1..m and the rows of slice 0
-below its zero row make the half; exact keys are not needed, since the
-box's sum of q is tr(F) (2m+1)^n m(m+1)/3, its cross terms cancelling,
-and its largest q is at a corner.
+Both ways of reading a codebook walk the same half: the rest vectors
+r <lex 0 with every z_1, then r = 0 with z_1 >= 1. Where the rule keeps
+the whole box (cut at box_top or above, left None), it is read
+rest-block-major: the rest vectors below zero come in blocks of _BLOCK
+rows of the rest box {-m..m}^(n-1), each block's rest sums are taken
+once, and each z1 = -m..m adds z1 M_1j to them, one word block per z1;
+no array of (2m+1)^(n-1) rows is built. Exact keys are not needed,
+since the box's sum of q is tr(F) (2m+1)^n m(m+1)/3, its cross terms
+cancelling, and its largest q is at a corner.
 
 Below box_top the half is rest-vector-major. The walker each generator
 builds once (GeneratorMatrix.walker, Fincke-Pohst over F, or over M M^T
 for float keys, with z_1 walked last) streams the rest vectors r in lex
-order, each with its run of z_1, none within the cut left out: the runs
-of r <lex 0 and of r = 0 with z_1 >= 1 are the half. For exact keys
+order, each with its run of z_1, none within the cut left out, up to
+the half's last run. For exact keys
 q = A_r + z_1 (2 b_r + F_11 z_1), with A_r = r F_rest r^T and b_r =
 sum_j F_1j r_j integers, so each run is cut to the cut exactly, its sum
 of q is taken in closed form and its largest q at its ends, and no key
@@ -229,8 +231,7 @@ class _Scratch:
     high parts of _ExactSum.add."""
 
     def __init__(self, n: int):
-        self.words = np.empty((_BLOCK, n), order="F")
-        self.rest = None  # made on the first walked chunk; a whole box needs none
+        self.words, self.rest = (np.empty((_BLOCK, n), order="F") for _ in range(2))
         self.norms, self.r, self.t = np.empty((3, _BLOCK))
         self.keep = np.empty(_BLOCK, dtype=bool)
         self.bins, self.high = np.empty((2, _BLOCK), dtype=np.uint64)
@@ -240,69 +241,57 @@ class _Scratch:
 # units each keep a bin's sum below 2^53 units, so exact.
 _MAX_PARTS = 1 << 26
 _HIGH = np.uint64(2 ** 64 - 2 ** 26)  # clears the low 26 mantissa bits
+# The first biased exponent that _ExactSum sets aside (values of 2^997
+# and more): 2^26 high parts of a lower one sum below 2^1023.
+_ASIDE = 2020
 
 
 class _ExactSum:
-    """math.fsum(values * 2 + extra) bit for bit, from bins: every value
-    added counts twice, standing for itself and its negation, and each
-    of the extra values that result is given counts once.
+    """The exact sum of nonnegative float64s, each counted twice, standing
+    for itself and its negation, and of the extra values that result is
+    given, each once, rounded once.
 
-    Each float64 is split into its value with the low 26 mantissa bits
-    cleared and the remainder, both exact. Binned by sign and biased
+    Each value below 2^997 is split into its value with the low 26
+    mantissa bits cleared and the remainder, both exact. Binned by biased
     exponent e, the high parts are multiples of 2^(e-1049) below
-    2^(e-1022) and the low parts multiples of 2^(e-1075) below
-    2^(e-1049) (subnormals, in bin 0, scale as e = 1), so np.bincount
-    adds each block's bins exactly, and so does merging them into the
-    running bins, which go to a list of parts every _MAX_PARTS values.
-    The parts sum to the exact total, and math.fsum of them, each twice,
-    and of extra rounds it once, as math.fsum of the values does.
-    Infinities and NaNs are set aside in order; while the finite values
-    cannot overflow, math.fsum of the values gives what math.fsum of
-    those gives.
-
-    result is None where math.fsum's outcome depends on the order of
-    the values: when the finite ones could overflow (largest exponent
-    plus the bit length of their count, the values added counted twice
-    and extra once, past 2044). The bins are dropped once the values
-    added could overflow (exact is False), and the caller takes math.fsum
-    of the values themselves. Values that are all zeros leave no parts,
-    and math.fsum of them is +0.0, as of none.
+    2^(e-1022) and the low parts multiples of 2^(e-1075) below 2^(e-1049)
+    (subnormals, in bin 0, scale as e = 1), so np.bincount adds each
+    block's bins exactly, and so does merging them into the running bins,
+    which go to a list of parts every _MAX_PARTS values; no bin can
+    overflow. Values of 2^997 and more are set aside: a finite one is a
+    part as it is, an infinite one sets infinite. The parts sum to the
+    exact total of the finite values, and math.fsum of them, each twice,
+    and of the finite extra values rounds it once; near the largest
+    double, where fsum's partials can overflow, Fraction decides. Values
+    that are all zeros leave no parts, and the sum is +0.0.
     """
 
     def __init__(self, scratch: _Scratch):
-        self.scratch, self.exact = scratch, True
-        self.parts, self.specials = [], []
+        self.scratch, self.infinite = scratch, False
+        self.parts = []
         self.hi = self.lo = None
-        self.count = self.total = self.top = 0
+        self.count = 0
 
     def add(self, values: np.ndarray) -> None:
-        """Add a float64 block of at most _BLOCK (and _MAX_PARTS) values."""
-        if not self.exact:
-            return
+        """Add a block of at most _BLOCK (and _MAX_PARTS) nonnegative
+        float64s, +inf allowed."""
         k = len(values)
         if self.count and self.count + k > _MAX_PARTS:
             self._flush()
         self.count += k
-        self.total += 2 * k
         bits = values.view(np.uint64)
         bins = np.right_shift(bits, 52, out=self.scratch.bins[:k]).view(np.int64)
         high = np.bitwise_and(bits, _HIGH, out=self.scratch.high[:k]).view(np.float64)
         hi = np.bincount(bins, high)
-        special = len(hi) > 2047 and np.any(hi[2047::2048])
-        if special:  # an infinity or NaN: set aside, and out of the bins
-            nonfinite = ~np.isfinite(values)
-            self.specials += values[nonfinite].tolist()
-            high[nonfinite] = 0.0
-        lo = np.bincount(bins, np.subtract(values, high, out=high))
-        top = len(hi) - 1
-        if top > 2046:  # the largest bin holds a special or a negative value
-            if special:
-                hi[2047::2048] = lo[2047::2048] = 0.0
-            top = int((np.flatnonzero(hi) & 0x7FF).max(initial=0))
-        self.top = max(self.top, top)
-        if not self._bounded(self.top, self.total):
-            self.exact, self.hi, self.lo = False, None, None
-        elif self.hi is None:
+        if len(hi) > _ASIDE:  # set aside, and out of the bins
+            aside = bins >= _ASIDE
+            big = values[aside]
+            self.infinite |= bool(np.isinf(big).any())
+            self.parts += big[np.isfinite(big)].tolist()
+            high[aside] = 0.0
+            hi = hi[:_ASIDE]
+        lo = np.bincount(bins, np.subtract(values, high, out=high))[:_ASIDE]
+        if self.hi is None:
             self.hi, self.lo = hi, lo
         else:
             if len(hi) > len(self.hi):
@@ -310,30 +299,26 @@ class _ExactSum:
             self.hi[:len(hi)] += hi
             self.lo[:len(lo)] += lo
 
-    @staticmethod
-    def _bounded(top: int, total: int) -> bool:
-        """Whether total values below 2^(top-1022) stay below 2^1022, so
-        that neither the bins nor fsum's own partials can overflow."""
-        return top + total.bit_length() <= 2044
-
     def _flush(self) -> None:
         self.parts += self.hi[self.hi != 0].tolist()
         self.parts += self.lo[self.lo != 0].tolist()
         self.hi = self.lo = None
         self.count = 0
 
-    def result(self, extra: list) -> float | None:
-        """math.fsum of the values, each twice, and of extra, or None if
-        it must be taken of them."""
-        e = np.asarray(extra, dtype=np.float64).view(np.uint64) >> np.uint64(52) & np.uint64(0x7FF)
-        top = int(e[e < 0x7FF].max(initial=0))
-        if not (self.exact and self._bounded(max(self.top, top), self.total + len(extra))):
-            return None
+    def result(self, extra: list) -> float:
+        """The exact sum of the finite values, each twice, and of the finite
+        extra values, rounded once; OverflowError if it rounds past the
+        largest double."""
         if self.hi is not None:
             self._flush()
-        if self.specials or (e == 0x7FF).any():
-            return math.fsum(self.specials + extra)
-        return math.fsum(self.parts * 2 + extra)
+        parts = self.parts * 2 + [v for v in extra if v < math.inf]
+        try:
+            return math.fsum(parts)
+        except OverflowError:
+            # fsum's partials can overflow where the exact sum rounds to
+            # the largest double; int / int rounds once, or raises.
+            total = sum(map(Fraction, parts))
+            return total.numerator / total.denominator
 
 
 def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
@@ -343,15 +328,16 @@ def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
     left-to-right square and multiply. Every step is one correctly
     rounded IEEE operation, so the bits do not depend on the CPU's SIMD
     dispatch, as np.power's do."""
-    if absx.shape[1] == 1:
-        np.copyto(r, absx[:, 0])
-    else:
-        np.multiply(absx[:, 0], absx[:, 1], out=r)
-    for j in range(2, absx.shape[1]):
-        r *= absx[:, j]
-    np.divide(1.0, r, out=r)
-    # A large exponent overflows to inf, which the exact sum passes on.
+    # A large exponent, or a product of large coordinates, overflows to
+    # inf quietly: the exact sum passes the one on, and 1/inf is 0.
     with np.errstate(over="ignore"):
+        if absx.shape[1] == 1:
+            np.copyto(r, absx[:, 0])
+        else:
+            np.multiply(absx[:, 0], absx[:, 1], out=r)
+        for j in range(2, absx.shape[1]):
+            r *= absx[:, j]
+        np.divide(1.0, r, out=r)
         if exponent == 1:
             np.copyto(out, r)
         else:
@@ -365,30 +351,24 @@ def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
 
 
 def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
-    """(size, s, top, energy, bad) of the words that blocks() yields as
+    """(size, s, top, energy, bad) of the words of blocks, an iterator of
     (words, keys, coeffs) blocks of at most _BLOCK rows, each word
     standing for itself and its negation: their count, the exact sum of
-    their terms (an _ExactSum, unrounded), and the largest and
-    the sum of their keys. words is overwritten by its absolute values.
-    bad is the lex-first word, either sign, with a coordinate below
-    DIVERSITY_EPS, as _lex_first gives it from coeffs, or None; once
-    there is one no term is taken.
+    their terms (an _ExactSum, unrounded), and the largest and the sum of
+    their keys. words is overwritten by its absolute values. bad is the
+    lex-first word, either sign, with a coordinate below DIVERSITY_EPS,
+    as _lex_first gives it from coeffs, or None; once there is one no
+    term is taken.
 
     Exact keys (exact True) come as the block's (largest, sum), integers,
-    or as None (the whole rest box, whose energies report takes in
-    closed form); energy is then the int sum. Float norms are added to
-    energy, an _ExactSum.
-
-    Where an _ExactSum has no result, report reads blocks() again and
-    math.fsum takes the values themselves. No term is taken once the
-    energy's bins are dropped until the energy is settled, so an energy
-    sum that overflows raises before any term can overflow, as when all
-    the norms were summed first.
+    or as None (the whole box, whose energies report takes in closed
+    form); energy is then the int sum. Float norms are added to energy,
+    an _ExactSum. Each block is read once, its norms and terms together.
     """
     energy = 0 if exact else _ExactSum(scratch)
     s = _ExactSum(scratch)
     size, top, bad = 0, 0 if exact else 0.0, None
-    for words, keys, coeffs in blocks():
+    for words, keys, coeffs in blocks:
         size += len(words)
         if not exact:
             energy.add(keys)
@@ -399,18 +379,9 @@ def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
         absx = np.abs(words, out=words)
         if float(absx.min()) < DIVERSITY_EPS:
             bad = _lex_first(bad, absx, coeffs, mirrored=True)
-        elif bad is None and (exact or energy.exact):
+        elif bad is None:
             s.add(_terms(absx, exponent, scratch.r[:len(absx)], scratch.t[:len(absx)]))
     return size, s, top, energy, bad
-
-
-def _listed(blocks, values, extra: list) -> list:
-    """values(words, keys) over blocks(), each twice, and extra, as
-    Python floats: the values an _ExactSum without a result stands for."""
-    parts = []
-    for words, keys, _ in blocks():
-        parts += values(words, keys).tolist()
-    return parts * 2 + extra
 
 
 class _Codebook:
@@ -432,9 +403,6 @@ class _Codebook:
             order = [*range(1, n), 0]
             self.rows = np.array([[self.F[i][j] for j in order] for i in range(1, n)],
                                  dtype=np.int64).reshape(n - 1, n)
-        # The rest sums of the rest box's rows 0..(N-1)/2, once a rule
-        # keeps the box; row N-1-i is minus row i, so they give every row.
-        self.half = None
         # The words of the walked half keyed cut, when the rule splits them.
         self.tied = []
 
@@ -602,28 +570,11 @@ class _Codebook:
         """The words of the rows (z1[i], r[k]), count[k] rows for each rest
         vector r[k] in turn, by the word formula, in the scratch: each rest
         vector's rest sums once, then z1 M_1j added to them row by row."""
-        if self.scratch.rest is None:
-            self.scratch.rest = np.empty_like(self.scratch.words)
         rest = self._rest(r, self.scratch.rest[:len(r)])
         words, t = self.scratch.words[:len(z1)], self.scratch.t[:len(z1)]
         for j in range(len(self.M)):
             np.add(np.repeat(rest[:, j], count), np.multiply(z1, self.M[0, j], out=t),
                    out=words[:, j])
-        return words
-
-    def _box_words(self, z1: int, i: int, stop: int) -> np.ndarray:
-        """The words of slice z1 over rows i..stop-1 of the whole rest box,
-        in the scratch. A row up to the middle one, mid, adds z1 M_1j to
-        its rest sums in the half block; a row k above it takes
-        z1 M_1j - half[2 mid - k], the same bits up to the sign of a zero:
-        IEEE negation is exact, x - s is x + (-s), and the formula is odd."""
-        words, mid = self.scratch.words[:stop - i], len(self.half) - 1
-        up = min(max(i, mid + 1), stop)  # the first row above the middle
-        # Row k > mid mirrors row k - mid of the reversed half.
-        mirror = self.half[::-1][up - mid:stop - mid]
-        for j, x in enumerate(z1 * self.M[0]):
-            np.add(self.half[i:up, j], x, out=words[:up - i, j])
-            np.subtract(x, mirror[:, j], out=words[up - i:, j])
         return words
 
     def _norms(self, words: np.ndarray) -> np.ndarray:
@@ -638,40 +589,39 @@ class _Codebook:
         return norms
 
     def _box_blocks(self):
-        """(words, keys, coeffs) per block of half the whole box, slice by
-        slice: rows 0..mid-1 of slice 0 (the rest vectors below zero), and
-        every row of slices 1..m. keys are the float norms, or None for
+        """(words, keys, coeffs) per block of half the whole box: each block
+        of _BLOCK rest vectors below zero, its rest sums taken once, with
+        z1 = -m..m in turn, then the zero rest vector, the middle row of
+        the rest box, with z1 = 1..m; as many slices of z1 per block of
+        words as fit in _BLOCK rows. keys are the float norms, or None for
         exact keys; coeffs(rows) gives rows' coefficient vectors."""
-        k, m = len(self.M) - 1, self.m
-        if self.half is None:
-            half = ((2 * m + 1) ** k + 1) // 2
-            self.half = np.empty((half, len(self.M)), order="F")
-            for i in range(0, half, _BLOCK):
-                stop = min(i + _BLOCK, half)
-                self._rest(_box(k, m, i, stop), self.half[i:stop])
-        mid = len(self.half) - 1
-        for z1 in range(m + 1):
-            count = mid if z1 == 0 else 2 * mid + 1
-            for i in range(0, count, _BLOCK):
-                words = self._box_words(z1, i, min(i + _BLOCK, count))
+        k, m, M1 = len(self.M) - 1, self.m, self.M[0]
+        below = ((2 * m + 1) ** k - 1) // 2
+        pieces = [(i, min(_BLOCK, below - i), -m) for i in range(0, below, _BLOCK)]
+        for i, b, first in pieces + [(below, 1, 1)]:
+            rest = self._rest(_box(k, m, i, i + b), self.scratch.rest[:b])
+            per = _BLOCK // b  # slices of z1 per block of words
+            for lo in range(first, m + 1, per):
+                z1s = range(lo, min(lo + per, m + 1))
+                words = self.scratch.words[:b * len(z1s)]
+                for t, z1 in enumerate(z1s):
+                    for j, x in enumerate(z1 * M1):
+                        np.add(rest[:, j], x, out=words[t * b:(t + 1) * b, j])
                 keys = None if self.F is not None else self._norms(words)
-                yield words, keys, lambda rows, z1=z1, i=i: np.column_stack(
-                    (np.full(len(rows), z1), _box_rows(k, m, i + rows)))
+                yield words, keys, lambda rows, lo=lo, i=i, b=b: np.column_stack(
+                    (lo + rows // b, _box_rows(k, m, i + rows % b)))
 
     def report(self, cut: float, left: int | None, lattice_name: str,
                p_lim: float = math.inf, target_size: int | None = None) -> SumReport:
         """The SumReport of the words that the rule (cut, left) keeps: half
-        of them walked, or read from the whole box's half block, each for
-        itself and its negation, and the lex-first left words keyed cut,
-        each once. Energies are settled before any term of those is taken,
-        and S and a plain array's energy are rounded once."""
+        of them, the whole box's or walked, read once, each for itself and
+        its negation, and the lex-first left words keyed cut, each once. S
+        and a plain array's energy are rounded once, the energy first."""
         n, exact = len(self.M), self.F is not None
         whole = left is None and not cut < self.box_top
-        blocks = self._box_blocks if whole else lambda: self._walked(cut, left is not None)
+        blocks = self._box_blocks() if whole else self._walked(cut, left is not None)
         size, s, top, energy, bad = _reduce(blocks, self.exponent, self.scratch, exact)
         size = 2 * size + 1  # the zero word counts but has no term
-        # No term is taken once a plain array's energy bins are dropped.
-        settled = exact or energy.exact
         tied, e_extra = np.empty((0, n), dtype=np.int64), []
         if left is not None:
             tied = np.concatenate([tied, *self.tied])
@@ -685,13 +635,11 @@ class _Codebook:
             if float(absx.min()) < DIVERSITY_EPS:
                 bad = _lex_first(bad, absx, lambda rows: z[rows], mirrored=False)
         if not exact:
+            # The finite norms first, so an energy sum that overflows
+            # raises, an infinite norm or not.
             total = energy.result(e_extra)
-            if total is None:
-                # The finite norms first, so an energy sum that overflows
-                # raises, an infinite norm or not; no order enters it.
-                norms = _listed(blocks, lambda words, keys: keys, e_extra)
-                total = math.fsum(v for v in norms if math.isfinite(v))
-                total = math.fsum([v for v in norms if not math.isfinite(v)] or [total])
+            if energy.infinite or math.inf in e_extra:
+                total = math.inf
             p_max, p_ave = top, total / size
         else:
             if whole:
@@ -706,19 +654,14 @@ class _Codebook:
             p_ave = _rounded(energy, size, self.walker.det, n)
         if bad is not None:
             raise DiversityError(*bad)
-
-        def terms(words, keys=None):
-            return _terms(np.abs(words, out=words), self.exponent,
-                          self.scratch.r[:len(words)], self.scratch.t[:len(words)])
-
-        s_extra = [t for _, words in self._tied_blocks(tied) for t in terms(words).tolist()]
-        s_value = s.result(s_extra) if settled else None
-        if s_value is None:
-            # Every term is positive, so an infinite one makes S inf (a
-            # large exponent overflows quietly), whether or not the finite
-            # ones overflow, which raises; no order enters it.
-            values = _listed(blocks, terms, s_extra)
-            s_value = math.fsum([v for v in values if not math.isfinite(v)] or values)
+        s_extra = [t for _, words in self._tied_blocks(tied)
+                   for t in _terms(np.abs(words, out=words), self.exponent,
+                                   self.scratch.r[:len(words)],
+                                   self.scratch.t[:len(words)]).tolist()]
+        # Every term is positive, so an infinite one makes S inf (a large
+        # exponent overflows quietly), whether or not the finite ones
+        # overflow, which raises.
+        s_value = math.inf if s.infinite or math.inf in s_extra else s.result(s_extra)
         return SumReport(
             lattice_name, n, self.m, p_lim, size, p_max=p_max, p_ave=p_ave,
             s_value=s_value, exponent=self.exponent, target_size=target_size)

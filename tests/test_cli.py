@@ -221,6 +221,15 @@ def test_sum_large_exponent_overflows_quietly(capsys):
         0, "lambda1,3,inf,2401,36.00,16.00,inf", "")
 
 
+def test_sum_past_the_largest_double_is_an_error_line(capsys):
+    # The terms at exponent 202 are finite and their exact sum overflows:
+    # one error line and the usage/domain exit code, not a traceback.
+    code, out, err = run(capsys, "sum", "--lattice", "lambda3", "--m", "2",
+                         "--exponent", "202")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def _readme_cli_examples() -> list[tuple[list[str], str | None]]:
     """(argv, expected stdout or None) of each `latticesec` line in the
     README's CLI block; `# -> value` gives the expected output."""

@@ -495,9 +495,9 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
     # Sampled rows of the whole box's half and of walked capped halves
     # hold the word formula's words, and for a plain array its norms, the
     # keys, evaluated in Python floats, bit for bit: no BLAS or SIMD
-    # kernel enters them. The samples take in the rows around the middle
-    # of the rest box and its last row, whose words mirror the half
-    # block's rest sums. A catalogued generator's walked chunks carry the
+    # kernel enters them. The whole box's samples take in its first rest
+    # vector, the last below zero and the zero one, and more than 100
+    # words with z1 < 0. A catalogued generator's walked chunks carry the
     # largest and the sum of their exact energies, and its whole box none.
     def bits(values):
         return np.array(values, dtype=float).view(np.int64).tolist()
@@ -506,7 +506,7 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
     plain = [np.array([[1.7]]), np.array([[1.0, 0.3], [0.2, -1.1]]),
              np.array([[0.9, -0.7], [0.45, 1.35]])]
     gens = [spec.generator for spec in (lambda1, lambda2, lambda3)] + plain
-    checked = mirrored = 0
+    checked = negative = 0
     for gen in gens:
         M = np.asarray(getattr(gen, "entries", gen))
         n = len(M)
@@ -514,16 +514,16 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
             codebook = constellation._Codebook(constellation._as_generator(gen), m, 3)
             cut = codebook.cap(p_lim)
             whole = not cut < codebook.box_top
-            middle, last = (2 * m + 1) ** (n - 1) // 2, (2 * m + 1) ** (n - 1) - 1
+            middle = (2 * m + 1) ** (n - 1) // 2
             blocks = codebook._box_blocks() if whole else codebook._walked(cut, False)
             for words, keys, coeffs in blocks:
                 z = coeffs(np.arange(len(words)))
-                sample = rng.sample(range(len(words)), min(len(words), 40))
+                sample = rng.sample(range(len(words)), min(len(words), 200))
                 if whole:
                     rows = _rest_rows(z, m)
-                    ends = {middle - 1, middle, middle + 1, last}
+                    ends = {0, middle - 1, middle}
                     sample += np.flatnonzero(np.isin(rows, list(ends))).tolist()
-                    mirrored += sum(rows[i] > middle for i in sample)
+                    negative += sum(z[i][0] < 0 for i in sample)
                 for i in sample:
                     x, norm = _formula([int(v) for v in z[i]], M.tolist())
                     assert bits(words[i]) == bits(x), (M, m, z[i])
@@ -533,7 +533,7 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
                 if codebook.F is not None:
                     q = np.einsum("ki,ij,kj->k", z.astype(np.int64), np.array(gen.form), z.astype(np.int64))
                     assert keys == (None if whole else (q.max(), q.sum())), (m, keys)
-    assert checked > 1000 and mirrored > 100
+    assert checked > 1000 and negative > 100
 
 
 def _python_terms(words, exponent):
@@ -672,12 +672,13 @@ def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
                                             monkeypatch, block):
     # Every row's arithmetic is its own, so the rows per block must not
     # move a bit, nor where the walk splits a run between chunks. The
-    # uncapped sums at m = 2, 3, 4 end slice 0's half, rows below its zero
-    # row, at rest rows 61, 170 and 363: at the start or the end of a
-    # block for each size here. At m = 8, p_lim 4, lambda3 keeps 79 of
-    # the 17^4 words, and most walked runs are cut to nothing. The skewed
-    # generator's lex-first zero coordinate is at (-9, 0), which the fold
-    # reads only as the negation of (9, 0), a word of the last slice.
+    # uncapped sums at m = 2, 3, 4 take 62, 171 and 364 rest vectors below
+    # zero, a whole number of blocks for some sizes here and not for
+    # others. At m = 8, p_lim 4, lambda3 keeps 79 of the 17^4 words, and
+    # most walked runs are cut to nothing. The skewed generator's
+    # lex-first zero coordinate is at (-9, 0), which the fold reads only
+    # as the negation of (9, 0), the last word of the zero rest vector's
+    # run.
     g1, g2, g3 = lambda1.generator, lambda2.generator, lambda3.generator
     skew = np.array([[1.0, 0.0], [-2.0, 1.0]])
 
@@ -699,9 +700,9 @@ def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
 
 
 def test_overflowing_energy_raises_before_any_term():
-    # Norms near 1e308 overflow the energy sum; math.fsum raises, and no
-    # term, whose coordinate product would overflow too, is taken first
-    # (a warning here would be an error).
+    # Norms near 1e308 overflow the energy sum, which is rounded, and
+    # raises, before S; the terms, taken in the same pass, overflow their
+    # coordinate products quietly (a warning here would be an error).
     for m in (3, 40):
         with pytest.raises(OverflowError):
             inverse_norm_power_sum(np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154, m)
@@ -723,18 +724,50 @@ def test_an_infinite_term_outweighs_finite_terms_that_overflow(lambda2):
         assert report.s_value == math.inf
 
 
+def test_each_report_reads_its_codebook_once(lambda2, lambda3, monkeypatch):
+    # A report streams its half of the codebook once, the whole box's
+    # blocks or the walk's chunks, its norms and terms in the same pass:
+    # also where S is inf (lambda2 at exponent 307), where the finite
+    # terms overflow (lambda3 m = 2 at exponent 202), where the energy
+    # does (a generator scaled by 1e154), and in a carve.
+    streams = []
+    codebook = constellation._Codebook
+    for name in ("_box_blocks", "_walked"):
+        monkeypatch.setattr(codebook, name, lambda self, *args, name=name, read=getattr(
+            codebook, name): streams.append(name) or read(self, *args))
+    big = np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154
+    g2, g3 = lambda2.generator, lambda3.generator
+    box, walk = ["_box_blocks"], ["_walked"]
+    for f, args, kwargs, raises, read in (
+            (inverse_norm_power_sum, (g2, 1), {"exponent": 307}, None, box),
+            (inverse_norm_power_sum, (g2, 3, 16.0), {"exponent": 307}, None, walk),
+            (inverse_norm_power_sum, (g3, 2), {"exponent": 202}, OverflowError, box),
+            (inverse_norm_power_sum, (g3, 2, 16.0), {"exponent": 202}, OverflowError, walk),
+            (inverse_norm_power_sum, (big, 3), {}, OverflowError, box),
+            (inverse_norm_power_sum, (big, 3, 1.7e308), {}, OverflowError, walk),
+            (carve_lowest_energy, (g3, 3, 300), {}, None, walk),
+            (carve_lowest_energy, (g2, 1, 50), {"exponent": 307}, None, walk)):
+        streams.clear()
+        if raises is None:
+            assert f(*args, **kwargs).s_value > 0
+        else:
+            with pytest.raises(raises):
+                f(*args, **kwargs)
+        assert streams == read, (f, args, kwargs)
+
+
 def test_slice_memory_does_not_grow_with_the_slice(lambda1):
     # A codebook streams through the fixed scratch made with its
-    # _Codebook: once its half block is built, an uncapped sum allocates
-    # no array that grows with the box. So the peak of a second report is
-    # the same at m = 10 (9261 rest rows) as at m = 25 (132651), and a
-    # fraction of the scratch.
+    # _Codebook: an uncapped sum allocates no array that grows with the
+    # box, its first report included. So the peak of a report at m = 25
+    # (132651 rest rows) is less than twice that at m = 10 (9261), and
+    # below the scratch's buffers other than its rest sums (0.6 MB).
     peaks = {}
     for m in (10, 25):
         codebook = constellation._Codebook(lambda1.generator, m, 3)
         cut = codebook.cap(math.inf)
-        codebook.report(cut, None, "")  # builds the half block
-        scratch = sum(a.nbytes for a in vars(codebook.scratch).values() if a is not None)
+        scratch = sum(a.nbytes for a in vars(codebook.scratch).values())
+        scratch -= codebook.scratch.rest.nbytes
         tracemalloc.start()
         try:
             codebook.report(cut, None, "")
@@ -745,15 +778,14 @@ def test_slice_memory_does_not_grow_with_the_slice(lambda1):
     assert peaks[25] < 2 * peaks[10]
 
 
-def test_whole_box_state_is_half_the_rest_sums(lambda1):
-    # An uncapped sum keeps the rest sums of rows 0..(N-1)/2 of the rest
-    # box, ceil(N/2) n float64s (2.12 MB at m = 25), built from pieces of
-    # _BLOCK coefficient rows. So the first uncapped report peaks at them,
-    # one piece and a small margin, with neither the rest box (3.2 MB)
-    # nor its full block of rest sums (4.2 MB). Slice 0 takes only the
-    # rows below its zero row, so no block is copied to drop that row, and
-    # a piece's digits are taken in place: the peak is 2.52 MB here, and
-    # it was 2.58 MB with the copy.
+def test_whole_box_state_is_one_block_of_rest_sums(lambda1):
+    # An uncapped sum takes the rest sums of the rest vectors below zero
+    # block by block, each block once, into the scratch, from a piece of
+    # _BLOCK coefficient rows that it drops at once. So the first uncapped
+    # report of lambda1 at m = 25 peaks at about one piece, its row
+    # indices and digits (_BLOCK (n + 1) float64s, 320 KB), and a small
+    # margin: 0.41 MB here, with no rest sums of half the rest box (2.12
+    # MB), which took its peak to 2.52 MB.
     m, n = 25, 4
     codebook = constellation._Codebook(lambda1.generator, m, 3)
     cut = codebook.cap(math.inf)
@@ -763,9 +795,8 @@ def test_whole_box_state_is_half_the_rest_sums(lambda1):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    half = ((2 * m + 1) ** (n - 1) + 1) // 2
-    assert peak < half * n * 8 + constellation._BLOCK * (n - 1) * 8 + 2 ** 18, peak
-    assert codebook.half.shape == (half, n)
+    assert peak < 1e6, peak
+    assert peak < constellation._BLOCK * (n + 1) * 8 + 2 ** 17, peak
 
 
 def test_capped_sum_memory_does_not_grow_with_the_ball(lambda3):
@@ -788,9 +819,10 @@ def test_capped_sum_memory_does_not_grow_with_the_ball(lambda3):
 
 def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):
     # Uncapped, or with a ball that holds the box, a sum takes the rest
-    # sums of half the rest box {-m..m}^3, from pieces of at most _BLOCK
-    # coefficient rows, and allocates no array of the box's 343 rows;
-    # capped, the sum walks its ball, and no box is built.
+    # sums of the rest vectors of {-m..m}^3 below zero, 171 of its 343,
+    # and of the zero one, from pieces of at most _BLOCK coefficient rows,
+    # and allocates no array of more than _BLOCK rows; capped, the sum
+    # walks its ball, and no box is built.
     boxes = []
 
     def recording_box(k, m, start=0, stop=None):
@@ -809,12 +841,14 @@ def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):
     gen = lambda3.generator
     inverse_norm_power_sum(gen, 9, p_lim=64.0)
     assert boxes == []
+    shapes.clear()
     for p_lim in (math.inf, 1e6):
         inverse_norm_power_sum(gen, 3, p_lim=p_lim)
-    pieces = [(3, 3, 0, 100), (3, 3, 100, 172)]
+    pieces = [(3, 3, 0, 100), (3, 3, 100, 171), (3, 3, 171, 172)]
     assert boxes == 2 * pieces
-    assert (172, 4) in shapes and not any(
-        343 in (s if isinstance(s, tuple) else (s,)) for s in shapes)
+    assert (71, 3) in shapes and all(
+        max(s if isinstance(s, tuple) else (s,)) <= 100 for s in shapes), shapes
+
 
 def test_integer_arguments_of_any_integer_type_but_bool(lambda3):
     # numpy integers are integers; a bool is not a box bound or a count.
@@ -924,9 +958,9 @@ def test_diversity_failure_reported():
 
 
 def test_mirrored_diversity_failure_matches_a_lex_scan():
-    # Each lex-first offender lies above the middle of its slice's rest
-    # box, where the words mirror the half block's rest sums, and in a
-    # slice z1 < 0, which the fold reads only as negations. Its vector,
+    # Each lex-first offender has a rest vector above zero and z1 < 0,
+    # which the fold reads only as the negation of a word with its rest
+    # vector below zero and z1 > 0. Its vector,
     # coordinate and value are those of a brute-force lex scan by the
     # word formula; the first case's value is a rounding residue, not a
     # zero.

@@ -1,13 +1,16 @@
-"""The per-word terms and the exact slice sum, bit for bit.
+"""The per-word terms and the exact sum, bit for bit.
 
-constellation._ExactSum bins integer mantissa parts by exponent, block
-by block, and rounds once. Every value added stands for itself and its
-negation, so it counts twice, and the extra values given to result (a
-carve's tied words) count once: math.fsum(values * 2 + extra) is the
-independent oracle. Values and extras are drawn over the whole double
-range, with zeros, subnormals, both signs, infinities and NaNs, and
-totals past the largest double, and the values are split into blocks at
-drawn boundaries.
+constellation._ExactSum sums the nonnegative values a codebook gives it
+(norms and terms), each counted twice, standing for itself and its
+negation, and the extra values given to result (a carve's tied words)
+once. The independent oracle is their exact sum in Fraction, rounded
+once, with OverflowError past the largest double; an infinite value is
+left out of the sum and sets the accumulator's infinite flag. math.fsum
+of the same values must give the same outcome. Values and extras are
+drawn over the whole nonnegative double range, with zeros, subnormals,
+values of 2^997 and more (which the accumulator sets aside), +inf, and
+totals within an ulp of the largest double and past it, and the values
+are split into blocks at drawn boundaries.
 
 constellation._terms must give, bit for bit, what the same IEEE
 operations give row by row in Python floats, so that no SIMD kernel's
@@ -17,6 +20,7 @@ rounding can reach the sums.
 import math
 import struct
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,55 +34,79 @@ from latticesec.constellation import _ExactSum, _Scratch
 # A fixed example sequence keeps the suite reproducible run to run.
 oracle_settings = settings(max_examples=200, deadline=None, derandomize=True)
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
-tiny = st.floats(min_value=-1e-300, max_value=1e-300)  # subnormals and zeros
-special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, sys.float_info.max,
-                           -sys.float_info.max, math.inf, -math.inf, math.nan])
+BIG = sys.float_info.max
+ULP = math.ulp(BIG)  # 2^971
+finite = st.floats(min_value=0.0, allow_infinity=False)
+tiny = st.floats(min_value=0.0, max_value=1e-300)  # subnormals and zeros
+special = st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 2.0 ** 997,
+                           math.nextafter(2.0 ** 997, 0.0), BIG / 2, BIG, math.inf])
 
 
-def _outcome(f, values):
-    """The bits of f(values), or the type and message of what it raised."""
+def _outcome(f, *args):
+    """The bits of f(*args), or the type of what it raised."""
     try:
-        return struct.pack("<d", f(values))
-    except (OverflowError, ValueError) as exc:
-        return type(exc), str(exc)
+        return struct.pack("<d", f(*args))
+    except OverflowError:
+        return OverflowError
+
+
+def _oracle(values, extra):
+    """The exact sum of the finite values, each twice, and of the finite
+    extra values, rounded once (int / int rounds correctly and raises
+    OverflowError past the largest double)."""
+    exact = 2 * sum(Fraction(v) for v in values if v < math.inf)
+    exact += sum(Fraction(v) for v in extra if v < math.inf)
+    return exact.numerator / exact.denominator
 
 
 def _fsum(values, extra):
-    """The oracle: math.fsum of the values, each twice, then of extra."""
-    return math.fsum(list(values) * 2 + list(extra))
+    return math.fsum([v for v in values if v < math.inf] * 2
+                     + [v for v in extra if v < math.inf])
 
 
 def _exact_sum(blocks, extra=()):
-    """The accumulator's sum of the blocks, fed in order, and of extra, or
-    the oracle's where it has none (constellation.report then reads the
-    values themselves again), so only the sums it gives are checked."""
+    """(infinite, result) of an accumulator fed the blocks in order."""
     acc = _ExactSum(_Scratch(1))
     for block in blocks:
         acc.add(np.asarray(block, dtype=np.float64))
-    total = acc.result(list(extra))
-    return _fsum(np.concatenate(blocks).tolist(), extra) if total is None else total
+    return acc.infinite, _outcome(acc.result, list(extra))
 
 
-def _assert_matches_fsum(a, cuts=(), extra=()):
+def _assert_exact(a, cuts=(), extra=()):
     a = np.asarray(a, dtype=np.float64)
-    blocks = np.split(a, sorted(cuts))
-    assert (_outcome(lambda b: _exact_sum(b, extra), blocks)
-            == _outcome(lambda v: _fsum(v, extra), a.tolist()))
+    values, extra = a.tolist(), list(extra)
+    want = _outcome(_oracle, values, extra)
+    # math.fsum's partials can overflow where the exact total rounds to
+    # the largest double; else it gives the same outcome.
+    assert _outcome(_fsum, values, extra) in (want, OverflowError)
+    if _outcome(_fsum, values, extra) != want:
+        assert want == struct.pack("<d", BIG), values
+    assert _exact_sum(np.split(a, sorted(cuts)), extra) == (math.inf in values, want)
 
 
 @st.composite
 def wide_arrays(draw):
     """A few thousand values with mantissas and exponents drawn from a
-    seed: signs mixed or not, exponents spread over up to the whole range."""
+    seed, exponents spread over up to the whole range, zeros or not."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1000, 4000))
     lo, hi = sorted(draw(st.integers(-1074, 1023)) for _ in range(2))
     values = np.ldexp(rng.random(n) + 0.5, rng.integers(lo, hi + 1, n))
-    if draw(st.booleans()):
-        values *= rng.choice([-1.0, 1.0], n)
     values[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] = 0.0
     return values
+
+
+@st.composite
+def near_the_top(draw):
+    """(values, extra) whose total, the values counted twice, is within a
+    few ulps of the largest double: shares of it, rounded, and small
+    values that move the total across the midpoint to 2^1024."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(draw(st.integers(1, 6))) + 0.01
+    values = (BIG / 2 * (w / w.sum())).tolist()
+    small = rng.random(draw(st.integers(0, 4))) * ULP * 2.0 ** -int(rng.integers(0, 60))
+    extra = [ULP * float(rng.choice([0.25, 0.5, 0.75, 1.0, 1.5]))] if rng.random() < 0.5 else []
+    return values + small.tolist(), extra
 
 
 extras = st.lists(finite | tiny | special, max_size=6)
@@ -87,39 +115,50 @@ extras = st.lists(finite | tiny | special, max_size=6)
 @oracle_settings
 @given(st.lists(finite | tiny | special, max_size=40), extras)
 def test_short_lists_match_fsum(values, extra):
-    _assert_matches_fsum(values, extra=extra)
+    _assert_exact(values, extra=extra)
 
 
 @oracle_settings
 @given(wide_arrays(), extras)
 def test_long_arrays_match_fsum(values, extra):
-    _assert_matches_fsum(values, extra=extra)
+    _assert_exact(values, extra=extra)
+
+
+@oracle_settings
+@given(near_the_top(), st.booleans())
+def test_totals_at_the_largest_double_match_fsum(case, split):
+    values, extra = case
+    _assert_exact(values, range(1, len(values)) if split else (), extra)
 
 
 def test_edge_lengths_and_totals():
-    big = sys.float_info.max
-    for values in ([], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324],
-                   [2.0**-1022, -5e-324], [1.0, 2.0**-53], [1.0, 2.0**-53, 5e-324],
-                   [big], [big, big], [big, big, -big], [big, -big],
-                   [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
+    half = BIG / 2  # exact: the largest double is 2 half
+    for values in ([], [0.0], [0.0, 0.0], [5e-324], [2.0**-1022, 5e-324],
+                   [1.0, 2.0**-53], [1.0, 2.0**-53, 5e-324],
+                   [half], [BIG], [BIG, BIG], [half, ULP / 4], [half, ULP / 2],
+                   [half, ULP / 4, 5e-324], [math.inf, 1.0], [math.inf, BIG],
+                   [2.0 ** 997, math.nextafter(2.0 ** 997, 0.0)],
                    [2.0**1000] * 3000):
-        for extra in ([], [1.0], [big], [-big], [math.inf], [math.nan, 5e-324]):
-            _assert_matches_fsum(values, extra=extra)
+        for extra in ([], [1.0], [BIG], [ULP / 2], [ULP / 2, 5e-324],
+                      [math.inf], [math.inf, 5e-324]):
+            _assert_exact(values, extra=extra)
             # and block by block, one value per block
-            _assert_matches_fsum(values, range(1, len(values)), extra)
-    with pytest.raises(OverflowError):
-        _exact_sum([np.array([big / 2]), np.array([big / 4])])
+            _assert_exact(values, range(1, len(values)), extra)
+    # Totals at the largest double: the midpoint to 2^1024 rounds up.
+    assert _exact_sum([[half]], [math.nextafter(ULP / 2, 0.0)]) == (False, struct.pack("<d", BIG))
+    assert _exact_sum([[half, ULP / 4]]) == (False, OverflowError)
+    assert _exact_sum([[BIG / 4]], [BIG / 2]) == (False, struct.pack("<d", BIG))
     # Only the extra value takes the total past the largest double.
-    with pytest.raises(OverflowError):
-        _exact_sum([np.array([big / 4])], [big * 0.75])
-    assert _exact_sum([np.array([big / 4])], [big / 2]) == big
+    assert _exact_sum([[BIG / 4]], [BIG * 0.75]) == (False, OverflowError)
+    # An infinite value is set aside: the finite ones are summed.
+    assert _exact_sum([[math.inf, 1.0]], [2.0]) == (True, struct.pack("<d", 4.0))
 
 
 @st.composite
 def blocks(draw):
-    """One array of a few blocks, each of finite values, zeros of either
-    sign, infinities and NaNs, or values near the largest double, and
-    boundaries drawn at random, empty blocks included."""
+    """One array of a few blocks, each of finite values, zeros, +inf and
+    ones, or values near the largest double, and boundaries drawn at
+    random, empty blocks included."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     parts = []
     for kind in draw(st.lists(st.sampled_from(
@@ -130,12 +169,11 @@ def blocks(draw):
         elif kind == "wide":
             part = draw(wide_arrays())[:k]
         elif kind == "zeros":
-            part = rng.choice([0.0, -0.0], k)
+            part = np.zeros(k)
         elif kind == "special":
-            part = rng.choice([math.inf, -math.inf, math.nan, 1.0], k)
+            part = rng.choice([math.inf, 1.0, 2.0 ** 997], k)
         else:
-            part = (sys.float_info.max * rng.uniform(0.25, 1.0, k)
-                    * rng.choice([-1.0, 1.0], k))
+            part = BIG * rng.uniform(0.0, 1.0, k) * 2.0 ** -float(rng.integers(0, 40))
         parts.append(np.asarray(part, dtype=np.float64))
     values = np.concatenate(parts)
     cuts = draw(st.lists(st.integers(0, len(values)), max_size=8))
@@ -146,13 +184,13 @@ def blocks(draw):
 @given(blocks(), st.sampled_from([1, 2, 7, 1 << 26]), extras)
 def test_blocked_sums_match_fsum(case, max_parts, extra):
     # Any split of the values into blocks, with the bins flushed at most
-    # every max_parts values (2^26 is the exactness bound), gives fsum's
-    # outcome. A block holds at most max_parts values.
+    # every max_parts values (2^26 is the exactness bound), gives the
+    # exact outcome. A block holds at most max_parts values.
     values, cuts = case
     cuts = set(cuts) | set(range(max_parts, len(values), max_parts))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(constellation, "_MAX_PARTS", max_parts)
-        _assert_matches_fsum(values, cuts, extra)
+        _assert_exact(values, cuts, extra)
 
 
 def _term(row, exponent):
