@@ -71,17 +71,21 @@ Below box_top the half is rest-vector-major. The walker each generator
 builds once (GeneratorMatrix.walker, Fincke-Pohst over F, or over M M^T
 for float keys, with z_1 walked last) streams the rest vectors r in lex
 order, each with its run of z_1, none within the cut left out, up to
-the half's last run. For exact keys
+the half's last run, in walk chunks of _WALK words. For exact keys
 q = A_r + z_1 (2 b_r + F_11 z_1), with A_r = r F_rest r^T and b_r =
-sum_j F_1j r_j integers, so each run is cut to the cut exactly, its sum
-of q is taken in closed form and its largest q at its ends, and no key
-of a word is computed. A carve's words keyed cut are run ends (q is
+sum_j F_1j r_j integers, so each run is cut to the cut exactly, and no
+key of a word is computed. A carve's words keyed cut are run ends (q is
 strictly convex in z_1); they are gathered, sorted in lex order with
-their negations, and the first left kept. Plain arrays keep each row's
-float norm and a keep mask. Each chunk of the walk, about _BLOCK rows,
-is made in fixed scratch, so no array grows with the ball beyond the
-walker's groups of nodes. Every row's arithmetic is its own, so the
-bits do not depend on the block size.
+their negations, and the first left kept. A walk chunk's work per rest
+vector, the run cut and the rest sums, is done once for the chunk; its
+runs are then split into blocks of at most _BLOCK words (a run may span
+two blocks), and each block's words are made in fixed scratch. Per
+block, the sum of q over its runs is taken in closed form and its
+largest q at their ends; plain arrays keep each row's float norm and a
+keep mask. So no array grows with the ball beyond the walker's groups
+of nodes and a walk chunk's rest vectors. Every row's arithmetic is its
+own, so the bits depend neither on the block size nor on the walk
+chunk's.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -101,7 +105,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DiversityError, DomainError, positive_int
-from .numfields import GeneratorMatrix, _box, _box_rows, _expand
+from .numfields import GeneratorMatrix, _box, _box_rows, _chunks, _values
 
 DIVERSITY_EPS = 1e-12
 
@@ -161,6 +165,11 @@ def _as_generator(gen: GeneratorMatrix | np.ndarray) -> GeneratorMatrix:
 # rest vectors times the form's rows, is on int64 arrays, which numpy
 # never hands to BLAS.
 _BLOCK = 8192
+# Words per chunk of the walk. A chunk's per-rest-vector work, the exact
+# run cut and the rest sums, is taken once for a few blocks of words: a
+# block of _BLOCK words holds only a few hundred rest vectors, too few
+# to pay for that work's numpy calls.
+_WALK = 4 * _BLOCK
 
 
 def _rounded(a: int, b: int, det: Fraction, n: int) -> float:
@@ -205,10 +214,34 @@ def _lex_first(bad, absx: np.ndarray, coeffs, mirrored: bool):
     return bad
 
 
-def _coeffs(r: np.ndarray, parent: np.ndarray, z1: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The int64 coefficient vectors (z1[i], r[parent[i]]) of rows i of a
-    chunk, as _expand gives parent and z1."""
+def _coeffs(r: np.ndarray, count: np.ndarray, z1: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The int64 coefficient vectors (z1[i], r[k]) of rows i of a block
+    whose rows come count[k] to each rest vector r[k] in turn."""
+    parent = np.repeat(np.arange(len(count)), count)
     return np.column_stack((z1[rows], r[parent[rows]])).astype(np.int64)
+
+
+def _blocks(lo: np.ndarray, runs: np.ndarray):
+    """(k, lo, runs) per block of at most _BLOCK words of a walk chunk's
+    runs lo..lo+runs-1, in order: the block holds the chunk's runs k, the
+    first and last cut where the block starts or ends inside them."""
+    last = yield from _chunks(np.arange(len(runs)), lo, runs, _BLOCK)
+    if len(last[1]):
+        yield last
+
+
+def _run_keys(A: np.ndarray, b2: np.ndarray, f: int, a: np.ndarray,
+              count: np.ndarray) -> tuple[int, int]:
+    """(largest, sum) of the exact q = A + z1 (b2 + f z1) over the
+    nonempty runs z1 = a..a+count-1: q is convex in z1, so its largest is
+    at a run's ends, and q(a + t) = q(a) + t (b2 + 2 f a) + f t^2, summed
+    over t = 0..count-1."""
+    e = a + count - 1
+    qa, qe = A + a * (b2 + f * a), A + e * (b2 + f * e)
+    pairs = count * (count - 1)
+    return (int(np.maximum(qa, qe).max()),
+            int(count @ qa + (b2 + 2 * f * a) @ (pairs // 2)
+                + f * (pairs * (2 * count - 1) // 6).sum()))
 
 
 def _around_zero(r: np.ndarray) -> tuple[int, int]:
@@ -226,9 +259,10 @@ def _around_zero(r: np.ndarray) -> tuple[int, int]:
 class _Scratch:
     """Fixed buffers for blocks of at most _BLOCK rows of n coordinates,
     owned by one _Codebook: column-major words (first the products of
-    _rest) and rest sums, norms, the keep mask, the reciprocals and terms
-    of _terms (t is also the word formula's product), and the bins and
-    high parts of _ExactSum.add."""
+    _rest) and the rest sums of a block of the whole box or of tied
+    words, norms, the keep mask, the reciprocals and terms of _terms (t
+    is also the word formula's product), and the bins and high parts of
+    _ExactSum.add."""
 
     def __init__(self, n: int):
         self.words, self.rest = (np.empty((_BLOCK, n), order="F") for _ in range(2))
@@ -352,8 +386,9 @@ def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
 
 def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
     """(size, s, top, energy, bad) of the words of blocks, an iterator of
-    (words, keys, coeffs) blocks of at most _BLOCK rows, each word
-    standing for itself and its negation: their count, the exact sum of
+    (words, keys, coeffs) blocks of at most _BLOCK rows (the whole box's,
+    or each walk chunk's in turn), each word standing for itself and its
+    negation: their count, the exact sum of
     their terms (an _ExactSum, unrounded), and the largest and the sum of
     their keys. words is overwritten by its absolute values. bad is the
     lex-first word, either sign, with a coordinate below DIVERSITY_EPS,
@@ -422,8 +457,9 @@ class _Codebook:
         how many of the words keyed cut it keeps (None: all)."""
         n, top = len(self.M), self.box_top
         ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-        covolume = abs(np.linalg.det(self.M)) if self.F is None else math.sqrt(self.walker.det)
-        radius = (target * covolume / ball) ** (2 / n)
+        covolume = float(abs(np.linalg.det(self.M))) if self.F is None else math.sqrt(self.walker.det)
+        # target * covolume can overflow; each power apart is finite.
+        radius = (target / ball) ** (2 / n) * covolume ** (2 / n)
         while True:
             radius = min(radius, top)
             keys, counts = self._histogram(radius)
@@ -442,8 +478,10 @@ class _Codebook:
         """(keys, counts) of the codebook's words keyed at most radius
         (every word, from box_top on), zero included, in ascending key
         order: each word of the walked half counts for itself and its
-        negation. Exact keys are binned by np.bincount, float norms by
-        np.unique."""
+        negation. As in _walked, each walk chunk's runs are cut, or its
+        rest sums taken, once, and its words keyed a block of at most
+        _BLOCK at a time. Exact keys are binned by np.bincount, float
+        norms by np.unique."""
         every = not radius < self.box_top
         if self.F is not None:
             cut = math.floor(radius)
@@ -451,20 +489,24 @@ class _Codebook:
             f = self.F[0][0]
             for r, lo, runs in self._nodes(radius):
                 a, e, _, _, A, b2 = self._trim(r, lo, runs, cut)
-                parent, z1 = _expand(a, e - a + 1)
-                # Every trimmed q is at most cut, so only its bins are added.
-                found = np.bincount(A[parent] + z1 * (b2[parent] + f * z1))
-                counts[:len(found)] += found
+                for k, a, count in _blocks(a, e - a + 1):
+                    z1 = _values(a, count)
+                    # Every trimmed q is at most cut, so only its bins are added.
+                    found = np.bincount(np.repeat(A[k], count)
+                                        + z1 * (np.repeat(b2[k], count) + f * z1))
+                    counts[:len(found)] += found
             counts *= 2
             counts[0] += 1
             keys = np.flatnonzero(counts)
             return keys, counts[keys]
         found = [(np.zeros(1), np.ones(1, dtype=np.int64))]
         for r, lo, runs in self._nodes(radius):
-            norms = self._norms(self._words(r, runs, _expand(lo, runs, float)[1]))
-            keys, counts = np.unique(norms if every else norms[norms <= radius],
-                                     return_counts=True)
-            found.append((keys, 2 * counts))
+            rest = self._rest_sums(r)
+            for k, a, count in _blocks(lo, runs):
+                norms = self._norms(self._words(rest[k], count, _values(a, count, float)))
+                keys, counts = np.unique(norms if every else norms[norms <= radius],
+                                         return_counts=True)
+                found.append((keys, 2 * counts))
         keys, where = np.unique(np.concatenate([k for k, _ in found]), return_inverse=True)
         return keys, np.bincount(where, np.concatenate([c for _, c in found])).astype(np.int64)
 
@@ -473,7 +515,7 @@ class _Codebook:
         rest vectors r <lex 0 with their whole runs of z1, then r = 0 with
         z1 >= 1. With their negations they hold every word but zero; the
         walk stops at the first r >lex 0."""
-        for r, lo, runs in self.walker.nodes(cap, _BLOCK, self.m):
+        for r, lo, runs in self.walker.nodes(cap, _WALK, self.m):
             below, zero = _around_zero(r)
             end = below + zero
             if zero:
@@ -508,12 +550,14 @@ class _Codebook:
         return a, e, qa, qe, A, b2
 
     def _walked(self, cut: float, split: bool):
-        """(words, keys, coeffs) per chunk of the walked half's words that
-        the rule keeps: for exact keys, the chunk's (largest, sum) from
-        each run's ends and closed form; else the float norms, kept by a
-        mask. coeffs(rows) gives rows' coefficient vectors. With split the
-        words keyed cut are left out and gathered in self.tied, as (z1, r)
-        rows: for exact keys they are run ends, q being strictly convex."""
+        """(words, keys, coeffs) per block of the walked half's words that
+        the rule keeps: for exact keys, the block's (largest, sum) from its
+        runs' ends and closed form; else the float norms, kept by a mask.
+        coeffs(rows) gives rows' coefficient vectors. With split the words
+        keyed cut are left out and gathered in self.tied, as (z1, r) rows:
+        for exact keys they are run ends, q being strictly convex. Each
+        walk chunk's runs are cut, and its rest sums taken, once; its
+        words then come in blocks of at most _BLOCK."""
         self.tied = []
         exact = self.F is not None
         f = self.F[0][0] if exact else None
@@ -525,38 +569,34 @@ class _Codebook:
                     te = (e > a) & (qe == cut)
                     self.tied += [np.column_stack((a[ta], r[ta])), np.column_stack((e[te], r[te]))]
                     a, e = a + ta, e - te
-                    qa, qe = A + a * (b2 + f * a), A + e * (b2 + f * e)
-                count = e - a + 1
-                live = count > 0
-                if not live.any():
-                    continue
-                # q(a + t) = q(a) + t (b2 + 2 F_11 a) + F_11 t^2, summed over
-                # t = 0..count-1.
-                pairs = count * (count - 1)
-                keys = (int(np.maximum(qa, qe)[live].max()),
-                        int(count @ qa + (b2 + 2 * f * a) @ (pairs // 2)
-                            + f * (pairs * (2 * count - 1) // 6).sum()))
-            else:
-                count = runs
-            parent, z1 = _expand(a if exact else lo, count, float)
-            words, kept = self._words(r, count, z1), None
-            if not exact:
-                keys = self._norms(words)
-                keep = self.scratch.keep[:len(keys)]
-                (np.less if split else np.less_equal)(keys, cut, out=keep)
-                if split:
-                    self.tied.append(_coeffs(r, parent, z1, np.flatnonzero(keys == cut)))
-                if np.count_nonzero(keep) < len(keep):
-                    kept = np.flatnonzero(keep)
-                    words, keys = words[kept], keys[kept]
-                if not len(words):
-                    continue
-            yield words, keys, lambda rows: _coeffs(r, parent, z1, rows if kept is None else kept[rows])
+                live = np.flatnonzero(e >= a)
+                r, lo, runs, A, b2 = r[live], a[live], (e - a + 1)[live], A[live], b2[live]
+            rest = self._rest_sums(r)
+            for k, a, count in _blocks(lo, runs):
+                z1, kept = _values(a, count, float), None
+                words = self._words(rest[k], count, z1)
+                if exact:
+                    keys = _run_keys(A[k], b2[k], f, a, count)
+                else:
+                    keys = self._norms(words)
+                    keep = self.scratch.keep[:len(keys)]
+                    (np.less if split else np.less_equal)(keys, cut, out=keep)
+                    ties = np.flatnonzero(keys == cut) if split else ()
+                    if len(ties):
+                        self.tied.append(_coeffs(r[k], count, z1, ties))
+                    if np.count_nonzero(keep) < len(keep):
+                        kept = np.flatnonzero(keep)
+                        words, keys = words[kept], keys[kept]
+                    if not len(words):
+                        continue
+                yield words, keys, lambda rows: _coeffs(
+                    r[k], count, z1, rows if kept is None else kept[rows])
 
     def _rest(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The rest sums (z_2 M_2j + z_3 M_3j) + ... + z_n M_nj of a block
-        r of rest vectors into the columns of out, all columns at once,
-        with the scratch words as the products; +0.0 for n = 1."""
+        r of at most _BLOCK rest vectors into the columns of out, all
+        columns at once, with the scratch words as the products; +0.0 for
+        n = 1."""
         M, t = self.M, self.scratch.words[:len(r)]
         if len(M) == 1:
             out.fill(0.0)
@@ -566,11 +606,18 @@ class _Codebook:
             np.add(out, np.multiply.outer(r[:, i - 1], M[i], out=t), out=out)
         return out
 
-    def _words(self, r: np.ndarray, count: np.ndarray, z1: np.ndarray) -> np.ndarray:
+    def _rest_sums(self, r: np.ndarray) -> np.ndarray:
+        """The rest sums of a walk chunk's rest vectors r, in a new array,
+        _BLOCK rows at a time."""
+        rest = np.empty((len(r), len(self.M)), order="F")
+        for i in range(0, len(r), _BLOCK):
+            self._rest(r[i:i + _BLOCK], rest[i:i + _BLOCK])
+        return rest
+
+    def _words(self, rest: np.ndarray, count: np.ndarray, z1: np.ndarray) -> np.ndarray:
         """The words of the rows (z1[i], r[k]), count[k] rows for each rest
-        vector r[k] in turn, by the word formula, in the scratch: each rest
-        vector's rest sums once, then z1 M_1j added to them row by row."""
-        rest = self._rest(r, self.scratch.rest[:len(r)])
+        vector r[k] in turn, by the word formula, in the scratch: z1 M_1j
+        added row by row to rest, the rest sums of the r[k]."""
         words, t = self.scratch.words[:len(z1)], self.scratch.t[:len(z1)]
         for j in range(len(self.M)):
             np.add(np.repeat(rest[:, j], count), np.multiply(z1, self.M[0, j], out=t),
@@ -670,7 +717,8 @@ class _Codebook:
         """(z, words) per block of _BLOCK coefficient rows z of tied."""
         for i in range(0, len(tied), _BLOCK):
             z = tied[i:i + _BLOCK]
-            yield z, self._words(z[:, 1:], np.ones(len(z), dtype=np.int64), z[:, 0])
+            rest = self._rest(z[:, 1:], self.scratch.rest[:len(z)])
+            yield z, self._words(rest, np.ones(len(z), dtype=np.int64), z[:, 0])
 
 
 def inverse_norm_power_sum(

@@ -458,9 +458,13 @@ def _chunks(prefix: np.ndarray, lo: np.ndarray, runs: np.ndarray, block: int):
 def _expand(lo: np.ndarray, runs: np.ndarray, dtype=np.int64):
     """(parent, value) of each element of the runs lo..lo+runs-1, the
     values as dtype (exact as float64 too, being small integers)."""
+    return np.repeat(np.arange(len(runs)), runs), _values(lo, runs, dtype)
+
+
+def _values(lo: np.ndarray, runs: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """The values of _expand alone, with no parent index."""
     starts = np.cumsum(runs) - runs
-    return (np.repeat(np.arange(len(runs)), runs),
-            np.repeat((lo - starts).astype(dtype, copy=False), runs) + np.arange(runs.sum(), dtype=dtype))
+    return np.repeat((lo - starts).astype(dtype, copy=False), runs) + np.arange(runs.sum(), dtype=dtype)
 
 
 def min_product_distance(m: GeneratorMatrix) -> float:

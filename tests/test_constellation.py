@@ -415,9 +415,9 @@ def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
 
 def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
     # The words and norms take no matmul. A capped sum of a catalogued
-    # generator makes one per walked chunk, of its int64 rest vectors by
-    # the int64 rows of the form, which numpy never hands to BLAS; no
-    # float matmul runs in any sum.
+    # generator makes one per walk chunk, of its int64 rest vectors, at
+    # most one per word of the chunk, by the int64 rows of the form, which
+    # numpy never hands to BLAS; no float matmul runs in any sum.
     calls = []
     matmul = np.matmul
 
@@ -430,7 +430,7 @@ def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
     assert len(calls) >= 41
     for a, b, out in calls:
         assert a.dtype == b.dtype == np.int64 and out is None
-        assert len(a) <= constellation._BLOCK and b.shape == (3, 4)
+        assert len(a) <= constellation._WALK and b.shape == (3, 4)
     calls.clear()
     inverse_norm_power_sum(lambda1.generator, 10)
     inverse_norm_power_sum(lambda3.generator.entries, 10)
@@ -671,7 +671,10 @@ def _outcome(f, *args, **kwargs):
 def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
                                             monkeypatch, block):
     # Every row's arithmetic is its own, so the rows per block must not
-    # move a bit, nor where the walk splits a run between chunks. The
+    # move a bit, nor where the walk splits a run between chunks, nor
+    # where a block splits a run of a walk chunk. Walk chunks of 2 words,
+    # shorter than most runs here, and of 3 blocks split runs at both
+    # sizes; with the default walk chunk only the blocks do. The
     # uncapped sums at m = 2, 3, 4 take 62, 171 and 364 rest vectors below
     # zero, a whole number of blocks for some sizes here and not for
     # others. At m = 8, p_lim 4, lambda3 keeps 79 of the 17^4 words, and
@@ -696,7 +699,9 @@ def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
     want = outcomes()
     assert want[6][1] == want[7][1] == (-9, 0)
     monkeypatch.setattr(constellation, "_BLOCK", block)
-    assert outcomes() == want
+    for walk in (constellation._WALK, 2, 3 * block):
+        monkeypatch.setattr(constellation, "_WALK", walk)
+        assert outcomes() == want, walk
 
 
 def test_overflowing_energy_raises_before_any_term():
@@ -815,6 +820,44 @@ def test_capped_sum_memory_does_not_grow_with_the_ball(lambda3):
         tracemalloc.stop()
     assert rep.size == 3259369
     assert peak < 3.2e6, peak
+
+
+def test_walk_chunks_keep_capped_peaks_near_one_block(lambda3):
+    # A walk chunk of _WALK words takes its runs' cut and rest sums at
+    # once, and its words in blocks of _BLOCK rows, in the scratch; so
+    # its arrays per rest vector, a few thousand rows, are all it adds to
+    # a walk in chunks of _BLOCK words. The tracemalloc peaks of a second
+    # call, with the walker built, were 1.58 MB for the lambda3 m = 25
+    # carve to 100000 and 1.57 MB for the m = 40 sum at p_lim 1600 with
+    # chunks of _BLOCK words; 1.73 and 1.58 MB here. A carve whose
+    # histogram takes a walk chunk's words at once peaks at 2.3 MB.
+    gen = lambda3.generator
+    for bound, f in ((1.58, lambda: carve_lowest_energy(gen, 25, 100000)),
+                     (1.57, lambda: inverse_norm_power_sum(gen, 40, p_lim=1600.0))):
+        f()
+        tracemalloc.start()
+        try:
+            f()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (bound + 0.25) * 2 ** 20, (bound, peak)
+
+
+def test_carve_radius_of_a_huge_generator_does_not_overflow():
+    # The determinant of this generator is 1.125e308, so target * covolume
+    # overflowed with a RuntimeWarning, an error here, where the radius
+    # itself is finite; target and covolume raised to 2 / n apart do not.
+    # The cut and left are the ones that the overflowing radius gave. The
+    # energy of two words keyed 1.0625e308 overflows the float range.
+    big = np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154
+    want = [(0.0, None), (1.0625e308, 1), (1.0625e308, None), (1.25e308, 1), (1.25e308, None)]
+    for m in (1, 2, 3):
+        codebook = constellation._Codebook(constellation._as_generator(big), m, 3)
+        assert [codebook.cut(target) for target in range(1, 6)] == want, m
+        assert carve_lowest_energy(big, m, 2).p_max == 1.0625e308
+        with pytest.raises(OverflowError):
+            carve_lowest_energy(big, m, 5)
 
 
 def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):
