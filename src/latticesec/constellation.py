@@ -70,22 +70,22 @@ cancelling, and its largest q is at a corner.
 Below box_top the half is rest-vector-major. The walker each generator
 builds once (GeneratorMatrix.walker, Fincke-Pohst over F, or over M M^T
 for float keys, with z_1 walked last) streams the rest vectors r in lex
-order, each with its run of z_1, none within the cut left out, up to
-the half's last run, in walk chunks of _WALK words. For exact keys
+order, each with its whole run of z_1, none within the cut left out, up
+to the half's last run, in the walker's groups of about a thousand rest
+vectors (numfields._GROUP). For exact keys
 q = A_r + z_1 (2 b_r + F_11 z_1), with A_r = r F_rest r^T and b_r =
 sum_j F_1j r_j integers, so each run is cut to the cut exactly, and no
 key of a word is computed. A carve's words keyed cut are run ends (q is
 strictly convex in z_1); they are gathered, sorted in lex order with
-their negations, and the first left kept. A walk chunk's work per rest
-vector, the run cut and the rest sums, is done once for the chunk; its
+their negations, and the first left kept. A group's work per rest
+vector, the run cut and the rest sums, is done once for the group; its
 runs are then split into blocks of at most _BLOCK words (a run may span
 two blocks), and each block's words are made in fixed scratch. Per
 block, the sum of q over its runs is taken in closed form and its
 largest q at their ends; plain arrays keep each row's float norm and a
 keep mask. So no array grows with the ball beyond the walker's groups
-of nodes and a walk chunk's rest vectors. Every row's arithmetic is its
-own, so the bits depend neither on the block size nor on the walk
-chunk's.
+of nodes. Every row's arithmetic is its own, so the bits depend neither
+on the block size nor on the group size.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -105,7 +105,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DiversityError, DomainError, positive_int
-from .numfields import GeneratorMatrix, _box, _box_rows, _chunks, _values
+from .numfields import GeneratorMatrix, _box, _box_rows, _values
 
 DIVERSITY_EPS = 1e-12
 
@@ -161,15 +161,10 @@ def _as_generator(gen: GeneratorMatrix | np.ndarray) -> GeneratorMatrix:
 
 
 # Rows per block. A block of words is 256 KB at n = 4, so it stays in
-# L2 through a block's passes over it. The one matmul, a walked chunk's
+# L2 through a block's passes over it. The one matmul, a walker group's
 # rest vectors times the form's rows, is on int64 arrays, which numpy
 # never hands to BLAS.
 _BLOCK = 8192
-# Words per chunk of the walk. A chunk's per-rest-vector work, the exact
-# run cut and the rest sums, is taken once for a few blocks of words: a
-# block of _BLOCK words holds only a few hundred rest vectors, too few
-# to pay for that work's numpy calls.
-_WALK = 4 * _BLOCK
 
 
 def _rounded(a: int, b: int, det: Fraction, n: int) -> float:
@@ -222,12 +217,21 @@ def _coeffs(r: np.ndarray, count: np.ndarray, z1: np.ndarray, rows: np.ndarray) 
 
 
 def _blocks(lo: np.ndarray, runs: np.ndarray):
-    """(k, lo, runs) per block of at most _BLOCK words of a walk chunk's
-    runs lo..lo+runs-1, in order: the block holds the chunk's runs k, the
-    first and last cut where the block starts or ends inside them."""
-    last = yield from _chunks(np.arange(len(runs)), lo, runs, _BLOCK)
-    if len(last[1]):
-        yield last
+    """(k, lo, runs) per block of at most _BLOCK words of a walker group's
+    runs lo..lo+runs-1, in order: the block holds the slice k of the
+    group's runs, the first and last cut where the block starts or ends
+    inside them."""
+    end = np.cumsum(runs)
+    start = end - runs
+    total = int(end[-1]) if len(end) else 0
+    for s in range(0, total, _BLOCK):
+        e = min(s + _BLOCK, total)
+        i, j = int(np.searchsorted(end, s, "right")), int(np.searchsorted(start, e))
+        a, b = lo[i:j].copy(), runs[i:j].copy()
+        a[0] += s - start[i]
+        b[0] -= s - start[i]
+        b[-1] -= end[j - 1] - e
+        yield slice(i, j), a, b
 
 
 def _run_keys(A: np.ndarray, b2: np.ndarray, f: int, a: np.ndarray,
@@ -387,7 +391,7 @@ def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
 def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
     """(size, s, top, energy, bad) of the words of blocks, an iterator of
     (words, keys, coeffs) blocks of at most _BLOCK rows (the whole box's,
-    or each walk chunk's in turn), each word standing for itself and its
+    or each walker group's in turn), each word standing for itself and its
     negation: their count, the exact sum of
     their terms (an _ExactSum, unrounded), and the largest and the sum of
     their keys. words is overwritten by its absolute values. bad is the
@@ -478,7 +482,7 @@ class _Codebook:
         """(keys, counts) of the codebook's words keyed at most radius
         (every word, from box_top on), zero included, in ascending key
         order: each word of the walked half counts for itself and its
-        negation. As in _walked, each walk chunk's runs are cut, or its
+        negation. As in _walked, each walker group's runs are cut, or its
         rest sums taken, once, and its words keyed a block of at most
         _BLOCK at a time. Exact keys are binned by np.bincount, float
         norms by np.unique."""
@@ -511,19 +515,18 @@ class _Codebook:
         return keys, np.bincount(where, np.concatenate([c for _, c in found])).astype(np.int64)
 
     def _nodes(self, cap: float):
-        """The walker's chunks (r, lo, runs) at cap of half the codebook:
+        """The walker's groups (r, lo, runs) at cap of half the codebook:
         rest vectors r <lex 0 with their whole runs of z1, then r = 0 with
         z1 >= 1. With their negations they hold every word but zero; the
-        walk stops at the first r >lex 0."""
-        for r, lo, runs in self.walker.nodes(cap, _WALK, self.m):
-            below, zero = _around_zero(r)
-            end = below + zero
-            if zero:
-                start = np.maximum(lo[below:end], 1)
-                runs[below:end] = np.maximum(lo[below:end] + runs[below:end] - start, 0)
-                lo[below:end] = start
+        walk stops at the zero rest vector, or at the first r >lex 0."""
+        for r, lo, runs in self.walker.nodes(cap, self.m):
+            end, zero = _around_zero(r)
+            if zero:  # the zero rest vector's run, whole in this group
+                start = max(lo[end], 1)
+                lo[end], runs[end] = start, max(lo[end] + runs[end] - start, 0)
+                end += 1
             yield r[:end], lo[:end], runs[:end]
-            if end < len(r):
+            if end < len(r) or zero:
                 return
 
     def _trim(self, r: np.ndarray, lo: np.ndarray, runs: np.ndarray, cut: int):
@@ -556,7 +559,7 @@ class _Codebook:
         coeffs(rows) gives rows' coefficient vectors. With split the words
         keyed cut are left out and gathered in self.tied, as (z1, r) rows:
         for exact keys they are run ends, q being strictly convex. Each
-        walk chunk's runs are cut, and its rest sums taken, once; its
+        walker group's runs are cut, and its rest sums taken, once; its
         words then come in blocks of at most _BLOCK."""
         self.tied = []
         exact = self.F is not None
@@ -607,7 +610,7 @@ class _Codebook:
         return out
 
     def _rest_sums(self, r: np.ndarray) -> np.ndarray:
-        """The rest sums of a walk chunk's rest vectors r, in a new array,
+        """The rest sums of a walker group's rest vectors r, in a new array,
         _BLOCK rows at a time."""
         rest = np.empty((len(r), len(self.M)), order="F")
         for i in range(0, len(r), _BLOCK):

@@ -35,7 +35,8 @@ The package's lattice-point enumeration lives here too, so that one
 module owns the lex layout of the coefficient box. _box is the box
 {-m..m}^k in lex order, and EllipsoidWalker enumerates the integer
 vectors of an ellipsoid z G z^T <= cap, within that box or not, as
-runs of the last coordinate under lex-ordered prefixes. The walker
+runs of the last coordinate under lex-ordered prefixes, in groups of
+about _GROUP prefixes, each run whole in one group. The walker
 serves the capped sums and the carve in constellation, through the one
 each GeneratorMatrix builds with z_1 walked last, and
 theta_series_oracle.
@@ -305,7 +306,8 @@ def _box_rows(k: int, m: int, rows: np.ndarray) -> np.ndarray:
 
 
 # Nodes per group that a level of the walk expands at once: a group's
-# arrays, a few per coordinate, stay within a few hundred KB.
+# arrays, a few per coordinate, stay within a few hundred KB. The last
+# level's groups are the chunks in which every caller takes the walk.
 _GROUP = 1024
 
 
@@ -326,9 +328,10 @@ class EllipsoidWalker:
     is clipped to -m..m. Each level expands its runs in ascending order
     under ascending prefixes, so the candidates come out in lex order.
     nodes, the walker's one output, streams them: a level expands its
-    nodes in groups of about _GROUP children, so no level holds more than
-    about _GROUP nodes, and the last level's runs come in chunks of a
-    given number of rows.
+    nodes in groups whose runs start within _GROUP children, so no level
+    holds more than _GROUP nodes and one run more, and each group of the
+    last level comes out as it is, its runs whole. With a box bound, an
+    infinite cap walks the whole box.
 
     The candidates hold every z (in the box, if m is given) with
     z G z^T <= cap, and, for G = M M^T, every word whose float norm
@@ -386,28 +389,22 @@ class EllipsoidWalker:
         gf = np.array([[float(x) for x in row] for row in g])
         self.corner = float(np.einsum("ij,jk,ik->i", c, gf, c).max())
 
-    def nodes(self, cap: float, block: int, m: int | None = None):
-        """The candidates in ascending lex order, as chunks (prefix, lo,
+    def nodes(self, cap: float, m: int | None = None):
+        """The candidates in ascending lex order, as groups (prefix, lo,
         runs): row i of the int64 array prefix holds z_1..z_{n-1}, and
-        the candidates under it are z_n = lo[i]..lo[i]+runs[i]-1, every
-        run nonempty. Each chunk's runs total block, the last one's fewer;
-        a run that a chunk ends inside goes on in the next chunk under
-        the same prefix. For n = 1 the prefixes are empty rows."""
-        n = len(self.d)
+        the candidates under it are z_n = lo[i]..lo[i]+runs[i]-1. Every
+        group and every run is nonempty, and the prefixes ascend strictly
+        across groups, so each run comes whole. With a box bound m a
+        group holds at most _GROUP + 2m prefixes. For n = 1 the prefixes
+        are empty rows."""
         root = np.array([cap * self.widen])
-        left = None
-        for group in self._level(0, [], root, [np.zeros(1)] * n, m):
-            if left is not None:
-                prefix, lo, runs = (np.concatenate(pair) for pair in zip(left, group))
-                group = np.asfortranarray(prefix), lo, runs
-            left = yield from _chunks(*group, block)
-        if left is not None and len(left[1]):
-            yield left
+        yield from self._level(0, [], root, [np.zeros(1)] * len(self.d), m)
 
     def _level(self, k: int, cols: list, room: np.ndarray, c: list, m: int | None):
         """(prefix, lo, runs) of the nonempty last-level runs under nodes
         z_1..z_k (the columns cols), each with its room and the centres
-        c[j] = -sum_{i<k} U_ij z_i, j >= k, a group of nodes at a time."""
+        c[j] = -sum_{i<k} U_ij z_i, j >= k, a nonempty group of the last
+        level at a time."""
         d, u, n = self.d, self.u, len(self.d)
         half = np.sqrt(np.maximum(room, 0.0) / d[k])
         lo, hi = np.ceil(c[k] - half), np.floor(c[k] + half)
@@ -418,10 +415,11 @@ class EllipsoidWalker:
         lo = lo.astype(np.int64)
         if k == n - 1:
             live = runs > 0
-            prefix = np.empty((int(np.count_nonzero(live)), k), dtype=np.int64, order="F")
-            for j, x in enumerate(cols):
-                prefix[:, j] = x[live]
-            yield prefix, lo[live], runs[live]
+            if live.any():
+                prefix = np.empty((int(np.count_nonzero(live)), k), dtype=np.int64, order="F")
+                for j, x in enumerate(cols):
+                    prefix[:, j] = x[live]
+                yield prefix, lo[live], runs[live]
             return
         # Parents whose runs start in the same _GROUP children go together.
         group = (np.cumsum(runs) - runs) // _GROUP
@@ -432,27 +430,12 @@ class EllipsoidWalker:
             y = zk - c[k][parent]
             kids = [x[parent] for x in cols] + [zk]
             centres = [None] * (k + 1) + [c[j][parent] - zk * u[k, j] for j in range(k + 1, n)]
-            yield from self._level(k + 1, kids, room[parent] - d[k] * y * y, centres, m)
-
-
-def _chunks(prefix: np.ndarray, lo: np.ndarray, runs: np.ndarray, block: int):
-    """Yield (prefix, lo, runs) chunks of block rows of the runs, and
-    return the rows left over, fewer than block, as the same triple."""
-    end = np.cumsum(runs)
-    start = end - runs
-    total, s = int(end[-1]) if len(end) else 0, 0
-    while True:
-        e = min(s + block, total)
-        i, j = int(np.searchsorted(end, s, "right")), int(np.searchsorted(start, e))
-        a, b = lo[i:j].copy(), runs[i:j].copy()
-        if i < j:
-            a[0] += s - start[i]
-            b[0] -= s - start[i]
-            b[-1] -= end[j - 1] - e
-        if e - s < block:
-            return prefix[i:j], a, b
-        yield prefix[i:j], a, b
-        s = e
+            # An infinite room, the whole walk's at an infinite cap, stays
+            # infinite: there d y^2 can overflow, and inf - inf is NaN.
+            kid_room = room[parent]
+            with np.errstate(over="ignore"):
+                np.subtract(kid_room, d[k] * y * y, out=kid_room, where=kid_room < np.inf)
+            yield from self._level(k + 1, kids, kid_room, centres, m)
 
 
 def _expand(lo: np.ndarray, runs: np.ndarray, dtype=np.int64):

@@ -21,10 +21,6 @@ import numpy as np
 from .errors import DomainError, positive_int
 from .numfields import EllipsoidWalker, _expand
 
-# Candidate rows per chunk of the walk: the chunk's vectors, their
-# products with the Gram and their norms stay in L2.
-_BLOCK = 2048
-
 
 def _as_fraction_matrix(gram) -> list[list[Fraction]]:
     g = [[Fraction(x) for x in row] for row in gram]
@@ -54,7 +50,8 @@ def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]
     walker = EllipsoidWalker(gi)  # also validates positive definiteness
 
     counts: dict[int, int] = {}
-    for prefix, lo, runs in walker.nodes(cap, _BLOCK):
+    # One walker group at a time, so no array holds the whole ball.
+    for prefix, lo, runs in walker.nodes(cap):
         parent, last = _expand(lo, runs)
         z = np.column_stack((prefix[parent], last))
         # int64 is exact while sum_ij |G_ij| b_i b_j, with b_j >= 1 bounding

@@ -369,7 +369,7 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
                 if not p_lim < m * m * walker.corner:
                     continue  # the sum takes the whole box, with no walk
                 rows = []
-                for r, lo, runs in walker.nodes(p_lim, constellation._BLOCK, m):
+                for r, lo, runs in walker.nodes(p_lim, m):
                     parent, z1 = _expand(lo, runs)
                     rows.append((r[parent] + m) @ side ** np.arange(n - 2, -1, -1) * side
                                 + z1 + m)
@@ -415,9 +415,9 @@ def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
 
 def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
     # The words and norms take no matmul. A capped sum of a catalogued
-    # generator makes one per walk chunk, of its int64 rest vectors, at
-    # most one per word of the chunk, by the int64 rows of the form, which
-    # numpy never hands to BLAS; no float matmul runs in any sum.
+    # generator makes one per group of the walk, of its int64 rest
+    # vectors, at most _GROUP + 2m of them, by the int64 rows of the form,
+    # which numpy never hands to BLAS; no float matmul runs in any sum.
     calls = []
     matmul = np.matmul
 
@@ -430,7 +430,7 @@ def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
     assert len(calls) >= 41
     for a, b, out in calls:
         assert a.dtype == b.dtype == np.int64 and out is None
-        assert len(a) <= constellation._WALK and b.shape == (3, 4)
+        assert len(a) <= numfields._GROUP + 2 * 40 and b.shape == (3, 4)
     calls.clear()
     inverse_norm_power_sum(lambda1.generator, 10)
     inverse_norm_power_sum(lambda3.generator.entries, 10)
@@ -497,7 +497,7 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
     # keys, evaluated in Python floats, bit for bit: no BLAS or SIMD
     # kernel enters them. The whole box's samples take in its first rest
     # vector, the last below zero and the zero one, and more than 100
-    # words with z1 < 0. A catalogued generator's walked chunks carry the
+    # words with z1 < 0. A catalogued generator's walked blocks carry the
     # largest and the sum of their exact energies, and its whole box none.
     def bits(values):
         return np.array(values, dtype=float).view(np.int64).tolist()
@@ -621,7 +621,7 @@ def _rules(draw):
 def test_rest_major_runs_carve_the_exact_oracle(lambda1, lambda2, lambda3, case):
     # The walked half holds, rest vector by rest vector, exactly one of
     # each pair +-z of box words keyed below the cut (at or below it,
-    # unless a carve splits the words keyed cut), and each chunk carries
+    # unless a carve splits the words keyed cut), and each block carries
     # the largest and the sum of their exact energies. A carve gathers one
     # of each pair keyed cut, and keeps the lex-first of them and their
     # negations, so its ties split across signs: 30 of the 48 words of
@@ -671,10 +671,10 @@ def _outcome(f, *args, **kwargs):
 def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
                                             monkeypatch, block):
     # Every row's arithmetic is its own, so the rows per block must not
-    # move a bit, nor where the walk splits a run between chunks, nor
-    # where a block splits a run of a walk chunk. Walk chunks of 2 words,
-    # shorter than most runs here, and of 3 blocks split runs at both
-    # sizes; with the default walk chunk only the blocks do. The
+    # move a bit, nor where a block splits a run of a walker's group,
+    # nor how many nodes the walker groups. Groups of 1 and 3 nodes per
+    # level cut the walk into groups of a few runs, and the default
+    # into a few large ones; the blocks split runs in each. The
     # uncapped sums at m = 2, 3, 4 take 62, 171 and 364 rest vectors below
     # zero, a whole number of blocks for some sizes here and not for
     # others. At m = 8, p_lim 4, lambda3 keeps 79 of the 17^4 words, and
@@ -699,9 +699,9 @@ def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
     want = outcomes()
     assert want[6][1] == want[7][1] == (-9, 0)
     monkeypatch.setattr(constellation, "_BLOCK", block)
-    for walk in (constellation._WALK, 2, 3 * block):
-        monkeypatch.setattr(constellation, "_WALK", walk)
-        assert outcomes() == want, walk
+    for group in (numfields._GROUP, 1, 3):
+        monkeypatch.setattr(numfields, "_GROUP", group)
+        assert outcomes() == want, group
 
 
 def test_overflowing_energy_raises_before_any_term():
@@ -731,7 +731,7 @@ def test_an_infinite_term_outweighs_finite_terms_that_overflow(lambda2):
 
 def test_each_report_reads_its_codebook_once(lambda2, lambda3, monkeypatch):
     # A report streams its half of the codebook once, the whole box's
-    # blocks or the walk's chunks, its norms and terms in the same pass:
+    # blocks or the walked ones, its norms and terms in the same pass:
     # also where S is inf (lambda2 at exponent 307), where the finite
     # terms overflow (lambda3 m = 2 at exponent 202), where the energy
     # does (a generator scaled by 1e154), and in a carve.
@@ -805,10 +805,10 @@ def test_whole_box_state_is_one_block_of_rest_sums(lambda1):
 
 
 def test_capped_sum_memory_does_not_grow_with_the_ball(lambda3):
-    # The walk streams chunks of _BLOCK rows out of groups of at most
-    # numfields._GROUP nodes per level, so a capped sum allocates no array
-    # that grows with its ball. The lambda3 m = 40 sum at p_lim 1600 keeps
-    # 3259369 words; its tracemalloc peak is 1.52 MB here (1.50 MB at
+    # The walk streams groups of at most numfields._GROUP nodes per level
+    # and one run more, and each group's words go in blocks of _BLOCK
+    # rows, so a capped sum allocates no array that grows with its ball. The lambda3 m = 40 sum at p_lim 1600 keeps
+    # 3259369 words; its tracemalloc peak is 1.54 MB here (1.52 MB at
     # m = 20, p_lim 400), against
     # 3.37 MB for the slice-by-slice walk it replaced, and an unstreamed
     # rest-major walk of the whole ball reached 9.5 MB.
@@ -823,14 +823,15 @@ def test_capped_sum_memory_does_not_grow_with_the_ball(lambda3):
 
 
 def test_walk_chunks_keep_capped_peaks_near_one_block(lambda3):
-    # A walk chunk of _WALK words takes its runs' cut and rest sums at
-    # once, and its words in blocks of _BLOCK rows, in the scratch; so
-    # its arrays per rest vector, a few thousand rows, are all it adds to
-    # a walk in chunks of _BLOCK words. The tracemalloc peaks of a second
-    # call, with the walker built, were 1.58 MB for the lambda3 m = 25
-    # carve to 100000 and 1.57 MB for the m = 40 sum at p_lim 1600 with
-    # chunks of _BLOCK words; 1.73 and 1.58 MB here. A carve whose
-    # histogram takes a walk chunk's words at once peaks at 2.3 MB.
+    # Each group of the walk, about a thousand rest vectors, takes its
+    # runs' cut and rest sums at once, and its words in blocks of _BLOCK
+    # rows, in the scratch; so its arrays per rest vector are all it adds
+    # to a walk in chunks of _BLOCK words. The tracemalloc peaks of a
+    # second call, with the walker built, were 1.58 MB for the lambda3
+    # m = 25 carve to 100000 and 1.57 MB for the m = 40 sum at p_lim 1600
+    # with chunks of _BLOCK words; 1.47 and 1.46 MB here, and 1.73 and
+    # 1.58 MB when the groups were re-cut into chunks of 32768 words. A
+    # carve whose histogram takes a group's words at once peaks at 2.3 MB.
     gen = lambda3.generator
     for bound, f in ((1.58, lambda: carve_lowest_energy(gen, 25, 100000)),
                      (1.57, lambda: inverse_norm_power_sum(gen, 40, p_lim=1600.0))):
@@ -858,6 +859,30 @@ def test_carve_radius_of_a_huge_generator_does_not_overflow():
         assert carve_lowest_energy(big, m, 2).p_max == 1.0625e308
         with pytest.raises(OverflowError):
             carve_lowest_energy(big, m, 5)
+
+
+def test_carve_of_an_overflowing_corner_walks_the_box_at_an_infinite_cap():
+    # The float corner of this generator overflows, so box_top is inf, and
+    # a carve whose ball grows past the largest double walks at an
+    # infinite cap. Every room of that walk stays infinite: inf - inf was
+    # NaN, cast to int64, and 40 of these 83 cuts raised IndexError or
+    # returned a wrong left. Each cut is a scan's of the box's float norms
+    # by the word formula, and each carve returns or overflows its energy.
+    big = np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154
+    for m in (1, 2, 3):
+        with np.errstate(over="ignore"):
+            keys = np.sort(_column_formula(_box(2, m), big)[1])
+        codebook = constellation._Codebook(constellation._as_generator(big), m, 3)
+        assert codebook.box_top == math.inf
+        for target in range(1, len(keys) + 1):
+            cut = keys[target - 1]
+            left = target - int(np.count_nonzero(keys < cut))
+            want = float(cut), None if left == np.count_nonzero(keys == cut) else left
+            assert codebook.cut(target) == want, (m, target)
+            try:
+                assert carve_lowest_energy(big, m, target).size == target
+            except OverflowError:
+                pass
 
 
 def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):

@@ -36,11 +36,11 @@ def test_e8_matches_divisor_sums():
 
 
 def test_e8_walk_streams_in_small_chunks():
-    # The walker streams chunks of a few thousand candidates out of node
-    # groups of bounded size, so the oracle holds no array of the whole
-    # ball. Its tracemalloc peak to norm 10 (56881 vectors) is 1.41 MB
-    # here; walking a leading coefficient's slice at a time, it was
-    # 2.0-2.2 MB.
+    # The walker streams its candidates in groups of at most about a
+    # thousand prefixes, so the oracle holds no array of the whole ball.
+    # Its tracemalloc peak to norm 10 (56881 vectors) is 1.25 MB here,
+    # 1.41 MB when the groups were re-cut into chunks of 2048 candidates;
+    # walking a leading coefficient's slice at a time, it was 2.0-2.2 MB.
     tracemalloc.start()
     try:
         counts = theta_series_oracle(E8_GRAM, 10)

@@ -4,8 +4,9 @@ hypothesis draws small integer positive-definite Grams G = B B^T + I
 (n = 1..5), with and without a box bound, and caps on, just below and
 just above an integer norm. Every vector that the scan finds at or
 below the cap, with its exact integer norm, must be among the walker's
-candidates, which come out as chunks of runs of the last coordinate, in
-ascending lex order inside the box, the same for every chunk size.
+candidates, which come out as groups of whole runs of the last
+coordinate, in ascending lex order inside the box, the same for every
+group size.
 """
 
 import functools
@@ -20,6 +21,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from latticesec import numfields
 from latticesec.numfields import EllipsoidWalker, _box, _expand, _frac_det
 
 # A fixed example sequence keeps the suite reproducible run to run.
@@ -39,17 +41,21 @@ def cases(draw):
     return gram, m, cap
 
 
-def walked(walker, cap, m=None, block=8192):
-    """The walker's candidates as rows, each chunk checked on the way:
-    every run nonempty, and every chunk but the last of block rows."""
-    chunks = list(walker.nodes(cap, block, m))
-    rows = []
-    for i, (prefix, lo, runs) in enumerate(chunks):
+def walked(walker, cap, m=None):
+    """The walker's candidates as rows, each group checked on the way:
+    nonempty, every run nonempty, the prefixes strictly ascending across
+    groups, so that no run is split, and with m given at most _GROUP + 2m
+    prefixes in a group."""
+    rows, prefixes = [], []
+    for prefix, lo, runs in walker.nodes(cap, m):
         assert prefix.dtype == lo.dtype == runs.dtype == np.int64
-        assert len(prefix) == len(lo) == len(runs) and np.all(runs > 0)
-        assert runs.sum() == block if i < len(chunks) - 1 else 0 < runs.sum() <= block
+        assert len(prefix) == len(lo) == len(runs) > 0 and np.all(runs > 0)
+        if m is not None:
+            assert len(prefix) <= numfields._GROUP + 2 * m
+        prefixes += map(tuple, prefix.tolist())
         parent, last = _expand(lo, runs)
         rows.append(np.column_stack((prefix[parent], last)))
+    assert all(a < b for a, b in zip(prefixes, prefixes[1:]))
     return np.concatenate(rows) if rows else np.empty((0, len(walker.d)), dtype=np.int64)
 
 
@@ -69,9 +75,11 @@ def test_walker_keeps_every_vector_of_a_box_scan(case):
     assert [tuple(v) for v in got.tolist()] == sorted(map(tuple, got.tolist()))
     if m is not None:
         assert np.all(np.abs(got) <= m)
-    # Chunks of any size, runs split across them, give the same rows.
-    for block in (1, 2, 5):
-        assert np.array_equal(walked(walker, cap, m, block), got)
+    # Groups of any size give the same rows.
+    for group in (1, 2, 5):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numfields, "_GROUP", group)
+            assert np.array_equal(walked(walker, cap, m), got), group
     if m is not None:
         # A cap of m^2 corner or more walks the whole box, as _box stores
         # it: the carve relies on it.
