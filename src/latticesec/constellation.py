@@ -14,27 +14,22 @@ so S is the exact sum of every included word's term, rounded once.
 _ExactSum does that for nonnegative values with integer mantissa parts
 binned by exponent, merged block by block, the few values of 2^997 and
 more set aside, without a Python float per term; no order or split of
-the words enters S. A plain array's float norms are summed the same
-way; a catalogued generator's energies are integers, summed exactly in
-Python ints. Each codebook is read once: its norms and terms are taken
-in the same pass, and the energy is rounded before S, so an energy that
+the words enters S. The energy is rounded before S, so an energy that
 overflows raises first. An infinite term makes S inf; finite terms or
 norms whose sum overflows raise OverflowError.
 
-One rule decides every codebook. Each z has a key: its exact energy
-q = z F z^T where the generator carries its integer form F (the
-catalogued lattices do); for a plain array, the float norm ||x||^2 of
-its word. The rule (cut, left) keeps the z keyed below cut and, of
-those keyed cut, all (left None) or the lex-first left. A sum keeps all
-at cut p_lim, or for exact keys at q_cap = max{q : q^n <= det(F)
-p_lim^n}, decided in Fraction. A carve bins the keys of the walk at a
-growing radius (np.bincount for exact keys, np.unique for float norms)
-to find its cut, the target_size-th smallest key, and left. With exact
-keys no float rounding, so no BLAS or SIMD kernel, decides which words
-a codebook keeps, and the energies are the kept keys: p_max is
+One rule decides every codebook. Each z has a key, and the rule (cut,
+left) keeps the z keyed below cut and, of those keyed cut, all (left
+None) or the lex-first left: a sum all at the cap of p_lim, a carve
+the target_size lowest in (key, lex) order. The energies are the kept
+keys. A generator that carries its integer form F (the catalogued
+lattices do) is a _Codebook, keyed by its exact energy q = z F z^T,
+capped at q_cap = max{q : q^n <= det(F) p_lim^n}, decided in Fraction:
+no float rounding decides which words it keeps, and p_max is
 q_max det(F)^(-1/n) and p_ave (sum q / size) det(F)^(-1/n), each
-correctly rounded once (_rounded). For a plain array, p_max and p_ave
-are the float norms' largest and exact mean.
+correctly rounded once (_rounded). A plain array is a _Scan of the
+whole box, keyed by the float norms ||x||^2 of its words, the zero
+word first; p_max and p_ave are the kept norms' largest and exact mean.
 
 Every word, and a plain array's norm, is one formula in IEEE column
 arithmetic,
@@ -57,35 +52,32 @@ lex-first left words keyed cut, which need not come in pairs, count
 once each. A diversity failure is reported at the lex-first offending
 coefficient vector of the codebook, either sign.
 
-Both ways of reading a codebook walk the same half: the rest vectors
-r <lex 0 with every z_1, then r = 0 with z_1 >= 1. Where the rule keeps
-the whole box (cut at box_top or above, left None), it is read
+Every codebook's half is the rest vectors r <lex 0 with every z_1,
+then r = 0 with z_1 >= 1. A scan, and a _Codebook whose rule keeps the
+whole box (cut at box_top or above, left None), read it
 rest-block-major: the rest vectors below zero come in blocks of _BLOCK
 rows of the rest box {-m..m}^(n-1), each block's rest sums are taken
 once, and each z1 = -m..m adds z1 M_1j to them, one word block per z1;
-no array of (2m+1)^(n-1) rows is built. Exact keys are not needed,
-since the box's sum of q is tr(F) (2m+1)^n m(m+1)/3, its cross terms
-cancelling, and its largest q is at a corner.
+no array of (2m+1)^(n-1) rows is built. A scan's carve reads it once
+more, first, for its cut.
 
-Below box_top the half is rest-vector-major. The walker each generator
-builds once (GeneratorMatrix.walker, Fincke-Pohst over F, or over M M^T
-for float keys, with z_1 walked last) streams the rest vectors r in lex
-order, each with its whole run of z_1, none within the cut left out, up
-to the half's last run, in the walker's groups of about a thousand rest
-vectors (numfields._GROUP). For exact keys
-q = A_r + z_1 (2 b_r + F_11 z_1), with A_r = r F_rest r^T and b_r =
-sum_j F_1j r_j integers, so each run is cut to the cut exactly, and no
-key of a word is computed. A carve's words keyed cut are run ends (q is
-strictly convex in z_1); they are gathered, sorted in lex order with
-their negations, and the first left kept. A group's work per rest
-vector, the run cut and the rest sums, is done once for the group; its
-runs are then split into blocks of at most _BLOCK words (a run may span
-two blocks), and each block's words are made in fixed scratch. Per
-block, the sum of q over its runs is taken in closed form and its
-largest q at their ends; plain arrays keep each row's float norm and a
-keep mask. So no array grows with the ball beyond the walker's groups
-of nodes. Every row's arithmetic is its own, so the bits depend neither
-on the block size nor on the group size.
+Else a _Codebook's half is rest-vector-major. The walker each generator
+builds once (GeneratorMatrix.walker, Fincke-Pohst over F with z_1
+walked last) streams the rest vectors r in lex order, each with its
+whole run of z_1, none within the cut left out, in the walker's groups
+of about a thousand rest vectors (numfields._GROUP). Each run's
+q = A_r + z_1 (2 b_r + F_11 z_1), with A_r = r F_rest r^T and
+b_r = sum_j F_1j r_j integers, is cut to the cut exactly, and no key of
+a word is computed. A carve bins the keys of the walk at a growing
+radius with np.bincount to find its cut and left; its words keyed cut
+are run ends (q is strictly convex in z_1), gathered, sorted in lex
+order with their negations, and the first left kept. A group's run
+cuts and rest sums are taken once; its runs are then split into blocks
+of at most _BLOCK words, each made in fixed scratch, the sum of q over
+its runs taken in closed form and its largest q at their ends. So no
+array grows with the ball beyond the walker's groups. Every row's
+arithmetic is its own, so the bits depend neither on the block size
+nor on the group size.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -262,16 +254,14 @@ def _around_zero(r: np.ndarray) -> tuple[int, int]:
 
 class _Scratch:
     """Fixed buffers for blocks of at most _BLOCK rows of n coordinates,
-    owned by one _Codebook: column-major words (first the products of
-    _rest) and the rest sums of a block of the whole box or of tied
-    words, norms, the keep mask, the reciprocals and terms of _terms (t
-    is also the word formula's product), and the bins and high parts of
-    _ExactSum.add."""
+    owned by one codebook: column-major words (first the products of
+    _rest) and the rest sums of a block of the box or of tied words, the
+    reciprocals and terms of _terms (t is also the word formula's
+    product), and the bins and high parts of _ExactSum.add."""
 
     def __init__(self, n: int):
         self.words, self.rest = (np.empty((_BLOCK, n), order="F") for _ in range(2))
-        self.norms, self.r, self.t = np.empty((3, _BLOCK))
-        self.keep = np.empty(_BLOCK, dtype=bool)
+        self.r, self.t = np.empty((2, _BLOCK))
         self.bins, self.high = np.empty((2, _BLOCK), dtype=np.uint64)
 
 
@@ -388,31 +378,22 @@ def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
     return out
 
 
-def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
+def _reduce(blocks, exponent: int, scratch: _Scratch):
     """(size, s, top, energy, bad) of the words of blocks, an iterator of
-    (words, keys, coeffs) blocks of at most _BLOCK rows (the whole box's,
-    or each walker group's in turn), each word standing for itself and its
-    negation: their count, the exact sum of
+    (words, keys, coeffs) blocks of at most _BLOCK rows, each word
+    standing for itself and its negation: their count, the exact sum of
     their terms (an _ExactSum, unrounded), and the largest and the sum of
-    their keys. words is overwritten by its absolute values. bad is the
-    lex-first word, either sign, with a coordinate below DIVERSITY_EPS,
-    as _lex_first gives it from coeffs, or None; once there is one no
-    term is taken.
-
-    Exact keys (exact True) come as the block's (largest, sum), integers,
-    or as None (the whole box, whose energies report takes in closed
-    form); energy is then the int sum. Float norms are added to energy,
-    an _ExactSum. Each block is read once, its norms and terms together.
-    """
-    energy = 0 if exact else _ExactSum(scratch)
+    their keys, which come as each block's (largest, sum), or as None.
+    words is overwritten by its absolute values. bad is the lex-first
+    word, either sign, with a coordinate below DIVERSITY_EPS, as
+    _lex_first gives it from coeffs, or None; once there is one no term
+    is taken."""
     s = _ExactSum(scratch)
-    size, top, bad = 0, 0 if exact else 0.0, None
+    size = top = energy = 0
+    bad = None
     for words, keys, coeffs in blocks:
         size += len(words)
-        if not exact:
-            energy.add(keys)
-            top = max(top, float(keys.max()))
-        elif keys is not None:
+        if keys is not None:
             top = max(top, keys[0])
             energy += keys[1]
         absx = np.abs(words, out=words)
@@ -423,33 +404,192 @@ def _reduce(blocks, exponent: int, scratch: _Scratch, exact: bool):
     return size, s, top, energy, bad
 
 
-class _Codebook:
-    """The codebook of a generator on the box {-m..m}^n under a rule
-    (cut, left): keep the words keyed below cut and, of those keyed cut,
-    all (left None) or the lex-first left. Half the codebook is walked
-    and the rest read as negations. Every block goes through one fixed
-    _Scratch."""
+def _norms(words: np.ndarray) -> np.ndarray:
+    """The float norms of a block of words, by the word formula, in a new
+    array. A norm may overflow to inf; the energy sum passes it on, or
+    raises, as math.fsum does."""
+    with np.errstate(over="ignore"):
+        norms = words[:, 0] * words[:, 0]
+        for j in range(1, words.shape[1]):
+            norms += words[:, j] * words[:, j]
+    return norms
+
+
+class _Words:
+    """The word formula of a generator's entries on the box {-m..m}^n, a
+    block of at most _BLOCK rows at a time in one fixed _Scratch, the
+    whole box's half, and the report of a rule: it reads the blocks that
+    a subclass's _half keeps and takes their energies from _energies."""
 
     def __init__(self, gen: GeneratorMatrix, m: int, exponent: int):
         self.M, self.m, self.exponent = gen.entries, m, exponent
-        self.F, self.walker = gen.form, gen.walker
-        self.box_top = m * m * self.walker.corner
         self.scratch = _Scratch(gen.n)
-        if self.F is not None:
-            # Rows z_2..z_n of the form with z_1 last: a rest vector r
-            # times them gives r F_rest and r (F_12..F_1n).
-            n = gen.n
-            order = [*range(1, n), 0]
-            self.rows = np.array([[self.F[i][j] for j in order] for i in range(1, n)],
-                                 dtype=np.int64).reshape(n - 1, n)
-        # The words of the walked half keyed cut, when the rule splits them.
-        self.tied = []
+
+    def _rest(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The rest sums (z_2 M_2j + z_3 M_3j) + ... + z_n M_nj of a block
+        r of at most _BLOCK rest vectors into the columns of out, all
+        columns at once, with the scratch words as the products; +0.0 for
+        n = 1."""
+        M, t = self.M, self.scratch.words[:len(r)]
+        if len(M) == 1:
+            out.fill(0.0)
+            return out
+        np.multiply.outer(r[:, 0], M[1], out=out)
+        for i in range(2, len(M)):
+            np.add(out, np.multiply.outer(r[:, i - 1], M[i], out=t), out=out)
+        return out
+
+    def _words(self, rest: np.ndarray, count: np.ndarray, z1: np.ndarray) -> np.ndarray:
+        """The words of the rows (z1[i], r[k]), count[k] rows for each rest
+        vector r[k] in turn, by the word formula, in the scratch: z1 M_1j
+        added row by row to rest, the rest sums of the r[k]."""
+        words, t = self.scratch.words[:len(z1)], self.scratch.t[:len(z1)]
+        for j in range(len(self.M)):
+            np.add(np.repeat(rest[:, j], count), np.multiply(z1, self.M[0, j], out=t),
+                   out=words[:, j])
+        return words
+
+    def _box_blocks(self):
+        """(words, None, coeffs) per block of half the whole box: each block
+        of _BLOCK rest vectors below zero, its rest sums taken once, with
+        z1 = -m..m in turn, then the zero rest vector, the middle row of
+        the rest box, with z1 = 1..m; as many slices of z1 per block of
+        words as fit in _BLOCK rows. coeffs(rows) gives rows' coefficient
+        vectors."""
+        k, m, M1 = len(self.M) - 1, self.m, self.M[0]
+        below = ((2 * m + 1) ** k - 1) // 2
+        pieces = [(i, min(_BLOCK, below - i), -m) for i in range(0, below, _BLOCK)]
+        for i, b, first in pieces + [(below, 1, 1)]:
+            rest = self._rest(_box(k, m, i, i + b), self.scratch.rest[:b])
+            per = _BLOCK // b  # slices of z1 per block of words
+            for lo in range(first, m + 1, per):
+                z1s = range(lo, min(lo + per, m + 1))
+                words = self.scratch.words[:b * len(z1s)]
+                for t, z1 in enumerate(z1s):
+                    for j, x in enumerate(z1 * M1):
+                        np.add(rest[:, j], x, out=words[t * b:(t + 1) * b, j])
+                yield words, None, lambda rows, lo=lo, i=i, b=b: np.column_stack(
+                    (lo + rows // b, _box_rows(k, m, i + rows % b)))
+
+    def _chosen(self, left: int | None) -> np.ndarray:
+        """The lex-first left of the words keyed cut that _half gathered in
+        self.tied and their negations, as int64 coefficient rows (none
+        where left is None)."""
+        tied = np.empty((0, len(self.M)), dtype=np.int64)
+        if left is None:
+            return tied
+        tied = np.concatenate([tied, *self.tied])
+        tied = np.concatenate((tied, -tied))
+        return tied[np.lexsort(tied.T[::-1])[:left]]
+
+    def report(self, cut: float, left: int | None, lattice_name: str,
+               p_lim: float = math.inf, target_size: int | None = None) -> SumReport:
+        """The SumReport of the words that the rule (cut, left) keeps: half
+        of them, read once, each for itself and its negation, and the
+        lex-first left words keyed cut, each once. The energy is rounded
+        before S, so an energy that overflows raises first."""
+        size, s, top, energy, bad = _reduce(self._half(cut, left), self.exponent, self.scratch)
+        tied = self._chosen(left)
+        size = 2 * size + 1 + len(tied)  # the zero word counts but has no term
+        p_max, p_ave = self._energies(cut, len(tied), size, top, energy)
+        extra = []  # the tied words' terms
+        for i in range(0, len(tied), _BLOCK):
+            z = tied[i:i + _BLOCK]
+            rest = self._rest(z[:, 1:], self.scratch.rest[:len(z)])
+            words = self._words(rest, np.ones(len(z), dtype=np.int64), z[:, 0])
+            absx = np.abs(words, out=words)
+            if float(absx.min()) < DIVERSITY_EPS:
+                bad = _lex_first(bad, absx, lambda rows: z[rows], mirrored=False)
+            elif bad is None:
+                extra += _terms(absx, self.exponent, self.scratch.r[:len(z)],
+                                self.scratch.t[:len(z)]).tolist()
+        if bad is not None:
+            raise DiversityError(*bad)
+        # Every term is positive, so an infinite one makes S inf (a large
+        # exponent overflows quietly), whether or not the finite ones
+        # overflow, which raises.
+        s_value = math.inf if s.infinite or math.inf in extra else s.result(extra)
+        return SumReport(
+            lattice_name, len(self.M), self.m, p_lim, size, p_max=p_max, p_ave=p_ave,
+            s_value=s_value, exponent=self.exponent, target_size=target_size)
+
+
+class _Scan(_Words):
+    """The codebook of a generator without a form: the whole box, its
+    half read as _box_blocks, keyed by float norms, the zero word always
+    kept. It costs (2m+1)^n words, whatever the rule."""
 
     def cap(self, p_lim: float) -> float:
-        """The cut of the ball ||x||^2 <= p_lim: p_lim for float keys or an
-        infinite p_lim, else the largest integer q <= box_top with
-        q^n <= det(F) p_lim^n, decided in Fraction."""
-        if self.F is None or math.isinf(p_lim):
+        """The cut of the ball ||x||^2 <= p_lim: p_lim."""
+        return p_lim
+
+    def cut(self, target: int) -> tuple[float, int | None]:
+        """(cut, left) of the rule that keeps the box's target words lowest
+        in (norm, lex) order: the zero word and the need = target - 1
+        others lowest, cut the need-th smallest norm of the others (-inf
+        for none), each norm of the half standing for two words, and left
+        how many normed cut it keeps. A word normed 0.0 comes before the
+        zero word, so need is at least 1 where there is one: it fails the
+        diversity check."""
+        norms = np.concatenate([_norms(words) for words, _, _ in self._box_blocks()])
+        need = max(target - 1, int(norms.min() == 0.0))
+        if not need:
+            return -math.inf, None
+        k = (need + 1) // 2
+        norms.partition(k - 1)
+        cut = float(norms[k - 1])
+        left = need - 2 * int(np.count_nonzero(norms < cut))
+        return cut, None if left == 2 * int(np.count_nonzero(norms == cut)) else left
+
+    def _half(self, cut: float, left: int | None):
+        """(words, None, coeffs) per block of the half's words that the
+        rule keeps, their norms summed into self.energy and their largest
+        in self.top. Where left is not None the words normed cut are left
+        out and gathered in self.tied."""
+        self.tied, self.top, self.energy = [], 0.0, _ExactSum(self.scratch)
+        for words, _, coeffs in self._box_blocks():
+            norms = _norms(words)
+            if left is not None:
+                self.tied.append(coeffs(np.flatnonzero(norms == cut)).astype(np.int64))
+            kept = np.flatnonzero(norms <= cut if left is None else norms < cut)
+            if len(kept):
+                self.energy.add(norms[kept])
+                self.top = max(self.top, float(norms[kept].max()))
+                yield words[kept], None, lambda rows: coeffs(kept[rows])
+
+    def _energies(self, cut: float, tied: int, size: int, *_) -> tuple:
+        """(p_max, p_ave): the largest kept norm and the exact mean, the
+        finite norms summed first, so an energy sum that overflows raises,
+        an infinite norm or not."""
+        energy = self.energy.result([cut] * tied)
+        if self.energy.infinite or tied and cut == math.inf:
+            energy = math.inf
+        return max(self.top, cut) if tied else self.top, energy / size
+
+
+class _Codebook(_Words):
+    """The codebook of a generator with an integer form F on the box
+    {-m..m}^n under a rule (cut, left): keep the words keyed below cut
+    and, of those keyed cut, all (left None) or the lex-first left. Half
+    the codebook is walked and the rest read as negations. Every block
+    goes through one fixed _Scratch."""
+
+    def __init__(self, gen: GeneratorMatrix, m: int, exponent: int):
+        super().__init__(gen, m, exponent)
+        self.F, self.walker = gen.form, gen.walker
+        self.box_top = m * m * self.walker.corner
+        # Rows z_2..z_n of the form with z_1 last: a rest vector r times
+        # them gives r F_rest and r (F_12..F_1n).
+        n = gen.n
+        order = [*range(1, n), 0]
+        self.rows = np.array([[self.F[i][j] for j in order] for i in range(1, n)],
+                             dtype=np.int64).reshape(n - 1, n)
+
+    def cap(self, p_lim: float) -> float:
+        """The cut of the ball ||x||^2 <= p_lim: the largest integer
+        q <= box_top with q^n <= det(F) p_lim^n, decided in Fraction, or
+        an infinite p_lim."""
+        if math.isinf(p_lim):
             return p_lim
         n, top = len(self.F), int(self.box_top)
         bound = self.walker.det * Fraction(float(p_lim)) ** n
@@ -461,7 +601,7 @@ class _Codebook:
         how many of the words keyed cut it keeps (None: all)."""
         n, top = len(self.M), self.box_top
         ball = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
-        covolume = float(abs(np.linalg.det(self.M))) if self.F is None else math.sqrt(self.walker.det)
+        covolume = math.sqrt(self.walker.det)
         # target * covolume can overflow; each power apart is finite.
         radius = (target / ball) ** (2 / n) * covolume ** (2 / n)
         while True:
@@ -481,38 +621,25 @@ class _Codebook:
     def _histogram(self, radius: float) -> tuple[np.ndarray, np.ndarray]:
         """(keys, counts) of the codebook's words keyed at most radius
         (every word, from box_top on), zero included, in ascending key
-        order: each word of the walked half counts for itself and its
-        negation. As in _walked, each walker group's runs are cut, or its
-        rest sums taken, once, and its words keyed a block of at most
-        _BLOCK at a time. Exact keys are binned by np.bincount, float
-        norms by np.unique."""
-        every = not radius < self.box_top
-        if self.F is not None:
-            cut = math.floor(radius)
-            counts = np.zeros(cut + 1, dtype=np.int64)
-            f = self.F[0][0]
-            for r, lo, runs in self._nodes(radius):
-                a, e, _, _, A, b2 = self._trim(r, lo, runs, cut)
-                for k, a, count in _blocks(a, e - a + 1):
-                    z1 = _values(a, count)
-                    # Every trimmed q is at most cut, so only its bins are added.
-                    found = np.bincount(np.repeat(A[k], count)
-                                        + z1 * (np.repeat(b2[k], count) + f * z1))
-                    counts[:len(found)] += found
-            counts *= 2
-            counts[0] += 1
-            keys = np.flatnonzero(counts)
-            return keys, counts[keys]
-        found = [(np.zeros(1), np.ones(1, dtype=np.int64))]
+        order, binned by np.bincount: each word of the walked half counts
+        for itself and its negation. As in _walked, each walker group's
+        runs are cut once, and its words keyed a block of at most _BLOCK
+        at a time."""
+        cut = math.floor(radius)
+        counts = np.zeros(cut + 1, dtype=np.int64)
+        f = self.F[0][0]
         for r, lo, runs in self._nodes(radius):
-            rest = self._rest_sums(r)
-            for k, a, count in _blocks(lo, runs):
-                norms = self._norms(self._words(rest[k], count, _values(a, count, float)))
-                keys, counts = np.unique(norms if every else norms[norms <= radius],
-                                         return_counts=True)
-                found.append((keys, 2 * counts))
-        keys, where = np.unique(np.concatenate([k for k, _ in found]), return_inverse=True)
-        return keys, np.bincount(where, np.concatenate([c for _, c in found])).astype(np.int64)
+            a, e, _, _, A, b2 = self._trim(r, lo, runs, cut)
+            for k, a, count in _blocks(a, e - a + 1):
+                z1 = _values(a, count)
+                # Every trimmed q is at most cut, so only its bins are added.
+                found = np.bincount(np.repeat(A[k], count)
+                                    + z1 * (np.repeat(b2[k], count) + f * z1))
+                counts[:len(found)] += found
+        counts *= 2
+        counts[0] += 1
+        keys = np.flatnonzero(counts)
+        return keys, counts[keys]
 
     def _nodes(self, cap: float):
         """The walker's groups (r, lo, runs) at cap of half the codebook:
@@ -554,60 +681,28 @@ class _Codebook:
 
     def _walked(self, cut: float, split: bool):
         """(words, keys, coeffs) per block of the walked half's words that
-        the rule keeps: for exact keys, the block's (largest, sum) from its
-        runs' ends and closed form; else the float norms, kept by a mask.
-        coeffs(rows) gives rows' coefficient vectors. With split the words
-        keyed cut are left out and gathered in self.tied, as (z1, r) rows:
-        for exact keys they are run ends, q being strictly convex. Each
-        walker group's runs are cut, and its rest sums taken, once; its
-        words then come in blocks of at most _BLOCK."""
+        the rule keeps, keys the block's (largest, sum) from its runs' ends
+        and closed form; coeffs(rows) gives rows' coefficient vectors. With
+        split the words keyed cut, run ends since q is strictly convex, are
+        left out and gathered in self.tied, as (z1, r) rows. Each walker
+        group's runs are cut, and its rest sums taken, once; its words then
+        come in blocks of at most _BLOCK."""
         self.tied = []
-        exact = self.F is not None
-        f = self.F[0][0] if exact else None
+        f = self.F[0][0]
         for r, lo, runs in self._nodes(cut):
-            if exact:
-                a, e, qa, qe, A, b2 = self._trim(r, lo, runs, int(cut))
-                if split:
-                    ta = (e >= a) & (qa == cut)
-                    te = (e > a) & (qe == cut)
-                    self.tied += [np.column_stack((a[ta], r[ta])), np.column_stack((e[te], r[te]))]
-                    a, e = a + ta, e - te
-                live = np.flatnonzero(e >= a)
-                r, lo, runs, A, b2 = r[live], a[live], (e - a + 1)[live], A[live], b2[live]
+            a, e, qa, qe, A, b2 = self._trim(r, lo, runs, int(cut))
+            if split:
+                ta = (e >= a) & (qa == cut)
+                te = (e > a) & (qe == cut)
+                self.tied += [np.column_stack((a[ta], r[ta])), np.column_stack((e[te], r[te]))]
+                a, e = a + ta, e - te
+            live = np.flatnonzero(e >= a)
+            r, lo, runs, A, b2 = r[live], a[live], (e - a + 1)[live], A[live], b2[live]
             rest = self._rest_sums(r)
             for k, a, count in _blocks(lo, runs):
-                z1, kept = _values(a, count, float), None
-                words = self._words(rest[k], count, z1)
-                if exact:
-                    keys = _run_keys(A[k], b2[k], f, a, count)
-                else:
-                    keys = self._norms(words)
-                    keep = self.scratch.keep[:len(keys)]
-                    (np.less if split else np.less_equal)(keys, cut, out=keep)
-                    ties = np.flatnonzero(keys == cut) if split else ()
-                    if len(ties):
-                        self.tied.append(_coeffs(r[k], count, z1, ties))
-                    if np.count_nonzero(keep) < len(keep):
-                        kept = np.flatnonzero(keep)
-                        words, keys = words[kept], keys[kept]
-                    if not len(words):
-                        continue
-                yield words, keys, lambda rows: _coeffs(
-                    r[k], count, z1, rows if kept is None else kept[rows])
-
-    def _rest(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The rest sums (z_2 M_2j + z_3 M_3j) + ... + z_n M_nj of a block
-        r of at most _BLOCK rest vectors into the columns of out, all
-        columns at once, with the scratch words as the products; +0.0 for
-        n = 1."""
-        M, t = self.M, self.scratch.words[:len(r)]
-        if len(M) == 1:
-            out.fill(0.0)
-            return out
-        np.multiply.outer(r[:, 0], M[1], out=out)
-        for i in range(2, len(M)):
-            np.add(out, np.multiply.outer(r[:, i - 1], M[i], out=t), out=out)
-        return out
+                z1 = _values(a, count, float)
+                yield (self._words(rest[k], count, z1), _run_keys(A[k], b2[k], f, a, count),
+                       lambda rows: _coeffs(r[k], count, z1, rows))
 
     def _rest_sums(self, r: np.ndarray) -> np.ndarray:
         """The rest sums of a walker group's rest vectors r, in a new array,
@@ -617,111 +712,24 @@ class _Codebook:
             self._rest(r[i:i + _BLOCK], rest[i:i + _BLOCK])
         return rest
 
-    def _words(self, rest: np.ndarray, count: np.ndarray, z1: np.ndarray) -> np.ndarray:
-        """The words of the rows (z1[i], r[k]), count[k] rows for each rest
-        vector r[k] in turn, by the word formula, in the scratch: z1 M_1j
-        added row by row to rest, the rest sums of the r[k]."""
-        words, t = self.scratch.words[:len(z1)], self.scratch.t[:len(z1)]
-        for j in range(len(self.M)):
-            np.add(np.repeat(rest[:, j], count), np.multiply(z1, self.M[0, j], out=t),
-                   out=words[:, j])
-        return words
+    def _half(self, cut: float, left: int | None):
+        """The blocks of the kept half: the whole box's, or walked."""
+        self.whole = left is None and not cut < self.box_top
+        return self._box_blocks() if self.whole else self._walked(cut, left is not None)
 
-    def _norms(self, words: np.ndarray) -> np.ndarray:
-        """The float norms of a block of words, by the word formula, in the
-        scratch. A norm may overflow to inf; the energy sum passes it on,
-        or raises, as math.fsum does."""
-        t = self.scratch.t[:len(words)]
-        with np.errstate(over="ignore"):
-            norms = np.multiply(words[:, 0], words[:, 0], out=self.scratch.norms[:len(words)])
-            for j in range(1, words.shape[1]):
-                np.add(norms, np.multiply(words[:, j], words[:, j], out=t), out=norms)
-        return norms
-
-    def _box_blocks(self):
-        """(words, keys, coeffs) per block of half the whole box: each block
-        of _BLOCK rest vectors below zero, its rest sums taken once, with
-        z1 = -m..m in turn, then the zero rest vector, the middle row of
-        the rest box, with z1 = 1..m; as many slices of z1 per block of
-        words as fit in _BLOCK rows. keys are the float norms, or None for
-        exact keys; coeffs(rows) gives rows' coefficient vectors."""
-        k, m, M1 = len(self.M) - 1, self.m, self.M[0]
-        below = ((2 * m + 1) ** k - 1) // 2
-        pieces = [(i, min(_BLOCK, below - i), -m) for i in range(0, below, _BLOCK)]
-        for i, b, first in pieces + [(below, 1, 1)]:
-            rest = self._rest(_box(k, m, i, i + b), self.scratch.rest[:b])
-            per = _BLOCK // b  # slices of z1 per block of words
-            for lo in range(first, m + 1, per):
-                z1s = range(lo, min(lo + per, m + 1))
-                words = self.scratch.words[:b * len(z1s)]
-                for t, z1 in enumerate(z1s):
-                    for j, x in enumerate(z1 * M1):
-                        np.add(rest[:, j], x, out=words[t * b:(t + 1) * b, j])
-                keys = None if self.F is not None else self._norms(words)
-                yield words, keys, lambda rows, lo=lo, i=i, b=b: np.column_stack(
-                    (lo + rows // b, _box_rows(k, m, i + rows % b)))
-
-    def report(self, cut: float, left: int | None, lattice_name: str,
-               p_lim: float = math.inf, target_size: int | None = None) -> SumReport:
-        """The SumReport of the words that the rule (cut, left) keeps: half
-        of them, the whole box's or walked, read once, each for itself and
-        its negation, and the lex-first left words keyed cut, each once. S
-        and a plain array's energy are rounded once, the energy first."""
-        n, exact = len(self.M), self.F is not None
-        whole = left is None and not cut < self.box_top
-        blocks = self._box_blocks() if whole else self._walked(cut, left is not None)
-        size, s, top, energy, bad = _reduce(blocks, self.exponent, self.scratch, exact)
-        size = 2 * size + 1  # the zero word counts but has no term
-        tied, e_extra = np.empty((0, n), dtype=np.int64), []
-        if left is not None:
-            tied = np.concatenate([tied, *self.tied])
-            tied = np.concatenate((tied, -tied))
-            tied = tied[np.lexsort(tied.T[::-1])[:left]]
-            size, top = size + left, max(top, int(cut) if exact else cut)
-        for z, words in self._tied_blocks(tied):
-            if not exact:
-                e_extra += self._norms(words).tolist()
-            absx = np.abs(words, out=words)
-            if float(absx.min()) < DIVERSITY_EPS:
-                bad = _lex_first(bad, absx, lambda rows: z[rows], mirrored=False)
-        if not exact:
-            # The finite norms first, so an energy sum that overflows
-            # raises, an infinite norm or not.
-            total = energy.result(e_extra)
-            if energy.infinite or math.inf in e_extra:
-                total = math.inf
-            p_max, p_ave = top, total / size
+    def _energies(self, cut: float, tied: int, size: int, top: int, energy: int) -> tuple:
+        """(p_max, p_ave) of the kept exact energies, each rounded once."""
+        n = len(self.M)
+        if self.whole:
+            # The box's cross terms cancel, and its largest q is at a corner.
+            m, side = self.m, 2 * self.m + 1
+            top = int(self.box_top)
+            energy = (sum(self.F[j][j] for j in range(n)) * side ** (n - 1)
+                      * (m * (m + 1) * side // 3))
         else:
-            if whole:
-                # The box's cross terms cancel, and its largest q is at a corner.
-                m, side = self.m, 2 * self.m + 1
-                top = int(self.box_top)
-                energy = (sum(self.F[j][j] for j in range(n)) * side ** (n - 1)
-                          * (m * (m + 1) * side // 3))
-            else:
-                energy = 2 * energy + len(tied) * int(cut)
-            p_max = _rounded(top, 1, self.walker.det, n)
-            p_ave = _rounded(energy, size, self.walker.det, n)
-        if bad is not None:
-            raise DiversityError(*bad)
-        s_extra = [t for _, words in self._tied_blocks(tied)
-                   for t in _terms(np.abs(words, out=words), self.exponent,
-                                   self.scratch.r[:len(words)],
-                                   self.scratch.t[:len(words)]).tolist()]
-        # Every term is positive, so an infinite one makes S inf (a large
-        # exponent overflows quietly), whether or not the finite ones
-        # overflow, which raises.
-        s_value = math.inf if s.infinite or math.inf in s_extra else s.result(s_extra)
-        return SumReport(
-            lattice_name, n, self.m, p_lim, size, p_max=p_max, p_ave=p_ave,
-            s_value=s_value, exponent=self.exponent, target_size=target_size)
-
-    def _tied_blocks(self, tied: np.ndarray):
-        """(z, words) per block of _BLOCK coefficient rows z of tied."""
-        for i in range(0, len(tied), _BLOCK):
-            z = tied[i:i + _BLOCK]
-            rest = self._rest(z[:, 1:], self.scratch.rest[:len(z)])
-            yield z, self._words(rest, np.ones(len(z), dtype=np.int64), z[:, 0])
+            energy = 2 * energy + tied * int(cut)
+            top = max(top, int(cut)) if tied else top
+        return _rounded(top, 1, self.walker.det, n), _rounded(energy, size, self.walker.det, n)
 
 
 def inverse_norm_power_sum(
@@ -734,7 +742,8 @@ def inverse_norm_power_sum(
     """S over the box-and-ball codebook, with energy statistics: the rule
     with cut at the cap of p_lim, keeping every tie."""
     m, exponent = _check_box_args(m, p_lim, exponent)
-    codebook = _Codebook(_as_generator(gen), m, exponent)
+    gen = _as_generator(gen)
+    codebook = (_Scan if gen.form is None else _Codebook)(gen, m, exponent)
     return codebook.report(codebook.cap(p_lim), None, lattice_name, p_lim)
 
 
@@ -757,7 +766,7 @@ def carve_lowest_energy(
     if target_size > box_size:
         raise DomainError(
             "target_size %d exceeds box size %d" % (target_size, box_size))
-    codebook = _Codebook(gen, m, exponent)
+    codebook = (_Scan if gen.form is None else _Codebook)(gen, m, exponent)
     return codebook.report(*codebook.cut(target_size), lattice_name,
                            target_size=target_size)
 

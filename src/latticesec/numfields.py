@@ -36,10 +36,10 @@ module owns the lex layout of the coefficient box. _box is the box
 {-m..m}^k in lex order, and EllipsoidWalker enumerates the integer
 vectors of an ellipsoid z G z^T <= cap, within that box or not, as
 runs of the last coordinate under lex-ordered prefixes, in groups of
-about _GROUP prefixes, each run whole in one group. The walker
-serves the capped sums and the carve in constellation, through the one
-each GeneratorMatrix builds with z_1 walked last, and
-theta_series_oracle.
+about _GROUP prefixes, each run whole in one group. The walker serves
+theta_series_oracle, and the capped sums and the carves of a generator
+with an integer form in constellation, through the one it builds with
+z_1 walked last; a plain array's sums scan the box.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -166,13 +166,12 @@ def number_field(min_poly) -> NumberFieldSpec:
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Full-rank square generator; rows are the basis vectors. Its
-    entries, its nonzero determinant and its Gram gram = M M^T are
+    entries, its nonzero determinant and its Gram matrix M M^T are
     finite. form is None or the exact integer Gram F of a unit-volume
     lattice, M M^T = F / det(F)^(1/n), as _validated attaches it."""
 
     entries: np.ndarray
     form: tuple[tuple[int, ...], ...] | None = None
-    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -189,7 +188,6 @@ class GeneratorMatrix:
             raise DomainError("generator matrix must have nonzero determinant")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "gram", gram)
 
     @property
     def n(self) -> int:
@@ -201,12 +199,13 @@ class GeneratorMatrix:
 
     @cached_property
     def walker(self) -> EllipsoidWalker:
-        """The walker of form, or of gram if there is none, with the
-        coordinates taken in the order z_2, ..., z_n, z_1: its prefixes
-        are rest vectors, each with its run of z_1. Built once per
-        generator; it reads the upper triangle of the unturned gram."""
-        g = self.gram if self.form is None else self.form
-        order = [*range(1, self.n), 0]
+        """The walker of form, with the coordinates taken in the order
+        z_2, ..., z_n, z_1: its prefixes are rest vectors, each with its
+        run of z_1. Built once per generator; it reads the upper triangle
+        of the unturned form."""
+        if self.form is None:
+            raise DomainError("a generator without an integer form has no walker")
+        g, order = self.form, [*range(1, self.n), 0]
         return EllipsoidWalker([[g[min(i, j)][max(i, j)] for j in order] for i in order])
 
 
@@ -330,19 +329,16 @@ class EllipsoidWalker:
     nodes, the walker's one output, streams them: a level expands its
     nodes in groups whose runs start within _GROUP children, so no level
     holds more than _GROUP nodes and one run more, and each group of the
-    last level comes out as it is, its runs whole. With a box bound, an
-    infinite cap walks the whole box.
+    last level comes out as it is, its runs whole.
 
     The candidates hold every z (in the box, if m is given) with
-    z G z^T <= cap, and, for G = M M^T, every word whose float norm
-    ||zM||^2 is <= cap. Such a z has |z_j| <= sqrt(cap (G^-1)_jj), and
-    |U_jk| <= sqrt(G_jj / D_k). So with kappa = sum_j sqrt(G_jj (G^-1)_jj)
-    (math.fsum), at least n, the float walk's partial norms are off by a few
-    n units of roundoff of kappa^2 cap, and its centres and run ends by
-    a few n units of roundoff of kappa sqrt(cap / D_k). A float norm ||zM||^2, and the exact form of
-    a float product M M^T, are off from the exact ||zM||^2 by a few n
-    units of roundoff of (sum_j |z_j| sqrt(G_jj))^2 <= kappa^2 ||zM||^2.
-    The walker raises the cap by 2^-30 kappa^2 of itself. That adds as
+    z G z^T <= cap, for a finite cap. Such a z has
+    |z_j| <= sqrt(cap (G^-1)_jj), and |U_jk| <= sqrt(G_jj / D_k). So with
+    kappa = sum_j sqrt(G_jj (G^-1)_jj) (math.fsum), at least n, the float
+    walk's partial norms are off by a few n units of roundoff of
+    kappa^2 cap, and its centres and run ends by a few n units of
+    roundoff of kappa sqrt(cap / D_k). The walker raises the cap by
+    2^-30 kappa^2 of itself. That adds as
     much room to every partial norm and widens every run by at least
     2^-32 kappa^2 sqrt(cap / D_k), over 10^5 times each of those errors.
     Every candidate lies within the raised cap, and callers make the
@@ -350,9 +346,8 @@ class EllipsoidWalker:
     2^-30 kappa^2 is not small, the walk visits more vectors than it
     needs, but it drops none.
 
-    Only the upper triangle of gram is read, since a float M @ M.T need
-    not be symmetric bit for bit. Nothing here depends on a box bound:
-    the box's largest value of the form is m^2 corner.
+    Only the upper triangle of gram is read. Nothing here depends on a
+    box bound: the box's largest value of the form is m^2 corner.
     """
 
     def __init__(self, gram):
@@ -430,12 +425,7 @@ class EllipsoidWalker:
             y = zk - c[k][parent]
             kids = [x[parent] for x in cols] + [zk]
             centres = [None] * (k + 1) + [c[j][parent] - zk * u[k, j] for j in range(k + 1, n)]
-            # An infinite room, the whole walk's at an infinite cap, stays
-            # infinite: there d y^2 can overflow, and inf - inf is NaN.
-            kid_room = room[parent]
-            with np.errstate(over="ignore"):
-                np.subtract(kid_room, d[k] * y * y, out=kid_room, where=kid_room < np.inf)
-            yield from self._level(k + 1, kids, kid_room, centres, m)
+            yield from self._level(k + 1, kids, room[parent] - d[k] * y * y, centres, m)
 
 
 def _expand(lo: np.ndarray, runs: np.ndarray, dtype=np.int64):

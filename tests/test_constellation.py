@@ -344,32 +344,28 @@ def test_a_cap_past_the_box_skips_the_walk(lambda1, lambda2, lambda3, monkeypatc
 
 
 def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
-    # The shipped lattices, a diagonal one and the exactly tied [[1, 3],
-    # [3, -1]], whose words all have integer energies 10 (z1^2 + z2^2).
-    # The float norms of the words, by the word formula, are the keys a
-    # plain generator's sum and carve test against a cap. The walker a
-    # plain generator builds walks M M^T with z1 last, so its candidates
-    # come rest vector by rest vector, each with its run of z1.
-    gens = [spec.generator.entries for spec in (lambda1, lambda2, lambda3)]
-    for M in gens + [np.eye(2), np.array([[1.0, 3.0], [3.0, -1.0]])]:
-        n = M.shape[0]
-        walker = GeneratorMatrix(M).walker
+    # The shipped lattices and Z^2 with its form I. The exact energies
+    # q = z F z^T of the words are the keys a catalogued generator's sum
+    # and carve test against a cut. The walker a generator builds walks F
+    # with z1 last, so its candidates come rest vector by rest vector,
+    # each with its run of z1.
+    gens = [spec.generator for spec in (lambda1, lambda2, lambda3)]
+    for gen in gens + [GeneratorMatrix(np.eye(2), ((1, 0), (0, 1)))]:
+        n, walker = gen.n, gen.walker
         for m in range(1, 10):
             side = 2 * m + 1
-            rest = _box(n - 1, m)
-            norms = np.concatenate([_column_formula(np.insert(rest, 0, z1, axis=1), M)[1]
-                                    for z1 in range(-m, m + 1)])
-            # Integer caps put words of lambda1, lambda2 and the tied
-            # generator exactly on the sphere; the others sit one ulp either
-            # side of a float norm of the box.
-            caps = {1.0, 2.0, 10.0, float(m), float(m * m), float(3 * m * m)}
-            for v in np.quantile(norms[norms > 0], (0.01, 0.1, 0.4)):
-                caps |= {np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)}
-            for p_lim in sorted(caps):
-                if not p_lim < m * m * walker.corner:
+            box = _box(n, m).astype(np.int64)
+            keys = np.einsum("ki,ij,kj->k", box, np.array(gen.form), box)
+            # Integer caps put words exactly on the sphere, and so do the
+            # keys of the box one either side.
+            caps = {1, 2, 10, m, m * m, 3 * m * m}
+            for v in np.quantile(keys[keys > 0], (0.01, 0.1, 0.4)).astype(int).tolist():
+                caps |= {v - 1, v, v + 1}
+            for cap in sorted(caps):
+                if not cap < m * m * walker.corner:
                     continue  # the sum takes the whole box, with no walk
                 rows = []
-                for r, lo, runs in walker.nodes(p_lim, m):
+                for r, lo, runs in walker.nodes(cap, m):
                     parent, z1 = _expand(lo, runs)
                     rows.append((r[parent] + m) @ side ** np.arange(n - 2, -1, -1) * side
                                 + z1 + m)
@@ -377,11 +373,10 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
                 # rest-major lex order: by the rest vector, then by z1
                 assert np.all(np.diff(rows) > 0)
                 index = rows % side * side ** (n - 1) + rows // side
-                need = np.flatnonzero(norms <= p_lim)
-                assert np.isin(need, index).all(), (M, m, p_lim)
-                # and it prunes: the visited words lie within a hair
-                # of the ball
-                assert np.all(norms[index] <= p_lim + 1e-4), (M, m)
+                need = np.flatnonzero(keys <= cap)
+                assert np.isin(need, index).all(), (gen, m, cap)
+                # and it prunes: the visited words lie in the ball
+                assert np.all(keys[index] <= cap), (gen, m, cap)
 
 
 def test_carve_grows_its_ball_to_the_whole_box(lambda1, lambda2, lambda3):
@@ -417,7 +412,8 @@ def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
     # The words and norms take no matmul. A capped sum of a catalogued
     # generator makes one per group of the walk, of its int64 rest
     # vectors, at most _GROUP + 2m of them, by the int64 rows of the form,
-    # which numpy never hands to BLAS; no float matmul runs in any sum.
+    # which numpy never hands to BLAS; no float matmul runs in any sum,
+    # nor in a plain array's scan of the box.
     calls = []
     matmul = np.matmul
 
@@ -442,7 +438,7 @@ def test_catalogued_energies_take_no_float_norm(lambda1, lambda3, monkeypatch):
     # A catalogued generator's energies are its exact keys, from each
     # walked run's ends and closed form, or closed forms on the whole
     # box: no float norm, and one _ExactSum, its terms', per codebook. A
-    # plain array's take the norms and a second one.
+    # plain array's scan takes the norms and a second one.
     made, norms, reports = [], [], []
 
     class Counted(constellation._ExactSum):
@@ -450,13 +446,13 @@ def test_catalogued_energies_take_no_float_norm(lambda1, lambda3, monkeypatch):
             made.append(self)
             super().__init__(*args, **kwargs)
 
-    codebook = constellation._Codebook
-    codebook_norms, codebook_report = codebook._norms, codebook.report
+    real_norms = constellation._norms
     monkeypatch.setattr(constellation, "_ExactSum", Counted)
-    monkeypatch.setattr(codebook, "_norms", lambda self, words: (
-        norms.append(len(words)) or codebook_norms(self, words)))
-    monkeypatch.setattr(codebook, "report", lambda self, *args, **kwargs: (
-        reports.append(args) or codebook_report(self, *args, **kwargs)))
+    monkeypatch.setattr(constellation, "_norms", lambda words: (
+        norms.append(len(words)) or real_norms(words)))
+    for codebook in (constellation._Codebook, constellation._Scan):
+        monkeypatch.setattr(codebook, "report", lambda self, *args, report=codebook.report,
+                            **kwargs: reports.append(args) or report(self, *args, **kwargs))
     for m in (3, 9):
         inverse_norm_power_sum(lambda1.generator, m)
         inverse_norm_power_sum(lambda3.generator, m, p_lim=64.0)
@@ -492,9 +488,9 @@ def _rest_rows(z, m):
 
 
 def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
-    # Sampled rows of the whole box's half and of walked capped halves
-    # hold the word formula's words, and for a plain array its norms, the
-    # keys, evaluated in Python floats, bit for bit: no BLAS or SIMD
+    # Sampled rows of the whole box's half, of walked capped halves and of
+    # a plain array's scan hold the word formula's words, and the scan's
+    # norms, evaluated in Python floats, bit for bit: no BLAS or SIMD
     # kernel enters them. The whole box's samples take in its first rest
     # vector, the last below zero and the zero one, and more than 100
     # words with z1 < 0. A catalogued generator's walked blocks carry the
@@ -503,15 +499,11 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
         return np.array(values, dtype=float).view(np.int64).tolist()
 
     rng = random.Random(2202)
-    plain = [np.array([[1.7]]), np.array([[1.0, 0.3], [0.2, -1.1]]),
-             np.array([[0.9, -0.7], [0.45, 1.35]])]
-    gens = [spec.generator for spec in (lambda1, lambda2, lambda3)] + plain
     checked = negative = 0
-    for gen in gens:
-        M = np.asarray(getattr(gen, "entries", gen))
-        n = len(M)
+    for gen in (spec.generator for spec in (lambda1, lambda2, lambda3)):
+        M, n = gen.entries, gen.n
         for m, p_lim in ((5, math.inf), (7, 30.5)):
-            codebook = constellation._Codebook(constellation._as_generator(gen), m, 3)
+            codebook = constellation._Codebook(gen, m, 3)
             cut = codebook.cap(p_lim)
             whole = not cut < codebook.box_top
             middle = (2 * m + 1) ** (n - 1) // 2
@@ -525,14 +517,23 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
                     sample += np.flatnonzero(np.isin(rows, list(ends))).tolist()
                     negative += sum(z[i][0] < 0 for i in sample)
                 for i in sample:
+                    x, _ = _formula([int(v) for v in z[i]], M.tolist())
+                    assert bits(words[i]) == bits(x), (M, m, z[i])
+                    checked += 1
+                q = np.einsum("ki,ij,kj->k", z.astype(np.int64), np.array(gen.form), z.astype(np.int64))
+                assert keys == (None if whole else (q.max(), q.sum())), (m, keys)
+    plain = [np.array([[1.7]]), np.array([[1.0, 0.3], [0.2, -1.1]]),
+             np.array([[0.9, -0.7], [0.45, 1.35]])]
+    for M in plain:
+        for m in (5, 7):
+            scan = constellation._Scan(constellation._as_generator(M), m, 3)
+            for words, _, coeffs in scan._box_blocks():
+                z, norms = coeffs(np.arange(len(words))), constellation._norms(words)
+                for i in rng.sample(range(len(z)), min(len(z), 200)):
                     x, norm = _formula([int(v) for v in z[i]], M.tolist())
                     assert bits(words[i]) == bits(x), (M, m, z[i])
-                    if codebook.F is None:
-                        assert bits([keys[i]]) == bits([norm]), (M, m, z[i])
+                    assert bits([norms[i]]) == bits([norm]), (M, m, z[i])
                     checked += 1
-                if codebook.F is not None:
-                    q = np.einsum("ki,ij,kj->k", z.astype(np.int64), np.array(gen.form), z.astype(np.int64))
-                    assert keys == (None if whole else (q.max(), q.sum())), (m, keys)
     assert checked > 1000 and negative > 100
 
 
@@ -562,7 +563,9 @@ def test_unfolded_terms_are_rounded_once(lambda1, lambda2, lambda3):
     # from a scan of the box: exact keys z F z^T for the catalogued
     # generators, float norms for plain arrays, a carve's ties by lex
     # order. lambda1 m = 3 and m = 5, and the m = 4 carve to 300, are
-    # sums where rounding each slice's sum first gives another S.
+    # sums where rounding each slice's sum first gives another S. Seeded
+    # random plain generators, n = 1..4 at m = 1..3, pin the scan's
+    # contract: a carve to an even size splits a pair +-z of equal norm.
     tied = np.array([[1.0, 3.0], [3.0, -1.0]])
     skew3 = np.array([[1.0, math.sqrt(2) - 1, -math.sqrt(3) / 7],
                       [math.sqrt(5) / 9, 1.2, math.sqrt(7) / 6],
@@ -575,16 +578,26 @@ def test_unfolded_terms_are_rounded_once(lambda1, lambda2, lambda3):
              (lambda2.generator.entries, 3, math.inf, 50),
              (tied, 2, math.inf, 14), (tied, 2, math.inf, 17),
              (skew3, 6, math.inf, None), (skew3, 6, 7.5, None), (skew3, 6, math.inf, 400)]
+    rng = np.random.default_rng(3131)
+    for n in (1, 2, 3, 4):
+        for gen in (rng.normal(size=(n, n)), rng.normal(size=(n, n))):
+            for m in (1, 2, 3):
+                box = (2 * m + 1) ** n
+                cases += [(gen, m, p_lim, None) for p_lim in (math.inf, 2.0, 9.5)]
+                cases += [(gen, m, math.inf, target) for target in (2, box // 3, box // 2 + 1)]
+    scans = {}
     for gen, m, p_lim, target in cases:
         M = np.asarray(getattr(gen, "entries", gen)).tolist()
         form = getattr(gen, "form", None)
         n = len(M)
-        scanned = []
-        for z in itertools.product(range(-m, m + 1), repeat=n):
-            x, norm = _formula(z, M)
-            key = norm if form is None else sum(
-                f * a * b for row, a in zip(form, z) for f, b in zip(row, z))
-            scanned.append((key, z, x))
+        if (id(gen), m) not in scans:
+            scans[id(gen), m] = []
+            for z in itertools.product(range(-m, m + 1), repeat=n):
+                x, norm = _formula(z, M)
+                key = norm if form is None else sum(
+                    f * a * b for row, a in zip(form, z) for f, b in zip(row, z))
+                scans[id(gen), m].append((key, z, x))
+        scanned = scans[id(gen), m]
         if target is not None:
             kept = sorted(scanned, key=lambda w: (w[0], w[1]))[:target]
             rep = carve_lowest_energy(gen, m, target)
@@ -599,6 +612,7 @@ def test_unfolded_terms_are_rounded_once(lambda1, lambda2, lambda3):
         assert rep.size == len(kept), (gen, m, p_lim, target)
         assert rep.s_value == math.fsum(terms), (gen, m, p_lim, target)
         if form is None:
+            assert rep.p_max == max([k for k, z, _ in kept if any(z)], default=0.0)
             assert rep.p_ave == math.fsum(k for k, _, _ in kept) / len(kept)
 
 
@@ -678,10 +692,9 @@ def test_block_size_does_not_change_results(lambda1, lambda2, lambda3,
     # uncapped sums at m = 2, 3, 4 take 62, 171 and 364 rest vectors below
     # zero, a whole number of blocks for some sizes here and not for
     # others. At m = 8, p_lim 4, lambda3 keeps 79 of the 17^4 words, and
-    # most walked runs are cut to nothing. The skewed generator's
-    # lex-first zero coordinate is at (-9, 0), which the fold reads only
-    # as the negation of (9, 0), the last word of the zero rest vector's
-    # run.
+    # most walked runs are cut to nothing. The skewed generator is
+    # scanned in pieces of the block size; its lex-first zero coordinate
+    # is at (-9, 0), the first row of the box's lower half.
     g1, g2, g3 = lambda1.generator, lambda2.generator, lambda3.generator
     skew = np.array([[1.0, 0.0], [-2.0, 1.0]])
 
@@ -731,13 +744,14 @@ def test_an_infinite_term_outweighs_finite_terms_that_overflow(lambda2):
 
 def test_each_report_reads_its_codebook_once(lambda2, lambda3, monkeypatch):
     # A report streams its half of the codebook once, the whole box's
-    # blocks or the walked ones, its norms and terms in the same pass:
-    # also where S is inf (lambda2 at exponent 307), where the finite
-    # terms overflow (lambda3 m = 2 at exponent 202), where the energy
-    # does (a generator scaled by 1e154), and in a carve.
+    # blocks, the walked ones or a plain array's scan, its norms and terms
+    # in the same pass: also where S is inf (lambda2 at exponent 307),
+    # where the finite terms overflow (lambda3 m = 2 at exponent 202),
+    # where the energy does (a plain generator scaled by 1e154), and in a
+    # carve.
     streams = []
-    codebook = constellation._Codebook
-    for name in ("_box_blocks", "_walked"):
+    for codebook, name in ((constellation._Words, "_box_blocks"),
+                           (constellation._Codebook, "_walked")):
         monkeypatch.setattr(codebook, name, lambda self, *args, name=name, read=getattr(
             codebook, name): streams.append(name) or read(self, *args))
     big = np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154
@@ -749,7 +763,7 @@ def test_each_report_reads_its_codebook_once(lambda2, lambda3, monkeypatch):
             (inverse_norm_power_sum, (g3, 2), {"exponent": 202}, OverflowError, box),
             (inverse_norm_power_sum, (g3, 2, 16.0), {"exponent": 202}, OverflowError, walk),
             (inverse_norm_power_sum, (big, 3), {}, OverflowError, box),
-            (inverse_norm_power_sum, (big, 3, 1.7e308), {}, OverflowError, walk),
+            (inverse_norm_power_sum, (big, 3, 1.7e308), {}, OverflowError, box),
             (carve_lowest_energy, (g3, 3, 300), {}, None, walk),
             (carve_lowest_energy, (g2, 1, 50), {"exponent": 307}, None, walk)):
         streams.clear()
@@ -847,37 +861,38 @@ def test_walk_chunks_keep_capped_peaks_near_one_block(lambda3):
 
 def test_carve_radius_of_a_huge_generator_does_not_overflow():
     # The determinant of this generator is 1.125e308, so target * covolume
-    # overflowed with a RuntimeWarning, an error here, where the radius
-    # itself is finite; target and covolume raised to 2 / n apart do not.
-    # The cut and left are the ones that the overflowing radius gave. The
-    # energy of two words keyed 1.0625e308 overflows the float range.
+    # once overflowed with a RuntimeWarning, an error here. Its scan's
+    # cuts count the words other than zero: the smallest pair is keyed
+    # 1.0625e308 and the next 1.25e308, and the energy of two words keyed
+    # 1.0625e308 overflows the float range.
     big = np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154
-    want = [(0.0, None), (1.0625e308, 1), (1.0625e308, None), (1.25e308, 1), (1.25e308, None)]
+    want = [(-math.inf, None), (1.0625e308, 1), (1.0625e308, None), (1.25e308, 1),
+            (1.25e308, None)]
     for m in (1, 2, 3):
-        codebook = constellation._Codebook(constellation._as_generator(big), m, 3)
+        codebook = constellation._Scan(constellation._as_generator(big), m, 3)
         assert [codebook.cut(target) for target in range(1, 6)] == want, m
         assert carve_lowest_energy(big, m, 2).p_max == 1.0625e308
         with pytest.raises(OverflowError):
             carve_lowest_energy(big, m, 5)
 
 
-def test_carve_of_an_overflowing_corner_walks_the_box_at_an_infinite_cap():
-    # The float corner of this generator overflows, so box_top is inf, and
-    # a carve whose ball grows past the largest double walks at an
-    # infinite cap. Every room of that walk stays infinite: inf - inf was
-    # NaN, cast to int64, and 40 of these 83 cuts raised IndexError or
-    # returned a wrong left. Each cut is a scan's of the box's float norms
-    # by the word formula, and each carve returns or overflows its energy.
+def test_carve_of_an_overflowing_corner_matches_a_box_scan():
+    # The float norms of this generator's box overflow at its corners.
+    # Each cut is a scan's of the box's float norms by the word formula,
+    # the zero word apart, and each carve returns or overflows its energy.
     big = np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154
     for m in (1, 2, 3):
         with np.errstate(over="ignore"):
-            keys = np.sort(_column_formula(_box(2, m), big)[1])
-        codebook = constellation._Codebook(constellation._as_generator(big), m, 3)
-        assert codebook.box_top == math.inf
-        for target in range(1, len(keys) + 1):
-            cut = keys[target - 1]
-            left = target - int(np.count_nonzero(keys < cut))
-            want = float(cut), None if left == np.count_nonzero(keys == cut) else left
+            keys = _column_formula(_box(2, m), big)[1]
+        keys = np.sort(np.delete(keys, len(keys) // 2))
+        codebook = constellation._Scan(constellation._as_generator(big), m, 3)
+        for target in range(1, len(keys) + 2):
+            if target == 1:
+                want = -math.inf, None
+            else:
+                cut = keys[target - 2]
+                left = target - 1 - int(np.count_nonzero(keys < cut))
+                want = float(cut), None if left == np.count_nonzero(keys == cut) else left
             assert codebook.cut(target) == want, (m, target)
             try:
                 assert carve_lowest_energy(big, m, target).size == target
@@ -983,7 +998,8 @@ def test_sign_permutation_invariance(lambda3):
 
 def test_one_slice_block_per_sum(lambda3, monkeypatch):
     # A sum or a carve builds one _Codebook, and a generator builds its
-    # walker once: later sums on it, and a failing one, reuse it.
+    # walker once: later sums on it, and a failing one, reuse it. A plain
+    # array is scanned, with neither.
     built, walkers = [], []
 
     class Counted(constellation._Codebook):
@@ -1002,11 +1018,15 @@ def test_one_slice_block_per_sum(lambda3, monkeypatch):
     inverse_norm_power_sum(gen, 9, p_lim=64.0)
     carve_lowest_energy(gen, 6, 500)
     inverse_norm_power_sum(gen, 4)
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            inverse_norm_power_sum(gen, 2, 16.0, exponent=202)
+    assert len(built) == 5 and len(walkers) == 1
     eye = GeneratorMatrix(np.eye(2))
     for _ in range(2):
         with pytest.raises(DiversityError):
             inverse_norm_power_sum(eye, 1)
-    assert len(built) == 5 and len(walkers) == 2
+    assert len(built) == 5 and len(walkers) == 1
 
 
 def test_diversity_failure_reported():
@@ -1026,32 +1046,63 @@ def test_diversity_failure_reported():
 
 
 def test_mirrored_diversity_failure_matches_a_lex_scan():
-    # Each lex-first offender has a rest vector above zero and z1 < 0,
-    # which the fold reads only as the negation of a word with its rest
-    # vector below zero and z1 > 0. Its vector,
-    # coordinate and value are those of a brute-force lex scan by the
-    # word formula; the first case's value is a rounding residue, not a
-    # zero.
+    # Each lex-first offender of the first three cases has a rest vector
+    # above zero and z1 < 0, which a rest-major fold reads only as the
+    # negation of a word with its rest vector below zero and z1 > 0. The
+    # last case's M M^T underflows to a singular matrix, which a walker of
+    # M M^T refused, and its words (z1, 0) are normed 0.0, before the zero
+    # word in (norm, lex) order. The sum, and the carves to 1 and to the
+    # whole box, name the vector, coordinate and value of a brute-force
+    # scan by the word formula, or return; the first case's value is a
+    # rounding residue, not a zero.
     cases = (([[0.1, 1.0], [0.3, -0.7]], 3),
              ([[2.0, 1.0, -1.0], [-1.0, 2.0, -2.0], [0.0, 0.5, -2.0]], 3),
-             ([[-2.0, -1.0, 0.5], [-2.0, 2.0, -1.0], [0.5, -2.0, 2.0]], 3))
+             ([[-2.0, -1.0, 0.5], [-2.0, 2.0, -1.0], [0.5, -2.0, 2.0]], 3),
+             ([[1e-170, 0.0], [0.0, 1.0]], 3))
     values = []
-    for M, m in cases:
-        n = len(M)
-        for z in itertools.product(range(-m, m + 1), repeat=n):
-            absx = [abs(v) for v in _formula(z, M)[0]]
-            if any(z) and min(absx) < constellation.DIVERSITY_EPS:
-                want = z, absx.index(min(absx)), min(absx)
-                break
-        side = 2 * m + 1
-        rest_row = sum((c + m) * side ** (n - 2 - k) for k, c in enumerate(want[0][1:]))
-        assert want[0][0] < 0 and rest_row > side ** (n - 1) // 2
-        with pytest.raises(DiversityError) as err:
-            inverse_norm_power_sum(np.array(M), m)
-        got = err.value.coeff_vector, err.value.coordinate_index, err.value.value
-        assert got == want and type(got[2]) is float
-        values.append(got[2])
-    assert values[0] > 0.0 == values[1] == values[2]
+    for i, (M, m) in enumerate(cases):
+        n, side = len(M), 2 * m + 1
+        scanned = sorted((_formula(z, M)[1], z)
+                         for z in itertools.product(range(-m, m + 1), repeat=n))
+        for target in (None, 1, side ** n):
+            want = None
+            for z in sorted(z for _, z in scanned[:target]):
+                absx = [abs(v) for v in _formula(z, M)[0]]
+                if any(z) and min(absx) < constellation.DIVERSITY_EPS:
+                    want = z, absx.index(min(absx)), min(absx)
+                    break
+            if target is None:
+                rest_row = sum((c + m) * side ** (n - 2 - k) for k, c in enumerate(want[0][1:]))
+                assert i == 3 or want[0][0] < 0 and rest_row > side ** (n - 1) // 2
+                f, args = inverse_norm_power_sum, (np.array(M), m)
+            else:
+                f, args = carve_lowest_energy, (np.array(M), m, target)
+            if want is None:
+                assert f(*args).size == target
+                continue
+            with pytest.raises(DiversityError) as err:
+                f(*args)
+            got = err.value.coeff_vector, err.value.coordinate_index, err.value.value
+            assert got == want and type(got[2]) is float
+            if target is None:
+                values.append(got[2])
+    assert values[0] > 0.0 == values[1] == values[2] < values[3]
+
+
+def test_subnormal_norms_raise_no_warning():
+    # At m = 2 the ball of 2 and the carve to 5 of this generator keep the
+    # words (z1, 0), whose norms are subnormal; a walker of M M^T
+    # overflowed dividing by its levels, with a RuntimeWarning. The scan
+    # names the lex-first of them, with no warning.
+    gen = np.array([[1e-160, 0.0], [0.0, 1e150]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, args in ((inverse_norm_power_sum, (gen, 2, 2.0)),
+                        (carve_lowest_energy, (gen, 2, 5))):
+            with pytest.raises(DiversityError) as err:
+                f(*args)
+            assert (err.value.coeff_vector, err.value.coordinate_index,
+                    err.value.value) == ((-2, 0), 1, 0.0)
 
 
 def test_diversity_scan_finds_the_first_offending_row():

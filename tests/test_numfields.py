@@ -124,6 +124,9 @@ def test_generator_matrix_guards():
     gen = GeneratorMatrix(np.eye(2))
     with pytest.raises(ValueError):
         gen.entries[0, 0] = 5.0
+    # Only an integer form has a walker; a plain array's sums scan the box.
+    with pytest.raises(DomainError, match="no walker"):
+        gen.walker
 
 
 def test_normalize_unit_volume():
