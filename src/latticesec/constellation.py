@@ -59,25 +59,24 @@ rest-block-major: the rest vectors below zero come in blocks of _BLOCK
 rows of the rest box {-m..m}^(n-1), each block's rest sums are taken
 once, and each z1 = -m..m adds z1 M_1j to them, one word block per z1;
 no array of (2m+1)^(n-1) rows is built. A scan's carve reads it once
-more, first, for its cut.
+more, first, for its cut, into one array of the half's norms.
 
 Else a _Codebook's half is rest-vector-major. The walker each generator
 builds once (GeneratorMatrix.walker, Fincke-Pohst over F with z_1
 walked last) streams the rest vectors r in lex order, each with its
-whole run of z_1, none within the cut left out, in the walker's groups
-of about a thousand rest vectors (numfields._GROUP). Each run's
-q = A_r + z_1 (2 b_r + F_11 z_1), with A_r = r F_rest r^T and
-b_r = sum_j F_1j r_j integers, is cut to the cut exactly, and no key of
-a word is computed. A carve bins the keys of the walk at a growing
-radius with np.bincount to find its cut and left; its words keyed cut
-are run ends (q is strictly convex in z_1), gathered, sorted in lex
-order with their negations, and the first left kept. A group's run
-cuts and rest sums are taken once; its runs are then split into blocks
-of at most _BLOCK words, each made in fixed scratch, the sum of q over
-its runs taken in closed form and its largest q at their ends. So no
-array grows with the ball beyond the walker's groups. Every row's
-arithmetic is its own, so the bits depend neither on the block size
-nor on the group size.
+run of exactly the z_1 keyed within the cut, in the walker's groups of
+about a thousand rest vectors (numfields._GROUP). Each run comes with
+its exact q = A_r + z_1 (2 b_r + F_11 z_1), A_r = r F_rest r^T and
+b_r = sum_j F_1j r_j, and no key of a word is computed. A carve bins
+the keys of the walk at a growing radius with np.bincount to find its
+cut and left; its words keyed cut are run ends (q is strictly convex
+in z_1), gathered, sorted in lex order with their negations, and the
+first left kept. A group's rest sums are taken once; its runs are then
+split into blocks of at most _BLOCK words, each made in fixed scratch,
+the sum of q over its runs taken in closed form and its largest q at
+their ends. So no array grows with the ball beyond the walker's groups.
+Every row's arithmetic is its own, so the bits depend neither on the
+block size nor on the group size.
 
 Reported statistics: size counts every included codeword (the zero word
 too, matching the catalogued codebook sizes); p_max is the maximum
@@ -153,9 +152,7 @@ def _as_generator(gen: GeneratorMatrix | np.ndarray) -> GeneratorMatrix:
 
 
 # Rows per block. A block of words is 256 KB at n = 4, so it stays in
-# L2 through a block's passes over it. The one matmul, a walker group's
-# rest vectors times the form's rows, is on int64 arrays, which numpy
-# never hands to BLAS.
+# L2 through a block's passes over it.
 _BLOCK = 8192
 
 
@@ -236,8 +233,8 @@ def _run_keys(A: np.ndarray, b2: np.ndarray, f: int, a: np.ndarray,
     qa, qe = A + a * (b2 + f * a), A + e * (b2 + f * e)
     pairs = count * (count - 1)
     return (int(np.maximum(qa, qe).max()),
-            int(count @ qa + (b2 + 2 * f * a) @ (pairs // 2)
-                + f * (pairs * (2 * count - 1) // 6).sum()))
+            int((count * qa + (b2 + 2 * f * a) * (pairs // 2)
+                 + f * (pairs * (2 * count - 1) // 6)).sum()))
 
 
 def _around_zero(r: np.ndarray) -> tuple[int, int]:
@@ -404,12 +401,12 @@ def _reduce(blocks, exponent: int, scratch: _Scratch):
     return size, s, top, energy, bad
 
 
-def _norms(words: np.ndarray) -> np.ndarray:
-    """The float norms of a block of words, by the word formula, in a new
-    array. A norm may overflow to inf; the energy sum passes it on, or
-    raises, as math.fsum does."""
+def _norms(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The float norms of a block of words, by the word formula, into out
+    or a new array. A norm may overflow to inf; the energy sum passes it
+    on, or raises, as math.fsum does."""
     with np.errstate(over="ignore"):
-        norms = words[:, 0] * words[:, 0]
+        norms = np.multiply(words[:, 0], words[:, 0], out=out)
         for j in range(1, words.shape[1]):
             norms += words[:, j] * words[:, j]
     return norms
@@ -531,7 +528,11 @@ class _Scan(_Words):
         how many normed cut it keeps. A word normed 0.0 comes before the
         zero word, so need is at least 1 where there is one: it fails the
         diversity check."""
-        norms = np.concatenate([_norms(words) for words, _, _ in self._box_blocks()])
+        norms = np.empty(((2 * self.m + 1) ** len(self.M) - 1) // 2)
+        i = 0
+        for words, _, _ in self._box_blocks():
+            _norms(words, norms[i:i + len(words)])
+            i += len(words)
         need = max(target - 1, int(norms.min() == 0.0))
         if not need:
             return -math.inf, None
@@ -578,12 +579,6 @@ class _Codebook(_Words):
         super().__init__(gen, m, exponent)
         self.F, self.walker = gen.form, gen.walker
         self.box_top = m * m * self.walker.corner
-        # Rows z_2..z_n of the form with z_1 last: a rest vector r times
-        # them gives r F_rest and r (F_12..F_1n).
-        n = gen.n
-        order = [*range(1, n), 0]
-        self.rows = np.array([[self.F[i][j] for j in order] for i in range(1, n)],
-                             dtype=np.int64).reshape(n - 1, n)
 
     def cap(self, p_lim: float) -> float:
         """The cut of the ball ||x||^2 <= p_lim: the largest integer
@@ -591,7 +586,7 @@ class _Codebook(_Words):
         an infinite p_lim."""
         if math.isinf(p_lim):
             return p_lim
-        n, top = len(self.F), int(self.box_top)
+        n, top = len(self.F), self.box_top
         bound = self.walker.det * Fraction(float(p_lim)) ** n
         return float(bisect.bisect_right(range(top + 1), bound, key=lambda q: q ** n) - 1)
 
@@ -623,18 +618,15 @@ class _Codebook(_Words):
         (every word, from box_top on), zero included, in ascending key
         order, binned by np.bincount: each word of the walked half counts
         for itself and its negation. As in _walked, each walker group's
-        runs are cut once, and its words keyed a block of at most _BLOCK
-        at a time."""
-        cut = math.floor(radius)
-        counts = np.zeros(cut + 1, dtype=np.int64)
+        runs are keyed a block of at most _BLOCK words at a time."""
+        counts = np.zeros(math.floor(radius) + 1, dtype=np.int64)
         f = self.F[0][0]
-        for r, lo, runs in self._nodes(radius):
-            a, e, _, _, A, b2 = self._trim(r, lo, runs, cut)
-            for k, a, count in _blocks(a, e - a + 1):
+        for _, lo, runs, A, b in self._nodes(radius):
+            for k, a, count in _blocks(lo, runs):
                 z1 = _values(a, count)
-                # Every trimmed q is at most cut, so only its bins are added.
+                # Every walked q is at most the radius, so only its bins are added.
                 found = np.bincount(np.repeat(A[k], count)
-                                    + z1 * (np.repeat(b2[k], count) + f * z1))
+                                    + z1 * (np.repeat(2 * b[k], count) + f * z1))
                 counts[:len(found)] += found
         counts *= 2
         counts[0] += 1
@@ -642,42 +634,20 @@ class _Codebook(_Words):
         return keys, counts[keys]
 
     def _nodes(self, cap: float):
-        """The walker's groups (r, lo, runs) at cap of half the codebook:
-        rest vectors r <lex 0 with their whole runs of z1, then r = 0 with
-        z1 >= 1. With their negations they hold every word but zero; the
-        walk stops at the zero rest vector, or at the first r >lex 0."""
-        for r, lo, runs in self.walker.nodes(cap, self.m):
+        """The walker's groups (r, lo, runs, A, b) at cap of half the
+        codebook: rest vectors r <lex 0 with their whole runs of z1, then
+        r = 0 with z1 >= 1, each run's q = A + z1 (2 b + F_11 z1). With
+        their negations they hold every word but zero; the walk stops at
+        the zero rest vector, or at the first r >lex 0."""
+        for r, lo, runs, A, b in self.walker.nodes(cap, self.m):
             end, zero = _around_zero(r)
             if zero:  # the zero rest vector's run, whole in this group
                 start = max(lo[end], 1)
                 lo[end], runs[end] = start, max(lo[end] + runs[end] - start, 0)
                 end += 1
-            yield r[:end], lo[:end], runs[:end]
+            yield r[:end], lo[:end], runs[:end], A[:end], b[:end]
             if end < len(r) or zero:
                 return
-
-    def _trim(self, r: np.ndarray, lo: np.ndarray, runs: np.ndarray, cut: int):
-        """(a, e, qa, qe, A, b2): each walked run cut to z1 = a..e, the
-        exact run q = A + z1 (b2 + F_11 z1) <= cut, and q at its ends,
-        where A = r F_rest r^T and b2 = 2 r (F_12..F_1n). q is convex in z1
-        and the walked run holds the exact one, so its ends move in until
-        they are within the cut. Every value is an integer far below 2^63,
-        exact in int64."""
-        y = np.matmul(r, self.rows)
-        A, b2, f = np.einsum("ij,ij->i", y[:, :-1], r), 2 * y[:, -1], self.F[0][0]
-
-        def q(z):
-            return A + z * (b2 + f * z)
-
-        a, e = lo, lo + runs - 1
-        qa, qe = q(a), q(e)
-        while (out := (qa > cut) & (e >= a)).any():
-            a += out
-            qa = q(a)
-        while (out := (qe > cut) & (e >= a)).any():
-            e -= out
-            qe = q(e)
-        return a, e, qa, qe, A, b2
 
     def _walked(self, cut: float, split: bool):
         """(words, keys, coeffs) per block of the walked half's words that
@@ -685,15 +655,15 @@ class _Codebook(_Words):
         and closed form; coeffs(rows) gives rows' coefficient vectors. With
         split the words keyed cut, run ends since q is strictly convex, are
         left out and gathered in self.tied, as (z1, r) rows. Each walker
-        group's runs are cut, and its rest sums taken, once; its words then
-        come in blocks of at most _BLOCK."""
+        group's rest sums are taken once; its words then come in blocks of
+        at most _BLOCK."""
         self.tied = []
         f = self.F[0][0]
-        for r, lo, runs in self._nodes(cut):
-            a, e, qa, qe, A, b2 = self._trim(r, lo, runs, int(cut))
+        for r, a, runs, A, b in self._nodes(cut):
+            b2, e = 2 * b, a + runs - 1
             if split:
-                ta = (e >= a) & (qa == cut)
-                te = (e > a) & (qe == cut)
+                ta = (runs > 0) & (A + a * (b2 + f * a) == cut)
+                te = (runs > 1) & (A + e * (b2 + f * e) == cut)
                 self.tied += [np.column_stack((a[ta], r[ta])), np.column_stack((e[te], r[te]))]
                 a, e = a + ta, e - te
             live = np.flatnonzero(e >= a)
@@ -723,7 +693,7 @@ class _Codebook(_Words):
         if self.whole:
             # The box's cross terms cancel, and its largest q is at a corner.
             m, side = self.m, 2 * self.m + 1
-            top = int(self.box_top)
+            top = self.box_top
             energy = (sum(self.F[j][j] for j in range(n)) * side ** (n - 1)
                       * (m * (m + 1) * side // 3))
         else:

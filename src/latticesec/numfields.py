@@ -33,13 +33,15 @@ embedding values, at roots isolated to 1e-15.
 
 The package's lattice-point enumeration lives here too, so that one
 module owns the lex layout of the coefficient box. _box is the box
-{-m..m}^k in lex order, and EllipsoidWalker enumerates the integer
-vectors of an ellipsoid z G z^T <= cap, within that box or not, as
-runs of the last coordinate under lex-ordered prefixes, in groups of
-about _GROUP prefixes, each run whole in one group. The walker serves
-theta_series_oracle, and the capped sums and the carves of a generator
-with an integer form in constellation, through the one it builds with
-z_1 walked last; a plain array's sums scan the box.
+{-m..m}^k in lex order, and EllipsoidWalker enumerates exactly the
+integer vectors of an ellipsoid z G z^T <= cap of an integer form G,
+within that box or not, deciding every level in integers, as runs of
+the last coordinate under lex-ordered prefixes, each run with its exact
+quadratic, in groups of about _GROUP prefixes, each run whole in one
+group. The walker serves theta_series_oracle, and the capped sums and
+the carves of a generator with an integer form in constellation,
+through the one it builds with z_1 walked last; a plain array's sums
+scan the box.
 """
 
 from __future__ import annotations
@@ -311,40 +313,45 @@ _GROUP = 1024
 
 
 class EllipsoidWalker:
-    """Integer vectors z with z G z^T <= cap, as runs of their last
-    coordinate under each prefix z_1..z_{n-1}.
+    """Integer vectors z with z G z^T <= cap, for an integer positive
+    definite G, as runs of their last coordinate under each prefix
+    z_1..z_{n-1}.
 
     This is Fincke-Pohst enumeration (Math. Comp. 44, 1985), vectorised
-    level by level. Completing the square in z_n, then in z_{n-1}, and
-    so on, writes the form as
+    level by level, with every level decided in integers. Let Delta_k be
+    the determinant of G's block on z_k..z_n (Delta_{n+1} = 1, Delta_1 =
+    det G) and S_k the Schur complement of the block on z_{k+1}..z_n, a
+    form in z_1..z_k. Its entries times Delta_{k+1} are minors of G, so
+    the level form W_k = Delta_{k+1} S_k is integral (W_n = G), and so is
+    P_k = z W_k z^T over z_1..z_k. The least value of z G z^T over real
+    z_{k+1}..z_n is P_k / Delta_{k+1}, so a vector of the ellipsoid has
+    P_k <= Delta_{k+1} F at every level, F = floor(cap); at the last level
+    that test is z G z^T <= cap itself. Completing the square in z_k,
 
-        z G z^T = sum_k D_k (z_k + sum_{j<k} U_jk z_j)^2,
+        Delta_k P_k = Delta_{k+1} P_{k-1} + (Delta_k z_k + b_k)^2,
 
-    so once z_1..z_{k-1} are fixed, the z_k that keep the partial sum at
-    or below the cap form one run around -sum_{j<k} U_jk z_j. D and U
-    are computed exactly in Fraction from the Gram entries and rounded
-    once to float; det is prod D_k, exact. With a box bound m every run
-    is clipped to -m..m. Each level expands its runs in ascending order
-    under ascending prefixes, so the candidates come out in lex order.
-    nodes, the walker's one output, streams them: a level expands its
-    nodes in groups whose runs start within _GROUP children, so no level
-    holds more than _GROUP nodes and one run more, and each group of the
-    last level comes out as it is, its runs whole.
+    with b_k = sum_{j<k} (W_k)_jk z_j. So under a prefix z_1..z_{k-1}
+    with room R_k = Delta_{k+1} (Delta_k F - P_{k-1}), the z_k that pass
+    are one run, |Delta_k z_k + b_k| <= isqrt(R_k), whose ends are floor
+    divisions, and a child's room is
+    R_{k+1} = Delta_{k+2} ((R_k - (Delta_k z_k + b_k)^2) / Delta_k), the
+    division exact. Each node carries its room and its b_l for the levels
+    l still to come; no float decides a run. A last-level run comes with
+    its exact quadratic: z_n = t has z G z^T = c + t (2 b_n + G_nn t),
+    c = (G_nn F - R_n + b_n^2) / G_nn.
 
-    The candidates hold every z (in the box, if m is given) with
-    z G z^T <= cap, for a finite cap. Such a z has
-    |z_j| <= sqrt(cap (G^-1)_jj), and |U_jk| <= sqrt(G_jj / D_k). So with
-    kappa = sum_j sqrt(G_jj (G^-1)_jj) (math.fsum), at least n, the float
-    walk's partial norms are off by a few n units of roundoff of
-    kappa^2 cap, and its centres and run ends by a few n units of
-    roundoff of kappa sqrt(cap / D_k). The walker raises the cap by
-    2^-30 kappa^2 of itself. That adds as
-    much room to every partial norm and widens every run by at least
-    2^-32 kappa^2 sqrt(cap / D_k), over 10^5 times each of those errors.
-    Every candidate lies within the raised cap, and callers make the
-    final keep decision themselves. For a badly conditioned G, where
-    2^-30 kappa^2 is not small, the walk visits more vectors than it
-    needs, but it drops none.
+    The walk's values, and those of the quadratics, are at most 3 X^2,
+    with X the largest over k of isqrt(Delta_k Delta_{k+1} F) + Delta_k
+    plus a bound on |b_k| from the coordinates' own bounds. nodes takes
+    them as int64 where X < 2^30, else as Python ints, which no float
+    ever holds: the package's one choice between the two.
+
+    With a box bound m every run is clipped to -m..m. Each level expands
+    its runs in ascending order under ascending prefixes, so the vectors
+    come out in lex order. nodes, the walker's one output, streams them:
+    a level expands its nodes in groups whose runs start within _GROUP
+    children, so no level holds more than _GROUP nodes and one run more,
+    and each group of the last level comes out as it is, its runs whole.
 
     Only the upper triangle of gram is read. Nothing here depends on a
     box bound: the box's largest value of the form is m^2 corner.
@@ -353,59 +360,66 @@ class EllipsoidWalker:
     def __init__(self, gram):
         gram = np.asarray(gram).tolist()  # a Fraction of an np.int64 wraps
         n = len(gram)
-        g = [[Fraction(gram[min(i, j)][max(i, j)]) for j in range(n)]
+        s = [[Fraction(gram[min(i, j)][max(i, j)]) for j in range(n)]
              for i in range(n)]
-        s = [row[:] for row in g]
-        d = [Fraction(0)] * n
-        u = [[Fraction(0)] * n for _ in range(n)]
+        if any(x.denominator != 1 for row in s for x in row):
+            raise DomainError("gram matrix must be integral")
+        self.gram = [[int(x) for x in row] for row in s]
+        # delta[k] = Delta_(k+1) and w[k][j] = (W_(k+1))_(j+1)(k+1), 0-based.
+        self.delta, self.w = [1] * (n + 1), [[]] * n
         for k in reversed(range(n)):
-            d[k] = s[k][k]
-            if d[k] <= 0:
+            d = s[k][k]
+            if d <= 0:
                 raise DomainError("gram matrix is not positive definite")
+            self.delta[k] = int(self.delta[k + 1] * d)
+            self.w[k] = [int(self.delta[k + 1] * s[j][k]) for j in range(k)]
             for i in range(k):
-                u[i][k] = s[i][k] / d[k]
                 for j in range(k):
-                    s[i][j] -= s[i][k] * s[k][j] / d[k]
-        self.u = np.array([[float(x) for x in row] for row in u])
-        # G = V^T diag(d) V, where V is unit lower triangular with
-        # V_kj = U_jk, so (G^-1)_jj = sum_k (V^-1)_jk^2 / d_k.
-        w = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for c in range(n):
-            for k in range(c + 1, n):
-                w[k][c] = -sum(u[i][k] * w[i][c] for i in range(c, k))
-        kappa = math.fsum(math.sqrt(g[j][j] * sum(w[j][k] ** 2 / d[k] for k in range(j + 1)))
-                          for j in range(n))
-        self.widen = 1.0 + 2.0 ** -30 * kappa * kappa
-        self.d = [float(x) for x in d]
-        self.det = math.prod(d)
-        # A positive definite form is convex: its maximum over a box lies
-        # at a corner.
-        c = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
-        gf = np.array([[float(x) for x in row] for row in g])
-        self.corner = float(np.einsum("ij,jk,ik->i", c, gf, c).max())
+                    s[i][j] -= s[i][k] * s[k][j] / d
+        self.det = self.delta[0]
 
-    def nodes(self, cap: float, m: int | None = None):
-        """The candidates in ascending lex order, as groups (prefix, lo,
-        runs): row i of the int64 array prefix holds z_1..z_{n-1}, and
-        the candidates under it are z_n = lo[i]..lo[i]+runs[i]-1. Every
-        group and every run is nonempty, and the prefixes ascend strictly
-        across groups, so each run comes whole. With a box bound m a
-        group holds at most _GROUP + 2m prefixes. For n = 1 the prefixes
-        are empty rows."""
-        root = np.array([cap * self.widen])
-        yield from self._level(0, [], root, [np.zeros(1)] * len(self.d), m)
+    @cached_property
+    def corner(self) -> int:
+        """The form's largest value over {-1, 1}^n. A positive definite form
+        is convex, so its maximum over a box lies at a corner."""
+        g, n = self.gram, len(self.gram)
+        return max(sum(g[i][j] * c[i] * c[j] for i in range(n) for j in range(n))
+                   for c in itertools.product((-1, 1), repeat=n))
 
-    def _level(self, k: int, cols: list, room: np.ndarray, c: list, m: int | None):
-        """(prefix, lo, runs) of the nonempty last-level runs under nodes
-        z_1..z_k (the columns cols), each with its room and the centres
-        c[j] = -sum_{i<k} U_ij z_i, j >= k, a nonempty group of the last
-        level at a time."""
-        d, u, n = self.d, self.u, len(self.d)
-        half = np.sqrt(np.maximum(room, 0.0) / d[k])
-        lo, hi = np.ceil(c[k] - half), np.floor(c[k] + half)
+    def nodes(self, cap, m: int | None = None):
+        """The vectors in ascending lex order, as groups (prefix, lo, runs,
+        c, b): row i of the int64 array prefix holds z_1..z_{n-1}, the
+        vectors under it are z_n = lo[i]..lo[i]+runs[i]-1, and z_n = t has
+        z G z^T = c[i] + t (2 b[i] + G_nn t). lo and runs are int64; c and
+        b are int64, or Python ints where the walk's values need them.
+        Every group and every run is nonempty, and the prefixes ascend
+        strictly across groups, so each run comes whole. With a box bound
+        m a group holds at most _GROUP + 2m prefixes. For n = 1 the
+        prefixes are empty rows."""
+        cap = math.floor(cap)
+        if cap < 0:
+            return
+        delta, n = self.delta, len(self.w)
+        x, bound = 0, []  # X, and bound[k] >= |z_k| in the walk
+        for k in range(n):
+            r = math.isqrt(delta[k] * delta[k + 1] * cap)
+            b = sum(abs(w) * z for w, z in zip(self.w[k], bound))
+            bound.append((r + b) // delta[k] if m is None else min((r + b) // delta[k], m))
+            x = max(x, r + b + delta[k])
+        dtype = np.int64 if x < 2 ** 30 else object
+        room = np.array([delta[0] * delta[1] * cap], dtype=dtype)
+        yield from self._level(0, [], room, [np.zeros(1, dtype=dtype)] * n, cap, m)
+
+    def _level(self, k: int, cols: list, room: np.ndarray, b: list, cap: int,
+               m: int | None):
+        """(prefix, lo, runs, c, b) of the nonempty last-level runs under
+        nodes z_1..z_k (the columns cols), each with its room and its b[l],
+        l >= k, a nonempty group of the last level at a time."""
+        delta, n = self.delta, len(self.w)
+        s = _isqrt(room)
+        lo, hi = -((b[k] + s) // delta[k]), (s - b[k]) // delta[k]
         if m is not None:
-            np.maximum(lo, -m, out=lo)
-            np.minimum(hi, m, out=hi)
+            lo, hi = np.maximum(lo, -m), np.minimum(hi, m)
         runs = np.maximum(hi - lo + 1, 0).astype(np.int64)
         lo = lo.astype(np.int64)
         if k == n - 1:
@@ -414,23 +428,39 @@ class EllipsoidWalker:
                 prefix = np.empty((int(np.count_nonzero(live)), k), dtype=np.int64, order="F")
                 for j, x in enumerate(cols):
                     prefix[:, j] = x[live]
-                yield prefix, lo[live], runs[live]
+                g, bk = delta[k], b[k][live]
+                yield prefix, lo[live], runs[live], (g * cap - room[live] + bk * bk) // g, bk
             return
         # Parents whose runs start in the same _GROUP children go together.
         group = (np.cumsum(runs) - runs) // _GROUP
         bounds = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), len(runs)]
-        for s, e in zip(bounds, bounds[1:]):
-            parent, zk = _expand(lo[s:e], runs[s:e])
-            parent += s
-            y = zk - c[k][parent]
+        for i, j in zip(bounds, bounds[1:]):
+            parent, zk = _expand(lo[i:j], runs[i:j])
+            parent += i
+            t = zk.astype(room.dtype, copy=False)
+            e = delta[k] * t + b[k][parent]
             kids = [x[parent] for x in cols] + [zk]
-            centres = [None] * (k + 1) + [c[j][parent] - zk * u[k, j] for j in range(k + 1, n)]
-            yield from self._level(k + 1, kids, room[parent] - d[k] * y * y, centres, m)
+            rooms = delta[k + 2] * ((room[parent] - e * e) // delta[k])
+            bs = [None] * (k + 1) + [b[l][parent] + self.w[l][k] * t for l in range(k + 1, n)]
+            yield from self._level(k + 1, kids, rooms, bs, cap, m)
+
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of each nonnegative integer v of x: by math.isqrt for
+    Python ints; for int64 (here below 2^62) the float root, which is off
+    by at most one, moved to it by exact tests."""
+    if x.dtype == object:
+        return np.array([math.isqrt(v) for v in x], dtype=object)
+    s = np.sqrt(x).astype(np.int64)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
 
 
 def _expand(lo: np.ndarray, runs: np.ndarray, dtype=np.int64):
     """(parent, value) of each element of the runs lo..lo+runs-1, the
-    values as dtype (exact as float64 too, being small integers)."""
+    values as dtype (int64, float64, where they are small integers, or
+    object for Python ints)."""
     return np.repeat(np.arange(len(runs)), runs), _values(lo, runs, dtype)
 
 

@@ -2,10 +2,11 @@
 
 Counts lattice vectors by squared norm directly from a Gram matrix, so
 the polynomial representation of a theta series can be cross-checked
-against brute-force coefficients. Candidates come from the Fincke-Pohst
-walker numfields.EllipsoidWalker, which keeps every vector of exact
-norm at or below the cap; each candidate's norm is then computed in
-exact integer arithmetic, so the returned counts are exact.
+against brute-force coefficients. The vectors come from the Fincke-Pohst
+walker numfields.EllipsoidWalker, which decides every level in integers
+and so yields exactly the vectors of norm at or below the cap, each run
+of them with its exact quadratic; the norms, and so the counts, are
+exact.
 
 Rational Gram matrices are scaled by their common denominator up front;
 the reported norms are scaled back, as exact ints when integral.
@@ -50,21 +51,14 @@ def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]
     walker = EllipsoidWalker(gi)  # also validates positive definiteness
 
     counts: dict[int, int] = {}
-    # One walker group at a time, so no array holds the whole ball.
-    for prefix, lo, runs in walker.nodes(cap):
-        parent, last = _expand(lo, runs)
-        z = np.column_stack((prefix[parent], last))
-        # int64 is exact while sum_ij |G_ij| b_i b_j, with b_j >= 1 bounding
-        # |z_j|, stays below 2^63; past that Python ints take over.
-        b = [max(1, int(v)) for v in np.abs(z).max(axis=0)]
-        wide = sum(abs(gi[i][j]) * b[i] * b[j] for i in range(len(b))
-                   for j in range(len(b))) >= 2 ** 63
-        dtype = object if wide else np.int64
-        z = z.astype(dtype, copy=False)
-        norms = ((z @ np.array(gi, dtype=dtype)) * z).sum(axis=1)
-        for q, c in zip(*np.unique(norms, return_counts=True)):
-            if int(q) <= cap:
-                counts[int(q)] = counts.get(int(q), 0) + int(c)
+    # One walker group at a time, so no array holds the whole ball; each
+    # run's norms come from its exact quadratic, all within the cap.
+    g = gi[-1][-1]
+    for _, lo, runs, c, b in walker.nodes(cap):
+        parent, t = _expand(lo, runs, c.dtype)
+        norms = c[parent] + t * (2 * b[parent] + g * t)
+        for q, k in zip(*np.unique(norms, return_counts=True)):
+            counts[int(q)] = counts.get(int(q), 0) + int(k)
 
     out: list[tuple[int | Fraction, int]] = []
     for q in sorted(counts):

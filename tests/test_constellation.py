@@ -347,8 +347,8 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
     # The shipped lattices and Z^2 with its form I. The exact energies
     # q = z F z^T of the words are the keys a catalogued generator's sum
     # and carve test against a cut. The walker a generator builds walks F
-    # with z1 last, so its candidates come rest vector by rest vector,
-    # each with its run of z1.
+    # with z1 last, so its words come rest vector by rest vector, each
+    # with its run of z1 and that run's exact quadratic in z1.
     gens = [spec.generator for spec in (lambda1, lambda2, lambda3)]
     for gen in gens + [GeneratorMatrix(np.eye(2), ((1, 0), (0, 1)))]:
         n, walker = gen.n, gen.walker
@@ -364,19 +364,19 @@ def test_ball_walker_keeps_every_word_in_the_ball(lambda1, lambda2, lambda3):
             for cap in sorted(caps):
                 if not cap < m * m * walker.corner:
                     continue  # the sum takes the whole box, with no walk
-                rows = []
-                for r, lo, runs in walker.nodes(cap, m):
+                rows, q = [], []
+                for r, lo, runs, c, b in walker.nodes(cap, m):
                     parent, z1 = _expand(lo, runs)
                     rows.append((r[parent] + m) @ side ** np.arange(n - 2, -1, -1) * side
                                 + z1 + m)
+                    q.append(c[parent] + z1 * (2 * b[parent] + gen.form[0][0] * z1))
                 rows = np.concatenate(rows)
                 # rest-major lex order: by the rest vector, then by z1
                 assert np.all(np.diff(rows) > 0)
                 index = rows % side * side ** (n - 1) + rows // side
-                need = np.flatnonzero(keys <= cap)
-                assert np.isin(need, index).all(), (gen, m, cap)
-                # and it prunes: the visited words lie in the ball
-                assert np.all(keys[index] <= cap), (gen, m, cap)
+                # exactly the words of the ball, each with its exact key
+                assert np.array_equal(np.sort(index), np.flatnonzero(keys <= cap)), (gen, m, cap)
+                assert np.array_equal(np.concatenate(q), keys[index]), (gen, m, cap)
 
 
 def test_carve_grows_its_ball_to_the_whole_box(lambda1, lambda2, lambda3):
@@ -409,25 +409,19 @@ def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
 
 
 def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
-    # The words and norms take no matmul. A capped sum of a catalogued
-    # generator makes one per group of the walk, of its int64 rest
-    # vectors, at most _GROUP + 2m of them, by the int64 rows of the form,
-    # which numpy never hands to BLAS; no float matmul runs in any sum,
-    # nor in a plain array's scan of the box.
+    # The words and norms take no matmul, and a walked run's energies come
+    # with it from the walker, so no sum calls np.matmul, capped or not,
+    # carved or not, nor does a plain array's scan of the box.
     calls = []
     matmul = np.matmul
 
-    def recording_matmul(a, b, out=None):
-        calls.append((a, b, out))
-        return matmul(a, b, out=out)
+    def recording_matmul(*args, **kwargs):
+        calls.append(args)
+        return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", recording_matmul)
     inverse_norm_power_sum(lambda3.generator, 40, p_lim=1600.0)
-    assert len(calls) >= 41
-    for a, b, out in calls:
-        assert a.dtype == b.dtype == np.int64 and out is None
-        assert len(a) <= numfields._GROUP + 2 * 40 and b.shape == (3, 4)
-    calls.clear()
+    carve_lowest_energy(lambda3.generator, 12, 2401)
     inverse_norm_power_sum(lambda1.generator, 10)
     inverse_norm_power_sum(lambda3.generator.entries, 10)
     inverse_norm_power_sum(lambda3.generator.entries, 20, p_lim=200.0)
@@ -857,6 +851,23 @@ def test_walk_chunks_keep_capped_peaks_near_one_block(lambda3):
         finally:
             tracemalloc.stop()
         assert peak < (bound + 0.25) * 2 ** 20, (bound, peak)
+
+
+def test_scan_cut_holds_half_the_box_norms_once(lambda3):
+    # A plain array's carve reads the norms of the whole box's half into
+    # one array, 8 bytes a norm, for its cut. At m = 20 those are 10.8
+    # MiB; the cut's tracemalloc peak is 12.1 MiB here, and was 21.6 MiB
+    # when it joined a list of per-block norm arrays.
+    m = 20
+    half = (41 ** 4 - 1) // 2
+    codebook = constellation._Scan(constellation._as_generator(lambda3.generator.entries), m, 3)
+    tracemalloc.start()
+    try:
+        codebook.cut(2 * m ** 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * half + 3e6, peak
 
 
 def test_carve_radius_of_a_huge_generator_does_not_overflow():

@@ -38,9 +38,10 @@ def test_e8_matches_divisor_sums():
 def test_e8_walk_streams_in_small_chunks():
     # The walker streams its candidates in groups of at most about a
     # thousand prefixes, so the oracle holds no array of the whole ball.
-    # Its tracemalloc peak to norm 10 (56881 vectors) is 1.25 MB here,
-    # 1.41 MB when the groups were re-cut into chunks of 2048 candidates;
-    # walking a leading coefficient's slice at a time, it was 2.0-2.2 MB.
+    # Its tracemalloc peak to norm 10 (56881 vectors) is 0.86 MB here,
+    # 1.25 MB when each candidate's norm was taken as z G z^T, 1.41 MB
+    # when the groups were re-cut into chunks of 2048 candidates; walking
+    # a leading coefficient's slice at a time, it was 2.0-2.2 MB.
     tracemalloc.start()
     try:
         counts = theta_series_oracle(E8_GRAM, 10)
@@ -95,6 +96,13 @@ def test_norms_past_int64_stay_exact():
     hexagonal = [[2**62, 2**61], [2**61, 2**62]]
     assert theta_series_oracle(hexagonal, 3 * 2**62) == [
         (0, 1), (2**62, 6), (3 * 2**62, 6)]
+
+
+def test_huge_exact_grams_walk_without_floats():
+    # Both pass the exact positive-definiteness check, and their entries
+    # are past the float range, so no float may hold a walk's value.
+    assert theta_series_oracle([[10**400]], 4) == [(0, 1)]
+    assert theta_series_oracle([[2, 1], [1, 10**320]], 4) == [(0, 1), (2, 2)]
 
 
 def test_gram_validation():
