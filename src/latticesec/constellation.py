@@ -93,7 +93,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from ._numpy import np
 
 from .errors import DiversityError, DomainError, positive_int
 from .numfields import GeneratorMatrix, _box, _box_rows, _values
@@ -265,7 +265,7 @@ class _Scratch:
 # Values per flush of _ExactSum's bins: up to 2^26 parts of under 2^27
 # units each keep a bin's sum below 2^53 units, so exact.
 _MAX_PARTS = 1 << 26
-_HIGH = np.uint64(2 ** 64 - 2 ** 26)  # clears the low 26 mantissa bits
+_HIGH = 2 ** 64 - 2 ** 26  # clears the low 26 mantissa bits
 # The first biased exponent that _ExactSum sets aside (values of 2^997
 # and more): 2^26 high parts of a lower one sum below 2^1023.
 _ASIDE = 2020
@@ -306,7 +306,7 @@ class _ExactSum:
         self.count += k
         bits = values.view(np.uint64)
         bins = np.right_shift(bits, 52, out=self.scratch.bins[:k]).view(np.int64)
-        high = np.bitwise_and(bits, _HIGH, out=self.scratch.high[:k]).view(np.float64)
+        high = np.bitwise_and(bits, np.uint64(_HIGH), out=self.scratch.high[:k]).view(np.float64)
         hi = np.bincount(bins, high)
         if len(hi) > _ASIDE:  # set aside, and out of the bins
             aside = bins >= _ASIDE

@@ -56,7 +56,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
+from ._numpy import np
 
 from . import ratpoly
 from .errors import ConstructionError, DiversityError, DomainError
@@ -390,8 +390,9 @@ class EllipsoidWalker:
         """The vectors in ascending lex order, as groups (prefix, lo, runs,
         c, b): row i of the int64 array prefix holds z_1..z_{n-1}, the
         vectors under it are z_n = lo[i]..lo[i]+runs[i]-1, and z_n = t has
-        z G z^T = c[i] + t (2 b[i] + G_nn t). lo and runs are int64; c and
-        b are int64, or Python ints where the walk's values need them.
+        z G z^T = c[i] + t (2 b[i] + G_nn t). lo and runs are int64 (a
+        run that passes int64 raises DomainError); c and b are int64, or
+        Python ints where the walk's values need them.
         Every group and every run is nonempty, and the prefixes ascend
         strictly across groups, so each run comes whole. With a box bound
         m a group holds at most _GROUP + 2m prefixes. For n = 1 the
@@ -420,8 +421,11 @@ class EllipsoidWalker:
         lo, hi = -((b[k] + s) // delta[k]), (s - b[k]) // delta[k]
         if m is not None:
             lo, hi = np.maximum(lo, -m), np.minimum(hi, m)
-        runs = np.maximum(hi - lo + 1, 0).astype(np.int64)
-        lo = lo.astype(np.int64)
+        try:
+            runs = np.maximum(hi - lo + 1, 0).astype(np.int64)
+            lo = lo.astype(np.int64)
+        except OverflowError:
+            raise DomainError("the ball's coordinates pass int64") from None
         if k == n - 1:
             live = runs > 0
             if live.any():
@@ -457,14 +461,14 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _expand(lo: np.ndarray, runs: np.ndarray, dtype=np.int64):
+def _expand(lo: np.ndarray, runs: np.ndarray, dtype="int64"):
     """(parent, value) of each element of the runs lo..lo+runs-1, the
     values as dtype (int64, float64, where they are small integers, or
     object for Python ints)."""
     return np.repeat(np.arange(len(runs)), runs), _values(lo, runs, dtype)
 
 
-def _values(lo: np.ndarray, runs: np.ndarray, dtype=np.int64) -> np.ndarray:
+def _values(lo: np.ndarray, runs: np.ndarray, dtype="int64") -> np.ndarray:
     """The values of _expand alone, with no parent index."""
     starts = np.cumsum(runs) - runs
     return np.repeat((lo - starts).astype(dtype, copy=False), runs) + np.arange(runs.sum(), dtype=dtype)

@@ -8,8 +8,9 @@ and so yields exactly the vectors of norm at or below the cap, each run
 of them with its exact quadratic; the norms, and so the counts, are
 exact.
 
-Rational Gram matrices are scaled by their common denominator up front;
-the reported norms are scaled back, as exact ints when integral.
+Rational Gram matrices are scaled by their common denominator up front,
+and every Gram is divided by the gcd of its entries; the reported norms
+are scaled back, as exact ints when integral.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import numpy as np
+from ._numpy import np
 
 from .errors import DomainError, positive_int
 from .numfields import EllipsoidWalker, _expand
@@ -47,14 +48,16 @@ def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]
     g = _as_fraction_matrix(gram)
     den = math.lcm(*(x.denominator for row in g for x in row))
     gi = [[int(x * den) for x in row] for row in g]
-    cap = max_norm * den
+    # Walking gi / f to the cap's floor over f keeps a scaled Gram in int64.
+    f = math.gcd(*(x for row in gi for x in row)) or 1
+    gi = [[x // f for x in row] for row in gi]
     walker = EllipsoidWalker(gi)  # also validates positive definiteness
 
     counts: dict[int, int] = {}
     # One walker group at a time, so no array holds the whole ball; each
     # run's norms come from its exact quadratic, all within the cap.
     g = gi[-1][-1]
-    for _, lo, runs, c, b in walker.nodes(cap):
+    for _, lo, runs, c, b in walker.nodes(max_norm * den // f):
         parent, t = _expand(lo, runs, c.dtype)
         norms = c[parent] + t * (2 * b[parent] + g * t)
         for q, k in zip(*np.unique(norms, return_counts=True)):
@@ -62,7 +65,7 @@ def theta_series_oracle(gram, max_norm: int) -> list[tuple[int | Fraction, int]]
 
     out: list[tuple[int | Fraction, int]] = []
     for q in sorted(counts):
-        norm = Fraction(q, den)
+        norm = Fraction(q * f, den)
         key: int | Fraction = int(norm) if norm.denominator == 1 else norm
         out.append((key, counts[q]))
     return out

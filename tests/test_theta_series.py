@@ -10,6 +10,7 @@ import pytest
 
 from latticesec.errors import DomainError
 from latticesec.theta import theta_triple
+from latticesec import theta_series
 from latticesec.theta_series import E8_GRAM, theta_series_oracle
 
 
@@ -96,6 +97,41 @@ def test_norms_past_int64_stay_exact():
     hexagonal = [[2**62, 2**61], [2**61, 2**62]]
     assert theta_series_oracle(hexagonal, 3 * 2**62) == [
         (0, 1), (2**62, 6), (3 * 2**62, 6)]
+    # These have no common factor to divide out, so they walk in Python ints.
+    assert theta_series_oracle([[2**62 + 1]], 2**64) == [(0, 1), (2**62 + 1, 2)]
+    skewed = [[2**62 + 1, 2**61], [2**61, 2**62 + 1]]
+    assert theta_series_oracle(skewed, 3 * 2**62) == [
+        (0, 1), (2**62 + 1, 4), (2**62 + 2, 2)]
+
+
+def test_a_common_factor_is_walked_out(monkeypatch):
+    # E8 scaled by 2^40 walks as E8 itself, in int64, and reports its
+    # norms scaled back; undivided, it would walk in Python ints.
+    dtypes = set()
+
+    class Walker(theta_series.EllipsoidWalker):
+        def nodes(self, cap, m=None):
+            for group in super().nodes(cap, m):
+                dtypes.add(group[3].dtype)
+                yield group
+
+    monkeypatch.setattr(theta_series, "EllipsoidWalker", Walker)
+    s = 2**40
+    scaled = [[s * x for x in row] for row in E8_GRAM]
+    assert theta_series_oracle(scaled, 16 * s) == [
+        (s * q, c) for q, c in theta_series_oracle(E8_GRAM, 16)]
+    assert dtypes == {np.dtype(np.int64)}
+    half = Fraction(1, 2)
+    assert theta_series_oracle([[3 * half, 0], [0, 3]], 7) == [
+        (0, 1), (3 * half, 2), (3, 2), (9 * half, 4), (6, 2)]
+
+
+def test_a_cap_past_int64_coordinates_is_a_domain_error():
+    # Such a ball has over 2^63 vectors on one axis; no walk can finish.
+    with pytest.raises(DomainError, match="int64"):
+        theta_series_oracle([[1]], 2**130)
+    with pytest.raises(DomainError, match="int64"):
+        theta_series_oracle([[2, 1], [1, 2]], 2**140)
 
 
 def test_huge_exact_grams_walk_without_floats():
