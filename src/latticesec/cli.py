@@ -2,8 +2,8 @@
 
 Every run is fully determined by its flags: no hidden state, no wall-clock
 or RNG dependence, byte-identical output across repeat invocations. Exit
-codes: 0 success, 2 usage/domain error (a sum past the largest double
-included), 3 internal invariant or construction failure.
+codes: 0 success, 2 usage/domain error (a box bound past the machine's
+integers included), 3 internal invariant or construction failure.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _report_dict(r: SumReport, full_precision: bool) -> dict:
         "p_max": f(r.p_max),
         "p_ave": f(r.p_ave),
         "s_value": f(r.s_value),
-        "exponent": r.exponent,
+        "exponent": 3,
     }
 
 
@@ -153,8 +153,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         if args.lattice is None or args.m is None:
             raise DomainError("sum needs --lattice and --m (or --reproduce)")
         sweeps = [(args.lattice, [_table_row(args)])]
-    reports = table_sweep([(load_lattice(name), rows) for name, rows in sweeps],
-                          exponent=args.exponent)
+    reports = table_sweep([(load_lattice(name), rows) for name, rows in sweeps])
     print(_render_reports(reports, args.format, args.full_precision))
     return 0
 
@@ -202,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="squared-norm cap (default: none)")
     p_sum.add_argument("--target-size", type=int, default=None,
                        help="carve the lowest-energy codebook of this size")
-    p_sum.add_argument("--exponent", type=int, default=3)
     p_sum.add_argument("--format", choices=("csv", "json", "text"),
                        default="csv")
     p_sum.add_argument("--full-precision", action="store_true")
@@ -240,8 +238,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OverflowError:  # a sum past the largest double
-        print("error: result out of float range", file=sys.stderr)
+    except OverflowError:  # a box bound past the machine's integers
+        print("error: value out of range", file=sys.stderr)
         return 2
     except LatticeSecError as exc:
         print("error: %s" % exc, file=sys.stderr)

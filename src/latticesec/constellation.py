@@ -6,10 +6,10 @@ ball ||x||^2 <= p_lim or carved down to the lowest-energy subset of a
 target size. M passes the GeneratorMatrix checks, as a plain array
 too. The eavesdropper-confusion metric is
 
-    S = sum over included nonzero x of prod_i |x_i|^(-exponent)
+    S = sum over included nonzero x of prod_i |x_i|^(-3),
 
-(the inverse norm power sum; exponent 3 corresponds to the fast-fading
-correct-decision probability). The sums span many orders of magnitude,
+the cube sum that bounds the eavesdropper's fast-fading
+correct-decision probability. The sums span many orders of magnitude,
 so S is the exact sum of every included word's term, rounded once.
 _ExactSum does that for nonnegative values with integer mantissa parts
 binned by exponent, merged block by block, the few values of 2^997 and
@@ -113,7 +113,6 @@ class SumReport:
     p_max: float
     p_ave: float
     s_value: float
-    exponent: int = 3
     target_size: int | None = None
 
     def __post_init__(self):
@@ -135,14 +134,6 @@ class TableRow:
     def __post_init__(self):
         if self.target_size is not None and math.isfinite(self.p_lim):
             raise DomainError("p_lim and target_size are exclusive")
-
-
-def _check_box_args(m: int, p_lim: float, exponent: int) -> tuple[int, int]:
-    """(m, exponent) as Python ints, once both and p_lim are checked."""
-    m = positive_int(m, "box bound m")
-    if not (p_lim > 0):
-        raise DomainError("p_lim must be positive")
-    return m, positive_int(exponent, "exponent")
 
 
 def _as_generator(gen: GeneratorMatrix | np.ndarray) -> GeneratorMatrix:
@@ -346,15 +337,14 @@ class _ExactSum:
             return total.numerator / total.denominator
 
 
-def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
-           out: np.ndarray) -> np.ndarray:
-    """prod_i |x_i|^(-exponent) per row, into out: the product
-    ((a0*a1)*a2)*... and its reciprocal, into r, then r^exponent by
-    left-to-right square and multiply. Every step is one correctly
+def _terms(absx: np.ndarray, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """prod_i |x_i|^(-3) per row, into out: the product ((a0*a1)*a2)*...
+    and its reciprocal, into r, then (r*r)*r. Every step is one correctly
     rounded IEEE operation, so the bits do not depend on the CPU's SIMD
     dispatch, as np.power's do."""
-    # A large exponent, or a product of large coordinates, overflows to
-    # inf quietly: the exact sum passes the one on, and 1/inf is 0.
+    # The cube of a small product's reciprocal, or a product of large
+    # coordinates, overflows to inf quietly: the exact sum passes the
+    # one on, and 1/inf is 0.
     with np.errstate(over="ignore"):
         if absx.shape[1] == 1:
             np.copyto(r, absx[:, 0])
@@ -363,19 +353,12 @@ def _terms(absx: np.ndarray, exponent: int, r: np.ndarray,
         for j in range(2, absx.shape[1]):
             r *= absx[:, j]
         np.divide(1.0, r, out=r)
-        if exponent == 1:
-            np.copyto(out, r)
-        else:
-            np.multiply(r, r, out=out)  # the first square
-        for i, bit in enumerate(bin(exponent)[3:]):
-            if i:
-                out *= out
-            if bit == "1":
-                out *= r
+        np.multiply(r, r, out=out)
+        out *= r
     return out
 
 
-def _reduce(blocks, exponent: int, scratch: _Scratch):
+def _reduce(blocks, scratch: _Scratch):
     """(size, s, top, energy, bad) of the words of blocks, an iterator of
     (words, keys, coeffs) blocks of at most _BLOCK rows, each word
     standing for itself and its negation: their count, the exact sum of
@@ -397,7 +380,7 @@ def _reduce(blocks, exponent: int, scratch: _Scratch):
         if float(absx.min()) < DIVERSITY_EPS:
             bad = _lex_first(bad, absx, coeffs, mirrored=True)
         elif bad is None:
-            s.add(_terms(absx, exponent, scratch.r[:len(absx)], scratch.t[:len(absx)]))
+            s.add(_terms(absx, scratch.r[:len(absx)], scratch.t[:len(absx)]))
     return size, s, top, energy, bad
 
 
@@ -418,8 +401,8 @@ class _Words:
     whole box's half, and the report of a rule: it reads the blocks that
     a subclass's _half keeps and takes their energies from _energies."""
 
-    def __init__(self, gen: GeneratorMatrix, m: int, exponent: int):
-        self.M, self.m, self.exponent = gen.entries, m, exponent
+    def __init__(self, gen: GeneratorMatrix, m: int):
+        self.M, self.m = gen.entries, m
         self.scratch = _Scratch(gen.n)
 
     def _rest(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -485,7 +468,7 @@ class _Words:
         of them, read once, each for itself and its negation, and the
         lex-first left words keyed cut, each once. The energy is rounded
         before S, so an energy that overflows raises first."""
-        size, s, top, energy, bad = _reduce(self._half(cut, left), self.exponent, self.scratch)
+        size, s, top, energy, bad = _reduce(self._half(cut, left), self.scratch)
         tied = self._chosen(left)
         size = 2 * size + 1 + len(tied)  # the zero word counts but has no term
         p_max, p_ave = self._energies(cut, len(tied), size, top, energy)
@@ -498,17 +481,16 @@ class _Words:
             if float(absx.min()) < DIVERSITY_EPS:
                 bad = _lex_first(bad, absx, lambda rows: z[rows], mirrored=False)
             elif bad is None:
-                extra += _terms(absx, self.exponent, self.scratch.r[:len(z)],
-                                self.scratch.t[:len(z)]).tolist()
+                extra += _terms(absx, self.scratch.r[:len(z)], self.scratch.t[:len(z)]).tolist()
         if bad is not None:
             raise DiversityError(*bad)
-        # Every term is positive, so an infinite one makes S inf (a large
-        # exponent overflows quietly), whether or not the finite ones
-        # overflow, which raises.
+        # Every term is positive, so an infinite one makes S inf (a cube
+        # overflows quietly), whether or not the finite ones overflow,
+        # which raises.
         s_value = math.inf if s.infinite or math.inf in extra else s.result(extra)
         return SumReport(
             lattice_name, len(self.M), self.m, p_lim, size, p_max=p_max, p_ave=p_ave,
-            s_value=s_value, exponent=self.exponent, target_size=target_size)
+            s_value=s_value, target_size=target_size)
 
 
 class _Scan(_Words):
@@ -575,8 +557,8 @@ class _Codebook(_Words):
     the codebook is walked and the rest read as negations. Every block
     goes through one fixed _Scratch."""
 
-    def __init__(self, gen: GeneratorMatrix, m: int, exponent: int):
-        super().__init__(gen, m, exponent)
+    def __init__(self, gen: GeneratorMatrix, m: int):
+        super().__init__(gen, m)
         self.F, self.walker = gen.form, gen.walker
         self.box_top = m * m * self.walker.corner
 
@@ -706,14 +688,16 @@ def inverse_norm_power_sum(
     gen: GeneratorMatrix | np.ndarray,
     m: int,
     p_lim: float = math.inf,
-    exponent: int = 3,
+    *,
     lattice_name: str = "",
 ) -> SumReport:
     """S over the box-and-ball codebook, with energy statistics: the rule
     with cut at the cap of p_lim, keeping every tie."""
-    m, exponent = _check_box_args(m, p_lim, exponent)
+    m = positive_int(m, "box bound m")
+    if not (p_lim > 0):
+        raise DomainError("p_lim must be positive")
     gen = _as_generator(gen)
-    codebook = (_Scan if gen.form is None else _Codebook)(gen, m, exponent)
+    codebook = (_Scan if gen.form is None else _Codebook)(gen, m)
     return codebook.report(codebook.cap(p_lim), None, lattice_name, p_lim)
 
 
@@ -721,7 +705,7 @@ def carve_lowest_energy(
     gen: GeneratorMatrix | np.ndarray,
     m: int,
     target_size: int,
-    exponent: int = 3,
+    *,
     lattice_name: str = "",
 ) -> SumReport:
     """The target_size lowest-energy codewords of the m-box.
@@ -729,26 +713,26 @@ def carve_lowest_energy(
     Ties at the energy boundary are broken by lexicographic coefficient
     order. The zero word has energy 0 and is always selected.
     """
-    m, exponent = _check_box_args(m, math.inf, exponent)
+    m = positive_int(m, "box bound m")
     gen = _as_generator(gen)
     box_size = (2 * m + 1) ** gen.n
     target_size = positive_int(target_size, "target_size")
     if target_size > box_size:
         raise DomainError(
             "target_size %d exceeds box size %d" % (target_size, box_size))
-    codebook = (_Scan if gen.form is None else _Codebook)(gen, m, exponent)
+    codebook = (_Scan if gen.form is None else _Codebook)(gen, m)
     return codebook.report(*codebook.cut(target_size), lattice_name,
                            target_size=target_size)
 
 
-def table_sweep(sweeps, exponent: int = 3) -> list[SumReport]:
+def table_sweep(sweeps) -> list[SumReport]:
     """One SumReport per TableRow of each (LatticeSpec, rows) pair of
     sweeps, computed independently, in order."""
     return [carve_lowest_energy(lattice.generator, row.m, row.target_size,
-                                exponent=exponent, lattice_name=lattice.name)
+                                lattice_name=lattice.name)
             if row.target_size is not None else
             inverse_norm_power_sum(lattice.generator, row.m, row.p_lim,
-                                   exponent=exponent, lattice_name=lattice.name)
+                                   lattice_name=lattice.name)
             for lattice, rows in sweeps for row in rows]
 
 

@@ -607,7 +607,7 @@ def default_data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
-def load_lattice(name: str, data_dir=None) -> LatticeSpec:
+def load_lattice(name: str) -> LatticeSpec:
     """Load a shipped lattice; LATTICESEC_DATA overrides the data dir.
 
     The file's name, dpmin_ref and min_poly must be the catalogue's,
@@ -617,8 +617,7 @@ def load_lattice(name: str, data_dir=None) -> LatticeSpec:
     DomainError; a file that is not such a record, ConstructionError.
     """
     record = _record(name)
-    base = Path(data_dir) if data_dir is not None else default_data_dir()
-    path = base / ("%s.json" % name)
+    path = default_data_dir() / ("%s.json" % name)
     if not path.exists():
         raise DomainError("lattice data file missing: %s" % path)
     try:

@@ -161,11 +161,16 @@ def test_reproduce_table1(capsys):
     assert lines[11].startswith("lambda2,1,inf,81,")
 
 
-@pytest.mark.parametrize("table", ["table1", "table2"])
-def test_reproduce_full_precision_bytes_are_frozen(capsys, table):
-    # The frozen files pin every bit of both tables.
-    frozen = (Path(__file__).parent / "data" / f"{table}_full_precision.csv").read_text()
-    code, out, err = run(capsys, "sum", "--reproduce", table, "--full-precision")
+@pytest.mark.parametrize("table, fmt", [
+    pytest.param("table1", "csv", id="table1"),
+    pytest.param("table2", "csv", id="table2"),
+    pytest.param("table2", "json", id="table2-json")])
+def test_reproduce_full_precision_bytes_are_frozen(capsys, table, fmt):
+    # The frozen files pin every bit of both tables, and of table2's JSON
+    # report with its carved row.
+    frozen = (Path(__file__).parent / "data" / f"{table}_full_precision.{fmt}").read_text()
+    code, out, err = run(capsys, "sum", "--reproduce", table, "--format", fmt,
+                         "--full-precision")
     assert (code, out, err) == (0, frozen, "")
 
 
@@ -208,24 +213,22 @@ def test_compare_bytes_are_frozen(capsys, suffix, codebook, fmt):
     pytest.param(["compare", "--lattice", "lambda1", "--m", "2",
                   "--gamma-db", "10"], id="compare")])
 def test_jobs_is_not_an_option(capsys, argv):
-    # Every sum runs in one thread; a --jobs left in a script is a usage
-    # error, not a silently ignored flag.
-    code, out, err = run(capsys, *argv, "--jobs", "2")
-    assert (code, out) == (2, "") and "--jobs" in err
+    # Every sum runs in one thread, and S is the cube sum; a --jobs or an
+    # --exponent left in a script is a usage error, not a silently
+    # ignored flag.
+    for flag, value in (("--jobs", "2"), ("--exponent", "3")):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (2, "") and flag in err
 
 
-def test_sum_large_exponent_overflows_quietly(capsys):
-    code, out, err = run(capsys, "sum", "--lattice", "lambda1", "--m", "3",
-                         "--exponent", "250")
-    assert (code, out.splitlines()[1], err) == (
-        0, "lambda1,3,inf,2401,36.00,16.00,inf", "")
-
-
-def test_sum_past_the_largest_double_is_an_error_line(capsys):
-    # The terms at exponent 202 are finite and their exact sum overflows:
-    # one error line and the usage/domain exit code, not a traceback.
-    code, out, err = run(capsys, "sum", "--lattice", "lambda3", "--m", "2",
-                         "--exponent", "202")
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--m", "10000000000", "--p-lim", "4"], id="capped"),
+    pytest.param(["--m", "10000000000000000000000", "--target-size", "5"], id="carved")])
+def test_a_box_bound_past_the_machine_integers_is_an_error_line(capsys, argv):
+    # The cap's search and the walk's bounds take the box bound as a
+    # machine integer, which raises OverflowError: one error line and the
+    # usage/domain exit code, not a traceback.
+    code, out, err = run(capsys, "sum", "--lattice", "lambda1", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
 

@@ -80,7 +80,7 @@ def test_brute_force_oracle_n2():
     th = 0.7
     rot = np.array([[math.cos(th), math.sin(th)],
                     [-math.sin(th), math.cos(th)]]) * 1.3
-    rep = inverse_norm_power_sum(rot, 2, p_lim=5.0, exponent=2)
+    rep = inverse_norm_power_sum(rot, 2, p_lim=5.0)
     s = energy = p_max = 0.0
     size = 0
     for z1 in range(-2, 3):
@@ -93,7 +93,7 @@ def test_brute_force_oracle_n2():
             energy += q
             if (z1, z2) != (0, 0):
                 p_max = max(p_max, q)
-                s += 1.0 / (abs(x[0]) * abs(x[1])) ** 2
+                s += 1.0 / (abs(x[0]) * abs(x[1])) ** 3
     assert rep.size == size
     assert rep.p_max == pytest.approx(p_max, rel=1e-12)
     assert rep.p_ave == pytest.approx(energy / size, rel=1e-12)
@@ -179,16 +179,11 @@ def test_carve_against_direct_selection(lambda3):
             sum(q for q, _, _ in chosen) / target, rel=1e-12)
 
 
-def _inverse_power(prods, exponent):
+def _inverse_cube(prods):
     """The kernel's term formula on row products: the reciprocal r, then
-    r^exponent by left-to-right square and multiply."""
+    (r*r)*r."""
     r = 1.0 / prods
-    out = r
-    for bit in bin(exponent)[3:]:
-        out = out * out
-        if bit == "1":
-            out = out * r
-    return out
+    return (r * r) * r
 
 
 def _column_formula(z, M):
@@ -208,7 +203,7 @@ def _column_formula(z, M):
     return words, norms
 
 
-def _unfolded_sum(gen, m, p_lim=math.inf, target=None, exponent=3):
+def _unfolded_sum(gen, m, p_lim=math.inf, target=None):
     """(size, p_max, p_ave, S) from all 2m+1 slices of the words that the
     rule keeps, each slice's words and norms by _column_formula.
 
@@ -251,7 +246,7 @@ def _unfolded_sum(gen, m, p_lim=math.inf, target=None, exponent=3):
         size += int(np.count_nonzero(kept))
         kept_energies += energy[kept].tolist()
         if np.any(nonzero):
-            terms += _inverse_power(np.prod(np.abs(block[nonzero]), axis=1), exponent).tolist()
+            terms += _inverse_cube(np.prod(np.abs(block[nonzero]), axis=1)).tolist()
             top = max(top, energy[nonzero].max().item())
     if form is None:
         p_max, p_ave = top, math.fsum(kept_energies) / size
@@ -270,11 +265,10 @@ def test_folded_kernel_matches_unfolded_bits(lambda1, lambda2, lambda3):
     # plain array.
     for spec in (lambda1, lambda2, lambda3):
         for gen in (spec.generator, spec.generator.entries):
-            for m, p_lim, exponent in ((1, math.inf, 3), (4, math.inf, 3),
-                                       (5, 16.0, 3), (7, 30.5, 2), (9, 64.0, 3)):
-                rep = inverse_norm_power_sum(gen, m, p_lim=p_lim, exponent=exponent)
+            for m, p_lim in ((1, math.inf), (4, math.inf), (5, 16.0), (7, 30.5), (9, 64.0)):
+                rep = inverse_norm_power_sum(gen, m, p_lim=p_lim)
                 assert (rep.size, rep.p_max, rep.p_ave, rep.s_value) == \
-                    _unfolded_sum(gen, m, p_lim, exponent=exponent)
+                    _unfolded_sum(gen, m, p_lim)
 
 
 @st.composite
@@ -403,9 +397,8 @@ def test_column_product_matches_numpy_prod(lambda1, lambda2, lambda3):
     for spec in (lambda1, lambda2, lambda3):
         x = _box(4, 6) @ spec.generator.entries
         absx = np.abs(np.delete(x, len(x) // 2, axis=0))
-        for exponent in (2, 3):
-            assert np.array_equal(_terms(absx, exponent, *np.empty((2, len(absx)))),
-                                  _inverse_power(np.prod(absx, axis=1), exponent))
+        assert np.array_equal(_terms(absx, *np.empty((2, len(absx)))),
+                              _inverse_cube(np.prod(absx, axis=1)))
 
 
 def test_products_stay_in_the_calling_thread(lambda1, lambda3, monkeypatch):
@@ -497,7 +490,7 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
     for gen in (spec.generator for spec in (lambda1, lambda2, lambda3)):
         M, n = gen.entries, gen.n
         for m, p_lim in ((5, math.inf), (7, 30.5)):
-            codebook = constellation._Codebook(gen, m, 3)
+            codebook = constellation._Codebook(gen, m)
             cut = codebook.cap(p_lim)
             whole = not cut < codebook.box_top
             middle = (2 * m + 1) ** (n - 1) // 2
@@ -520,7 +513,7 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
              np.array([[0.9, -0.7], [0.45, 1.35]])]
     for M in plain:
         for m in (5, 7):
-            scan = constellation._Scan(constellation._as_generator(M), m, 3)
+            scan = constellation._Scan(constellation._as_generator(M), m)
             for words, _, coeffs in scan._box_blocks():
                 z, norms = coeffs(np.arange(len(words))), constellation._norms(words)
                 for i in rng.sample(range(len(z)), min(len(z), 200)):
@@ -531,22 +524,16 @@ def test_words_follow_the_column_formula(lambda1, lambda2, lambda3):
     assert checked > 1000 and negative > 100
 
 
-def _python_terms(words, exponent):
+def _python_terms(words):
     """The kernel's term of each word in Python floats: the product
-    ((a0*a1)*a2)*... of the |x_i|, its reciprocal r, then r^exponent by
-    left-to-right square and multiply."""
+    ((a0*a1)*a2)*... of the |x_i|, its reciprocal r, then (r*r)*r."""
     terms = []
     for x in words:
         prod = abs(x[0])
         for v in x[1:]:
             prod = prod * abs(v)
         r = 1.0 / prod
-        out = r
-        for bit in bin(exponent)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * r
-        terms.append(out)
+        terms.append((r * r) * r)
     return terms
 
 
@@ -602,7 +589,7 @@ def test_unfolded_terms_are_rounded_once(lambda1, lambda2, lambda3):
                 bound = _frac_det(form) * Fraction(p_lim) ** n
                 kept = [w for w in scanned if Fraction(w[0]) ** n <= bound]
             rep = inverse_norm_power_sum(gen, m, p_lim=p_lim)
-        terms = _python_terms([x for _, z, x in kept if any(z)], 3)
+        terms = _python_terms([x for _, z, x in kept if any(z)])
         assert rep.size == len(kept), (gen, m, p_lim, target)
         assert rep.s_value == math.fsum(terms), (gen, m, p_lim, target)
         if form is None:
@@ -637,7 +624,7 @@ def test_rest_major_runs_carve_the_exact_oracle(lambda1, lambda2, lambda3, case)
     # negation. The codebook's size and energies are the exact oracle's.
     lattice, m, p_lim, target = case
     gen = {"lambda1": lambda1, "lambda2": lambda2, "lambda3": lambda3}[lattice].generator
-    codebook = constellation._Codebook(gen, m, 3)
+    codebook = constellation._Codebook(gen, m)
     cut, left = codebook.cut(target) if target else (codebook.cap(p_lim), None)
     box = _box(4, m).astype(np.int64)
     q = np.einsum("ki,ij,kj->k", box, np.array(gen.form), box)
@@ -720,53 +707,102 @@ def test_overflowing_energy_raises_before_any_term():
             inverse_norm_power_sum(np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154, m)
 
 
-def test_an_infinite_term_outweighs_finite_terms_that_overflow(lambda2):
-    # On x = z c with c = 2^-2.0235 and exponent 1000, the terms of z = +-1
-    # overflow to inf, those of z = +-2 are 1.27e308 each, past the
-    # largest double together, and the rest are finite. Every term is
-    # positive, so S is inf, whatever the order of the terms, and not an
-    # OverflowError from the finite ones. So too on lambda2 at exponent
-    # 307, whose m = 1 box has 44 infinite terms and finite ones of 1e307.
-    gen = np.array([[2.0 ** -2.0235]])
-    assert inverse_norm_power_sum(gen, 3, exponent=1000).s_value == math.inf
-    assert inverse_norm_power_sum(gen, 3, p_lim=1.0, exponent=1000).s_value == math.inf
-    assert carve_lowest_energy(gen, 3, 4, exponent=1000).s_value == math.inf
-    for m, p_lim in ((1, math.inf), (3, math.inf), (3, 16.0)):
-        report = inverse_norm_power_sum(lambda2.generator, m, p_lim, exponent=307)
-        assert report.s_value == math.inf
+def _top_of_range(log_k: float, form: bool):
+    """A generator of dimension 9 whose largest terms on the m = 1 box
+    are near K = 10^log_k, as a plain array or, with form, carrying the
+    identity form, which keys its words by |z|^2 and walks them; the
+    entries alone make the terms. The rows are c (r, a, R_2, ..., R_8),
+    c = K^(-1/27): the coordinates of r, a and r - a have the products 1,
+    1.1 and 0.084375, and each R_i is 10^i times seeded values in [1, 2],
+    which puts every other word's product above 1000. So the terms of
+    +-(r - a), +-r and +-a are 1665 K, K and K / 1.331, every other term
+    is below K / 1e9, and every coordinate of every nonzero word is at
+    least 0.5 c, above DIVERSITY_EPS for every log_k up to 315. No
+    generator of dimension 8 or less reaches the top of the range: with
+    every coordinate at DIVERSITY_EPS or more, each term is at most 1e288."""
+    r = [1, 1, 1, 1, 1, 1, 1, 0.5, 2]
+    a = [2, 0.5, 2, 0.5, 2, 0.5, 0.5, 2, 1.1]
+    R = np.random.default_rng(7).uniform(1, 2, (7, 9)) * 10.0 ** np.arange(2, 9)[:, None]
+    entries = np.vstack([r, a, R]) * 10.0 ** (-log_k / 27)
+    return GeneratorMatrix(entries, tuple(map(tuple, np.eye(9, dtype=int).tolist()))) \
+        if form else entries
 
 
-def test_each_report_reads_its_codebook_once(lambda2, lambda3, monkeypatch):
+def test_an_infinite_term_outweighs_finite_terms_that_overflow():
+    # At K = 1e308 the terms of +-(r - a) overflow to inf, and those of
+    # +-r and +-a, 1e308 and 7.5e307, are past the largest double
+    # together. Every term is positive, so S is inf, whatever the order
+    # of the terms, and not an OverflowError from the finite ones: on a
+    # plain array's scan, on the whole box and on a walk, and with the
+    # infinite term among a carve's ties (with the identity form, the
+    # carve to 100 keeps 81 of the 144 words keyed 2, (-1, 1, 0, ...) the
+    # 16th of them).
+    for form in (False, True):
+        gen = _top_of_range(308, form)
+        assert inverse_norm_power_sum(gen, 1).s_value == math.inf
+        assert inverse_norm_power_sum(gen, 1, 2.0).s_value == math.inf
+        assert carve_lowest_energy(gen, 1, 100).s_value == math.inf
+
+
+def test_finite_terms_past_the_largest_double_raise():
+    # At K = 10^304.9 the terms of +-(r - a), 1.32e308 each, are finite
+    # and past the largest double together: the exact sum raises
+    # OverflowError, on a plain array's scan, on the whole box, on a walk
+    # and on a walked carve.
+    for form in (False, True):
+        gen = _top_of_range(304.9, form)
+        for f, args in ((inverse_norm_power_sum, (gen, 1)),
+                        (inverse_norm_power_sum, (gen, 1, 2.0)),
+                        (carve_lowest_energy, (gen, 1, 200))):
+            with pytest.raises(OverflowError):
+                f(*args)
+
+
+def test_terms_of_2_997_and_more_are_summed_exactly():
+    # At K = 1e301 the terms of +-(r - a), 1.7e304, are set aside from the
+    # exact sum's bins, and S is still the exact sum of every term,
+    # rounded once: on a plain array's scan, on the whole box, on a walk
+    # and on a carve's ties.
+    for form in (False, True):
+        gen = _top_of_range(301, form)
+        for m, p_lim, target in ((1, math.inf, None), (1, 2.0, None), (1, math.inf, 100)):
+            rep = (inverse_norm_power_sum(gen, m, p_lim) if target is None
+                   else carve_lowest_energy(gen, m, target))
+            assert rep.s_value > 1e304
+            assert (rep.size, rep.p_max, rep.p_ave, rep.s_value) == \
+                _unfolded_sum(gen, m, p_lim, target), (form, p_lim, target)
+
+
+def test_each_report_reads_its_codebook_once(lambda3, monkeypatch):
     # A report streams its half of the codebook once, the whole box's
     # blocks, the walked ones or a plain array's scan, its norms and terms
-    # in the same pass: also where S is inf (lambda2 at exponent 307),
-    # where the finite terms overflow (lambda3 m = 2 at exponent 202),
-    # where the energy does (a plain generator scaled by 1e154), and in a
-    # carve.
+    # in the same pass: also where S is inf or the finite terms overflow
+    # (_top_of_range at K = 1e308 and 10^304.9), where the energy does (a
+    # plain generator scaled by 1e154), and in a carve.
     streams = []
     for codebook, name in ((constellation._Words, "_box_blocks"),
                            (constellation._Codebook, "_walked")):
         monkeypatch.setattr(codebook, name, lambda self, *args, name=name, read=getattr(
             codebook, name): streams.append(name) or read(self, *args))
     big = np.array([[1.0, 0.5], [0.25, -1.0]]) * 1e154
-    g2, g3 = lambda2.generator, lambda3.generator
+    inf, over, g3 = _top_of_range(308, True), _top_of_range(304.9, True), lambda3.generator
     box, walk = ["_box_blocks"], ["_walked"]
-    for f, args, kwargs, raises, read in (
-            (inverse_norm_power_sum, (g2, 1), {"exponent": 307}, None, box),
-            (inverse_norm_power_sum, (g2, 3, 16.0), {"exponent": 307}, None, walk),
-            (inverse_norm_power_sum, (g3, 2), {"exponent": 202}, OverflowError, box),
-            (inverse_norm_power_sum, (g3, 2, 16.0), {"exponent": 202}, OverflowError, walk),
-            (inverse_norm_power_sum, (big, 3), {}, OverflowError, box),
-            (inverse_norm_power_sum, (big, 3, 1.7e308), {}, OverflowError, box),
-            (carve_lowest_energy, (g3, 3, 300), {}, None, walk),
-            (carve_lowest_energy, (g2, 1, 50), {"exponent": 307}, None, walk)):
+    for f, args, raises, read in (
+            (inverse_norm_power_sum, (inf, 1), None, box),
+            (inverse_norm_power_sum, (inf, 1, 2.0), None, walk),
+            (inverse_norm_power_sum, (over, 1), OverflowError, box),
+            (inverse_norm_power_sum, (over, 1, 2.0), OverflowError, walk),
+            (inverse_norm_power_sum, (big, 3), OverflowError, box),
+            (inverse_norm_power_sum, (big, 3, 1.7e308), OverflowError, box),
+            (carve_lowest_energy, (g3, 3, 300), None, walk),
+            (carve_lowest_energy, (inf, 1, 100), None, walk)):
         streams.clear()
         if raises is None:
-            assert f(*args, **kwargs).s_value > 0
+            assert f(*args).s_value > 0
         else:
             with pytest.raises(raises):
-                f(*args, **kwargs)
-        assert streams == read, (f, args, kwargs)
+                f(*args)
+        assert streams == read, (f, args)
 
 
 def test_slice_memory_does_not_grow_with_the_slice(lambda1):
@@ -777,7 +813,7 @@ def test_slice_memory_does_not_grow_with_the_slice(lambda1):
     # below the scratch's buffers other than its rest sums (0.6 MB).
     peaks = {}
     for m in (10, 25):
-        codebook = constellation._Codebook(lambda1.generator, m, 3)
+        codebook = constellation._Codebook(lambda1.generator, m)
         cut = codebook.cap(math.inf)
         scratch = sum(a.nbytes for a in vars(codebook.scratch).values())
         scratch -= codebook.scratch.rest.nbytes
@@ -800,7 +836,7 @@ def test_whole_box_state_is_one_block_of_rest_sums(lambda1):
     # margin: 0.41 MB here, with no rest sums of half the rest box (2.12
     # MB), which took its peak to 2.52 MB.
     m, n = 25, 4
-    codebook = constellation._Codebook(lambda1.generator, m, 3)
+    codebook = constellation._Codebook(lambda1.generator, m)
     cut = codebook.cap(math.inf)
     tracemalloc.start()
     try:
@@ -860,7 +896,7 @@ def test_scan_cut_holds_half_the_box_norms_once(lambda3):
     # when it joined a list of per-block norm arrays.
     m = 20
     half = (41 ** 4 - 1) // 2
-    codebook = constellation._Scan(constellation._as_generator(lambda3.generator.entries), m, 3)
+    codebook = constellation._Scan(constellation._as_generator(lambda3.generator.entries), m)
     tracemalloc.start()
     try:
         codebook.cut(2 * m ** 4)
@@ -880,7 +916,7 @@ def test_carve_radius_of_a_huge_generator_does_not_overflow():
     want = [(-math.inf, None), (1.0625e308, 1), (1.0625e308, None), (1.25e308, 1),
             (1.25e308, None)]
     for m in (1, 2, 3):
-        codebook = constellation._Scan(constellation._as_generator(big), m, 3)
+        codebook = constellation._Scan(constellation._as_generator(big), m)
         assert [codebook.cut(target) for target in range(1, 6)] == want, m
         assert carve_lowest_energy(big, m, 2).p_max == 1.0625e308
         with pytest.raises(OverflowError):
@@ -896,7 +932,7 @@ def test_carve_of_an_overflowing_corner_matches_a_box_scan():
         with np.errstate(over="ignore"):
             keys = _column_formula(_box(2, m), big)[1]
         keys = np.sort(np.delete(keys, len(keys) // 2))
-        codebook = constellation._Scan(constellation._as_generator(big), m, 3)
+        codebook = constellation._Scan(constellation._as_generator(big), m)
         for target in range(1, len(keys) + 2):
             if target == 1:
                 want = -math.inf, None
@@ -947,17 +983,30 @@ def test_capped_sums_build_no_rest_box(lambda3, monkeypatch):
 def test_integer_arguments_of_any_integer_type_but_bool(lambda3):
     # numpy integers are integers; a bool is not a box bound or a count.
     gen = lambda3.generator
-    rep = inverse_norm_power_sum(gen, np.int64(3), exponent=np.int32(3))
+    rep = inverse_norm_power_sum(gen, np.int64(3))
     assert rep == inverse_norm_power_sum(gen, 3) and type(rep.m) is int
     rep = carve_lowest_energy(gen, np.int64(3), np.int64(10))
     assert rep == carve_lowest_energy(gen, 3, 10)
     assert type(rep.m) is int and type(rep.target_size) is int
-    for kwargs in ({"m": True}, {"m": 2, "exponent": True}, {"m": 2.0},
+    for kwargs in ({"m": True}, {"m": 2.0},
                    {"m": np.int64(0)}):
         with pytest.raises(DomainError):
             inverse_norm_power_sum(gen, **kwargs)
     with pytest.raises(DomainError):
         carve_lowest_energy(gen, 1, True)
+
+
+def test_lattice_name_is_keyword_only(lambda3):
+    # S is the cube sum, with no exponent to pass; a fourth positional
+    # argument, as an exponent once was, is refused, not taken for the
+    # lattice name.
+    gen = lambda3.generator
+    with pytest.raises(TypeError):
+        inverse_norm_power_sum(gen, 2, math.inf, 3)
+    with pytest.raises(TypeError):
+        carve_lowest_energy(gen, 2, 10, 3)
+    assert inverse_norm_power_sum(gen, 2, lattice_name="x").lattice_name == "x"
+    assert carve_lowest_energy(gen, 2, 10, lattice_name="x").lattice_name == "x"
 
 
 def test_capped_diversity_failure_names_the_lex_first_word():
@@ -1009,8 +1058,9 @@ def test_sign_permutation_invariance(lambda3):
 
 def test_one_slice_block_per_sum(lambda3, monkeypatch):
     # A sum or a carve builds one _Codebook, and a generator builds its
-    # walker once: later sums on it, and a failing one, reuse it. A plain
-    # array is scanned, with neither.
+    # walker once: later sums on it, and a failing one (a box bound past
+    # the machine's integers), reuse it. A plain array is scanned, with
+    # neither.
     built, walkers = [], []
 
     class Counted(constellation._Codebook):
@@ -1031,7 +1081,7 @@ def test_one_slice_block_per_sum(lambda3, monkeypatch):
     inverse_norm_power_sum(gen, 4)
     for _ in range(2):
         with pytest.raises(OverflowError):
-            inverse_norm_power_sum(gen, 2, 16.0, exponent=202)
+            inverse_norm_power_sum(gen, 10 ** 10, 16.0)
     assert len(built) == 5 and len(walkers) == 1
     eye = GeneratorMatrix(np.eye(2))
     for _ in range(2):
@@ -1168,8 +1218,6 @@ def test_argument_validation(lambda3):
         inverse_norm_power_sum(gen, 0)
     with pytest.raises(DomainError):
         inverse_norm_power_sum(gen, 1, p_lim=0.0)
-    with pytest.raises(DomainError):
-        inverse_norm_power_sum(gen, 1, exponent=0)
     with pytest.raises(DomainError):
         carve_lowest_energy(gen, 1, 0)
     with pytest.raises(DomainError):

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latticesec import constellation
 from latticesec.constellation import _ExactSum, _Scratch
@@ -193,28 +193,26 @@ def test_blocked_sums_match_fsum(case, max_parts, extra):
         _assert_exact(values, cuts, extra)
 
 
-def _term(row, exponent):
-    """prod |a_i|^-exponent of one row in Python floats: the product left
-    to right, its reciprocal, then square and multiply from the top bit."""
+def _term(row):
+    """prod |a_i|^-3 of one row in Python floats: the product left to
+    right, its reciprocal r, then (r*r)*r."""
     p = row[0]
     for a in row[1:]:
         p *= a
     r = 1.0 / p
-    out = r
-    for bit in bin(exponent)[3:]:
-        out *= out
-        if bit == "1":
-            out *= r
-    return out
+    return (r * r) * r
 
 
-coordinates = st.floats(min_value=1e-12, max_value=1e12)
+# Coordinates of diverse words, from DIVERSITY_EPS to where a product
+# overflows; with up to 12 of them, a cube overflows too.
+coordinates = st.floats(min_value=1e-12, max_value=1e154)
 
 
 @oracle_settings
-@given(st.integers(1, 5).flatmap(lambda k: st.lists(
-           st.lists(coordinates, min_size=k, max_size=k), min_size=1, max_size=40)),
-       st.integers(1, 12) | st.just(250))
-def test_terms_match_a_per_row_python_reference(rows, exponent):
-    got = constellation._terms(np.array(rows), exponent, *np.empty((2, len(rows))))
-    assert got.tobytes() == np.array([_term(row, exponent) for row in rows]).tobytes()
+@example([[1e154, 1e154], [1e-12, 1e-12]])  # terms 0 and 1e72
+@example([[1e-12] * 9])  # a cube past the largest double: inf
+@given(st.integers(1, 12).flatmap(lambda k: st.lists(
+           st.lists(coordinates, min_size=k, max_size=k), min_size=1, max_size=40)))
+def test_terms_match_a_per_row_python_reference(rows):
+    got = constellation._terms(np.array(rows), *np.empty((2, len(rows))))
+    assert got.tobytes() == np.array([_term(row) for row in rows]).tobytes()
