@@ -2,8 +2,8 @@
 
 Every run is fully determined by its flags: no hidden state, no wall-clock
 or RNG dependence, byte-identical output across repeat invocations. Exit
-codes: 0 success, 2 usage/domain error (a box bound past the machine's
-integers included), 3 internal invariant or construction failure.
+codes: 0 success, 2 usage/domain error (a carve target past the largest
+double included), 3 internal invariant or construction failure.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .constellation import (
 from .conjecture import verify_conjecture
 from .errors import DomainError, LatticeSecError
 from .numfields import LATTICE_NAMES, load_lattice
-from .theta import DEFAULT_TOL, eval_z, theta_triple
+from .theta import eval_z, theta_triple
 from .wiretap import ChannelParams, compare_report, db_to_linear
 from .zpoly import (
     ZPolynomial,
@@ -41,8 +41,8 @@ __all__ = ["main"]
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
-    trip = theta_triple(args.y, args.tol)
-    z = eval_z(args.y, args.tol)
+    trip = theta_triple(args.y)
+    z = eval_z(args.y)
     print("theta2 = %.17g" % trip.theta2)
     print("theta3 = %.17g" % trip.theta3)
     print("theta4 = %.17g" % trip.theta4)
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_theta = sub.add_parser("theta", help="evaluate theta functions and z")
     p_theta.add_argument("--y", type=float, required=True,
                          help="argument of tau = y*i, y > 0")
-    p_theta.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_theta.set_defaults(func=_cmd_theta)
 
     p_sec = sub.add_parser("secrecy", help="gains and peak certificates")
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except OverflowError:  # a box bound past the machine's integers
+    except OverflowError:  # a carve target past the largest double
         print("error: value out of range", file=sys.stderr)
         return 2
     except LatticeSecError as exc:

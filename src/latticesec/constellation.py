@@ -24,7 +24,7 @@ None) or the lex-first left: a sum all at the cap of p_lim, a carve
 the target_size lowest in (key, lex) order. The energies are the kept
 keys. A generator that carries its integer form F (the catalogued
 lattices do) is a _Codebook, keyed by its exact energy q = z F z^T,
-capped at q_cap = max{q : q^n <= det(F) p_lim^n}, decided in Fraction:
+capped at q_cap = max{q : q^n <= det(F) p_lim^n}, decided exactly:
 no float rounding decides which words it keeps, and p_max is
 q_max det(F)^(-1/n) and p_ave (sum q / size) det(F)^(-1/n), each
 correctly rounded once (_rounded). A plain array is a _Scan of the
@@ -88,7 +88,6 @@ nearest 4m(m+1)/3 exactly.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,6 +166,18 @@ def _rounded(a: int, b: int, det: Fraction, n: int) -> float:
     while mid(f, 0.0) ** n > power:
         f = math.nextafter(f, 0.0)
     return f
+
+
+def _iroot(x: int, n: int) -> int:
+    """floor(x^(1/n)) for integers x >= 0 and n >= 1: Newton's iteration
+    in integers, from 2^ceil(bits/n) above the root down to it."""
+    r = 1 << -(-x.bit_length() // n)
+    while r:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
+    return 0
 
 
 def _lex_first(bad, absx: np.ndarray, coeffs, mirrored: bool):
@@ -564,13 +575,13 @@ class _Codebook(_Words):
 
     def cap(self, p_lim: float) -> float:
         """The cut of the ball ||x||^2 <= p_lim: the largest integer
-        q <= box_top with q^n <= det(F) p_lim^n, decided in Fraction, or
-        an infinite p_lim."""
+        q <= box_top with q^n <= det(F) p_lim^n, the integer n-th root of
+        floor(det(F) p_lim^n), or an infinite p_lim."""
         if math.isinf(p_lim):
             return p_lim
-        n, top = len(self.F), self.box_top
-        bound = self.walker.det * Fraction(float(p_lim)) ** n
-        return float(bisect.bisect_right(range(top + 1), bound, key=lambda q: q ** n) - 1)
+        n = len(self.F)
+        bound = math.floor(self.walker.det * Fraction(float(p_lim)) ** n)
+        return float(min(_iroot(bound, n), self.box_top))
 
     def cut(self, target: int) -> tuple[float, int | None]:
         """(cut, left) of the rule that keeps the box's target words lowest

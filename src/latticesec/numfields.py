@@ -213,16 +213,15 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """A named unit-volume lattice with its reference product distance."""
+    """A catalogued unit-volume lattice: its name in CATALOGUE and a
+    generator whose d_p,min is the record's dpmin within DPMIN_RTOL."""
 
     name: str
     generator: GeneratorMatrix
-    reference_dpmin: float
-    provenance: str
 
     def __post_init__(self):
         dp = min_product_distance(self.generator)
-        ref = float(self.reference_dpmin)
+        ref = _record(self.name).dpmin
         if abs(dp - ref) > DPMIN_RTOL * ref:
             raise ConstructionError(
                 "%s: computed d_p,min %.12g deviates from reference %.12g "
@@ -272,14 +271,6 @@ def canonical_embedding(field_spec: NumberFieldSpec, basis, alpha=(1,),
                 % ([[str(x) for x in row] for row in trace], gram))
     return GeneratorMatrix(np.sqrt(twist) * np.array(
         [np.polyval([float(c) for c in reversed(b)], roots) for b in coeffs]))
-
-
-def normalize_unit_volume(m: GeneratorMatrix) -> GeneratorMatrix:
-    """Scale so |det| = 1 (within 1e-12)."""
-    out = GeneratorMatrix(m.entries / abs(m.det) ** (1.0 / m.n))
-    if abs(abs(out.det) - 1.0) > DET_TOL:
-        raise ConstructionError("normalization failed to reach unit volume")
-    return out
 
 
 def _box(k: int, m: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -407,6 +398,10 @@ class EllipsoidWalker:
             b = sum(abs(w) * z for w, z in zip(self.w[k], bound))
             bound.append((r + b) // delta[k] if m is None else min((r + b) // delta[k], m))
             x = max(x, r + b + delta[k])
+        if m is not None:
+            # Every run lies within bound, so clipping to it loses nothing,
+            # and it is below X, so an int64 walk can hold it.
+            m = max(bound)
         dtype = np.int64 if x < 2 ** 30 else object
         room = np.array([delta[0] * delta[1] * cap], dtype=dtype)
         yield from self._level(0, [], room, [np.zeros(1, dtype=dtype)] * n, cap, m)
@@ -555,7 +550,7 @@ CATALOGUE = {
 LATTICE_NAMES = tuple(CATALOGUE)
 
 
-def _validated(name: str, m: GeneratorMatrix, provenance: str) -> LatticeSpec:
+def _validated(name: str, m: GeneratorMatrix) -> LatticeSpec:
     """The catalogued lattice name with generator m and its exact form,
     after checking unit volume and that M M^T is the catalogued Gram
     scaled to determinant 1 within UNITARITY_TOL (for lambda1 and
@@ -572,10 +567,7 @@ def _validated(name: str, m: GeneratorMatrix, provenance: str) -> LatticeSpec:
     if not defect <= UNITARITY_TOL:
         raise ConstructionError(
             "%s: Gram defect %.3e exceeds 1e-9" % (name, defect))
-    return LatticeSpec(name=name,
-                       generator=GeneratorMatrix(m.entries, CATALOGUE[name].gram),
-                       reference_dpmin=CATALOGUE[name].dpmin,
-                       provenance=provenance)
+    return LatticeSpec(name, GeneratorMatrix(m.entries, CATALOGUE[name].gram))
 
 
 def _record(name: str) -> CataloguedLattice:
@@ -593,8 +585,8 @@ def build_lattice(name: str) -> LatticeSpec:
     m = canonical_embedding(number_field(r.min_poly), r.basis, r.alpha,
                             gram=r.gram, disc=r.disc)
     if _frac_det(r.gram) != 1:
-        m = normalize_unit_volume(m)
-    return _validated(name, m, r.provenance)
+        m = GeneratorMatrix(m.entries / abs(m.det) ** (1.0 / m.n))
+    return _validated(name, m)
 
 
 # ---------------------------------------------------------------------------
@@ -631,4 +623,4 @@ def load_lattice(name: str) -> LatticeSpec:
     if stated != (name, record.dpmin, list(record.min_poly)):
         raise ConstructionError(
             "%s: name, dpmin_ref or min_poly is not the catalogued one" % path)
-    return _validated(name, m, doc.get("provenance", "data file"))
+    return _validated(name, m)

@@ -18,7 +18,7 @@ foundation for everything downstream.
 
 One series, _series, evaluates all three values for every y > 0, with
 an explicit geometric tail bound: summation stops once the bound on
-the dropped tail falls below the requested tolerance. Each term is
+the dropped tail falls below DEFAULT_TOL. Each term is
 taken from its own exponent, not as a power of the nome exp(-pi*y),
 which is subnormal above y = 225.5 and would lose the digits of
 theta2. Terms are accumulated with math.fsum, so the returned value
@@ -29,10 +29,10 @@ not cancel, and mapped back through the modular relations
     theta2(yi) = theta4(i/y)/sqrt(y),  theta3(yi) = theta3(i/y)/sqrt(y),
     theta4(yi) = theta2(i/y)/sqrt(y),
 
-with the tolerance at 1/y scaled by sqrt(y), so that the absolute
-truncation bound tol still holds at y.
+with the bound at 1/y scaled by sqrt(y), so that the absolute
+truncation bound DEFAULT_TOL still holds at y.
 
-Outside [DOMAIN_MIN, DOMAIN_MAX] = [1e-3, 1e3] the triple is flagged
+Outside [DOMAIN_MIN, DOMAIN_MAX] = [1e-3, 1e3] the triple is
 `asymptotic`: there each series has collapsed to its leading term
 (theta3 = theta4 = 1 above, theta2 = theta3 = 1/sqrt(y) below), and
 theta2 above or theta4 below underflows to 0.0, as z does. Values
@@ -52,13 +52,6 @@ DEFAULT_TOL = 1e-14
 DOMAIN_MIN = 1e-3
 DOMAIN_MAX = 1e3
 Z_MAX = 0.25
-
-
-def _check_args(y: float, tol: float) -> None:
-    if not (y > 0):
-        raise DomainError("theta argument requires y > 0, got %r" % (y,))
-    if not (0 < tol < 1):
-        raise DomainError("tolerance must lie in (0, 1), got %r" % (tol,))
 
 
 def _series(y: float, tol: float, h: float, alternating: bool) -> float:
@@ -81,19 +74,13 @@ def _series(y: float, tol: float, h: float, alternating: bool) -> float:
 
 @dataclass(frozen=True)
 class ThetaTriple:
-    """theta2, theta3, theta4 at tau = y*i with truncation bound tol.
-
-    `asymptotic` marks y outside [DOMAIN_MIN, DOMAIN_MAX], where each
-    series has collapsed to its leading term and theta2 (theta4 for
-    small y) underflows to 0.0, as z does.
-    """
+    """theta2, theta3, theta4 at tau = y*i with truncation bound
+    DEFAULT_TOL."""
 
     y: float
     theta2: float
     theta3: float
     theta4: float
-    tol: float
-    asymptotic: bool = False
 
     def __post_init__(self):
         if not (self.theta2 >= 0 and self.theta3 > 0 and self.theta4 >= 0):
@@ -103,25 +90,33 @@ class ThetaTriple:
         # so that theta3 ~ 1/sqrt(y) cannot overflow at small y.
         lhs = ((self.theta2 / self.theta3) ** 4 + (self.theta4 / self.theta3) ** 4
                - 1.0)
-        if abs(lhs) > 8.0 * max(self.tol, 4e-16) / self.theta3:
+        if abs(lhs) > 8.0 * DEFAULT_TOL / self.theta3:
             raise InternalConsistencyError(
                 "Jacobi identity violated at y=%g: residual %g" % (self.y, lhs))
 
+    @property
+    def asymptotic(self) -> bool:
+        """Whether y lies outside [DOMAIN_MIN, DOMAIN_MAX], where each
+        series has collapsed to its leading term and theta2 (theta4 for
+        small y) underflows to 0.0, as z does."""
+        return not DOMAIN_MIN <= self.y <= DOMAIN_MAX
 
-def theta_triple(y: float, tol: float = DEFAULT_TOL) -> ThetaTriple:
+
+def theta_triple(y: float) -> ThetaTriple:
     """Evaluate all three theta functions at tau = y*i.
 
-    Absolute truncation error is at most tol per value, for every y > 0.
+    Absolute truncation error is at most DEFAULT_TOL per value, for every
+    y > 0.
     """
-    _check_args(y, tol)
-    asymptotic = not DOMAIN_MIN <= y <= DOMAIN_MAX
+    if not (y > 0):
+        raise DomainError("theta argument requires y > 0, got %r" % (y,))
     if y < 1.0:
         # The series converge slowly and theta4 cancels as the nome nears
         # 1; sum at 1/y instead and map back through the modular relations.
         root = math.sqrt(y)
-        t2, t3, t4 = _theta_sums(1.0 / y, tol * root)
-        return ThetaTriple(y, t4 / root, t3 / root, t2 / root, tol, asymptotic)
-    return ThetaTriple(y, *_theta_sums(y, tol), tol, asymptotic)
+        t2, t3, t4 = _theta_sums(1.0 / y, DEFAULT_TOL * root)
+        return ThetaTriple(y, t4 / root, t3 / root, t2 / root)
+    return ThetaTriple(y, *_theta_sums(y, DEFAULT_TOL))
 
 
 def _theta_sums(y: float, tol: float) -> tuple[float, float, float]:
@@ -130,18 +125,18 @@ def _theta_sums(y: float, tol: float) -> tuple[float, float, float]:
             _series(y, tol, 0.0, alternating=True))
 
 
-def eval_z(y: float, tol: float = DEFAULT_TOL) -> float:
+def eval_z(y: float) -> float:
     """The z-variable theta2^4 theta4^4 / theta3^8 at tau = y*i.
 
-    Returns a value in [0, 1/4] with relative error <= 100*tol whenever
-    the true value is representable in double precision. An overshoot
-    above 1/4 within 1000*tol is clamped; anything larger signals a bug
-    in the theta evaluation itself and raises.
+    Returns a value in [0, 1/4] with relative error <= 100*DEFAULT_TOL
+    whenever the true value is representable in double precision. An
+    overshoot above 1/4 within 1000*DEFAULT_TOL is clamped; anything
+    larger signals a bug in the theta evaluation itself and raises.
     """
-    trip = theta_triple(y, tol)
+    trip = theta_triple(y)
     ratio = (trip.theta2 * trip.theta4) / (trip.theta3 * trip.theta3)
     z = ratio ** 4
-    if z > Z_MAX + 1000.0 * tol:
+    if z > Z_MAX + 1000.0 * DEFAULT_TOL:
         raise InternalConsistencyError(
             "z(%g) = %.17g exceeds 1/4 beyond tolerance" % (y, z))
     if z > Z_MAX:

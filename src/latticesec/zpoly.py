@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import ratpoly
 from .errors import DomainError, EvaluationError
-from .theta import DEFAULT_TOL, eval_z
+from .theta import eval_z
 
 
 @dataclass(frozen=True)
@@ -97,19 +97,17 @@ class ExtremalEvenSpec:
 
 @dataclass(frozen=True)
 class UnimodularThetaSpec:
-    """General unimodular theta data: n = 8*mu + nu, coefficients a_r."""
+    """General unimodular theta data of dimension n: the coefficients a_r,
+    r = 0..n//8, of Theta = sum_r a_r theta3^(n-8r) Delta8^r
+    (Conway-Sloane, SPLAG ch. 7), so exactly n//8 + 1 of them."""
 
     n: int
-    mu: int
-    nu: int
     a: tuple[Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        if self.n != 8 * self.mu + self.nu:
-            raise DomainError("n = 8*mu + nu violated")
-        if len(self.a) != self.mu + 1:
-            raise DomainError("need exactly mu + 1 coefficients a_r")
+        if len(self.a) != self.n // 8 + 1:
+            raise DomainError("need exactly n//8 + 1 coefficients a_r")
 
 
 def _one_minus_z_power(e: int) -> ratpoly.Poly:
@@ -168,9 +166,9 @@ def table_polynomial(dim: int) -> ZPolynomial:
         ExtremalEvenSpec(dim, dim // 24, dim % 24 // 8, _EXTREMAL_B[dim]))
 
 
-def secrecy_function(poly: ZPolynomial, y: float, tol: float = DEFAULT_TOL) -> float:
+def secrecy_function(poly: ZPolynomial, y: float) -> float:
     """1 / P(z(y)): the eavesdropper-confusion ratio at argument y."""
-    value = poly.evaluate(eval_z(y, tol))
+    value = poly.evaluate(eval_z(y))
     if value <= 0.0:
         raise EvaluationError(
             "P(z(y)) = %g is not positive; polynomial is not a valid "

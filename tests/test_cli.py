@@ -221,16 +221,28 @@ def test_jobs_is_not_an_option(capsys, argv):
         assert (code, out) == (2, "") and flag in err
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["--m", "10000000000", "--p-lim", "4"], id="capped"),
-    pytest.param(["--m", "10000000000000000000000", "--target-size", "5"], id="carved")])
-def test_a_box_bound_past_the_machine_integers_is_an_error_line(capsys, argv):
-    # The cap's search and the walk's bounds take the box bound as a
-    # machine integer, which raises OverflowError: one error line and the
-    # usage/domain exit code, not a traceback.
-    code, out, err = run(capsys, "sum", "--lattice", "lambda1", *argv)
+@pytest.mark.parametrize("m,small,rule", [
+    pytest.param(10 ** 10, 10 ** 9, ["--p-lim", "4"], id="capped"),
+    pytest.param(10 ** 22, 3, ["--target-size", "5"], id="carved")])
+def test_a_box_bound_past_the_machine_integers_is_an_error_line(capsys, m, small, rule):
+    # The cap is an integer root and the walk clips the box bound to the
+    # ball's own bounds, so a box bound past int64 gives the row of a small
+    # box that holds the same codebook, apart from m.
+    code, out, err = run(capsys, "sum", "--lattice", "lambda1", "--m", str(m), *rule)
+    want = run(capsys, "sum", "--lattice", "lambda1", "--m", str(small), *rule)[1]
+    assert (code, err) == (0, "")
+    assert out == want.replace(",%d," % small, ",%d," % m)
+    assert out != want
+
+
+def test_a_carve_target_past_the_largest_double_is_an_error_line(capsys):
+    # The carve's first radius takes the target as a float, which raises
+    # OverflowError: one error line and the usage/domain exit code, not a
+    # traceback.
+    code, out, err = run(capsys, "sum", "--lattice", "lambda1", "--m", str(10 ** 200),
+                         "--target-size", str(10 ** 400))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err == "error: value out of range\n"
 
 
 def _readme_cli_examples() -> list[tuple[list[str], str | None]]:

@@ -1058,8 +1058,8 @@ def test_sign_permutation_invariance(lambda3):
 
 def test_one_slice_block_per_sum(lambda3, monkeypatch):
     # A sum or a carve builds one _Codebook, and a generator builds its
-    # walker once: later sums on it, and a failing one (a box bound past
-    # the machine's integers), reuse it. A plain array is scanned, with
+    # walker once: later sums on it, and a failing one (a carve target
+    # past the largest double), reuse it. A plain array is scanned, with
     # neither.
     built, walkers = [], []
 
@@ -1081,7 +1081,7 @@ def test_one_slice_block_per_sum(lambda3, monkeypatch):
     inverse_norm_power_sum(gen, 4)
     for _ in range(2):
         with pytest.raises(OverflowError):
-            inverse_norm_power_sum(gen, 10 ** 10, 16.0)
+            carve_lowest_energy(gen, 10 ** 200, 10 ** 400)
     assert len(built) == 5 and len(walkers) == 1
     eye = GeneratorMatrix(np.eye(2))
     for _ in range(2):

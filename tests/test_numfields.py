@@ -12,6 +12,7 @@ import pytest
 from latticesec import ratpoly
 from latticesec.errors import ConstructionError, DiversityError, DomainError
 from latticesec.numfields import (
+    CATALOGUE,
     GeneratorMatrix,
     LatticeSpec,
     LATTICE_NAMES,
@@ -20,7 +21,6 @@ from latticesec.numfields import (
     default_data_dir,
     load_lattice,
     min_product_distance,
-    normalize_unit_volume,
     number_field,
 )
 from norm_oracle import nf_norm
@@ -129,13 +129,6 @@ def test_generator_matrix_guards():
         gen.walker
 
 
-def test_normalize_unit_volume():
-    rng = np.random.default_rng(7)
-    m = GeneratorMatrix(rng.normal(size=(4, 4)))
-    out = normalize_unit_volume(m)
-    assert abs(abs(out.det) - 1.0) <= 1e-12
-
-
 def test_identity_lattice_is_not_fully_diverse():
     with pytest.raises(DiversityError):
         min_product_distance(GeneratorMatrix(np.eye(4)))
@@ -149,7 +142,7 @@ def test_identity_lattice_is_not_fully_diverse():
 def test_reference_product_distances(name, dpmin, request):
     spec = request.getfixturevalue(name)
     assert min_product_distance(spec.generator) == pytest.approx(dpmin, rel=1e-6)
-    assert spec.reference_dpmin == pytest.approx(dpmin, rel=1e-6)
+    assert CATALOGUE[name].dpmin == pytest.approx(dpmin, rel=1e-6)
 
 
 def test_rotation_matrices_are_orthonormal(lambda1, lambda2):
@@ -189,7 +182,7 @@ def test_shipped_data_matches_builders(lambda1, lambda2, lambda3):
             assert np.abs(got - exp).max() <= 1e-15
         else:
             assert (got == exp).all()
-        assert loaded.reference_dpmin == want.reference_dpmin
+        assert loaded.name == want.name == name
 
 
 def test_data_dir_override(tmp_path, monkeypatch, lambda1, shipped):
@@ -245,6 +238,9 @@ def test_build_lattice_names(lambda1):
 
 
 def test_lattice_spec_enforces_dpmin(lambda3):
+    # The reference is the named record's: lambda3's generator is not
+    # lambda1's lattice, and a name outside the catalogue has none.
     with pytest.raises(ConstructionError):
-        LatticeSpec(name="bogus", generator=lambda3.generator,
-                    reference_dpmin=0.5, provenance="test")
+        LatticeSpec(name="lambda1", generator=lambda3.generator)
+    with pytest.raises(DomainError):
+        LatticeSpec(name="bogus", generator=lambda3.generator)

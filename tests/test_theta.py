@@ -102,10 +102,6 @@ def test_domain_errors():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError):
             theta_triple(bad)
-    with pytest.raises(DomainError):
-        theta_triple(1.0, tol=0.0)
-    with pytest.raises(DomainError):
-        theta_triple(1.0, tol=1.0)
 
 
 def test_asymptotic_above_domain():
@@ -135,15 +131,27 @@ def test_asymptotic_matches_series_at_boundary():
     inside_low = theta_triple(DOMAIN_MIN)
     assert not inside_low.asymptotic
     assert inside_low.theta3 == pytest.approx(1.0 / math.sqrt(DOMAIN_MIN), rel=1e-12)
+    # Just past either edge it is on.
+    assert theta_triple(math.nextafter(DOMAIN_MAX, math.inf)).asymptotic
+    assert theta_triple(math.nextafter(DOMAIN_MIN, 0.0)).asymptotic
 
 
-def test_loose_tolerance_still_close():
-    assert eval_z(0.7, tol=1e-6) == pytest.approx(eval_z(0.7), abs=1e-5)
+def test_the_theta_precision_is_fixed(capsys):
+    # Every value is read at DEFAULT_TOL; a tolerance left in a call or a
+    # script is refused, not silently ignored.
+    for f in (theta_triple, eval_z):
+        with pytest.raises(TypeError):
+            f(1.0, 1e-9)
+    with pytest.raises(TypeError):
+        secrecy_function(table_polynomial(8), 1.0, 1e-9)
+    assert main(["theta", "--y", "1", "--tol", "1e-9"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--tol" in err
 
 
 def test_triple_invariant_guard():
     with pytest.raises(InternalConsistencyError):
-        ThetaTriple(y=1.0, theta2=1.0, theta3=1.0, theta4=1.0, tol=1e-14)
+        ThetaTriple(y=1.0, theta2=1.0, theta3=1.0, theta4=1.0)
 
 
 @pytest.mark.parametrize("y", [230.0, 236.0, 240.0, 500.0, 900.0])

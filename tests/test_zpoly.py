@@ -119,8 +119,10 @@ def test_even_unimodular_form_matches_table():
 
 def test_unimodular_form():
     # P = 1 + (a_1/16) z with a_1 = -16 reproduces the dim-8 polynomial
-    spec = UnimodularThetaSpec(n=8, mu=1, nu=0, a=(1, -16))
+    spec = UnimodularThetaSpec(n=8, a=(1, -16))
     assert unimodular_to_zpoly(spec).coeffs == table_polynomial(8).coeffs
+    # dim 16 takes n//8 + 1 = 3 coefficients: P = 1 - 2z + z^2 = (1-z)^2
+    assert unimodular_to_zpoly(UnimodularThetaSpec(16, (1, -32, 256))) == table_polynomial(16)
 
 
 def test_structural_spec_validation():
@@ -133,9 +135,11 @@ def test_structural_spec_validation():
     with pytest.raises(DomainError):
         ExtremalEvenSpec(n=24, m=1, k=0, b=())
     with pytest.raises(DomainError):
-        UnimodularThetaSpec(n=8, mu=2, nu=0, a=(1, 2, 3))
+        UnimodularThetaSpec(n=8, a=(1, 2, 3))
     with pytest.raises(DomainError):
-        UnimodularThetaSpec(n=8, mu=1, nu=0, a=(1,))
+        UnimodularThetaSpec(n=8, a=(1,))
+    with pytest.raises(DomainError):  # a degree-1 P for a 16-dim lattice
+        UnimodularThetaSpec(n=16, a=(1, -32))
 
 
 def test_secrecy_function_peak_at_one():
